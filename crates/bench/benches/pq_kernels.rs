@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks for the PQ kernels behind MILLION:
-//! codebook training, encoding, decoding, LUT construction, ADC scoring —
+//! codebook training, encoding, decoding, LUT construction, the centroid mix,
+//! the k-means assignment scan, ADC scoring —
 //! and the decode-kernel ladder this PR introduced: unpacked-u16 two-pass
 //! (the seed kernel) → packed two-pass → fused packed single-pass.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use million_bench::kernels;
 use million_quant::bitpack::PackedCodes;
+use million_quant::kmeans::nearest_in_planes;
 use million_quant::pq::{PqCodebook, PqCodes, PqConfig, PqTrainOptions, ValueAccumulator};
 use million_tensor::init::{normal_matrix, seeded_rng};
 
@@ -37,6 +39,14 @@ fn bench_pq(c: &mut Criterion) {
         b.iter(|| codebook.encode(std::hint::black_box(vector.row(0))))
     });
 
+    c.bench_function("pq_encode_into", |b| {
+        let mut row = vec![0u16; codebook.config().m];
+        b.iter(|| {
+            codebook.encode_into(std::hint::black_box(vector.row(0)), &mut row);
+            row[0]
+        })
+    });
+
     c.bench_function("pq_decode_single_vector", |b| {
         let enc = codebook.encode(vector.row(0));
         b.iter(|| codebook.decode(std::hint::black_box(&enc)))
@@ -44,6 +54,33 @@ fn bench_pq(c: &mut Criterion) {
 
     c.bench_function("pq_score_lut_build", |b| {
         b.iter(|| codebook.score_lut(std::hint::black_box(&query)))
+    });
+
+    c.bench_function("pq_value_mix_finish_into", |b| {
+        let mut acc = ValueAccumulator::for_codebook(&codebook);
+        for t in 0..codes.len() {
+            acc.add_indexed(1.0 / (t + 1) as f32, &codes, t);
+        }
+        let mut out = vec![0.0f32; HEAD_DIM];
+        b.iter(|| {
+            std::hint::black_box(&acc).finish_into(&codebook, &mut out);
+            out[0]
+        })
+    });
+
+    c.bench_function("kmeans_assignment_4096x256", |b| {
+        // One Lloyd assignment step of a sub-dim-2 subspace: 4096 samples
+        // against 256 centroids held as `[dim][k]` planes.
+        let samples = normal_matrix(&mut seeded_rng(5), 4096, 2, 0.0, 1.0);
+        let planes = normal_matrix(&mut seeded_rng(6), 2, 256, 0.0, 1.0);
+        b.iter(|| {
+            (0..samples.rows())
+                .map(|r| {
+                    nearest_in_planes(std::hint::black_box(samples.row(r)), planes.as_slice(), 256)
+                        .0
+                })
+                .sum::<usize>()
+        })
     });
 
     c.bench_function("pq_adc_scores_4096_tokens_packed", |b| {

@@ -120,6 +120,8 @@ pub struct PqKvCache {
     quantized_len: usize,
     /// Tokens in the dense suffix.
     recent_len: usize,
+    /// Codes of the row being encoded by [`PqKvCache::encode_overflow`].
+    code_row: Vec<u16>,
 }
 
 impl std::fmt::Debug for PqKvCache {
@@ -157,6 +159,11 @@ impl PqKvCache {
         let value_codes = (0..layout.n_kv_heads)
             .map(|_| PqCodes::new(config.value_codebook.config()))
             .collect();
+        let code_row_len = config
+            .key_codebook
+            .config()
+            .m
+            .max(config.value_codebook.config().m);
         Self {
             layout,
             config,
@@ -168,6 +175,7 @@ impl PqKvCache {
             recent_values: vec![Vec::new(); layout.n_kv_heads],
             quantized_len: 0,
             recent_len: 0,
+            code_row: vec![0; code_row_len],
         }
     }
 
@@ -362,23 +370,22 @@ impl PqKvCache {
     ) -> EncodedTokens {
         assert_eq!(keys.shape(), values.shape(), "keys/values shape mismatch");
         assert_eq!(keys.cols(), layout.width(), "KV width mismatch");
-        let mut key_codes: Vec<PqCodes> = (0..layout.n_kv_heads)
-            .map(|_| PqCodes::new(key_codebook.config()))
-            .collect();
-        let mut value_codes: Vec<PqCodes> = (0..layout.n_kv_heads)
-            .map(|_| PqCodes::new(value_codebook.config()))
-            .collect();
-        for t in 0..keys.rows() {
-            let k_row = keys.row(t);
-            let v_row = values.row(t);
-            for h in 0..layout.n_kv_heads {
-                key_codes[h].push(&key_codebook.encode(head_slice(k_row, layout, h)));
-                value_codes[h].push(&value_codebook.encode(head_slice(v_row, layout, h)));
-            }
-        }
+        let encode = |codebook: &PqCodebook, data: &Matrix| -> Vec<PqCodes> {
+            let mut row = vec![0u16; codebook.config().m];
+            (0..layout.n_kv_heads)
+                .map(|h| {
+                    let mut codes = PqCodes::with_capacity(codebook.config(), data.rows());
+                    for t in 0..data.rows() {
+                        codebook.encode_into(head_slice(data.row(t), layout, h), &mut row);
+                        codes.push(&row);
+                    }
+                    codes
+                })
+                .collect()
+        };
         EncodedTokens {
-            key_codes,
-            value_codes,
+            key_codes: encode(key_codebook, keys),
+            value_codes: encode(value_codebook, values),
         }
     }
 
@@ -450,17 +457,40 @@ impl PqKvCache {
         self.memory_bytes() as f64 / fp16 as f64
     }
 
-    fn encode_overflow(&mut self) {
-        if let Some((keys, values)) = self.encodable_dense() {
-            let encoded = Self::encode_tokens(
-                &self.config.key_codebook,
-                &self.config.value_codebook,
-                &self.layout,
-                &keys,
-                &values,
-            );
-            self.absorb_encoded(encoded);
+    /// Encodes every dense token beyond the residual window on the spot,
+    /// straight from the head-strided dense rows into the private tail —
+    /// what [`KvCache::append`] does when `auto_encode` is set, and what a
+    /// caller that holds back encoding (prefill of an asynchronous session,
+    /// a flush) calls itself.
+    pub fn encode_overflow(&mut self) {
+        let n = self.recent_len.saturating_sub(self.config.residual_len);
+        if n == 0 {
+            return;
         }
+        let d = self.layout.head_dim;
+        for (codebook, all_codes, all_dense) in [
+            (
+                &self.config.key_codebook,
+                &mut self.key_codes,
+                &mut self.recent_keys,
+            ),
+            (
+                &self.config.value_codebook,
+                &mut self.value_codes,
+                &mut self.recent_values,
+            ),
+        ] {
+            let row = &mut self.code_row[..codebook.config().m];
+            for (codes, dense) in all_codes.iter_mut().zip(all_dense.iter_mut()) {
+                for vector in dense[..n * d].chunks_exact(d) {
+                    codebook.encode_into(vector, row);
+                    codes.push(row);
+                }
+                dense.drain(..n * d);
+            }
+        }
+        self.quantized_len += n;
+        self.recent_len -= n;
     }
 
     /// Attends the dense recent window and the current token into

@@ -8,6 +8,10 @@
 //! per-thread (const-initialised TLS, so reading it never allocates): the
 //! libtest harness runs tests and its own bookkeeping on other threads
 //! whose allocations must not pollute a measurement window.
+//!
+//! The encode side gets the same treatment: a row through
+//! `PqCodebook::encode_into` into reserved packed storage allocates nothing,
+//! and `PqKvCache::encode_tokens` allocates per call, never per row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +21,7 @@ use million_kvcache::{
     AttendParams, AttendScratch, CacheLayout, FullPrecisionCache, KiviCache, KiviConfig, KvCache,
     KvQuantCache, KvQuantConfig, PqCacheConfig, PqKvCache,
 };
-use million_quant::pq::{PqCodebook, PqConfig, PqTrainOptions};
+use million_quant::pq::{PqCodebook, PqCodes, PqConfig, PqTrainOptions};
 use million_store::Block;
 use million_tensor::init::{normal_matrix, seeded_rng};
 
@@ -179,4 +183,35 @@ fn baseline_attends_are_allocation_free_when_scratch_is_warm() {
     kvq.append(&k, &v);
     assert!(kvq.block_count() > 0 && kvq.pending_len() > 0);
     assert_attend_is_allocation_free(&kvq, "kvquant");
+}
+
+#[test]
+fn encoding_allocates_nothing_per_row_once_capacity_is_reserved() {
+    let mut rng = seeded_rng(11);
+    let samples = normal_matrix(&mut rng, 600, HEAD_DIM, 0.0, 1.0);
+    let config = PqConfig::new(16, 8).unwrap();
+    let codebook = PqCodebook::train(&config, &samples, &PqTrainOptions::default(), 4).unwrap();
+
+    // One row through `encode_into` into reserved packed storage.
+    let mut codes = PqCodes::with_capacity(config, TOKENS);
+    let mut row = vec![0u16; config.m];
+    let before = thread_allocations();
+    for t in 0..TOKENS {
+        codebook.encode_into(samples.row(t), &mut row);
+        codes.push(&row);
+    }
+    assert_eq!(thread_allocations() - before, 0, "encode_into + push");
+    assert_eq!(codes.len(), TOKENS);
+
+    // `encode_tokens` allocates its outputs up front: the count does not
+    // depend on how many rows it encodes.
+    let encode_allocations = |tokens: usize| {
+        let (k, v) = random_kv(12, tokens);
+        let before = thread_allocations();
+        let encoded = PqKvCache::encode_tokens(&codebook, &codebook, &layout(), &k, &v);
+        let allocated = thread_allocations() - before;
+        assert_eq!(encoded.len(), tokens);
+        allocated
+    };
+    assert_eq!(encode_allocations(1), encode_allocations(TOKENS));
 }

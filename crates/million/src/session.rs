@@ -824,20 +824,9 @@ impl<'e> InferenceSession<'e> {
     /// (skipping layers with a batch in flight, whose results are owed to
     /// the worker).
     fn encode_dense_now(&mut self) {
-        let layout = self.engine.model().cache_layout();
-        for (layer, cache) in self.caches.iter_mut().enumerate() {
-            if self.sent[layer] != 0 {
-                continue;
-            }
-            if let Some((keys, values)) = cache.encodable_dense() {
-                let encoded = PqKvCache::encode_tokens(
-                    &self.engine.codebooks().key[layer],
-                    &self.engine.codebooks().value[layer],
-                    &layout,
-                    &keys,
-                    &values,
-                );
-                cache.absorb_encoded(encoded);
+        for (cache, &sent) in self.caches.iter_mut().zip(&self.sent) {
+            if sent == 0 {
+                cache.encode_overflow();
             }
         }
     }

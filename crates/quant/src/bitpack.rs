@@ -118,10 +118,43 @@ impl PackedCodes {
     }
 
     /// Appends every code in `codes`.
+    ///
+    /// Whole groups of 8-, 4- and 6-bit codes at a byte-aligned cursor — a
+    /// row of a PQ kernel layout — are written as bytes directly (the writer
+    /// twin of the unrolled decoders in [`crate::pq::PqCodes::walk_row`]);
+    /// everything else goes through the bit cursor of [`PackedCodes::push`].
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if a code does not fit in the configured width.
     pub fn extend_from_slice(&mut self, codes: &[u16]) {
-        for &c in codes {
-            self.push(c);
+        debug_assert!(
+            codes.iter().all(|&c| c <= max_code(self.bits)),
+            "code exceeds bit width"
+        );
+        let aligned = (self.len * self.bits as usize).is_multiple_of(8);
+        match self.bits {
+            8 if aligned => self.data.extend(codes.iter().map(|&c| c as u8)),
+            4 if aligned && codes.len().is_multiple_of(2) => self
+                .data
+                .extend(codes.chunks_exact(2).map(|c| (c[0] | c[1] << 4) as u8)),
+            6 if aligned && codes.len().is_multiple_of(4) => {
+                self.data.extend(codes.chunks_exact(4).flat_map(|c| {
+                    [
+                        (c[0] | c[1] << 6) as u8,
+                        (c[1] >> 2 | c[2] << 4) as u8,
+                        (c[2] >> 4 | c[3] << 2) as u8,
+                    ]
+                }))
+            }
+            _ => {
+                for &c in codes {
+                    self.push(c);
+                }
+                return;
+            }
         }
+        self.len += codes.len();
     }
 
     /// Rebuilds a packed vector from its raw storage — the inverse of

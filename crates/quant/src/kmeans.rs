@@ -54,6 +54,19 @@ pub fn kmeans(
     options: &KMeansOptions,
     rng: &mut StdRng,
 ) -> Result<KMeansResult, QuantError> {
+    lloyd(samples, k, options, rng, nearest_in_planes)
+}
+
+/// [`kmeans`] with the assignment-step scan as a parameter
+/// (`scan(sample, planes, k)` over the `[dim][k]` centroid planes), so the
+/// tests can drive the same loop with the scalar reference scan.
+pub(crate) fn lloyd(
+    samples: &Matrix,
+    k: usize,
+    options: &KMeansOptions,
+    rng: &mut StdRng,
+    scan: impl Fn(&[f32], &[f32], usize) -> (usize, f32) + Sync,
+) -> Result<KMeansResult, QuantError> {
     if k == 0 || k > (u16::MAX as usize + 1) {
         return Err(QuantError::InvalidConfig(format!(
             "cluster count {k} not in 1..=65536"
@@ -75,12 +88,13 @@ pub fn kmeans(
 
     for iter in 0..options.max_iters {
         iterations = iter + 1;
-        // Assignment step (parallel over samples).
+        // Assignment step (parallel over samples), scanning the centroids
+        // channel-major so the distances of 16 centroids advance together.
+        let planes = centroids.transpose();
         let results: Vec<(u16, f64)> = (0..n)
             .into_par_iter()
             .map(|i| {
-                let row = samples.row(i);
-                let (best, dist) = nearest_centroid(row, &centroids);
+                let (best, dist) = scan(samples.row(i), planes.as_slice(), k);
                 (best as u16, dist as f64)
             })
             .collect();
@@ -135,9 +149,90 @@ pub fn kmeans(
     })
 }
 
-/// Finds the nearest centroid (index, squared distance) for one sample.
-#[inline]
-pub fn nearest_centroid(sample: &[f32], centroids: &Matrix) -> (usize, f32) {
+/// Centroids scanned together by [`nearest_in_planes`]: four SSE registers
+/// of running minima.
+const LANES: usize = 16;
+
+/// Finds the nearest centroid (index, squared distance) of `sample` among
+/// `k` centroids stored channel-major: `planes[j * k + c]` is channel `j` of
+/// centroid `c`, so `planes.len() == sample.len() * k`.
+///
+/// The one nearest-centroid scan of the crate — PQ encoding runs it once per
+/// subspace, k-means once per sample and iteration. Each distance
+/// accumulates from `0.0` in channel order, as
+/// [`million_tensor::ops::squared_distance`] does, and the winner is the
+/// smallest distance, the lowest index on ties; NaN distances never win and
+/// an all-infinite scan returns index 0 — exactly the strict-`<` first-wins
+/// rule of a scalar scan over row-major centroids, which a full `LANES`
+/// chunk follows with one running `(min, chunk)` pair per lane instead of
+/// one chain of `k` dependent compares.
+///
+/// # Panics
+///
+/// Panics if `planes.len() != sample.len() * k`.
+// analyze: no-alloc
+pub fn nearest_in_planes(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
+    assert_eq!(planes.len(), sample.len() * k, "centroid plane shape");
+    // A known channel count lets the compiler unroll the distance loop and
+    // keep a whole chunk of lanes in registers.
+    match sample.len() {
+        1 => scan_planes(&sample[..1], planes, k),
+        2 => scan_planes(&sample[..2], planes, k),
+        4 => scan_planes(&sample[..4], planes, k),
+        8 => scan_planes(&sample[..8], planes, k),
+        _ => scan_planes(sample, planes, k),
+    }
+}
+
+#[inline(always)]
+fn scan_planes(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
+    let chunks = k / LANES;
+    let mut lane_min = [f32::INFINITY; LANES];
+    let mut lane_chunk = [0u32; LANES];
+    for chunk in 0..chunks {
+        let mut dist = [0.0f32; LANES];
+        for (j, &s) in sample.iter().enumerate() {
+            let plane = &planes[j * k + chunk * LANES..][..LANES];
+            for (d, &p) in dist.iter_mut().zip(plane) {
+                let diff = s - p;
+                *d += diff * diff;
+            }
+        }
+        for l in 0..LANES {
+            let closer = dist[l] < lane_min[l];
+            lane_min[l] = if closer { dist[l] } else { lane_min[l] };
+            lane_chunk[l] = if closer { chunk as u32 } else { lane_chunk[l] };
+        }
+    }
+    let mut best = 0usize;
+    let mut best_dist = f32::INFINITY;
+    for l in 0..LANES {
+        let c = lane_chunk[l] as usize * LANES + l;
+        if lane_min[l] < best_dist || (lane_min[l] == best_dist && c < best) {
+            best_dist = lane_min[l];
+            best = c;
+        }
+    }
+    // The `k % LANES` tail holds the highest indices, so strict `<` keeps
+    // the first-wins rule.
+    for c in chunks * LANES..k {
+        let mut d = 0.0f32;
+        for (j, &s) in sample.iter().enumerate() {
+            let diff = s - planes[j * k + c];
+            d += diff * diff;
+        }
+        if d < best_dist {
+            best_dist = d;
+            best = c;
+        }
+    }
+    (best, best_dist)
+}
+
+/// The scalar scan over row-major centroids that [`nearest_in_planes`]
+/// replaced, kept as its bit-identity reference.
+#[cfg(test)]
+pub(crate) fn nearest_centroid(sample: &[f32], centroids: &Matrix) -> (usize, f32) {
     let mut best = 0usize;
     let mut best_dist = f32::INFINITY;
     for c in 0..centroids.rows() {
@@ -148,6 +243,14 @@ pub fn nearest_centroid(sample: &[f32], centroids: &Matrix) -> (usize, f32) {
         }
     }
     (best, best_dist)
+}
+
+/// [`nearest_centroid`] behind the plane-scan signature, for driving
+/// [`lloyd`] with the reference scan.
+#[cfg(test)]
+pub(crate) fn reference_scan(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
+    let planes = Matrix::from_vec(sample.len(), k, planes.to_vec()).expect("plane shape");
+    nearest_centroid(sample, &planes.transpose())
 }
 
 /// k-means++ seeding: the first centroid is sampled uniformly, subsequent
@@ -296,6 +399,76 @@ mod tests {
         let centroids = Matrix::from_vec(2, 1, vec![0.0, 10.0]).unwrap();
         assert_eq!(nearest_centroid(&[1.0], &centroids).0, 0);
         assert_eq!(nearest_centroid(&[9.0], &centroids).0, 1);
+    }
+
+    fn assert_scans_agree(sample: &[f32], centroids: &Matrix) {
+        let (want, want_dist) = nearest_centroid(sample, centroids);
+        let planes = centroids.transpose();
+        let (got, got_dist) = nearest_in_planes(sample, planes.as_slice(), centroids.rows());
+        assert_eq!(
+            (got, got_dist.to_bits()),
+            (want, want_dist.to_bits()),
+            "k={} dim={} sample={sample:?}",
+            centroids.rows(),
+            centroids.cols()
+        );
+    }
+
+    #[test]
+    fn plane_scan_is_bit_identical_to_the_scalar_scan() {
+        // Coordinates on a coarse grid force exact distance ties and
+        // duplicate centroids; the winner must still be the first index.
+        for k in [8usize, 16, 40, 64, 256] {
+            for dim in [1usize, 2, 3, 4, 8] {
+                let centroids = Matrix::from_fn(k, dim, |c, j| {
+                    ((c * 7 + j * 5 + c / 3) % 9) as f32 * 0.5 - 2.0
+                });
+                for probe in 0..40usize {
+                    let sample: Vec<f32> = (0..dim)
+                        .map(|j| ((probe * 11 + j * 3) % 17) as f32 * 0.25 - 2.0)
+                        .collect();
+                    assert_scans_agree(&sample, &centroids);
+                }
+                // Off-grid samples: distinct distances, rounding in play.
+                let mut rng = seeded_rng((k * 31 + dim) as u64);
+                let samples = million_tensor::init::normal_matrix(&mut rng, 40, dim, 0.0, 1.3);
+                for r in 0..samples.rows() {
+                    assert_scans_agree(samples.row(r), &centroids);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_scan_never_selects_nan_and_defaults_to_index_zero() {
+        for k in [8usize, 40, 64] {
+            // Every distance NaN, or every distance infinite: index 0.
+            assert_scans_agree(&[f32::NAN, 0.0], &Matrix::zeros(k, 2));
+            assert_scans_agree(&[f32::INFINITY, 0.0], &Matrix::zeros(k, 2));
+            // NaN centroids are skipped wherever they sit, ties included.
+            let centroids = Matrix::from_fn(k, 2, |c, j| match (c % 5, j) {
+                (0, 0) => f32::NAN,
+                (1, _) => f32::INFINITY,
+                _ => 1.0,
+            });
+            assert_scans_agree(&[1.0, 1.0], &centroids);
+            assert_scans_agree(&[0.25, -3.0], &centroids);
+        }
+    }
+
+    #[test]
+    fn lloyd_is_bit_identical_under_the_reference_scan() {
+        let data = Matrix::from_fn(300, 2, |r, c| ((r * 13 + c * 7) % 23) as f32 * 0.37 - 4.0);
+        let opts = KMeansOptions::default();
+        for k in [5usize, 16, 64] {
+            let fast = kmeans(&data, k, &opts, &mut seeded_rng(6)).unwrap();
+            let slow = lloyd(&data, k, &opts, &mut seeded_rng(6), reference_scan).unwrap();
+            assert_eq!(fast.assignments, slow.assignments);
+            assert_eq!(fast.iterations, slow.iterations);
+            assert_eq!(fast.inertia.to_bits(), slow.inertia.to_bits());
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast.centroids), bits(&slow.centroids));
+        }
     }
 
     proptest! {

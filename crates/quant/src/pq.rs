@@ -15,7 +15,6 @@
 //!   mass per centroid and mixing the centroids once, instead of
 //!   reconstructing each cached value vector.
 
-use million_tensor::ops::{axpy, dot};
 use million_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +22,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::bitpack::PackedCodes;
-use crate::kmeans::{kmeans, nearest_centroid, KMeansOptions};
+use crate::kmeans::{kmeans, nearest_in_planes, KMeansOptions};
 use crate::QuantError;
 
 /// Static configuration of a product quantizer.
@@ -95,13 +94,28 @@ impl Default for PqTrainOptions {
 }
 
 /// Trained product-quantization codebook for vectors of one fixed dimension.
+///
+/// The centroids are held twice, each layout built once at construction for
+/// the kernels that read it (`k = 2^nbits`):
+///
+/// * **planes**, subspace- then channel-major: channel `j` of centroid `c` of
+///   subspace `sub` is `planes[(sub * dsub + j) * k + c]`. The `k` values a
+///   kernel needs per channel are contiguous, so [`ScoreLut::fill_from`] and
+///   the nearest-centroid scan of [`PqCodebook::encode_into`] run over whole
+///   lanes of centroids.
+/// * **rows**, code-major: the same value is `rows[c * dim + sub * dsub + j]`.
+///   Row `c` is the full-width vector made of every subspace's centroid `c`,
+///   which is what [`ValueAccumulator::finish_into`] mixes and decoding
+///   copies from.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PqCodebook {
     config: PqConfig,
     dim: usize,
     dsub: usize,
-    /// `m` centroid matrices, each `[2^nbits, dsub]`.
-    centroids: Vec<Matrix>,
+    rows: Vec<f32>,
+    /// Derived from `rows`.
+    #[serde(skip)]
+    planes: Vec<f32>,
 }
 
 impl PqCodebook {
@@ -126,7 +140,7 @@ impl PqCodebook {
                 "PQ training requires at least one sample".into(),
             ));
         }
-        if dim % config.m != 0 {
+        if config.m == 0 || dim % config.m != 0 {
             return Err(QuantError::ShapeMismatch(format!(
                 "vector dimension {dim} is not divisible by m = {}",
                 config.m
@@ -136,10 +150,10 @@ impl PqCodebook {
         let k = config.codebook_size();
 
         // Evenly subsample the training set if it is larger than max_samples.
-        let stride = (n / options.max_samples.max(1)).max(1);
+        let stride = n.div_ceil(options.max_samples.max(1));
         let selected: Vec<usize> = (0..n).step_by(stride).collect();
 
-        let centroids: Vec<Matrix> = (0..config.m)
+        let centroids = (0..config.m)
             .into_par_iter()
             .map(|sub| {
                 let mut sub_samples = Matrix::zeros(selected.len(), dsub);
@@ -156,21 +170,17 @@ impl PqCodebook {
             })
             .collect();
 
-        Ok(Self {
-            config: *config,
-            dim,
-            dsub,
-            centroids,
-        })
+        Self::from_centroids(*config, centroids)
     }
 
-    /// Builds a codebook directly from centroid matrices (useful in tests and
-    /// for deserialised codebooks).
+    /// Builds a codebook from `m` centroid matrices, each `[2^nbits, dsub]`
+    /// (useful in tests and for deserialised codebooks).
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::ShapeMismatch`] if the centroid matrices do not
-    /// agree with the configuration.
+    /// agree with the configuration, or there are none, or they have no
+    /// columns.
     pub fn from_centroids(config: PqConfig, centroids: Vec<Matrix>) -> Result<Self, QuantError> {
         if centroids.len() != config.m {
             return Err(QuantError::ShapeMismatch(format!(
@@ -179,19 +189,33 @@ impl PqCodebook {
                 centroids.len()
             )));
         }
-        let dsub = centroids[0].cols();
-        for c in &centroids {
-            if c.rows() != config.codebook_size() || c.cols() != dsub {
+        let dsub = centroids.first().map_or(0, Matrix::cols);
+        if dsub == 0 {
+            return Err(QuantError::ShapeMismatch(
+                "a codebook needs at least one subspace of at least one channel".into(),
+            ));
+        }
+        let k = config.codebook_size();
+        let dim = dsub * config.m;
+        let mut rows = vec![0.0f32; k * dim];
+        let mut planes = Vec::with_capacity(k * dim);
+        for (sub, matrix) in centroids.iter().enumerate() {
+            if matrix.rows() != k || matrix.cols() != dsub {
                 return Err(QuantError::ShapeMismatch(
                     "centroid matrices must all be [2^nbits, dsub]".into(),
                 ));
             }
+            for c in 0..k {
+                rows[c * dim + sub * dsub..][..dsub].copy_from_slice(matrix.row(c));
+            }
+            planes.extend_from_slice(matrix.transpose().as_slice());
         }
         Ok(Self {
             config,
-            dim: dsub * config.m,
+            dim,
             dsub,
-            centroids,
+            rows,
+            planes,
         })
     }
 
@@ -210,13 +234,20 @@ impl PqCodebook {
         self.dsub
     }
 
-    /// Centroid matrix (`[2^nbits, dsub]`) of one subspace.
+    /// Centroid `code` of one subspace (`dsub` channels).
     ///
     /// # Panics
     ///
-    /// Panics if `subspace >= m`.
-    pub fn centroids(&self, subspace: usize) -> &Matrix {
-        &self.centroids[subspace]
+    /// Panics if `subspace >= m` or `code >= 2^nbits`.
+    pub fn centroid(&self, subspace: usize, code: usize) -> &[f32] {
+        assert!(subspace < self.config.m, "subspace out of range");
+        &self.rows[code * self.dim + subspace * self.dsub..][..self.dsub]
+    }
+
+    /// The `[dsub][2^nbits]` channel-major centroid planes of one subspace.
+    fn subspace_planes(&self, subspace: usize) -> &[f32] {
+        let len = self.dsub * self.config.codebook_size();
+        &self.planes[subspace * len..][..len]
     }
 
     /// Bytes occupied by the codebooks themselves.
@@ -235,13 +266,28 @@ impl PqCodebook {
     ///
     /// Panics if `vector.len() != dim`.
     pub fn encode(&self, vector: &[f32]) -> Vec<u16> {
+        let mut codes = vec![0u16; self.config.m];
+        self.encode_into(vector, &mut codes);
+        codes
+    }
+
+    /// Encodes one vector into a caller-provided buffer of `m` codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vector.len() != dim` or `codes.len() != m`.
+    // analyze: no-alloc
+    pub fn encode_into(&self, vector: &[f32], codes: &mut [u16]) {
         assert_eq!(vector.len(), self.dim, "encode dimension mismatch");
-        (0..self.config.m)
-            .map(|sub| {
-                let sv = &vector[sub * self.dsub..(sub + 1) * self.dsub];
-                nearest_centroid(sv, &self.centroids[sub]).0 as u16
-            })
-            .collect()
+        assert_eq!(codes.len(), self.config.m, "encode code-count mismatch");
+        let k = self.config.codebook_size();
+        for (sub, (code, sv)) in codes
+            .iter_mut()
+            .zip(vector.chunks_exact(self.dsub))
+            .enumerate()
+        {
+            *code = nearest_in_planes(sv, self.subspace_planes(sub), k).0 as u16;
+        }
     }
 
     /// Encodes every row of a `[n, dim]` matrix into a [`PqCodes`] block.
@@ -251,9 +297,11 @@ impl PqCodebook {
     /// Panics if the matrix width differs from `dim`.
     pub fn encode_matrix(&self, data: &Matrix) -> PqCodes {
         assert_eq!(data.cols(), self.dim, "encode_matrix dimension mismatch");
-        let mut codes = PqCodes::new(self.config);
+        let mut codes = PqCodes::with_capacity(self.config, data.rows());
+        let mut row = vec![0u16; self.config.m];
         for r in 0..data.rows() {
-            codes.push(&self.encode(data.row(r)));
+            self.encode_into(data.row(r), &mut row);
+            codes.push(&row);
         }
         codes
     }
@@ -274,9 +322,12 @@ impl PqCodebook {
     pub fn decode_into(&self, codes: &[u16], out: &mut [f32]) {
         assert_eq!(codes.len(), self.config.m, "decode code-count mismatch");
         assert_eq!(out.len(), self.dim, "decode buffer length mismatch");
-        for (sub, &code) in codes.iter().enumerate() {
-            let centroid = self.centroids[sub].row(code as usize);
-            out[sub * self.dsub..(sub + 1) * self.dsub].copy_from_slice(centroid);
+        for (sub, (&code, slot)) in codes
+            .iter()
+            .zip(out.chunks_exact_mut(self.dsub))
+            .enumerate()
+        {
+            slot.copy_from_slice(self.centroid(sub, code as usize));
         }
     }
 
@@ -286,11 +337,7 @@ impl PqCodebook {
         let mut buf = vec![0u16; self.config.m];
         for i in 0..codes.len() {
             codes.read_into(i, &mut buf);
-            let row = out.row_mut(i);
-            for (sub, &code) in buf.iter().enumerate() {
-                row[sub * self.dsub..(sub + 1) * self.dsub]
-                    .copy_from_slice(self.centroids[sub].row(code as usize));
-            }
+            self.decode_into(&buf, out.row_mut(i));
         }
         out
     }
@@ -327,9 +374,15 @@ pub struct PqCodes {
 impl PqCodes {
     /// Creates an empty code block for the given configuration.
     pub fn new(config: PqConfig) -> Self {
+        Self::with_capacity(config, 0)
+    }
+
+    /// Creates an empty code block with room for `rows` vectors, so pushing
+    /// that many never reallocates.
+    pub fn with_capacity(config: PqConfig, rows: usize) -> Self {
         Self {
             config,
-            packed: PackedCodes::with_capacity(config.nbits, 0),
+            packed: PackedCodes::with_capacity(config.nbits, rows * config.m),
             len: 0,
         }
     }
@@ -546,23 +599,48 @@ impl ScoreLut {
     /// Recomputes the table for `query` against `codebook`, reusing the
     /// existing allocation (Eq. 7's `q × C_iᵀ` per subspace).
     ///
+    /// Each subspace row is `dsub` axpys of a centroid plane into `k`
+    /// contiguous entries. Per entry the additions associate exactly as
+    /// [`million_tensor::ops::dot`] does — from `0.0`, one `+=` of
+    /// `((q0·p0 + q1·p1) + q2·p2) + q3·p3` per full group of four channels,
+    /// then one `+=` per remaining channel — so the table is bit-identical
+    /// to a per-entry `dot(q_sub, centroid)`.
+    ///
     /// # Panics
     ///
     /// Panics if `query.len() != codebook.dim()`.
+    // analyze: no-alloc
     pub fn fill_from(&mut self, codebook: &PqCodebook, query: &[f32]) {
         assert_eq!(query.len(), codebook.dim(), "score_lut dimension mismatch");
         let m = codebook.config.m;
         let k = codebook.config.codebook_size();
-        let dsub = codebook.dsub;
         self.m = m;
         self.k = k;
         self.table.resize(m * k, 0.0);
-        for sub in 0..m {
-            let q_sub = &query[sub * dsub..(sub + 1) * dsub];
-            let row = &mut self.table[sub * k..(sub + 1) * k];
-            let centroids = &codebook.centroids[sub];
-            for (c, slot) in row.iter_mut().enumerate() {
-                *slot = dot(q_sub, centroids.row(c));
+        for (sub, (row, q_sub)) in self
+            .table
+            .chunks_exact_mut(k)
+            .zip(query.chunks_exact(codebook.dsub))
+            .enumerate()
+        {
+            row.fill(0.0);
+            let planes = codebook.subspace_planes(sub);
+            let mut q_groups = q_sub.chunks_exact(4);
+            let mut plane_groups = planes.chunks_exact(4 * k);
+            for (q, p) in (&mut q_groups).zip(&mut plane_groups) {
+                let (p0, p1, p2, p3) = (&p[..k], &p[k..2 * k], &p[2 * k..3 * k], &p[3 * k..]);
+                for (c, slot) in row.iter_mut().enumerate() {
+                    *slot += q[0] * p0[c] + q[1] * p1[c] + q[2] * p2[c] + q[3] * p3[c];
+                }
+            }
+            for (&q, plane) in q_groups
+                .remainder()
+                .iter()
+                .zip(plane_groups.remainder().chunks_exact(k))
+            {
+                for (slot, &p) in row.iter_mut().zip(plane) {
+                    *slot += q * p;
+                }
             }
         }
     }
@@ -856,10 +934,21 @@ impl ValueAccumulator {
     /// Produces `sum_t w_t * decode(V_t)` by mixing centroids with the
     /// accumulated mass.
     ///
+    /// Every output channel is one chain of `k` dependent adds
+    /// (`out[ch] += mass[sub][c] * centroid_c[ch]` for ascending `c`), so the
+    /// mix is latency-bound unless the chains of different channels advance
+    /// together. The mass stays `[m][k]` (what the fused walk scatters into);
+    /// here `MIX_TILE` centroids at a time are transposed into a stack tile
+    /// `[centroid][subspace]` and mixed against the code-major centroid rows,
+    /// 32 channels of a row per step — the same per-channel order as one
+    /// axpy per `(subspace, centroid)`. Leftover subspaces, untiled
+    /// sub-dimensions and large codebooks run that axpy loop itself.
+    ///
     /// # Panics
     ///
     /// Panics if `out.len() != codebook.dim()` or the codebook shape differs
     /// from the accumulator shape.
+    // analyze: no-alloc
     pub fn finish_into(&self, codebook: &PqCodebook, out: &mut [f32]) {
         assert_eq!(out.len(), codebook.dim(), "output buffer length mismatch");
         assert_eq!(codebook.config().m, self.m, "codebook m mismatch");
@@ -868,26 +957,83 @@ impl ValueAccumulator {
             self.k,
             "codebook k mismatch"
         );
-        let dsub = codebook.dsub();
-        out.iter_mut().for_each(|v| *v = 0.0);
-        for sub in 0..self.m {
-            let centroids = codebook.centroids(sub);
-            let out_slice = &mut out[sub * dsub..(sub + 1) * dsub];
-            for c in 0..self.k {
-                let w = self.mass[sub * self.k + c];
+        out.fill(0.0);
+        // Mixing every centroid pays while there are few of them. Past
+        // `DENSE_MIX_MAX_K` a short context leaves most of the mass zero and
+        // skipping it wins (measured at k = 4096 and 65,536, whose rows do
+        // not fit in cache): those keep the skipping loop below.
+        let dense = self.k.is_multiple_of(MIX_TILE) && self.k <= DENSE_MIX_MAX_K;
+        let tiled = match codebook.dsub {
+            1 if dense => self.mix_tiles::<1, 16>(codebook, out),
+            2 if dense => self.mix_tiles::<2, 16>(codebook, out),
+            4 if dense => self.mix_tiles::<4, 8>(codebook, out),
+            8 if dense => self.mix_tiles::<8, 4>(codebook, out),
+            _ => 0,
+        };
+        for sub in tiled..self.m {
+            let out = &mut out[sub * codebook.dsub..][..codebook.dsub];
+            let planes = codebook.subspace_planes(sub);
+            for (c, &w) in self.mass[sub * self.k..][..self.k].iter().enumerate() {
                 if w != 0.0 {
-                    axpy(w, centroids.row(c), out_slice);
+                    for (o, plane) in out.iter_mut().zip(planes.chunks_exact(self.k)) {
+                        *o += w * plane[c];
+                    }
                 }
             }
         }
     }
+
+    /// Mixes the leading whole tiles of `SUBS` subspaces for a compile-time
+    /// sub-dimension (`DSUB == codebook.dsub`, `k` a multiple of `MIX_TILE`)
+    /// and returns how many subspaces that covered. `SUBS * DSUB` output
+    /// channels — eight SSE registers — advance together.
+    fn mix_tiles<const DSUB: usize, const SUBS: usize>(
+        &self,
+        codebook: &PqCodebook,
+        out: &mut [f32],
+    ) -> usize {
+        let (k, dim) = (self.k, codebook.dim);
+        let tiled = self.m - self.m % SUBS;
+        let mut tile = [[0.0f32; SUBS]; MIX_TILE];
+        for sub0 in (0..tiled).step_by(SUBS) {
+            let mut acc = [[0.0f32; DSUB]; SUBS];
+            let mass = &self.mass[sub0 * k..][..SUBS * k];
+            for c0 in (0..k).step_by(MIX_TILE) {
+                for s in 0..SUBS {
+                    let lane = &mass[s * k + c0..][..MIX_TILE];
+                    for cc in 0..MIX_TILE {
+                        tile[cc][s] = lane[cc];
+                    }
+                }
+                for (cc, weights) in tile.iter().enumerate() {
+                    let row = &codebook.rows[(c0 + cc) * dim + sub0 * DSUB..][..SUBS * DSUB];
+                    for s in 0..SUBS {
+                        for j in 0..DSUB {
+                            acc[s][j] += weights[s] * row[s * DSUB + j];
+                        }
+                    }
+                }
+            }
+            for (o, a) in out[sub0 * DSUB..].chunks_exact_mut(DSUB).zip(&acc) {
+                o.copy_from_slice(a);
+            }
+        }
+        tiled
+    }
 }
+
+/// Centroids per stack tile of [`ValueAccumulator::finish_into`].
+const MIX_TILE: usize = 16;
+
+/// Largest codebook size [`ValueAccumulator::finish_into`] mixes densely.
+const DENSE_MIX_MAX_K: usize = 256;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kmeans::{lloyd, nearest_centroid, reference_scan};
     use million_tensor::init::{normal_matrix, seeded_rng};
-    use million_tensor::ops::softmax_in_place;
+    use million_tensor::ops::{axpy, dot, softmax_in_place};
     use proptest::prelude::*;
 
     fn training_data(seed: u64, n: usize, dim: usize) -> Matrix {
@@ -1307,9 +1453,8 @@ mod tests {
         let config = PqConfig::new(4, 5).unwrap();
         let a = PqCodebook::train(&config, &data, &PqTrainOptions::default(), 42).unwrap();
         let b = PqCodebook::train(&config, &data, &PqTrainOptions::default(), 42).unwrap();
-        for sub in 0..4 {
-            assert_eq!(a.centroids(sub).as_slice(), b.centroids(sub).as_slice());
-        }
+        assert_eq!(a.rows, b.rows);
+        assert_eq!(a.planes, b.planes);
     }
 
     #[test]
@@ -1321,6 +1466,178 @@ mod tests {
         assert!(PqCodebook::from_centroids(config, wrong_count).is_err());
         let wrong_k = vec![Matrix::zeros(3, 3), Matrix::zeros(4, 3)];
         assert!(PqCodebook::from_centroids(config, wrong_k).is_err());
+    }
+
+    #[test]
+    fn from_centroids_rejects_empty_and_zero_width_codebooks() {
+        // `PqConfig`'s fields are public, so `m: 0` can reach here without
+        // passing `PqConfig::new`.
+        let no_subspaces = PqConfig { m: 0, nbits: 2 };
+        assert!(matches!(
+            PqCodebook::from_centroids(no_subspaces, Vec::new()),
+            Err(QuantError::ShapeMismatch(_))
+        ));
+        let config = PqConfig::new(2, 2).unwrap();
+        let zero_width = vec![Matrix::zeros(4, 0), Matrix::zeros(4, 0)];
+        assert!(matches!(
+            PqCodebook::from_centroids(config, zero_width),
+            Err(QuantError::ShapeMismatch(_))
+        ));
+        let data = training_data(0, 8, 4);
+        assert!(PqCodebook::train(&no_subspaces, &data, &PqTrainOptions::default(), 0).is_err());
+    }
+
+    #[test]
+    fn max_samples_caps_the_training_set() {
+        // 1.5x the cap: an even subsample must skip every other row (the
+        // outliers), not keep all of them.
+        let cap = 64;
+        let data = Matrix::from_fn(cap * 3 / 2, 4, |r, _| if r % 2 == 0 { 0.5 } else { 1e6 });
+        let options = PqTrainOptions {
+            max_samples: cap,
+            ..PqTrainOptions::default()
+        };
+        let cb = PqCodebook::train(&PqConfig::new(2, 2).unwrap(), &data, &options, 3).unwrap();
+        assert!(cb.rows.iter().all(|&v| v == 0.5), "{:?}", cb.rows);
+    }
+
+    /// Random codebook with a few exact zeros among the centroids.
+    fn random_codebook(seed: u64, m: usize, nbits: u8, dsub: usize) -> PqCodebook {
+        let config = PqConfig::new(m, nbits).unwrap();
+        let mut rng = seeded_rng(seed);
+        let centroids = (0..m)
+            .map(|_| {
+                let mut c = normal_matrix(&mut rng, config.codebook_size(), dsub, 0.0, 1.0);
+                c.set(1, 0, 0.0);
+                c.set(2, dsub - 1, -0.0);
+                c
+            })
+            .collect();
+        PqCodebook::from_centroids(config, centroids).unwrap()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn fill_from_is_bit_identical_to_per_entry_dot() {
+        for dsub in [1usize, 2, 3, 4, 8] {
+            let cb = random_codebook(40 + dsub as u64, 5, 5, dsub);
+            let mut query: Vec<f32> = (0..cb.dim()).map(|i| (i as f32 * 0.7).sin()).collect();
+            query[0] = -0.0;
+            query[cb.dim() - 1] = -0.0;
+            query[cb.dim() / 2] = 0.0;
+            let lut = cb.score_lut(&query);
+            for sub in 0..5 {
+                let q_sub = &query[sub * dsub..(sub + 1) * dsub];
+                for c in 0..32 {
+                    let want = dot(q_sub, cb.centroid(sub, c));
+                    assert_eq!(
+                        lut.get(sub, c as u16).to_bits(),
+                        want.to_bits(),
+                        "dsub={dsub} sub={sub} c={c}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The centroid mix `finish_into` replaced: one skipped-if-zero axpy per
+    /// `(subspace, centroid)`.
+    fn reference_finish(acc: &ValueAccumulator, cb: &PqCodebook, out: &mut [f32]) {
+        out.fill(0.0);
+        for (sub, out) in out.chunks_exact_mut(cb.dsub()).enumerate() {
+            for c in 0..acc.k {
+                let w = acc.mass[sub * acc.k + c];
+                if w != 0.0 {
+                    axpy(w, cb.centroid(sub, c), out);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn finish_into_is_bit_identical_to_the_axpy_loop() {
+        // Whole tiles, tiles plus leftover subspaces, fewer subspaces than a
+        // tile, an untiled sub-dimension, fewer centroids than a tile, and
+        // more centroids than are mixed densely.
+        for (m, nbits, dsub) in [
+            (16usize, 8u8, 2usize),
+            (32, 6, 4),
+            (20, 4, 1),
+            (16, 5, 8),
+            (4, 8, 2),
+            (18, 4, 3),
+            (16, 3, 2),
+            (16, 9, 2),
+        ] {
+            let cb = random_codebook(50 + m as u64, m, nbits, dsub);
+            let k = cb.config().codebook_size() as u64;
+            let mut acc = ValueAccumulator::for_codebook(&cb);
+            let mut got = vec![1.0f32; cb.dim()];
+            let mut want = vec![2.0f32; cb.dim()];
+            // All-zero, sparse (256 tokens) and dense (64k tokens) masses.
+            for tokens in [0u64, 256, 65_536] {
+                acc.reset();
+                for t in 0..tokens {
+                    let codes: Vec<u16> = (0..m as u64)
+                        .map(|s| ((t * 2_654_435_761 + s * 40_503) >> 7) % k)
+                        .map(|c| c as u16)
+                        .collect();
+                    acc.add(1.0 / (1.0 + (t % 97) as f32), &codes);
+                }
+                acc.finish_into(&cb, &mut got);
+                reference_finish(&acc, &cb, &mut want);
+                assert_eq!(bits(&got), bits(&want), "m={m} nbits={nbits} dsub={dsub}");
+            }
+        }
+    }
+
+    #[test]
+    fn encode_paths_agree_with_the_reference_scan() {
+        // Byte-aligned 4-/6-/8-bit rows (written as packed bytes directly)
+        // and one layout that goes through the bit cursor.
+        for (m, nbits) in [(8usize, 4u8), (8, 6), (4, 8), (5, 7)] {
+            let data = training_data(60 + nbits as u64, 300, m * 2);
+            let config = PqConfig::new(m, nbits).unwrap();
+            let cb = PqCodebook::train(&config, &data, &PqTrainOptions::default(), 9).unwrap();
+            let k = config.codebook_size();
+            let packed = cb.encode_matrix(&data);
+            let mut into = vec![0u16; m];
+            let mut read = vec![0u16; m];
+            for r in 0..data.rows() {
+                let row = data.row(r);
+                let want: Vec<u16> = (0..m)
+                    .map(|sub| {
+                        let centroids = Matrix::from_fn(k, 2, |c, j| cb.centroid(sub, c)[j]);
+                        nearest_centroid(&row[sub * 2..sub * 2 + 2], &centroids).0 as u16
+                    })
+                    .collect();
+                cb.encode_into(row, &mut into);
+                packed.read_into(r, &mut read);
+                assert_eq!(into, want, "m={m} nbits={nbits} row {r}");
+                assert_eq!(cb.encode(row), want);
+                assert_eq!(read, want);
+            }
+        }
+    }
+
+    #[test]
+    fn train_is_bit_identical_under_the_reference_scan() {
+        let data = training_data(70, 500, 8);
+        let config = PqConfig::new(4, 6).unwrap();
+        let options = PqTrainOptions::default();
+        let seed = 17;
+        let cb = PqCodebook::train(&config, &data, &options, seed).unwrap();
+        for sub in 0..4 {
+            let sub_samples = Matrix::from_fn(500, 2, |r, j| data.get(r, sub * 2 + j));
+            let mut rng = StdRng::seed_from_u64(seed ^ (sub as u64).wrapping_mul(0x9E37_79B9));
+            let want = lloyd(&sub_samples, 64, &options.kmeans, &mut rng, reference_scan).unwrap();
+            for c in 0..64 {
+                assert_eq!(bits(cb.centroid(sub, c)), bits(want.centroids.row(c)));
+            }
+        }
     }
 
     proptest! {
