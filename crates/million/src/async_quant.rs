@@ -13,7 +13,7 @@
 //!
 //! One worker can serve many concurrent [`crate::InferenceSession`]s: every
 //! request and result carries a `session` tag, and the
-//! [`crate::BatchScheduler`] routes finished blocks back to the session that
+//! [`crate::ServingEngine`] routes finished blocks back to the session that
 //! submitted them.
 
 use std::sync::mpsc::{channel, Receiver, Sender};

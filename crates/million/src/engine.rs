@@ -162,7 +162,7 @@ impl MillionEngine {
 
     /// Opens a new standalone inference session. With
     /// [`MillionConfig::async_quant`] set, the session spawns its own
-    /// quantization worker; use a [`crate::BatchScheduler`] to share one
+    /// quantization worker; use a [`crate::ServingEngine`] to share one
     /// worker across many sessions.
     pub fn session(&self) -> InferenceSession<'_> {
         InferenceSession::new(self, 0, false)

@@ -24,9 +24,7 @@
 //!    from the queue under a KV-byte admission budget), shares decode
 //!    throughput across QoS classes with deficit-weighted round-robin, and
 //!    streams tokens through [`RequestHandle`]s with first-class
-//!    cancellation and queue-full backpressure. The static-cohort
-//!    [`BatchScheduler`] ([`scheduler`]) survives as a thin wrapper over the
-//!    same loop.
+//!    cancellation and queue-full backpressure.
 //!
 //! ## Quickstart: a streaming chat session
 //!
@@ -60,8 +58,8 @@
 //!
 //! To serve many users, submit their prompts to a [`ServingEngine`] instead
 //! (see `examples/continuous_serving.rs` and docs/SERVING.md); a fixed
-//! cohort can use the simpler [`BatchScheduler`]
-//! (`examples/multi_user_serving.rs`).
+//! cohort is the same engine with `max_resident: usize::MAX`
+//! (`examples/shared_prefix_serving.rs`).
 
 #![warn(missing_docs)]
 
@@ -71,7 +69,6 @@ pub mod engine;
 pub mod fault;
 pub mod observe;
 mod persist;
-pub mod scheduler;
 pub mod serving;
 pub mod session;
 pub mod trainer;
@@ -84,10 +81,9 @@ pub use million_store::{Block, BlockStore, StoreStats};
 pub use observe::{
     HistogramReport, RequestInfo, RequestState, RoundPhase, ServingTelemetry, TelemetrySnapshot,
 };
-pub use scheduler::{BatchScheduler, SessionReport};
 pub use serving::{
     DrainReport, QosClass, RecoverReport, Request, RequestHandle, RequestId, ServingConfig,
-    ServingEngine, ServingStats, SubmitError, TokenWait,
+    ServingEngine, ServingStats, SessionReport, SubmitError, TokenWait,
 };
 pub use session::{GenerationOptions, InferenceSession, SessionStream, StepResult, StopCriteria};
 pub use trainer::{train_codebooks, TrainedCodebooks};
@@ -135,7 +131,7 @@ pub(crate) mod test_fixtures {
 
     use crate::{MillionConfig, MillionEngine};
 
-    /// The tiny engine shared by the engine/session/scheduler test modules.
+    /// The tiny engine shared by the engine/session/serving test modules.
     pub(crate) fn engine(async_quant: bool, seed: u64) -> MillionEngine {
         let config = ModelConfig::tiny_for_tests();
         let model = Transformer::new(config.clone(), seed);

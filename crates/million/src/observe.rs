@@ -335,9 +335,6 @@ pub enum RequestState {
     Prefilling,
     /// Resident, producing tokens.
     Decoding,
-    /// Done (retained-cohort mode keeps finished slots resident until
-    /// shutdown; retiring engines drop them at the next boundary).
-    Finished,
 }
 
 impl RequestState {
@@ -347,7 +344,6 @@ impl RequestState {
             RequestState::Queued => "queued",
             RequestState::Prefilling => "prefilling",
             RequestState::Decoding => "decoding",
-            RequestState::Finished => "finished",
         }
     }
 }

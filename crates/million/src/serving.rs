@@ -1,11 +1,9 @@
 //! Continuous-batching serving front-end: a request queue, an
 //! iteration-level scheduler, streaming handles, and QoS classes.
 //!
-//! [`crate::BatchScheduler`] (PR 1) ran a *static cohort*: every session was
-//! admitted up front and the batch ran to completion, so one long request
-//! kept every finished slot idle. A [`ServingEngine`] instead schedules at
-//! **iteration granularity** — the unit of work is one decode round, not one
-//! request:
+//! A [`ServingEngine`] schedules at **iteration granularity** — the unit of
+//! work is one decode round, not one request, so a long request never keeps
+//! a finished slot idle:
 //!
 //! 1. clients [`ServingEngine::submit`] a [`Request`] (prompt, generation
 //!    options, sampler, [`QosClass`]) and get a [`RequestHandle`] back that
@@ -27,10 +25,9 @@
 //!    transitions to decoding when the prompt is exhausted — so a long
 //!    arrival *interleaves* with the batch's decode rounds instead of
 //!    freezing them, never stalling resident decodes for more than one
-//!    chunk's worth of work. The round in which the final chunk lands is
-//!    scheduled exactly like a monolithic admission turn (the request
-//!    decodes its first token in that same round), which makes chunking
-//!    invisible for prompts no longer than one chunk.
+//!    chunk's worth of work. The request decodes its first token in the
+//!    same round its final chunk lands, which makes chunking invisible for
+//!    prompts no longer than one chunk.
 //!
 //! **Fairness.** Each resident request accumulates `weight(class)` deficit
 //! per round and spends `quantum = min(weight over active residents)` per
@@ -53,10 +50,9 @@
 //! Because every session owns independent KV caches, interleaving never
 //! changes what attention sees: a request's token stream is bit-identical to
 //! running it alone on a fresh session, no matter what the rest of the fleet
-//! does (pinned in `tests/serving_api.rs`). The retained-cohort special case
-//! of this loop *is* the old scheduler: [`crate::BatchScheduler`] survives
-//! as a thin wrapper that admits everything immediately and retires nothing
-//! until the end.
+//! does (pinned in `tests/serving_api.rs`). A fixed cohort is the same loop
+//! with nothing held back: `max_resident: usize::MAX`, `submit` × N,
+//! [`ServingEngine::run_until_idle`], [`ServingEngine::shutdown`].
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -74,7 +70,6 @@ use crate::async_quant::QuantWorker;
 use crate::engine::MillionEngine;
 use crate::fault::FaultPlan;
 use crate::observe::{RequestInfo, RequestState, RoundPhase, ServingTelemetry, TelemetrySnapshot};
-use crate::scheduler::SessionReport;
 use crate::session::{GenerationOptions, InferenceSession, StepResult, StopCriteria};
 
 /// Magic prefix of a serving-engine crash-recovery checkpoint
@@ -387,15 +382,11 @@ pub struct ServingConfig {
     /// long arrival never stalls resident decodes for more than one chunk's
     /// worth of work and stays preemptible (cancel/deadline/drain land at
     /// chunk boundaries). A non-final chunk consumes the slot's whole round
-    /// allowance; the round that exhausts the prompt is scheduled exactly
-    /// like a monolithic admission turn, so chunking never changes a
-    /// request's token stream — only when its tokens are produced. `0`
-    /// disables chunking (whole-prompt prefill inside the admission turn).
+    /// allowance; the round that exhausts the prompt also decodes the
+    /// request's first token, so chunking never changes a request's token
+    /// stream — only when its tokens are produced. Must be at least 1; any
+    /// value ≥ the prompt length admits the whole prompt in one chunk.
     pub prefill_chunk_tokens: usize,
-    /// Compatibility mode for the static-cohort [`crate::BatchScheduler`]:
-    /// finished requests keep their session (and KV) alive and are reported
-    /// at [`ServingEngine::shutdown`] instead of being retired per round.
-    pub retain_finished: bool,
     /// Whether the engine records serving telemetry: the TTFT /
     /// inter-token / queue-wait / end-to-end latency histograms, per-phase
     /// `serve_round` timing, and the request-lifecycle event journal (see
@@ -440,7 +431,6 @@ impl Default for ServingConfig {
             kv_byte_budget: None,
             admission_aging_rounds: 64,
             prefill_chunk_tokens: 512,
-            retain_finished: false,
             telemetry: true,
             journal_events: 4096,
             checkpoint_dir: None,
@@ -477,7 +467,7 @@ pub struct ServingStats {
     /// Decode tokens produced per class, indexed by [`QosClass::index`] —
     /// the fairness ledger the DWRR weights are checked against.
     pub tokens_by_class: [u64; 3],
-    /// Prefill chunks executed (a monolithic admission counts as one).
+    /// Prefill chunks executed.
     pub prefill_chunks: u64,
     /// Prompt tokens prefilled per class, indexed by [`QosClass::index`] —
     /// the admission side of the fairness ledger. Tokens satisfied from
@@ -492,6 +482,64 @@ pub struct ServingStats {
     /// corrupt, truncated, or unreadable files, each surfaced as a typed
     /// failure rather than a panic or a silent misread.
     pub snapshot_crc_failures: u64,
+}
+
+/// Final state of one served request. Serializable so metrics endpoints and
+/// dashboards can export it without hand-formatting JSON.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct SessionReport {
+    /// The request's [`RequestId`] (assigned in submission order).
+    pub session: usize,
+    /// The request's QoS class.
+    pub class: QosClass,
+    /// Every token the session generated.
+    pub tokens: Vec<u32>,
+    /// Prompt tokens the session consumed.
+    pub prompt_tokens: usize,
+    /// Final KV-cache bytes across all layers (shared blocks counted in
+    /// full, as if owned — comparable with an unshared session).
+    pub kv_bytes: usize,
+    /// What an fp16 cache of the same length would use.
+    pub fp16_kv_bytes: usize,
+    /// Of `kv_bytes`, bytes held in store blocks co-referenced by at least
+    /// one other live session — memory prefix sharing deduplicated.
+    pub kv_shared_bytes: usize,
+    /// Of `kv_bytes`, bytes this session holds exclusively.
+    pub kv_owned_bytes: usize,
+    /// Prompt tokens satisfied from resident shared blocks at admission
+    /// (prefill skipped for them).
+    pub prefix_tokens_reused: usize,
+    /// Encoded blocks the session absorbed from the shared worker.
+    pub async_batches: usize,
+    /// Wall-clock nanoseconds the session spent in prompt admission (tiled
+    /// prefill attention plus synchronous prompt encoding; warm admissions
+    /// include the unmatched-suffix decode).
+    pub prefill_ns: u64,
+    /// Prompt tokens admitted per second during prefill.
+    pub prefill_tokens_per_s: f64,
+    /// Prefill chunks the admission was fed in
+    /// ([`ServingConfig::prefill_chunk_tokens`]-sized work items).
+    pub prefill_chunks: usize,
+    /// Wall-clock nanoseconds between submission and admission.
+    pub queue_wait_ns: u64,
+    /// Whole scheduling rounds the request waited in the pending queue.
+    pub queue_wait_rounds: u64,
+    /// Wall-clock nanoseconds from submission to the first generated token
+    /// (time-to-first-token). 0 when no token was ever generated.
+    pub first_token_ns: u64,
+    /// Wall-clock nanoseconds spent in decode steps (forward pass plus
+    /// sampling), accumulated across the request's generated tokens.
+    pub decode_ns: u64,
+    /// Whether generation ended on a stop token (as opposed to the length
+    /// budget).
+    pub stopped_early: bool,
+    /// Whether the request was cancelled (before or after admission); the
+    /// report then carries whatever was produced up to that point.
+    pub cancelled: bool,
+    /// Whether the request missed its [`Request::deadline_ms`] and was
+    /// retired at a round boundary — distinct from `cancelled`, which is
+    /// client-initiated; at most one of the two is set.
+    pub timed_out: bool,
 }
 
 /// What [`ServingEngine::drain`] did with the work it found in flight.
@@ -596,8 +644,7 @@ struct Resident<'e> {
     /// accrual).
     deficit: u32,
     /// `Some` while the slot is still admitting its prompt in chunks (the
-    /// *Prefilling* state); `None` once it decodes. Monolithic admissions
-    /// (`prefill_chunk_tokens == 0`) never set it.
+    /// *Prefilling* state); `None` once it decodes.
     prefill: Option<PrefillJob>,
     shared: Arc<HandleShared>,
     tx: Sender<StepResult>,
@@ -617,16 +664,9 @@ struct Resident<'e> {
     /// Absolute wall-clock deadline carried over from the request, honoured
     /// at round boundaries.
     deadline: Option<Instant>,
-    /// Finished decoding (stop token, token budget, or cancellation);
-    /// retired at the next round boundary (or at shutdown when retained).
+    /// Finished decoding (stop token or token budget); retired when the
+    /// round that set it closes.
     done: bool,
-    /// Whether `done` was reached through cancellation — kept separately so
-    /// a retained-cohort slot still reports `cancelled` correctly at
-    /// shutdown, long after the flag was first honoured.
-    cancelled: bool,
-    /// Whether `done` was reached by missing the deadline (reported as
-    /// `timed_out`, never as `cancelled`).
-    timed_out: bool,
 }
 
 /// Iteration-level serving engine over one [`MillionEngine`].
@@ -657,7 +697,17 @@ pub struct ServingEngine<'e> {
 
 impl<'e> ServingEngine<'e> {
     /// Creates an idle serving engine with the given policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ServingConfig::prefill_chunk_tokens`] is `0` — a chunk
+    /// must feed at least one token. Whole-prompt admission is any chunk
+    /// size ≥ the prompt.
     pub fn new(engine: &'e MillionEngine, config: ServingConfig) -> Self {
+        assert!(
+            config.prefill_chunk_tokens >= 1,
+            "prefill_chunk_tokens must be at least 1"
+        );
         let telemetry = ServingTelemetry::new(config.telemetry, config.journal_events);
         Self {
             engine,
@@ -723,9 +773,7 @@ impl<'e> ServingEngine<'e> {
             });
         }
         for slot in &self.resident {
-            let state = if slot.done {
-                RequestState::Finished
-            } else if slot.prefill.is_some() {
+            let state = if slot.prefill.is_some() {
                 RequestState::Prefilling
             } else {
                 RequestState::Decoding
@@ -758,24 +806,15 @@ impl<'e> ServingEngine<'e> {
         self.pending.len()
     }
 
-    /// Sessions currently holding a decode slot (including, in
-    /// retained-cohort mode, finished ones awaiting shutdown).
+    /// Sessions currently holding a slot, prefilling or decoding.
     pub fn resident_sessions(&self) -> usize {
         self.resident.len()
-    }
-
-    /// Resident sessions still decoding.
-    pub fn active_sessions(&self) -> usize {
-        self.resident.iter().filter(|s| !s.done).count()
     }
 
     /// Residents currently admitting their prompt in chunks (the
     /// *Prefilling* state).
     pub fn prefilling_sessions(&self) -> usize {
-        self.resident
-            .iter()
-            .filter(|s| !s.done && s.prefill.is_some())
-            .count()
+        self.resident.iter().filter(|s| s.prefill.is_some()).count()
     }
 
     /// Prompt tokens still to be teacher-forced across every prefilling
@@ -783,16 +822,15 @@ impl<'e> ServingEngine<'e> {
     pub fn prefill_tokens_remaining(&self) -> usize {
         self.resident
             .iter()
-            .filter(|s| !s.done)
             .filter_map(|s| s.prefill.as_ref())
             .map(PrefillJob::remaining)
             .sum()
     }
 
     /// Whether every submitted request has been fully served: nothing
-    /// queued, nothing still decoding.
+    /// queued, nothing resident.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.active_sessions() == 0
+        self.pending.is_empty() && self.resident.is_empty()
     }
 
     /// KV bytes across resident sessions (shared store blocks counted once
@@ -1018,43 +1056,26 @@ impl<'e> ServingEngine<'e> {
     /// request id.
     pub fn shutdown(mut self) -> Vec<SessionReport> {
         Self::sync_worker(&mut self.worker, &mut self.resident);
-        // Snapshot every report before dropping any session, so the
+        // Every report is built before any session is dropped, so the
         // shared/owned byte split reflects the sharing that actually held
         // while the fleet was resident.
-        let mut retiring: Vec<SessionReport> = Vec::with_capacity(self.resident.len());
-        for slot in &mut self.resident {
-            // A slot cancelled earlier but retained (static-cohort mode)
-            // already recorded the fact; one still decoding is cancelled by
-            // the shutdown itself only if its handle asked for it.
-            let cancelled =
-                slot.cancelled || (slot.shared.cancel.load(Ordering::Relaxed) && !slot.done);
-            let timed_out = slot.timed_out;
-            let report = Self::build_report(slot, cancelled, timed_out);
-            *slot.shared.report.lock().expect("request handle poisoned") = Some(report.clone());
-            if timed_out {
-                self.stats.timed_out += 1;
-            } else if cancelled {
-                self.stats.cancelled += 1;
+        let mut fleet = std::mem::take(&mut self.resident);
+        for slot in &mut fleet {
+            // A resident still in flight is cancelled by the shutdown only
+            // if its handle asked for it.
+            let outcome = if slot.shared.cancel.load(Ordering::Relaxed) {
+                RetireOutcome::Cancelled
             } else {
-                self.stats.completed += 1;
-            }
-            retiring.push(report);
-            Self::remove_checkpoint(&self.config, slot.id);
+                RetireOutcome::Completed
+            };
+            self.retire_resident(slot, outcome);
         }
-        self.resident.clear();
-        self.reports.append(&mut retiring);
+        drop(fleet);
         while let Some(pending) = self.pending.pop_front() {
-            let report = Self::unadmitted_report(&pending, self.round, false);
-            *pending
-                .shared
-                .report
-                .lock()
-                .expect("request handle poisoned") = Some(report.clone());
-            self.stats.cancelled += 1;
-            self.reports.push(report);
+            self.retire_unadmitted(pending, RetireOutcome::Cancelled);
         }
         self.reports.sort_by_key(|r| r.session);
-        std::mem::take(&mut self.reports)
+        self.reports
     }
 
     /// Whether [`ServingEngine::drain`] has closed admission for good.
@@ -1083,20 +1104,14 @@ impl<'e> ServingEngine<'e> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from snapshot writes in persist mode; residents
-    /// not yet persisted keep decoding (the drain can be retried).
+    /// Propagates I/O errors from snapshot writes in persist mode; no
+    /// resident is retired by a failed drain, so every one keeps decoding
+    /// and the drain can be retried (it rewrites each snapshot).
     pub fn drain(&mut self, persist_dir: Option<&Path>) -> std::io::Result<DrainReport> {
         self.draining = true;
         let mut report = DrainReport::default();
         while let Some(pending) = self.pending.pop_front() {
-            let shed = Self::unadmitted_report(&pending, self.round, false);
-            *pending
-                .shared
-                .report
-                .lock()
-                .expect("request handle poisoned") = Some(shed.clone());
-            self.stats.cancelled += 1;
-            self.reports.push(shed);
+            self.retire_unadmitted(pending, RetireOutcome::Cancelled);
             report.shed_queued += 1;
         }
         if let Some(dir) = persist_dir {
@@ -1104,28 +1119,18 @@ impl<'e> ServingEngine<'e> {
             // Everything in flight on the shared stream must land before
             // any snapshot (same contract as `persist_request`).
             Self::sync_worker(&mut self.worker, &mut self.resident);
-            for idx in 0..self.resident.len() {
-                if self.resident[idx].done {
-                    continue;
-                }
-                let slot = &mut self.resident[idx];
-                let id = slot.id;
-                let path = dir.join(format!("request-{}.kv", id.as_u64()));
+            for slot in &mut self.resident {
+                let path = dir.join(format!("request-{}.kv", slot.id.as_u64()));
                 let bytes = slot.session.snapshot_bytes();
                 Self::write_snapshot(&self.config.fault_plan, &mut self.stats, &path, &bytes)?;
-                let slot = &mut self.resident[idx];
-                slot.done = true;
-                slot.cancelled = true;
-                report.persisted.push((id, path));
+                report.persisted.push((slot.id, path));
             }
-            // Persisted slots must actually leave, even under a
-            // retained-cohort config: drain means the fleet goes away now.
-            let retain = std::mem::replace(&mut self.config.retain_finished, false);
-            self.retire_done();
-            self.config.retain_finished = retain;
+            for mut slot in std::mem::take(&mut self.resident) {
+                self.retire_resident(&mut slot, RetireOutcome::Cancelled);
+            }
         } else {
             let completed_before = self.stats.completed;
-            while self.active_sessions() > 0 {
+            while !self.resident.is_empty() {
                 self.serve_round();
                 report.rounds += 1;
             }
@@ -1180,10 +1185,7 @@ impl<'e> ServingEngine<'e> {
             return;
         };
         let wants_checkpoint = |slot: &Resident<'_>| {
-            !slot.done
-                && !slot.cancelled
-                && slot.prefill.is_none()
-                && !slot.shared.cancel.load(Ordering::Relaxed)
+            slot.prefill.is_none() && !slot.shared.cancel.load(Ordering::Relaxed)
         };
         if !self.resident.iter().any(wants_checkpoint) {
             return;
@@ -1406,8 +1408,6 @@ impl<'e> ServingEngine<'e> {
             stopped_early: false,
             deadline: None,
             done,
-            cancelled: false,
-            timed_out: false,
         });
         self.next_id = self.next_id.max(id + 1);
         self.stats.submitted += 1;
@@ -1430,33 +1430,13 @@ impl<'e> ServingEngine<'e> {
     /// Drops queued requests whose handle was cancelled — or whose deadline
     /// expired — before admission.
     fn reap_cancelled_pending(&mut self) {
-        let round = self.round;
         let now = Instant::now();
         let mut kept = VecDeque::with_capacity(self.pending.len());
         while let Some(pending) = self.pending.pop_front() {
-            let cancelled = pending.shared.cancel.load(Ordering::Relaxed);
-            let timed_out = !cancelled && pending.deadline().is_some_and(|d| now >= d);
-            if cancelled || timed_out {
-                let report = Self::unadmitted_report(&pending, round, timed_out);
-                *pending
-                    .shared
-                    .report
-                    .lock()
-                    .expect("request handle poisoned") = Some(report.clone());
-                let (marker, outcome) = if timed_out {
-                    self.stats.timed_out += 1;
-                    (EventKind::TimedOut, RetireOutcome::TimedOut)
-                } else {
-                    self.stats.cancelled += 1;
-                    (EventKind::Cancelled, RetireOutcome::Cancelled)
-                };
-                self.telemetry.event(pending.id.0, round, marker);
-                self.telemetry.event(
-                    pending.id.0,
-                    round,
-                    EventKind::Retired { outcome, tokens: 0 },
-                );
-                self.reports.push(report);
+            if pending.shared.cancel.load(Ordering::Relaxed) {
+                self.retire_unadmitted(pending, RetireOutcome::Cancelled);
+            } else if pending.deadline().is_some_and(|d| now >= d) {
+                self.retire_unadmitted(pending, RetireOutcome::TimedOut);
             } else {
                 kept.push_back(pending);
             }
@@ -1464,78 +1444,119 @@ impl<'e> ServingEngine<'e> {
         self.pending = kept;
     }
 
-    /// Retires finished and cancelled resident requests, freeing their
-    /// slots (no-op for finished requests in retained-cohort mode).
+    /// Retires every resident that finished decoding, was cancelled, or
+    /// missed its deadline, freeing the slots. Cancellation and deadlines
+    /// are honoured here, at round boundaries — mid-round steps are never
+    /// torn.
     fn retire_done(&mut self) {
         let now = Instant::now();
         let mut idx = 0;
         while idx < self.resident.len() {
-            if !self.resident[idx].done {
-                if self.resident[idx].shared.cancel.load(Ordering::Relaxed) {
-                    self.resident[idx].done = true;
-                    self.resident[idx].cancelled = true;
-                    self.telemetry
-                        .event(self.resident[idx].id.0, self.round, EventKind::Cancelled);
-                } else if self.resident[idx].deadline.is_some_and(|d| now >= d) {
-                    // The deadline is honoured at the round boundary, like
-                    // cancellation — mid-round steps are never torn.
-                    self.resident[idx].done = true;
-                    self.resident[idx].timed_out = true;
-                    self.telemetry
-                        .event(self.resident[idx].id.0, self.round, EventKind::TimedOut);
-                }
-            }
-            let cancelled = self.resident[idx].cancelled;
-            let timed_out = self.resident[idx].timed_out;
-            if self.resident[idx].done && !self.config.retain_finished {
-                // One sync point per retirement: encode traffic still in
-                // flight lands in its owning session (this one included)
-                // before the departing session is flushed and dropped.
-                Self::sync_worker(&mut self.worker, &mut self.resident);
-                let mut slot = self.resident.remove(idx);
-                Self::remove_checkpoint(&self.config, slot.id);
-                let report = Self::build_report(&mut slot, cancelled, timed_out);
-                *slot.shared.report.lock().expect("request handle poisoned") = Some(report.clone());
-                let outcome = if timed_out {
-                    self.stats.timed_out += 1;
-                    RetireOutcome::TimedOut
-                } else if cancelled {
-                    self.stats.cancelled += 1;
-                    RetireOutcome::Cancelled
-                } else {
-                    self.stats.completed += 1;
-                    RetireOutcome::Completed
-                };
-                if self.telemetry.enabled() {
-                    self.telemetry
-                        .record_e2e(slot.submitted_at.elapsed().as_nanos() as u64);
-                }
-                self.telemetry.event(
-                    slot.id.0,
-                    self.round,
-                    EventKind::Retired {
-                        outcome,
-                        tokens: report.tokens.len() as u32,
-                    },
-                );
-                self.reports.push(report);
+            let slot = &self.resident[idx];
+            let outcome = if slot.done {
+                RetireOutcome::Completed
+            } else if slot.shared.cancel.load(Ordering::Relaxed) {
+                RetireOutcome::Cancelled
+            } else if slot.deadline.is_some_and(|d| now >= d) {
+                RetireOutcome::TimedOut
             } else {
                 idx += 1;
+                continue;
+            };
+            // One sync point per retirement: encode traffic still in flight
+            // lands in its owning session (this one included) before the
+            // departing session is flushed and dropped.
+            Self::sync_worker(&mut self.worker, &mut self.resident);
+            let mut slot = self.resident.remove(idx);
+            self.retire_resident(&mut slot, outcome);
+        }
+    }
+
+    /// The one way a resident leaves: flush it and build its report, resolve
+    /// the handle, count and journal the outcome, drop its checkpoint. The
+    /// caller has synced the shared worker and owns removing `slot` from
+    /// the resident set (and so decides when its KV is released).
+    fn retire_resident(&mut self, slot: &mut Resident<'e>, outcome: RetireOutcome) {
+        let report = Self::build_report(slot, outcome);
+        *slot.shared.report.lock().expect("request handle poisoned") = Some(report.clone());
+        if self.telemetry.enabled() {
+            self.telemetry
+                .record_e2e(slot.submitted_at.elapsed().as_nanos() as u64);
+        }
+        self.record_exit(slot.id, outcome, report.tokens.len());
+        Self::remove_checkpoint(&self.config, slot.id);
+        self.reports.push(report);
+    }
+
+    /// The one way a queued request leaves without ever being admitted
+    /// (cancelled, timed out, or shed by drain/shutdown): no prompt was
+    /// consumed, no KV was held.
+    fn retire_unadmitted(&mut self, pending: Pending, outcome: RetireOutcome) {
+        let report = SessionReport {
+            session: pending.id.0 as usize,
+            class: pending.request.class,
+            tokens: Vec::new(),
+            prompt_tokens: 0,
+            kv_bytes: 0,
+            fp16_kv_bytes: 0,
+            kv_shared_bytes: 0,
+            kv_owned_bytes: 0,
+            prefix_tokens_reused: 0,
+            async_batches: 0,
+            prefill_ns: 0,
+            prefill_tokens_per_s: 0.0,
+            prefill_chunks: 0,
+            queue_wait_ns: pending.queue_wait_ns(),
+            queue_wait_rounds: self.round.saturating_sub(pending.submit_round),
+            first_token_ns: 0,
+            decode_ns: 0,
+            stopped_early: false,
+            cancelled: outcome == RetireOutcome::Cancelled,
+            timed_out: outcome == RetireOutcome::TimedOut,
+        };
+        *pending
+            .shared
+            .report
+            .lock()
+            .expect("request handle poisoned") = Some(report.clone());
+        self.record_exit(pending.id, outcome, 0);
+        self.reports.push(report);
+    }
+
+    /// Counts a retirement in the outcome stats and closes the request's
+    /// journal story: a `Cancelled` / `TimedOut` marker when that is why it
+    /// left, then `Retired`.
+    fn record_exit(&mut self, id: RequestId, outcome: RetireOutcome, tokens: usize) {
+        match outcome {
+            RetireOutcome::Completed => self.stats.completed += 1,
+            RetireOutcome::Cancelled => {
+                self.stats.cancelled += 1;
+                self.telemetry.event(id.0, self.round, EventKind::Cancelled);
+            }
+            RetireOutcome::TimedOut => {
+                self.stats.timed_out += 1;
+                self.telemetry.event(id.0, self.round, EventKind::TimedOut);
             }
         }
+        self.telemetry.event(
+            id.0,
+            self.round,
+            EventKind::Retired {
+                outcome,
+                tokens: tokens as u32,
+            },
+        );
     }
 
     /// Refills free slots from the pending queue: highest effective class
     /// first (FIFO within a class), each admission gated on the resident cap
-    /// and the KV-byte budget. Exposed crate-internally so the static-cohort
-    /// [`crate::BatchScheduler`] can admit eagerly at `add_session`.
-    pub(crate) fn admit_ready(&mut self) {
+    /// and the KV-byte budget.
+    fn admit_ready(&mut self) {
         loop {
             if self.draining || self.pending.is_empty() {
                 return;
             }
-            let active = self.resident.iter().filter(|s| !s.done).count();
-            if active >= self.config.max_resident {
+            if self.resident.len() >= self.config.max_resident {
                 return;
             }
             let aging = self.config.admission_aging_rounds;
@@ -1563,7 +1584,7 @@ impl<'e> ServingEngine<'e> {
                 // The budget gates admission while anyone is resident; an
                 // empty machine always admits the head request, so a single
                 // over-budget prompt cannot deadlock the queue.
-                if self.resident.iter().any(|s| !s.done)
+                if !self.resident.is_empty()
                     && self.fleet_kv_bytes().saturating_sub(reclaimable) + estimate > budget
                 {
                     return;
@@ -1574,12 +1595,13 @@ impl<'e> ServingEngine<'e> {
         }
     }
 
-    /// Admits one pending request into a resident slot. With chunking
-    /// enabled the slot enters the *Prefilling* state — only the store
-    /// prefix (if any) attaches here; the prompt itself is teacher-forced
-    /// chunk by chunk in the decode pass, starting this same round. With
-    /// `prefill_chunk_tokens == 0` the whole prompt prefills inside this
-    /// admission turn, exactly the pre-chunking behaviour.
+    /// Admits one pending request into a resident slot in the *Prefilling*
+    /// state. Whatever prefix another session already sealed in the store
+    /// attaches for free and only the unmatched remainder is chunked. The
+    /// first chunk runs here, inside the admission turn, so its full blocks
+    /// seal immediately — a request admitted later in this same pass can
+    /// attach them; the rest is teacher-forced one chunk per round by
+    /// [`ServingEngine::prefill_round`].
     fn admit(&mut self, pending: Pending) {
         if self.engine.config().async_quant && self.worker.is_none() {
             self.worker = Some(QuantWorker::spawn(
@@ -1589,6 +1611,7 @@ impl<'e> ServingEngine<'e> {
             ));
         }
         let queue_wait_ns = pending.queue_wait_ns();
+        let deadline = pending.deadline();
         let Pending {
             id,
             request,
@@ -1602,66 +1625,13 @@ impl<'e> ServingEngine<'e> {
             options,
             sampler,
             class,
-            deadline_ms,
+            deadline_ms: _,
         } = request;
         self.telemetry.record_queue_wait(queue_wait_ns);
         self.telemetry
             .event(id.0, self.round, EventKind::Admit { queue_wait_ns });
-        let deadline = deadline_ms.map(|ms| submitted_at + Duration::from_millis(ms));
         let mut session = InferenceSession::new(self.engine, id.0 as usize, true);
-        let prefill = if self.config.prefill_chunk_tokens == 0 {
-            session.prefill(&prompt);
-            self.stats.prefill_chunks += 1;
-            self.stats.prefill_tokens_by_class[class.index()] +=
-                (prompt.len() - session.prefix_tokens_reused()) as u64;
-            self.telemetry.event(
-                id.0,
-                self.round,
-                EventKind::PrefillChunk {
-                    fed: prompt.len() as u32,
-                    remaining: 0,
-                },
-            );
-            None
-        } else {
-            // Store prefix attachment still short-circuits before chunking:
-            // whatever another session already sealed is adopted for free,
-            // and only the unmatched remainder is chunked. The first chunk
-            // runs here, inside the admission turn, so its full blocks seal
-            // immediately — a request admitted later in this same pass can
-            // attach them, exactly as under monolithic admission.
-            let fed = session.prefill_begin(&prompt);
-            let take = self.config.prefill_chunk_tokens.min(prompt.len() - fed);
-            session.prefill_chunk(&prompt[fed..fed + take]);
-            self.stats.prefill_chunks += 1;
-            self.stats.prefill_tokens_by_class[class.index()] += take as u64;
-            let fed = fed + take;
-            self.telemetry.event(
-                id.0,
-                self.round,
-                EventKind::PrefillChunk {
-                    fed: fed as u32,
-                    remaining: (prompt.len() - fed) as u32,
-                },
-            );
-            if fed == prompt.len() {
-                None
-            } else {
-                Some(PrefillJob {
-                    prompt,
-                    fed,
-                    chunked_round: self.round,
-                })
-            }
-        };
-        // A warm admission's unmatched suffix rides the decode path and may
-        // stage encode batches: ship them through the shared worker now.
-        let requests = session.take_encode_requests();
-        if let Some(worker) = &mut self.worker {
-            for encode in requests {
-                worker.submit(encode);
-            }
-        }
+        let fed = session.prefill_begin(&prompt);
         self.resident.push(Resident {
             id,
             session,
@@ -1670,7 +1640,11 @@ impl<'e> ServingEngine<'e> {
             class,
             tokens: Vec::new(),
             deficit: 0,
-            prefill,
+            prefill: Some(PrefillJob {
+                prompt,
+                fed,
+                chunked_round: self.round,
+            }),
             shared,
             tx,
             submitted_at,
@@ -1681,26 +1655,56 @@ impl<'e> ServingEngine<'e> {
             stopped_early: false,
             deadline,
             done: false,
-            cancelled: false,
-            timed_out: false,
         });
+        self.feed_chunk(self.resident.len() - 1);
         self.stats.admitted += 1;
         self.stats.max_resident_sessions =
             self.stats.max_resident_sessions.max(self.resident.len());
     }
 
+    /// Feeds the prefilling slot `idx` its next chunk of prompt, counts and
+    /// journals it, and ships whatever encode batches the chunk staged (a
+    /// warm admission's unmatched suffix rides the decode path) through the
+    /// shared worker. Clears the slot's *Prefilling* state when the prompt
+    /// is exhausted; returns whether it did.
+    fn feed_chunk(&mut self, idx: usize) -> bool {
+        let slot = &mut self.resident[idx];
+        let job = slot.prefill.as_mut().expect("slot is prefilling");
+        let take = self.config.prefill_chunk_tokens.min(job.remaining());
+        slot.session
+            .prefill_chunk(&job.prompt[job.fed..job.fed + take]);
+        job.fed += take;
+        job.chunked_round = self.round;
+        let finished = job.remaining() == 0;
+        self.stats.prefill_chunks += 1;
+        self.stats.prefill_tokens_by_class[slot.class.index()] += take as u64;
+        self.telemetry.event(
+            slot.id.0,
+            self.round,
+            EventKind::PrefillChunk {
+                fed: job.fed as u32,
+                remaining: job.remaining() as u32,
+            },
+        );
+        if finished {
+            slot.prefill = None;
+        }
+        let requests = slot.session.take_encode_requests();
+        if let Some(worker) = &mut self.worker {
+            for encode in requests {
+                worker.submit(encode);
+            }
+        }
+        finished
+    }
+
     /// Opens this round's DWRR pass: computes the quantum (the minimum
-    /// class weight over residents still decoding) and accrues each active
-    /// slot's class weight into its deficit. `None` when nothing is
-    /// resident and active — the round has no prefill or decode work.
+    /// class weight over the residents) and accrues each slot's class
+    /// weight into its deficit. `None` when nothing is resident — the round
+    /// has no prefill or decode work.
     fn accrue_deficits(&mut self) -> Option<u32> {
-        let quantum = self
-            .resident
-            .iter()
-            .filter(|s| !s.done)
-            .map(|s| s.class.weight())
-            .min()?;
-        for slot in self.resident.iter_mut().filter(|s| !s.done) {
+        let quantum = self.resident.iter().map(|s| s.class.weight()).min()?;
+        for slot in &mut self.resident {
             slot.deficit += slot.class.weight();
         }
         Some(quantum)
@@ -1794,64 +1798,27 @@ impl<'e> ServingEngine<'e> {
     /// *Prefilling* state. A non-final chunk consumes the slot's whole round
     /// allowance (its deficit is cleared — the chunk *was* this round's
     /// share of work for that class); the final chunk completes admission
-    /// and keeps the round's accrued deficit, so the round that exhausts a
-    /// prompt is scheduled exactly like a monolithic admission turn and the
-    /// request decodes its first token in the same round. Chunk boundaries
-    /// are the prefill preemption points: cancellation is checked here
-    /// before each chunk, and deadlines/drains land at the surrounding round
-    /// boundaries.
+    /// and keeps the round's accrued deficit, so the request decodes its
+    /// first token in the same round. Chunk boundaries are the prefill
+    /// preemption points: cancellation is checked here before each chunk,
+    /// and deadlines/drains land at the surrounding round boundaries.
     fn prefill_round(&mut self) {
-        let chunk_tokens = self.config.prefill_chunk_tokens;
         for idx in 0..self.resident.len() {
-            {
-                let slot = &self.resident[idx];
-                if slot.done || slot.prefill.is_none() {
-                    continue;
-                }
-                if slot.shared.cancel.load(Ordering::Relaxed) {
-                    // Retired at the next round boundary; the rest of the
-                    // prompt is never fed.
-                    let slot = &mut self.resident[idx];
-                    slot.deficit = 0;
-                    continue;
-                }
-            }
-            // Absorb-before-attend, exactly as the decode pass does.
-            Self::sync_worker_nonblocking(&mut self.worker, &mut self.resident);
             let slot = &mut self.resident[idx];
-            let job = slot.prefill.as_mut().expect("slot is prefilling");
-            if job.chunked_round == self.round {
-                // The admission chunk already ran this round and was this
-                // slot's share of work; don't charge a second chunk.
+            let Some(job) = &slot.prefill else {
+                continue;
+            };
+            // A cancelled slot retires at the round boundary, the rest of
+            // its prompt never fed; a slot admitted this round already ran
+            // its chunk inside `admit`. Either way it is owed no more work.
+            if slot.shared.cancel.load(Ordering::Relaxed) || job.chunked_round == self.round {
                 slot.deficit = 0;
                 continue;
             }
-            job.chunked_round = self.round;
-            let take = chunk_tokens.min(job.remaining());
-            slot.session
-                .prefill_chunk(&job.prompt[job.fed..job.fed + take]);
-            job.fed += take;
-            let finished = job.remaining() == 0;
-            self.stats.prefill_chunks += 1;
-            self.stats.prefill_tokens_by_class[slot.class.index()] += take as u64;
-            self.telemetry.event(
-                slot.id.0,
-                self.round,
-                EventKind::PrefillChunk {
-                    fed: job.fed as u32,
-                    remaining: job.remaining() as u32,
-                },
-            );
-            if finished {
-                slot.prefill = None;
-            } else {
-                slot.deficit = 0;
-            }
-            let requests = slot.session.take_encode_requests();
-            if let Some(worker) = &mut self.worker {
-                for encode in requests {
-                    worker.submit(encode);
-                }
+            // Absorb-before-attend, exactly as the decode pass does.
+            Self::sync_worker_nonblocking(&mut self.worker, &mut self.resident);
+            if !self.feed_chunk(idx) {
+                self.resident[idx].deficit = 0;
             }
         }
     }
@@ -1885,7 +1852,7 @@ impl<'e> ServingEngine<'e> {
     }
 
     /// Flushes a resident slot and snapshots its final report.
-    fn build_report(slot: &mut Resident<'e>, cancelled: bool, timed_out: bool) -> SessionReport {
+    fn build_report(slot: &mut Resident<'e>, outcome: RetireOutcome) -> SessionReport {
         slot.session.flush();
         SessionReport {
             session: slot.id.0 as usize,
@@ -1906,35 +1873,8 @@ impl<'e> ServingEngine<'e> {
             first_token_ns: slot.first_token_ns.unwrap_or(0),
             decode_ns: slot.session.decode_ns(),
             stopped_early: slot.stopped_early,
-            cancelled,
-            timed_out,
-        }
-    }
-
-    /// The report of a request cancelled or timed out before admission: no
-    /// prompt was consumed, no KV was held.
-    fn unadmitted_report(pending: &Pending, round: u64, timed_out: bool) -> SessionReport {
-        SessionReport {
-            session: pending.id.0 as usize,
-            class: pending.request.class,
-            tokens: Vec::new(),
-            prompt_tokens: 0,
-            kv_bytes: 0,
-            fp16_kv_bytes: 0,
-            kv_shared_bytes: 0,
-            kv_owned_bytes: 0,
-            prefix_tokens_reused: 0,
-            async_batches: 0,
-            prefill_ns: 0,
-            prefill_tokens_per_s: 0.0,
-            prefill_chunks: 0,
-            queue_wait_ns: pending.queue_wait_ns(),
-            queue_wait_rounds: round.saturating_sub(pending.submit_round),
-            first_token_ns: 0,
-            decode_ns: 0,
-            stopped_early: false,
-            cancelled: !timed_out,
-            timed_out,
+            cancelled: outcome == RetireOutcome::Cancelled,
+            timed_out: outcome == RetireOutcome::TimedOut,
         }
     }
 }
@@ -1944,7 +1884,6 @@ mod tests {
     use super::*;
 
     use crate::test_fixtures::engine;
-    use crate::GenerationOptions;
 
     fn prompts() -> Vec<Vec<u32>> {
         vec![
@@ -2012,6 +1951,7 @@ mod tests {
             session.prefill(p);
             let serial = session.generate(&GenerationOptions::max_tokens(10));
             assert_eq!(report.tokens, serial.tokens, "prompt {p:?}");
+            assert_eq!(report.kv_bytes, session.kv_bytes());
         }
         assert_eq!(serving.stats().completed, 4);
         assert_eq!(serving.stats().max_resident_sessions, 2);
@@ -2132,6 +2072,8 @@ mod tests {
             assert_eq!(report.tokens.len(), 16);
             assert!(report.kv_bytes > 0);
             assert!(report.kv_bytes < report.fp16_kv_bytes);
+            assert!(report.prefill_ns > 0);
+            assert!(report.prefill_tokens_per_s > 0.0);
         }
         assert!(reports.iter().map(|r| r.async_batches).sum::<usize>() > 0);
     }
@@ -2160,7 +2102,7 @@ mod tests {
         while !serving.is_idle() {
             serving.serve_round();
             assert!(
-                serving.active_sessions() <= 1,
+                serving.resident_sessions() <= 1,
                 "budget must serialise admission"
             );
         }
@@ -2168,6 +2110,107 @@ mod tests {
             assert_eq!(handle.report().expect("done").tokens.len(), 5);
         }
         assert_eq!(serving.stats().completed, 4);
+    }
+
+    /// Stop tokens through `decode_pass`: the stopping request ends on the
+    /// token's first occurrence with `matched_stop` on exactly that step,
+    /// its batch-mate runs to its budget, and the slot it frees is refilled
+    /// from the queue at the next round boundary.
+    #[test]
+    fn sessions_finish_independently_on_stop_tokens() {
+        let engine = engine(false, 2);
+        let p = prompts();
+        // Discover what the first request's second token will be, then stop
+        // on it (greedy decode can repeat, so the first occurrence counts).
+        let mut probe = engine.session();
+        probe.prefill(&p[0]);
+        let probed: Vec<u32> = probe
+            .stream(GenerationOptions::max_tokens(2))
+            .map(|s| s.token)
+            .collect();
+        let target = probed[1];
+        let expected_len = probed.iter().position(|&t| t == target).unwrap() + 1;
+
+        let mut serving = ServingEngine::new(
+            &engine,
+            ServingConfig {
+                max_resident: 2,
+                ..ServingConfig::default()
+            },
+        );
+        let stopping = serving
+            .submit(Request::new(
+                p[0].clone(),
+                GenerationOptions::max_tokens(12).with_stop(StopCriteria::eos(target)),
+            ))
+            .expect("queued");
+        let full = serving
+            .submit(Request::new(
+                p[1].clone(),
+                GenerationOptions::max_tokens(12),
+            ))
+            .expect("queued");
+        let queued = serving
+            .submit(Request::new(p[2].clone(), GenerationOptions::max_tokens(4)))
+            .expect("queued");
+        // One class, so one token per resident per round.
+        for _ in 0..expected_len {
+            serving.serve_round();
+        }
+        assert!(stopping.is_finished(), "retired the round it stopped");
+        assert!(!full.is_finished());
+        assert_eq!(serving.queued_requests(), 1, "slot refills at the boundary");
+        let produced = serving.serve_round();
+        assert_eq!(serving.queued_requests(), 0);
+        assert!(
+            produced.iter().any(|(id, _)| *id == queued.id()),
+            "the freed slot's new tenant decodes in its admission round"
+        );
+        serving.run_until_idle();
+
+        let steps = stopping.drain_tokens();
+        assert_eq!(steps.len(), expected_len);
+        let (last, earlier) = steps.split_last().expect("at least one step");
+        assert_eq!(last.token, target);
+        assert!(last.matched_stop);
+        assert!(earlier.iter().all(|s| !s.matched_stop));
+        let report = stopping.report().expect("finished");
+        assert_eq!(report.tokens.len(), expected_len);
+        assert!(report.stopped_early);
+        let report = full.report().expect("finished");
+        assert_eq!(report.tokens.len(), 12);
+        assert!(!report.stopped_early);
+        assert!(full.drain_tokens().iter().all(|s| !s.matched_stop));
+        assert_eq!(queued.report().expect("finished").tokens.len(), 4);
+        assert_eq!(serving.stats().completed, 3);
+    }
+
+    #[test]
+    fn aggregate_accounting_sums_over_sessions() {
+        let engine = engine(false, 3);
+        let mut serving = ServingEngine::new(&engine, ServingConfig::default());
+        for p in prompts() {
+            serving
+                .submit(Request::new(p, GenerationOptions::max_tokens(4)))
+                .expect("queued");
+        }
+        serving.serve_round();
+        assert_eq!(serving.resident_sessions(), 4);
+        assert!(serving.kv_bytes() > 0);
+        assert!(serving.kv_bytes() < serving.fp16_kv_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "prefill_chunk_tokens must be at least 1")]
+    fn zero_prefill_chunk_is_rejected_at_construction() {
+        let engine = engine(false, 0);
+        let _ = ServingEngine::new(
+            &engine,
+            ServingConfig {
+                prefill_chunk_tokens: 0,
+                ..ServingConfig::default()
+            },
+        );
     }
 
     #[test]
@@ -2203,47 +2246,6 @@ mod tests {
         assert!(!reports[0].cancelled);
         assert!(reports[1].cancelled, "queued request reported cancelled");
         assert!(queued.report().expect("has report").cancelled);
-    }
-
-    #[test]
-    fn retained_cohort_reports_cancellation_at_shutdown() {
-        let engine = engine(false, 9);
-        let mut serving = ServingEngine::new(
-            &engine,
-            ServingConfig {
-                retain_finished: true,
-                ..ServingConfig::default()
-            },
-        );
-        let p = prompts();
-        let doomed = serving
-            .submit(Request::new(
-                p[0].clone(),
-                GenerationOptions::max_tokens(12),
-            ))
-            .expect("queued");
-        let survivor = serving
-            .submit(Request::new(
-                p[1].clone(),
-                GenerationOptions::max_tokens(12),
-            ))
-            .expect("queued");
-        for _ in 0..2 {
-            serving.serve_round();
-        }
-        doomed.cancel();
-        for _ in 0..3 {
-            serving.serve_round();
-        }
-        // Retained mode: the cancelled slot stopped decoding but was not
-        // retired; its report must still say so at shutdown.
-        let reports = serving.shutdown();
-        assert!(reports[0].cancelled, "cancellation survives retention");
-        assert_eq!(reports[0].tokens.len(), 2, "stopped at the cancel round");
-        assert!(!reports[1].cancelled);
-        assert_eq!(reports[1].tokens.len(), 5, "survivor kept decoding");
-        assert!(doomed.report().expect("reported").cancelled);
-        assert!(!survivor.report().expect("reported").cancelled);
     }
 
     /// Drives one slot with a running request, a queued `background`
@@ -2333,6 +2335,65 @@ mod tests {
         // Idempotent: nothing left to do.
         let again = serving.drain(None).expect("drain twice");
         assert_eq!(again.shed_queued + again.finished, 0);
+    }
+
+    /// Every way out of the engine closes the request's journal story:
+    /// draining with both queued and resident requests leaves exactly one
+    /// `Retired` event per submitted id (the shed ones behind a `Cancelled`
+    /// marker), and the journal's retirements reconcile with the outcome
+    /// counters.
+    #[test]
+    fn drain_journals_one_retirement_per_submitted_request() {
+        let engine = engine(false, 18);
+        let mut serving = ServingEngine::new(
+            &engine,
+            ServingConfig {
+                max_resident: 2,
+                ..ServingConfig::default()
+            },
+        );
+        let handles: Vec<RequestHandle> = prompts()
+            .iter()
+            .map(|p| {
+                serving
+                    .submit(Request::new(p.clone(), GenerationOptions::max_tokens(6)))
+                    .expect("queued")
+            })
+            .collect();
+        for _ in 0..2 {
+            serving.serve_round();
+        }
+        let report = serving.drain(None).expect("drain");
+        assert_eq!((report.finished, report.shed_queued), (2, 2));
+
+        let events = serving.drain_trace_events();
+        let retired_as = |id: u64| -> Vec<RetireOutcome> {
+            events
+                .iter()
+                .filter(|e| e.request == id)
+                .filter_map(|e| match e.kind {
+                    EventKind::Retired { outcome, .. } => Some(outcome),
+                    _ => None,
+                })
+                .collect()
+        };
+        for handle in &handles[..2] {
+            assert_eq!(retired_as(handle.id().as_u64()), [RetireOutcome::Completed]);
+        }
+        for handle in &handles[2..] {
+            let id = handle.id().as_u64();
+            assert_eq!(retired_as(id), [RetireOutcome::Cancelled], "shed {id}");
+            assert!(events
+                .iter()
+                .any(|e| e.request == id && matches!(e.kind, EventKind::Cancelled)));
+        }
+        let retired = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Retired { .. }))
+            .count() as u64;
+        let stats = serving.stats();
+        assert_eq!(retired, stats.completed + stats.cancelled + stats.timed_out);
+        assert_eq!(retired, stats.submitted);
     }
 
     #[test]
@@ -2528,9 +2589,8 @@ mod tests {
         }
         assert!(short.is_finished(), "20 interactive tokens streamed");
 
-        // Round 6 feeds the final chunk and — scheduled exactly like a
-        // monolithic admission turn — decodes the first token in the same
-        // round.
+        // Round 6 feeds the final chunk and decodes the first token in the
+        // same round.
         serving.serve_round();
         assert_eq!(serving.prefilling_sessions(), 0);
         assert_eq!(long.drain_tokens().len(), 1);

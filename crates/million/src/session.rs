@@ -20,7 +20,7 @@
 //!
 //! Sessions either own a private [`QuantWorker`] (standalone use) or
 //! delegate encode traffic to a shared worker managed by
-//! [`crate::BatchScheduler`].
+//! [`crate::ServingEngine`].
 
 use million_kvcache::{KvCache, PqCacheConfig, PqKvCache};
 use million_model::{Sampler, StepScratch};
@@ -447,11 +447,11 @@ impl<'e> InferenceSession<'e> {
     /// Feeds one chunk of the opening prompt after [`Self::prefill_begin`].
     /// The first chunk of a cold admission runs the tiled prefill kernel and
     /// encodes the chunk's KV synchronously; every later chunk (and the
-    /// unmatched suffix of a warm admission) is teacher-forced through
-    /// [`Self::extend_prompt`], which is pinned bit-identical to having
-    /// prefilled the whole prompt in one shot. Chunk boundaries are therefore
-    /// scheduling artefacts only — the token stream a session produces does
-    /// not depend on them.
+    /// unmatched suffix of a warm admission) is teacher-forced through the
+    /// same extend path as [`Self::append_prompt`], which is pinned
+    /// bit-identical to having prefilled the whole prompt in one shot. Chunk
+    /// boundaries are therefore scheduling artefacts only — the token stream
+    /// a session produces does not depend on them.
     ///
     /// # Panics
     ///

@@ -124,7 +124,7 @@ impl Default for EngineSettings {
 /// Per-shard continuous-batching settings (the `[serving]` section).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServingSettings {
-    /// Sessions decoded concurrently per shard.
+    /// Sessions decoded concurrently per shard (at least 1).
     pub max_resident: usize,
     /// Pending-queue depth per shard; beyond it submissions spill/shed.
     pub queue_capacity: usize,
@@ -135,7 +135,8 @@ pub struct ServingSettings {
     pub admission_aging_rounds: u64,
     /// Admission prefill chunk size in tokens; long prompts are
     /// teacher-forced one chunk per serve round so they never stall
-    /// resident decodes (0 = monolithic admission prefill).
+    /// resident decodes. At least 1; a value ≥ the longest prompt admits
+    /// every prompt whole.
     pub prefill_chunk_tokens: usize,
     /// Record latency histograms, per-phase round timing, and the
     /// request-lifecycle journal on each shard. Off, the engines read no
@@ -275,6 +276,18 @@ fn parse_num<T: std::str::FromStr>(section: &str, key: &str, raw: &str) -> Resul
     })
 }
 
+/// A count that must be at least 1: zero shards, resident slots or chunk
+/// tokens would accept requests and never serve them.
+fn parse_positive(section: &str, key: &str, raw: &str) -> Result<usize, ConfigError> {
+    match parse_num(section, key, raw)? {
+        0 => Err(ConfigError::BadValue {
+            key: format!("{section}.{key}"),
+            msg: "must be at least 1".into(),
+        }),
+        n => Ok(n),
+    }
+}
+
 fn parse_bool(section: &str, key: &str, raw: &str) -> Result<bool, ConfigError> {
     match raw {
         "true" => Ok(true),
@@ -293,15 +306,7 @@ impl AppConfig {
         let raw = raw.trim();
         match (section, key) {
             ("server", "listen") => self.server.listen = raw.to_string(),
-            ("server", "shards") => {
-                self.server.shards = parse_num(section, key, raw)?;
-                if self.server.shards == 0 {
-                    return Err(ConfigError::BadValue {
-                        key: "server.shards".into(),
-                        msg: "must be at least 1".into(),
-                    });
-                }
-            }
+            ("server", "shards") => self.server.shards = parse_positive(section, key, raw)?,
             ("server", "affinity_tokens") => {
                 self.server.affinity_tokens = parse_num(section, key, raw)?
             }
@@ -349,7 +354,7 @@ impl AppConfig {
                 self.engine.prefix_sharing = parse_bool(section, key, raw)?
             }
             ("serving", "max_resident") => {
-                self.serving.max_resident = parse_num(section, key, raw)?
+                self.serving.max_resident = parse_positive(section, key, raw)?
             }
             ("serving", "queue_capacity") => {
                 self.serving.queue_capacity = parse_num(section, key, raw)?
@@ -361,7 +366,7 @@ impl AppConfig {
                 self.serving.admission_aging_rounds = parse_num(section, key, raw)?
             }
             ("serving", "prefill_chunk_tokens") => {
-                self.serving.prefill_chunk_tokens = parse_num(section, key, raw)?
+                self.serving.prefill_chunk_tokens = parse_positive(section, key, raw)?
             }
             ("serving", "telemetry") => self.serving.telemetry = parse_bool(section, key, raw)?,
             ("serving", "journal_events") => {
@@ -648,10 +653,24 @@ mod tests {
             config.set("engine", "bits", "7"),
             Err(ConfigError::BadValue { .. })
         ));
-        assert!(matches!(
-            config.set("server", "shards", "0"),
-            Err(ConfigError::BadValue { .. })
-        ));
+        for (section, key) in [
+            ("server", "shards"),
+            ("serving", "max_resident"),
+            ("serving", "prefill_chunk_tokens"),
+        ] {
+            assert!(
+                matches!(
+                    config.set(section, key, "0"),
+                    Err(ConfigError::BadValue { msg, .. }) if msg == "must be at least 1"
+                ),
+                "{section}.{key} = 0 accepts requests it can never serve"
+            );
+        }
+        assert_eq!(
+            config.serving,
+            ServingSettings::default(),
+            "a rejected value leaves the setting untouched"
+        );
         assert!(matches!(
             config.apply_toml("shards = 2"),
             Err(ConfigError::Parse { line: 1, .. })

@@ -203,7 +203,7 @@ pub fn render(shards: &[ShardSnapshot], health: &[ShardHealth]) -> String {
         &mut w,
         shards,
         "million_prefill_chunks_total",
-        "Prefill chunks executed (a monolithic admission counts as one).",
+        "Prefill chunks executed.",
         |s| s.stats.prefill_chunks,
     );
     class_counter(

@@ -1,5 +1,5 @@
 //! Engine shards: one supervised thread per shard, each owning a private
-//! [`MillionEngine`] + [`ServingEngine`] pair and driven by a command
+//! [`million::MillionEngine`] + [`ServingEngine`] pair and driven by a command
 //! channel.
 //!
 //! [`ServingEngine`] is deliberately single-threaded — it borrows its

@@ -106,14 +106,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                  {} resident streams still decoding",
                 serving.rounds(),
                 serving.prefill_tokens_remaining(),
-                serving.active_sessions() - serving.prefilling_sessions(),
+                serving.resident_sessions() - serving.prefilling_sessions(),
             );
         }
         if serving.rounds().is_multiple_of(8) {
             println!(
                 "round {:>3}: {} resident / {} queued, fleet KV {:>9} B (physical {:>9} B)",
                 serving.rounds(),
-                serving.active_sessions(),
+                serving.resident_sessions(),
                 serving.queued_requests(),
                 serving.kv_bytes(),
                 serving.fleet_kv_bytes(),

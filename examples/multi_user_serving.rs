@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "round {:>3}: {} resident / {} queued, fleet KV {:>8} B (fp16 would be {:>8} B)",
                 serving.rounds(),
-                serving.active_sessions(),
+                serving.resident_sessions(),
                 serving.queued_requests(),
                 serving.kv_bytes(),
                 serving.fp16_kv_bytes(),

@@ -6,11 +6,16 @@
 //! admission *attaches* those blocks — no prefill compute, no duplicate code
 //! memory — and diverges privately from its first user-specific token.
 //!
+//! The users are served as one fixed cohort: a [`ServingEngine`] with
+//! `max_resident: usize::MAX` admits every queued request in its first round.
+//!
 //! Run with `cargo run --release --example shared_prefix_serving`.
 
-use million::{BatchScheduler, GenerationOptions, MillionConfig, MillionEngine};
+use million::{
+    GenerationOptions, MillionConfig, MillionEngine, Request, ServingConfig, ServingEngine,
+};
 use million_eval::corpus::{CorpusConfig, SyntheticCorpus};
-use million_model::{ModelConfig, Sampler, Transformer};
+use million_model::{ModelConfig, Transformer};
 
 const USERS: usize = 8;
 const SYSTEM_PROMPT_TOKENS: usize = 192;
@@ -28,15 +33,19 @@ fn main() {
         MillionEngine::new(model, engine_cfg, &corpus.generate(256)).expect("engine builds");
 
     let system_prompt = corpus.generate(SYSTEM_PROMPT_TOKENS);
-    let mut scheduler = BatchScheduler::new(&engine);
+    let mut serving = ServingEngine::new(
+        &engine,
+        ServingConfig {
+            max_resident: usize::MAX,
+            ..ServingConfig::default()
+        },
+    );
     for user in 0..USERS {
         let mut prompt = system_prompt.clone();
         prompt.extend((0..8).map(|i| ((user * 37 + i * 11 + 5) % config.vocab_size) as u32));
-        scheduler.add_session(
-            &prompt,
-            GenerationOptions::max_tokens(24),
-            Sampler::greedy(),
-        );
+        serving
+            .submit(Request::new(prompt, GenerationOptions::max_tokens(24)))
+            .expect("queued");
     }
 
     println!(
@@ -44,11 +53,14 @@ fn main() {
          {BLOCK_TOKENS}-token blocks\n"
     );
     println!("user | reused prefix | KV bytes | shared | owned | tokens");
-    while !scheduler.step_round().is_empty() {}
-    // Snapshot the store while the cohort is still resident; finish() drops
-    // nothing, but the scheduler itself is consumed by it.
+    // Measure sharing while the whole cohort is resident: requests retire —
+    // and release their blocks — the round they finish, so the last one out
+    // reports nothing shared.
+    serving.serve_round();
     let stats = engine.store_stats().expect("store enabled");
-    let reports = scheduler.finish();
+    let (as_if_owned, physical) = (serving.kv_bytes(), serving.fleet_kv_bytes());
+    serving.run_until_idle();
+    let reports = serving.shutdown();
     for report in &reports {
         println!(
             "{:>4} | {:>13} | {:>8} | {:>6} | {:>5} | {}",
@@ -61,8 +73,6 @@ fn main() {
         );
     }
 
-    let total_kv: usize = reports.iter().map(|r| r.kv_bytes).sum();
-    let total_owned: usize = reports.iter().map(|r| r.kv_owned_bytes).sum();
     println!("\nblock store:");
     println!("  live blocks          {}", stats.live_blocks);
     println!("  resident code bytes  {}", stats.resident_bytes);
@@ -73,10 +83,10 @@ fn main() {
     println!("  dedup ratio          {:.2}x", stats.dedup_ratio());
     println!("  prefix attach hits   {}", stats.attach_hits);
     println!("  publish dedup hits   {}", stats.dedup_hits);
-    println!("\naggregate KV as-if-owned: {total_kv} B; actually owned privately: {total_owned} B");
+    println!("\nresident cohort KV as-if-owned: {as_if_owned} B; physically held: {physical} B");
     println!(
         "shared system prompt held once instead of {USERS} times — \
          {:.1}% of the cohort's KV deduplicated",
-        100.0 * (total_kv - total_owned) as f64 / total_kv.max(1) as f64
+        100.0 * (as_if_owned - physical) as f64 / as_if_owned.max(1) as f64
     );
 }

@@ -11,9 +11,12 @@
 //! valid — numeric path; that asymmetry is inherent to the paper's design
 //! and is why prefix sharing is opt-in.)
 
-use million::{BatchScheduler, GenerationOptions, MillionConfig, MillionEngine, StopCriteria};
+use million::{
+    GenerationOptions, MillionConfig, MillionEngine, Request, ServingConfig, ServingEngine,
+    StopCriteria,
+};
 use million_eval::corpus::{CorpusConfig, SyntheticCorpus};
-use million_model::{ModelConfig, Sampler, Transformer};
+use million_model::{ModelConfig, Transformer};
 
 const BLOCK_TOKENS: usize = 32;
 
@@ -38,6 +41,31 @@ fn unshared_config(head_dim: usize) -> MillionConfig {
 
 fn prompt(config: &ModelConfig, len: usize) -> Vec<u32> {
     SyntheticCorpus::new(CorpusConfig::ptb_like(config.vocab_size)).generate(len)
+}
+
+/// A serving engine that holds nothing back, with `prompts` queued: the
+/// first round admits them all, as one fixed cohort.
+fn cohort<'e>(
+    engine: &'e MillionEngine,
+    prompts: &[Vec<u32>],
+    max_new_tokens: usize,
+) -> ServingEngine<'e> {
+    let mut serving = ServingEngine::new(
+        engine,
+        ServingConfig {
+            max_resident: usize::MAX,
+            ..ServingConfig::default()
+        },
+    );
+    for p in prompts {
+        serving
+            .submit(Request::new(
+                p.clone(),
+                GenerationOptions::max_tokens(max_new_tokens),
+            ))
+            .expect("queued");
+    }
+    serving
 }
 
 /// Shared-prefix serving equivalence at a parameterized prefix length.
@@ -164,17 +192,26 @@ fn scheduler_observes_prefix_sharing_per_session() {
     let config = ModelConfig::tiny_for_tests();
     let engine = build_engine(&config, sharing_config(config.head_dim()), 79);
     let system_prompt = prompt(&config, 70); // 2 whole blocks + 6
-    let mut scheduler = BatchScheduler::new(&engine);
-    for u in 0..3 {
-        let mut p = system_prompt.clone();
-        p.extend((0..4).map(|i| ((u * 13 + i * 5) % config.vocab_size) as u32));
-        scheduler.add_session(&p, GenerationOptions::max_tokens(6), Sampler::greedy());
-    }
-    let reports = scheduler.run_to_completion();
+    let prompts: Vec<Vec<u32>> = (0..3)
+        .map(|u| {
+            let mut p = system_prompt.clone();
+            p.extend((0..4).map(|i| ((u * 13 + i * 5) % config.vocab_size) as u32));
+            p
+        })
+        .collect();
+    let mut serving = cohort(&engine, &prompts, 6);
+    // Sharing is observed while all three are resident: the fleet holds the
+    // system prompt's blocks once, the per-session sum counts them thrice.
+    // (A report is built as its request retires, so the last of a cohort to
+    // leave legitimately reports nothing shared.)
+    serving.serve_round();
+    assert_eq!(serving.resident_sessions(), 3);
+    assert!(serving.fleet_kv_bytes() < serving.kv_bytes());
+    serving.run_until_idle();
+    let reports = serving.shutdown();
     assert_eq!(reports[0].prefix_tokens_reused, 0, "first user is cold");
     for report in &reports[1..] {
         assert_eq!(report.prefix_tokens_reused, 64);
-        assert!(report.kv_shared_bytes > 0);
     }
     for report in &reports {
         assert_eq!(
@@ -193,14 +230,16 @@ fn async_sessions_seal_and_share_through_the_scheduler() {
         .with_prefix_sharing();
     let engine = build_engine(&config, engine_cfg, 83);
     let shared = prompt(&config, 66);
-    let mut scheduler = BatchScheduler::new(&engine);
-    for u in 0..3 {
-        let mut p = shared.clone();
-        p.push((u * 11 + 1) as u32);
-        scheduler.add_session(&p, GenerationOptions::max_tokens(40), Sampler::greedy());
-    }
-    while !scheduler.step_round().is_empty() {}
-    let reports = scheduler.finish();
+    let prompts: Vec<Vec<u32>> = (0..3)
+        .map(|u| {
+            let mut p = shared.clone();
+            p.push((u * 11 + 1) as u32);
+            p
+        })
+        .collect();
+    let mut serving = cohort(&engine, &prompts, 40);
+    serving.run_until_idle();
+    let reports = serving.shutdown();
     for report in &reports[1..] {
         assert_eq!(report.prefix_tokens_reused, 64);
     }

@@ -9,11 +9,11 @@
 //! weighting, and mid-flight admission be pure policy.
 
 use million::{
-    BatchScheduler, GenerationOptions, MillionConfig, MillionEngine, QosClass, Request,
-    ServingConfig, ServingEngine,
+    GenerationOptions, MillionConfig, MillionEngine, QosClass, Request, ServingConfig,
+    ServingEngine,
 };
 use million_eval::corpus::{CorpusConfig, SyntheticCorpus};
-use million_model::{ModelConfig, Sampler, Transformer};
+use million_model::{ModelConfig, Transformer};
 
 fn build_engine(config: &ModelConfig, engine_cfg: MillionConfig, seed: u64) -> MillionEngine {
     let model = Transformer::new(config.clone(), seed);
@@ -121,28 +121,6 @@ fn short_high_priority_request_overtakes_a_long_running_batch() {
         serial.prefill(p);
         let expected = serial.generate(&GenerationOptions::max_tokens(budget));
         assert_eq!(handle.report().expect("finished").tokens, expected.tokens);
-    }
-}
-
-/// The `BatchScheduler` wrapper over the serving loop stays pinned to
-/// serial execution (the bit-identity contract of PR 1, re-asserted here
-/// against the wrapper's new internals).
-#[test]
-fn batch_scheduler_wrapper_is_still_bit_identical_to_serial() {
-    let config = ModelConfig::tiny_for_tests();
-    let engine = build_engine(&config, sync_config(config.head_dim()), 13);
-    let prompts: Vec<Vec<u32>> = (0..3).map(|i| prompt(&config, 20 + 6 * i)).collect();
-    let mut scheduler = BatchScheduler::new(&engine);
-    for p in &prompts {
-        scheduler.add_session(p, GenerationOptions::max_tokens(9), Sampler::greedy());
-    }
-    let reports = scheduler.run_to_completion();
-    for (p, report) in prompts.iter().zip(&reports) {
-        let mut session = engine.session();
-        session.prefill(p);
-        let serial = session.generate(&GenerationOptions::max_tokens(9));
-        assert_eq!(report.tokens, serial.tokens);
-        assert_eq!(report.kv_bytes, session.kv_bytes());
     }
 }
 
@@ -293,7 +271,7 @@ fn staggered_arrivals_reuse_the_resident_prefix_inside_the_loop() {
 /// on, so both cold and warm (store-attached) admissions ride the chunk
 /// path — every request stays bit-identical to a serial one-shot run.
 ///
-/// For chunk sizes covering the whole prompt (0, 512, 4096 here) this is
+/// For chunk sizes covering the whole prompt (512, 4096 here) this is
 /// structural: admission *is* the one-shot path. For sub-prompt chunks the
 /// suffix rides the extend path, whose agreement with one-shot prefill is
 /// the PR 3 session contract (decode-path attention over quantized codes);
@@ -313,7 +291,7 @@ fn chunked_prefill_is_bit_identical_across_chunk_sizes_and_warm_admissions() {
         prompts.push(p);
     }
 
-    for chunk_tokens in [0usize, 1, 7, 512, 4096] {
+    for chunk_tokens in [1usize, 7, 512, 4096] {
         let shared_cfg = sync_config(config.head_dim())
             .with_block_tokens(16)
             .with_prefix_sharing();
@@ -411,13 +389,13 @@ fn cold_chunked_admission_matches_the_split_serial_twin() {
 /// admission (store prefix attached, remainder chunked through the extend
 /// path) is bit-identical to a warm serial one-shot admission — attach is
 /// code adoption and the unmatched suffix rides the extend path in both,
-/// so this identity holds for every chunk size, monolithic included. The
+/// so this identity holds for every chunk size, whole-prompt included. The
 /// budgeted store keeps the seeder's blocks resident after it retires,
 /// which is what lets the serial twin admit warm after the fact.
 #[test]
 fn warm_chunked_admission_is_bit_identical_to_a_warm_serial_twin() {
     let config = ModelConfig::tiny_for_tests();
-    for chunk_tokens in [0usize, 1, 7, 512] {
+    for chunk_tokens in [1usize, 7, 512] {
         let shared_cfg = sync_config(config.head_dim())
             .with_block_tokens(16)
             .with_store_byte_budget(8 << 20)

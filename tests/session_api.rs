@@ -1,9 +1,12 @@
 //! Equivalence tests for the session-based inference API: the compatibility
 //! wrappers must reproduce the seed one-shot behaviour, multi-turn
-//! continuation must agree with from-scratch prefills, and the batch
-//! scheduler must match serial execution.
+//! continuation must agree with from-scratch prefills, and sessions
+//! interleaved by the serving engine must match serial execution.
 
-use million::{BatchScheduler, GenerationOptions, MillionConfig, MillionEngine, StopCriteria};
+use million::{
+    GenerationOptions, MillionConfig, MillionEngine, Request, ServingConfig, ServingEngine,
+    SessionReport, StopCriteria,
+};
 use million_eval::corpus::{CorpusConfig, SyntheticCorpus};
 use million_model::{build_caches, ModelConfig, Sampler, Transformer};
 
@@ -34,6 +37,32 @@ fn seed_sync_loop(engine: &MillionEngine, prompt: &[u32], max_new_tokens: usize)
         tokens.push(next);
     }
     tokens
+}
+
+/// Serves `prompts` as one fixed cohort — every request admitted in the first
+/// round, none held back — and returns the reports in submission order.
+fn serve_cohort(
+    engine: &MillionEngine,
+    prompts: &[Vec<u32>],
+    max_new_tokens: usize,
+) -> Vec<SessionReport> {
+    let mut serving = ServingEngine::new(
+        engine,
+        ServingConfig {
+            max_resident: usize::MAX,
+            ..ServingConfig::default()
+        },
+    );
+    for p in prompts {
+        serving
+            .submit(Request::new(
+                p.clone(),
+                GenerationOptions::max_tokens(max_new_tokens),
+            ))
+            .expect("queued");
+    }
+    serving.run_until_idle();
+    serving.shutdown()
 }
 
 #[test]
@@ -155,38 +184,9 @@ fn append_prompt_reuses_quantized_history() {
 }
 
 #[test]
-fn batch_scheduler_matches_serial_sessions_with_four_users() {
-    let config = ModelConfig::tiny_for_tests();
-    let engine = build_engine(
-        &config,
-        MillionConfig::four_bit(config.head_dim()).with_sync_quant(),
-        59,
-    );
-    let prompts: Vec<Vec<u32>> = (0..4).map(|i| prompt(&config, 24 + 8 * i)).collect();
-
-    let mut scheduler = BatchScheduler::new(&engine);
-    for p in &prompts {
-        scheduler.add_session(p, GenerationOptions::max_tokens(12), Sampler::greedy());
-    }
-    let reports = scheduler.run_to_completion();
-    assert_eq!(reports.len(), 4);
-
-    for (p, report) in prompts.iter().zip(reports.iter()) {
-        let mut session = engine.session();
-        session.prefill(p);
-        let serial = session.generate(&GenerationOptions::max_tokens(12));
-        assert_eq!(
-            report.tokens, serial.tokens,
-            "scheduled session diverged from serial execution"
-        );
-        assert_eq!(report.kv_bytes, session.kv_bytes());
-    }
-}
-
-#[test]
 fn scheduler_scratch_reuse_matches_fresh_scratch_decode_token_for_token() {
     // Sessions own per-worker attention scratch reused across every step;
-    // the scheduler interleaves N sessions, so one session's scratch sees
+    // the serving engine interleaves N sessions, so one session's scratch sees
     // many (layer, head) calls between its own steps. A stale buffer — a
     // leftover LUT, score, or centroid-mass value — would show up here as a
     // divergence from the fresh-scratch-per-step reference loop, which
@@ -198,12 +198,7 @@ fn scheduler_scratch_reuse_matches_fresh_scratch_decode_token_for_token() {
         67,
     );
     let prompts: Vec<Vec<u32>> = (0..3).map(|i| prompt(&config, 20 + 6 * i)).collect();
-
-    let mut scheduler = BatchScheduler::new(&engine);
-    for p in &prompts {
-        scheduler.add_session(p, GenerationOptions::max_tokens(10), Sampler::greedy());
-    }
-    let reports = scheduler.run_to_completion();
+    let reports = serve_cohort(&engine, &prompts, 10);
 
     for (p, report) in prompts.iter().zip(reports.iter()) {
         let fresh = seed_sync_loop(&engine, p, 10);
@@ -218,12 +213,8 @@ fn scheduler_scratch_reuse_matches_fresh_scratch_decode_token_for_token() {
 fn async_batch_scheduler_completes_and_compresses() {
     let config = ModelConfig::tiny_for_tests();
     let engine = build_engine(&config, MillionConfig::four_bit(config.head_dim()), 61);
-    let mut scheduler = BatchScheduler::new(&engine);
-    for i in 0..5 {
-        let p = prompt(&config, 20 + 4 * i);
-        scheduler.add_session(&p, GenerationOptions::max_tokens(16), Sampler::greedy());
-    }
-    let reports = scheduler.run_to_completion();
+    let prompts: Vec<Vec<u32>> = (0..5).map(|i| prompt(&config, 20 + 4 * i)).collect();
+    let reports = serve_cohort(&engine, &prompts, 16);
     assert_eq!(reports.len(), 5);
     for report in &reports {
         assert_eq!(report.tokens.len(), 16);
