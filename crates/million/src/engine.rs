@@ -6,9 +6,9 @@
 //! [`MillionEngine::generate`] / [`MillionEngine::generate_reference`] calls
 //! are thin compatibility wrappers that build a session, run it, and drop it.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use million_model::{build_caches, CacheSpec, PrefillScratch, Sampler, StepScratch, Transformer};
+use million_model::{build_caches, CacheSpec, Sampler, StepScratch, Transformer};
 use million_store::{BlockStore, StoreStats};
 
 use crate::config::MillionConfig;
@@ -61,13 +61,6 @@ pub struct MillionEngine {
     /// sound only within one engine, because codes are a deterministic
     /// function of the weights, the codebooks, and the token prefix.
     store: Option<Arc<BlockStore>>,
-    /// Tiled-prefill working memory shared by every admission this engine
-    /// serves: sessions prefill once each, so the scratch (staging buffer +
-    /// per-worker tile arenas, multi-MB at long prompts) is reused across
-    /// admissions instead of being grown and dropped per session. Admissions
-    /// serialise on the lock — they are compute-bound and already run one at
-    /// a time in the scheduler.
-    prefill_scratch: Mutex<PrefillScratch>,
 }
 
 impl MillionEngine {
@@ -89,7 +82,6 @@ impl MillionEngine {
             codebooks,
             config,
             store,
-            prefill_scratch: Mutex::new(PrefillScratch::new()),
         })
     }
 
@@ -117,7 +109,6 @@ impl MillionEngine {
             codebooks,
             config,
             store,
-            prefill_scratch: Mutex::new(PrefillScratch::new()),
         })
     }
 
@@ -153,11 +144,6 @@ impl MillionEngine {
     /// The trained codebooks.
     pub fn codebooks(&self) -> &TrainedCodebooks {
         &self.codebooks
-    }
-
-    /// The engine-wide tiled-prefill scratch (see the field docs).
-    pub(crate) fn prefill_scratch(&self) -> &Mutex<PrefillScratch> {
-        &self.prefill_scratch
     }
 
     /// Opens a new standalone inference session. With

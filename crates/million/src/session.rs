@@ -23,7 +23,7 @@
 //! [`crate::ServingEngine`].
 
 use million_kvcache::{KvCache, PqCacheConfig, PqKvCache};
-use million_model::{Sampler, StepScratch};
+use million_model::{PrefillScratch, Sampler, StepScratch};
 use million_store::{Block, ChainHandle};
 
 use crate::async_quant::{EncodeRequest, EncodeResult, QuantWorker};
@@ -445,11 +445,13 @@ impl<'e> InferenceSession<'e> {
     }
 
     /// Feeds one chunk of the opening prompt after [`Self::prefill_begin`].
-    /// The first chunk of a cold admission runs the tiled prefill kernel and
-    /// encodes the chunk's KV synchronously; every later chunk (and the
-    /// unmatched suffix of a warm admission) is teacher-forced through the
-    /// same extend path as [`Self::append_prompt`], which is pinned
-    /// bit-identical to having prefilled the whole prompt in one shot. Chunk
+    /// Every chunk runs the model's one chunk forward (dense stages as whole-
+    /// chunk GEMMs); only attention differs. The first chunk of a cold
+    /// admission attends to itself through the tiled prefill kernel and its
+    /// KV is encoded synchronously; every later chunk (and the unmatched
+    /// suffix of a warm admission) attends token by token through the caches,
+    /// the same extend path as [`Self::append_prompt`], which is pinned
+    /// bit-identical to feeding the tokens one decode step at a time. Chunk
     /// boundaries are therefore scheduling artefacts only — the token stream
     /// a session produces does not depend on them.
     ///
@@ -463,33 +465,16 @@ impl<'e> InferenceSession<'e> {
         );
         let chunk_start = std::time::Instant::now();
         if self.cached_tokens() == 0 {
-            let logits = {
-                // Admissions across all of this engine's sessions share one
-                // tiled-prefill scratch, so the staging buffers are grown once
-                // and reused instead of being rebuilt per admission.
-                let mut scratch = self
-                    .engine
-                    .prefill_scratch()
-                    .lock()
-                    .expect("prefill scratch lock poisoned");
-                self.engine.model().prefill_with_scratch(
-                    tokens,
-                    &mut self.caches,
-                    None,
-                    &mut scratch,
-                )
-            };
+            self.forward_chunk(tokens);
             // In the asynchronous configuration the caches do not auto-encode,
             // so the chunk's KV is encoded here, on the spot — prompt encoding
             // is part of prefill in the paper, only *decode-time* encoding is
             // off the critical path.
             self.encode_dense_now();
             self.history.extend_from_slice(tokens);
-            self.cur_logits = Some(logits.row(tokens.len() - 1).to_vec());
             self.maybe_seal();
         } else {
-            let logits = self.extend_prompt(tokens);
-            self.cur_logits = Some(logits);
+            self.extend_prompt(tokens);
         }
         self.prompt_tokens += tokens.len();
         self.prefill_admitted += tokens.len();
@@ -691,13 +676,12 @@ impl<'e> InferenceSession<'e> {
         self.maybe_seal();
     }
 
-    /// Feeds a chunk of known tokens (a later conversation turn) through the
-    /// decode path, leaving the last position's logits in `cur_logits`.
+    /// Feeds a chunk of known tokens (a later conversation turn), leaving
+    /// the last position's logits in `cur_logits`.
     fn feed_chunk(&mut self, tokens: &[u32]) {
         if matches!(self.stream, QuantStream::Sync) {
             // No worker traffic to interleave: extend the caches in one call.
-            let logits = self.extend_prompt(tokens);
-            self.cur_logits = Some(logits);
+            self.extend_prompt(tokens);
             return;
         }
         for &tok in tokens {
@@ -705,21 +689,32 @@ impl<'e> InferenceSession<'e> {
         }
     }
 
-    /// Teacher-forces a chunk of known prompt tokens through the decode path
-    /// in one pass, then ships everything it staged to the quantization
-    /// stream at once. Used when nothing is in flight (synchronous
-    /// configurations, and the unmatched suffix at warm admission — where
-    /// the per-token absorb/ship interleaving of [`Self::feed`] would only
-    /// add channel traffic).
-    fn extend_prompt(&mut self, tokens: &[u32]) -> Vec<f32> {
-        let logits = self
-            .engine
-            .model()
-            .extend_into(tokens, &mut self.caches, &mut self.scratch);
+    /// Teacher-forces a chunk of known prompt tokens over the cached history
+    /// in one chunk forward, then ships everything it staged to the
+    /// quantization stream at once. Used when nothing is in flight
+    /// (synchronous configurations, and later chunks or the unmatched suffix
+    /// at admission — where the per-token absorb/ship interleaving of
+    /// [`Self::feed`] would only add channel traffic).
+    fn extend_prompt(&mut self, tokens: &[u32]) {
+        self.forward_chunk(tokens);
         self.history.extend_from_slice(tokens);
         self.ship_staged();
         self.maybe_seal();
-        logits.row(tokens.len() - 1).to_vec()
+    }
+
+    /// Runs one chunk through the model at the caches' current length,
+    /// leaving the logits of its last position in the reusable `cur_logits`
+    /// buffer. The chunk's activation buffers (~6 MB at 512 tokens of a
+    /// `*-7b-sim` model) live for this call only: a chunk is a 100 ms-scale
+    /// event, so re-growing them costs under 1 % of it, while holding them —
+    /// per session, or even once per engine — would sit in resident memory
+    /// between chunks (measured in `docs/PERF.md`).
+    fn forward_chunk(&mut self, tokens: &[u32]) {
+        let mut scratch = PrefillScratch::new();
+        let logits = self.cur_logits.get_or_insert_with(Vec::new);
+        self.engine
+            .model()
+            .prefill_chunk(tokens, &mut self.caches, &mut scratch, logits);
     }
 
     /// Seals every completed block of quantized history into the engine's

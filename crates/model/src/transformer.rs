@@ -1,16 +1,27 @@
 //! Decoder-only transformer with pluggable KV-cache backends.
 //!
-//! The forward pass mirrors the structure in Fig. 1 of the paper:
+//! The forward pass mirrors the structure in Fig. 1 of the paper, with two
+//! entry shapes:
 //!
-//! * **prefill** processes the whole prompt at once, computes attention in
-//!   full precision, and *then* hands the keys/values to the cache backend
-//!   (which may quantize them) — step ③/④ of Fig. 4. Prefill attention runs
-//!   a flash-style tiled kernel ([`prefill_attention_tiled`]): per (head,
+//! * **one chunk forward** for every multi-token pass — a cold prompt (or
+//!   its first chunk), a later chunk of a chunked admission, the unmatched
+//!   suffix after an attached prefix, a later conversation turn. It is
+//!   layer-major: per layer, norm → one `[chunk, d] x W` GEMM per
+//!   projection → RoPE at the chunk's start position → attention → output
+//!   GEMM → feed-forward GEMMs, every buffer borrowed from a
+//!   [`PrefillScratch`]. Only the attention step differs by where the chunk
+//!   sits. On empty caches it is causal self-attention at full precision —
+//!   the flash-style tiled kernel ([`prefill_attention_tiled`]: per (head,
 //!   query-tile) work unit it walks key/value tiles with an online softmax,
 //!   fusing scale, ALiBi and the causal mask into the tile loop, so no
-//!   `n x n` score matrix (and no per-head activation copy) is ever
-//!   materialised. The seed's naive path is kept as
-//!   [`Transformer::prefill_reference`] for equivalence tests and benchmarks;
+//!   `n x n` score matrix is ever materialised) — and the (possibly lossy)
+//!   cache backends see the chunk's KV in one bulk append *afterwards*,
+//!   step ③/④ of Fig. 4. Behind cached history it is, token by token in
+//!   order, exactly the attend-then-append pair the decode step makes, so
+//!   every cache backend sees the same call sequence and the chunk is
+//!   bit-identical to feeding its tokens one at a time. The seed's naive
+//!   attention is kept as [`Transformer::prefill_reference`] for
+//!   equivalence tests and benchmarks;
 //! * **decode** produces one token at a time; attention over the history goes
 //!   through the cache backend ([`million_kvcache::KvCache::attend`]) while
 //!   the current token's key/value is merged at full precision (Eq. 7). With
@@ -24,7 +35,7 @@ use million_tensor::ops::{
     apply_causal_mask, dot_wide, gelu_in_place, layer_norm, rms_norm, silu_in_place,
     softmax_in_place, vec_matmul_into, vec_matmul_transposed_into,
 };
-use million_tensor::{Matrix, OnlineSoftmax, Rope, StridedRows};
+use million_tensor::{GemmScratch, Matrix, OnlineSoftmax, Rope, StridedRows};
 use rayon::prelude::*;
 
 use crate::config::{ModelConfig, NormKind, Positional};
@@ -119,11 +130,9 @@ impl Default for DecodeScratch {
 /// q/k/v projections, attention output, projection/FFN temporaries and the
 /// logits row.
 ///
-/// The PR 2 scratch pattern extended upward through the full step: where
-/// [`Transformer::decode_step_with_scratch`] still allocated an `x.clone()`
-/// and several `Matrix::from_row` temporaries per layer per token,
-/// [`Transformer::decode_step_into`] borrows everything from here, so a warm
-/// steady-state decode step performs **no** heap allocations at all
+/// The attend-only scratch pattern extended upward through the full step:
+/// [`Transformer::decode_step_into`] borrows every buffer from here, so a
+/// warm steady-state decode step performs **no** heap allocations at all
 /// (`crates/model/tests/zero_alloc_step.rs` proves it with a counting
 /// allocator).
 #[derive(Debug)]
@@ -230,17 +239,70 @@ const PREFILL_ARENA_PAD: usize = 8;
 
 /// Working memory of the tiled prefill kernel: one [`PrefillTileScratch`]
 /// per rayon worker plus the head-major staging buffer the (head,
-/// query-tile) units write into. All buffers grow to the largest geometry
-/// seen and are reused across layers and prefill calls, so the steady-state
-/// tiled attention kernel performs zero allocations.
+/// query-tile) units write into.
 #[derive(Debug)]
-pub struct PrefillScratch {
+struct TileScratch {
     pool: Vec<PrefillTileScratch>,
     /// Unit-major staging `[n_heads * tiles, PREFILL_Q_TILE, head_dim]`;
     /// each (head, query-tile) work unit owns one contiguous chunk, with the
     /// tiles of a head in [`balanced_tile`] order so contiguous worker
     /// partitions see even causal work.
     head_out: Vec<f32>,
+}
+
+/// The chunk forward's own buffers: the residual stream, the per-layer
+/// activations of the whole chunk, the GEMM pack buffer, and the one-row
+/// append staging of chunks that attend through the caches.
+#[derive(Debug, Default)]
+struct ChunkScratch {
+    gemm: GemmScratch,
+    /// Residual stream `[chunk, d_model]`; the final-normed hidden states
+    /// once the forward returns.
+    x: Matrix,
+    /// Normed copy of the residual stream (attention and FFN norm input).
+    h: Matrix,
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    /// Attention output, heads packed (`[chunk, d_model]`).
+    attn: Matrix,
+    /// Output of the attention/FFN down projections (`[chunk, d_model]`).
+    proj: Matrix,
+    /// FFN inner activation (`[chunk, d_ff]`).
+    inner: Matrix,
+    /// 1-row matrices handed to [`KvCache::append`] per token.
+    k_row: Matrix,
+    v_row: Matrix,
+}
+
+impl ChunkScratch {
+    /// Empty buffers; a single worker keeps the GEMM row blocks on the
+    /// calling thread.
+    fn with_workers(workers: usize) -> Self {
+        let gemm = if workers <= 1 {
+            GemmScratch::serial()
+        } else {
+            GemmScratch::new()
+        };
+        Self {
+            gemm,
+            ..Self::default()
+        }
+    }
+}
+
+/// Working memory of the chunk forward ([`Transformer::prefill_chunk`] and
+/// the `prefill*` / `extend_into` wrappers over it): the chunk's activation
+/// buffers, the GEMM pack buffer, the tiled attention kernel's per-worker
+/// tile states and staging, and a decode attention pool for chunks behind
+/// cached history. All buffers grow to the largest geometry seen and are
+/// reused across layers and calls, so a second forward of a shape already
+/// seen performs zero allocations.
+#[derive(Debug)]
+pub struct PrefillScratch {
+    tiles: TileScratch,
+    chunk: ChunkScratch,
+    attend: DecodeScratch,
 }
 
 impl PrefillScratch {
@@ -250,21 +312,27 @@ impl PrefillScratch {
         Self::with_workers(rayon::current_num_threads())
     }
 
-    /// Creates a scratch with an explicit worker count. A single-state pool
-    /// forces the tile loop down the serial (thread- and allocation-free)
-    /// path regardless of prompt length.
+    /// Creates a scratch with an explicit worker count. A single-worker
+    /// scratch forces the tile loop, the GEMM row blocks and the per-token
+    /// head loop down their serial (thread- and allocation-free) paths
+    /// regardless of chunk length.
     pub fn with_workers(workers: usize) -> Self {
+        let workers = workers.max(1);
         Self {
-            pool: (0..workers.max(1))
-                .map(|_| PrefillTileScratch::default())
-                .collect(),
-            head_out: Vec::new(),
+            tiles: TileScratch {
+                pool: (0..workers)
+                    .map(|_| PrefillTileScratch::default())
+                    .collect(),
+                head_out: Vec::new(),
+            },
+            chunk: ChunkScratch::with_workers(workers),
+            attend: DecodeScratch::with_workers(workers),
         }
     }
 
     /// Number of per-worker tile states.
     pub fn workers(&self) -> usize {
-        self.pool.len()
+        self.tiles.pool.len()
     }
 
     /// Bytes of per-worker tile state once warmed for `head_dim` — the
@@ -281,6 +349,18 @@ impl Default for PrefillScratch {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// How a chunk forward attends (everything else is shared).
+enum ChunkAttention<'a> {
+    /// Empty caches: causal self-attention over the chunk's own
+    /// full-precision `(q, k, v)` — the injected kernel writes the packed
+    /// output — then one bulk append.
+    Prompt(&'a mut dyn FnMut(&Matrix, &Matrix, &Matrix, &mut Matrix)),
+    /// Any cache state: per token, in order, the decode step's attend over
+    /// the cached history merged with the token's own pair (through the
+    /// lent attention pool), then a one-row append.
+    Cached(&'a mut DecodeScratch),
 }
 
 /// Flash-style tiled causal self-attention over packed activations.
@@ -321,6 +401,33 @@ pub fn prefill_attention_tiled(
     scratch: &mut PrefillScratch,
     attn: &mut Matrix,
 ) {
+    tiled_attention(
+        q,
+        k,
+        v,
+        n_heads,
+        n_kv_heads,
+        scale,
+        alibi,
+        &mut scratch.tiles,
+        attn,
+    );
+}
+
+/// [`prefill_attention_tiled`] on the tile half of a [`PrefillScratch`], so
+/// the chunk forward can lend its activation buffers alongside.
+#[allow(clippy::too_many_arguments)]
+fn tiled_attention(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    n_heads: usize,
+    n_kv_heads: usize,
+    scale: f32,
+    alibi: Option<&[f32]>,
+    scratch: &mut TileScratch,
+    attn: &mut Matrix,
+) {
     let n = q.rows();
     assert!(n > 0, "tiled prefill attention requires at least one token");
     assert!(
@@ -355,7 +462,7 @@ pub fn prefill_attention_tiled(
     let parallel = units > 1 && PREFILL_Q_TILE * (n / 2).max(1) * hd >= PARALLEL_PREFILL_MIN_WORK;
     let pool_len = if parallel { scratch.pool.len() } else { 1 };
 
-    let PrefillScratch { pool, head_out } = scratch;
+    let TileScratch { pool, head_out } = scratch;
     let stage = &mut head_out[..staged];
     stage
         .par_chunks_mut(PREFILL_Q_TILE * hd)
@@ -625,6 +732,7 @@ impl Transformer {
     }
 
     /// Embeds a token sequence into a fresh matrix (see [`Self::embed_into`]).
+    #[cfg(test)]
     fn embed(&self, tokens: &[u32], start_pos: usize) -> Matrix {
         let mut out = Matrix::default();
         self.embed_into(tokens, start_pos, &mut out);
@@ -653,7 +761,8 @@ impl Transformer {
     ///
     /// Convenience wrapper that builds a fresh [`PrefillScratch`] per call;
     /// admission loops serving many prompts should hold one and use
-    /// [`Self::prefill_with_scratch`].
+    /// [`Self::prefill_with_scratch`] — or [`Self::prefill_chunk`], which
+    /// also skips the logits of every position but the last.
     ///
     /// # Panics
     ///
@@ -668,10 +777,9 @@ impl Transformer {
         self.prefill_with_scratch(tokens, caches, capture, &mut PrefillScratch::new())
     }
 
-    /// [`Self::prefill`] with caller-owned tile scratch: the tiled attention
-    /// kernel borrows all tile and accumulator buffers from `scratch`, so
-    /// steady-state prefill attention performs zero allocations once the
-    /// scratch is warm.
+    /// [`Self::prefill`] with caller-owned scratch: the chunk forward
+    /// borrows every activation, pack and tile buffer from `scratch`, so
+    /// only the returned logits are allocated once the scratch is warm.
     ///
     /// # Panics
     ///
@@ -683,18 +791,8 @@ impl Transformer {
         capture: Option<&mut KvCapture>,
         scratch: &mut PrefillScratch,
     ) -> Matrix {
-        if self.config.head_dim() > PREFILL_MAX_HEAD_DIM {
-            // Wider heads than the kernel's stack staging supports: the
-            // naive path is still correct, just slower.
-            return self.prefill_reference(tokens, caches, capture);
-        }
-        let n_heads = self.config.n_heads;
-        let n_kv_heads = self.config.n_kv_heads;
-        let scale = 1.0 / (self.config.head_dim() as f32).sqrt();
-        let alibi = self.alibi.as_deref();
-        self.prefill_inner(tokens, caches, capture, &mut |q, k, v, attn| {
-            prefill_attention_tiled(q, k, v, n_heads, n_kv_heads, scale, alibi, scratch, attn);
-        })
+        self.prompt_hidden(tokens, caches, capture, scratch)
+            .matmul_transposed(&self.weights.embedding)
     }
 
     /// [`Self::prefill`] through the seed's naive per-head attention path
@@ -714,82 +812,213 @@ impl Transformer {
         caches: &mut [C],
         capture: Option<&mut KvCapture>,
     ) -> Matrix {
-        let n_heads = self.config.n_heads;
-        let n_kv_heads = self.config.n_kv_heads;
-        let scale = 1.0 / (self.config.head_dim() as f32).sqrt();
-        let alibi = self.alibi.as_deref();
-        self.prefill_inner(tokens, caches, capture, &mut |q, k, v, attn| {
-            prefill_attention_reference(q, k, v, n_heads, n_kv_heads, scale, alibi, attn);
-        })
+        let mut chunk = ChunkScratch::default();
+        self.forward_chunk(
+            tokens,
+            caches,
+            capture,
+            &mut chunk,
+            ChunkAttention::Prompt(&mut self.prompt_attention(None)),
+        );
+        chunk.x.matmul_transposed(&self.weights.embedding)
     }
 
-    /// The shared prefill skeleton: everything except the attention kernel,
-    /// which is injected so the tiled path and the naive reference run the
-    /// bit-identical surrounding computation (embedding, projections, RoPE,
-    /// cache append, FFN, logits).
-    fn prefill_inner<C: KvCache>(
+    /// Feeds one chunk of known tokens at the caches' current length and
+    /// writes the logits of its **last** position into `logits` (resized in
+    /// place) — what an admission needs, without the `[chunk, vocab]` logits
+    /// of [`Self::prefill`] / [`Self::extend_into`].
+    ///
+    /// On empty caches the chunk attends to itself through the tiled kernel
+    /// and its KV reaches the caches in one bulk append, exactly as
+    /// [`Self::prefill`]; behind cached history it attends token by token
+    /// through the caches, exactly as [`Self::extend_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens` is empty, if `caches.len() != n_layers`, or if the
+    /// extended sequence would exceed `max_seq_len`.
+    pub fn prefill_chunk<C: KvCache>(
+        &self,
+        tokens: &[u32],
+        caches: &mut [C],
+        scratch: &mut PrefillScratch,
+        logits: &mut Vec<f32>,
+    ) {
+        let hidden = if caches.iter().all(|c| c.is_empty()) {
+            self.prompt_hidden(tokens, caches, None, scratch)
+        } else {
+            let PrefillScratch { chunk, attend, .. } = scratch;
+            self.forward_chunk(tokens, caches, None, chunk, ChunkAttention::Cached(attend));
+            &chunk.x
+        };
+        logits.resize(self.config.vocab_size, 0.0);
+        vec_matmul_transposed_into(
+            hidden.row(tokens.len() - 1),
+            &self.weights.embedding,
+            logits,
+        );
+    }
+
+    /// The chunk forward over empty caches with this model's production
+    /// prompt attention — the tiled kernel, or the naive reference for heads
+    /// wider than its stack staging supports (still correct, just slower).
+    /// Returns the final-normed hidden states, borrowed from the scratch.
+    fn prompt_hidden<'s, C: KvCache>(
+        &self,
+        tokens: &[u32],
+        caches: &mut [C],
+        capture: Option<&mut KvCapture>,
+        scratch: &'s mut PrefillScratch,
+    ) -> &'s Matrix {
+        let PrefillScratch { tiles, chunk, .. } = scratch;
+        let tiles = (self.config.head_dim() <= PREFILL_MAX_HEAD_DIM).then_some(tiles);
+        let mut kernel = self.prompt_attention(tiles);
+        self.forward_chunk(
+            tokens,
+            caches,
+            capture,
+            chunk,
+            ChunkAttention::Prompt(&mut kernel),
+        );
+        &chunk.x
+    }
+
+    /// Causal self-attention over a prompt chunk's own `(q, k, v)`: the
+    /// tiled kernel on `tiles`, the naive reference without.
+    fn prompt_attention<'a>(
+        &'a self,
+        mut tiles: Option<&'a mut TileScratch>,
+    ) -> impl FnMut(&Matrix, &Matrix, &Matrix, &mut Matrix) + 'a {
+        let (n_heads, n_kv_heads) = (self.config.n_heads, self.config.n_kv_heads);
+        let scale = self.attention_scale();
+        let alibi = self.alibi.as_deref();
+        move |q, k, v, attn| match tiles.as_deref_mut() {
+            Some(tiles) => {
+                tiled_attention(q, k, v, n_heads, n_kv_heads, scale, alibi, tiles, attn);
+            }
+            None => prefill_attention_reference(q, k, v, n_heads, n_kv_heads, scale, alibi, attn),
+        }
+    }
+
+    fn attention_scale(&self) -> f32 {
+        1.0 / (self.config.head_dim() as f32).sqrt()
+    }
+
+    /// The one multi-token forward: `tokens` enter at the caches' current
+    /// length and run layer-major — per layer, norm, one `[chunk, d] x W`
+    /// GEMM per projection, RoPE at the chunk's positions, attention (see
+    /// [`ChunkAttention`]), output GEMM, feed-forward GEMMs — through
+    /// buffers borrowed from `scratch`, which ends holding the final-normed
+    /// hidden states in `scratch.x`.
+    ///
+    /// Every GEMM row equals [`vec_matmul_into`] on that row bit for bit,
+    /// and the [`ChunkAttention::Cached`] arm makes, per cache, the same
+    /// attend/append calls in the same order as [`Self::decode_step_into`]
+    /// over the same tokens — so that arm is bit-identical to the one-token
+    /// path for every cache backend, whatever the chunk boundaries.
+    // analyze: no-alloc
+    fn forward_chunk<C: KvCache>(
         &self,
         tokens: &[u32],
         caches: &mut [C],
         mut capture: Option<&mut KvCapture>,
-        attention: &mut dyn FnMut(&Matrix, &Matrix, &Matrix, &mut Matrix),
-    ) -> Matrix {
+        scratch: &mut ChunkScratch,
+        mut attention: ChunkAttention<'_>,
+    ) {
         assert_eq!(
             caches.len(),
             self.config.n_layers,
             "one cache per layer required"
         );
-        assert!(!tokens.is_empty(), "prefill requires at least one token");
+        assert!(!tokens.is_empty(), "a chunk requires at least one token");
+        let start_pos = caches[0].len();
         assert!(
-            tokens.len() <= self.config.max_seq_len,
-            "prompt longer than max_seq_len"
+            start_pos + tokens.len() <= self.config.max_seq_len,
+            "sequence longer than max_seq_len"
         );
-        assert!(
-            caches.iter().all(|c| c.is_empty()),
-            "prefill requires empty caches"
-        );
-
+        if matches!(attention, ChunkAttention::Prompt(_)) {
+            assert!(
+                caches.iter().all(|c| c.is_empty()),
+                "prefill requires empty caches"
+            );
+        }
         let n = tokens.len();
         let n_heads = self.config.n_heads;
+        let n_kv_heads = self.config.n_kv_heads;
+        let kv_width = self.config.kv_width();
 
-        let mut x = self.embed(tokens, 0);
-        // One attention-output buffer reused across all layers.
-        let mut attn = Matrix::default();
+        let ChunkScratch {
+            gemm,
+            x,
+            h,
+            q,
+            k,
+            v,
+            attn,
+            proj,
+            inner,
+            k_row,
+            v_row,
+        } = scratch;
+        self.embed_into(tokens, start_pos, x);
 
         for (l, layer) in self.weights.layers.iter().enumerate() {
             // --- Attention block.
-            let mut h = x.clone();
+            h.copy_from(x);
             for r in 0..n {
                 self.norm_in_place(h.row_mut(r), &layer.attn_norm_weight, &layer.attn_norm_bias);
             }
-            let mut q = h.matmul(&layer.wq);
-            let mut k = h.matmul(&layer.wk);
-            let v = h.matmul(&layer.wv);
-            self.apply_rope_block(&mut q, n_heads, 0);
-            self.apply_rope_block(&mut k, self.config.n_kv_heads, 0);
+            h.matmul_into(&layer.wq, gemm, q);
+            h.matmul_into(&layer.wk, gemm, k);
+            h.matmul_into(&layer.wv, gemm, v);
+            self.apply_rope_block(q, n_heads, start_pos);
+            self.apply_rope_block(k, n_kv_heads, start_pos);
 
             if let Some(cap) = capture.as_deref_mut() {
-                cap.record(l, &k, &v);
+                cap.record(l, k, v);
             }
 
-            attention(&q, &k, &v, &mut attn);
-            let attn_out = attn.matmul(&layer.wo);
-            x.add_assign(&attn_out);
-
-            // Hand the full-precision KV to the (possibly lossy) cache.
-            caches[l].append(&k, &v);
+            match &mut attention {
+                ChunkAttention::Prompt(kernel) => {
+                    kernel(q, k, v, attn);
+                    // Hand the full-precision KV to the (possibly lossy)
+                    // cache only after the attention output is produced.
+                    caches[l].append(k, v);
+                }
+                ChunkAttention::Cached(attend) => {
+                    attn.resize_zeroed(n, q.cols());
+                    k_row.resize_zeroed(1, kv_width);
+                    v_row.resize_zeroed(1, kv_width);
+                    for t in 0..n {
+                        self.attend_token(
+                            &caches[l],
+                            q.row(t),
+                            k.row(t),
+                            v.row(t),
+                            start_pos + t,
+                            attend,
+                            attn.row_mut(t),
+                        );
+                        k_row.as_mut_slice().copy_from_slice(k.row(t));
+                        v_row.as_mut_slice().copy_from_slice(v.row(t));
+                        caches[l].append(k_row, v_row);
+                    }
+                }
+            }
+            attn.matmul_into(&layer.wo, gemm, proj);
+            x.add_assign(proj);
 
             // --- Feed-forward block.
-            let mut h2 = x.clone();
+            h.copy_from(x);
             for r in 0..n {
-                self.norm_in_place(h2.row_mut(r), &layer.ffn_norm_weight, &layer.ffn_norm_bias);
+                self.norm_in_place(h.row_mut(r), &layer.ffn_norm_weight, &layer.ffn_norm_bias);
             }
-            let mut inner = h2.matmul(&layer.w_in);
+            h.matmul_into(&layer.w_in, gemm, inner);
             for r in 0..n {
                 self.activate_in_place(inner.row_mut(r));
             }
-            let ffn_out = inner.matmul(&layer.w_out);
-            x.add_assign(&ffn_out);
+            inner.matmul_into(&layer.w_out, gemm, proj);
+            x.add_assign(proj);
         }
 
         for r in 0..n {
@@ -799,7 +1028,54 @@ impl Transformer {
                 &self.weights.final_norm_bias,
             );
         }
-        x.matmul_transposed(&self.weights.embedding)
+    }
+
+    /// One token's attention over one layer's cache: every query head
+    /// attends over the cached history merged with the token's own
+    /// full-precision `(k, v)` pair (Eq. 7), writing its slice of `out`.
+    ///
+    /// Heads are independent readers of the cache (`attend` takes `&self`),
+    /// so they fan out across rayon workers, one scratch per worker — but
+    /// only when each head has enough cached tokens to amortise the
+    /// scoped-thread spawns of the vendored rayon shim (~tens of µs each,
+    /// paid per layer per token); short contexts run serially on pool[0],
+    /// which the shim guarantees is thread- and allocation-free. Either path
+    /// computes the identical result. The threshold is analytical, not
+    /// measured (per-head attend work ≈ pos·M table adds plus the LUT build,
+    /// so pos·hd ≈ 2^18 puts each head in the tens-of-µs range where a spawn
+    /// pays for itself); revisit when the shim grows a persistent worker
+    /// pool (ROADMAP).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn attend_token<C: KvCache>(
+        &self,
+        cache: &C,
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        pos: usize,
+        attend: &mut DecodeScratch,
+        out: &mut [f32],
+    ) {
+        const PARALLEL_HEADS_MIN_WORK: usize = 1 << 18;
+        let hd = self.config.head_dim();
+        let group = self.config.group_size();
+        let scale = self.attention_scale();
+        let alibi = self.alibi.as_deref();
+        let parallel_heads = self.config.n_heads > 1 && pos * hd >= PARALLEL_HEADS_MIN_WORK;
+        let pool_len = if parallel_heads { attend.pool.len() } else { 1 };
+        out.par_chunks_mut(hd).enumerate().for_each_with_scratch(
+            &mut attend.pool[..pool_len],
+            |attend_scratch, (qh, out)| {
+                let kvh = qh / group;
+                let mut params = AttendParams::new(kvh, &q[qh * hd..(qh + 1) * hd], scale, pos)
+                    .with_current(&k[kvh * hd..(kvh + 1) * hd], &v[kvh * hd..(kvh + 1) * hd]);
+                if let Some(slopes) = alibi {
+                    params = params.with_alibi(slopes[qh]);
+                }
+                cache.attend(&params, attend_scratch, out);
+            },
+        );
     }
 
     /// Generates the logits for one new token, reading history through the
@@ -864,9 +1140,7 @@ impl Transformer {
         let d = self.config.d_model;
         let hd = self.config.head_dim();
         let n_heads = self.config.n_heads;
-        let group = self.config.group_size();
         let kv_width = self.config.kv_width();
-        let scale = 1.0 / (hd as f32).sqrt();
         let pos = caches[0].len();
 
         let StepScratch {
@@ -896,20 +1170,6 @@ impl Transformer {
         k_mat.resize_zeroed(1, kv_width);
         v_mat.resize_zeroed(1, kv_width);
 
-        // Fan the heads out only when each head has enough cached tokens to
-        // amortise the scoped-thread spawns of the vendored rayon shim
-        // (~tens of µs each, paid per layer per token); short contexts run
-        // serially on pool[0], which the shim guarantees is thread- and
-        // allocation-free. Either path computes the identical result —
-        // heads are independent. The threshold is analytical, not measured
-        // (per-head attend work ≈ pos·M table adds plus the LUT build, so
-        // pos·hd ≈ 2^18 puts each head in the tens-of-µs range where a
-        // spawn pays for itself); revisit when the shim grows a persistent
-        // worker pool (ROADMAP).
-        const PARALLEL_HEADS_MIN_WORK: usize = 1 << 18;
-        let parallel_heads = n_heads > 1 && pos * hd >= PARALLEL_HEADS_MIN_WORK;
-        let pool_len = if parallel_heads { attend.pool.len() } else { 1 };
-
         for (l, layer) in self.weights.layers.iter().enumerate() {
             // --- Attention block.
             h.copy_from_slice(x);
@@ -926,24 +1186,7 @@ impl Transformer {
                 }
             }
 
-            // Heads are independent readers of this layer's cache (`attend`
-            // takes `&self`), so they fan out across rayon workers, one
-            // scratch per worker.
-            let cache = &caches[l];
-            let alibi = self.alibi.as_deref();
-            let (q, k, v) = (&*q, &*k, &*v);
-            attn.par_chunks_mut(hd).enumerate().for_each_with_scratch(
-                &mut attend.pool[..pool_len],
-                |attend_scratch, (qh, out)| {
-                    let kvh = qh / group;
-                    let mut params = AttendParams::new(kvh, &q[qh * hd..(qh + 1) * hd], scale, pos)
-                        .with_current(&k[kvh * hd..(kvh + 1) * hd], &v[kvh * hd..(kvh + 1) * hd]);
-                    if let Some(slopes) = alibi {
-                        params = params.with_alibi(slopes[qh]);
-                    }
-                    cache.attend(&params, attend_scratch, out);
-                },
-            );
+            self.attend_token(&caches[l], q, k, v, pos, attend, attn);
             vec_matmul_into(attn, &layer.wo, proj);
             for (a, b) in x.iter_mut().zip(proj.iter()) {
                 *a += b;
@@ -975,71 +1218,32 @@ impl Transformer {
         logits
     }
 
-    /// Continues a sequence whose KV already lives in `caches`: feeds each of
-    /// `tokens` through the decode path (attending to the cached — possibly
-    /// quantized — history at its running position) and returns the logits of
-    /// every fed position as a `[tokens, vocab]` matrix.
+    /// Continues a sequence whose KV already lives in `caches`: feeds
+    /// `tokens` through the chunk forward, each attending to the cached —
+    /// possibly quantized — history at its running position, and returns the
+    /// logits of every fed position as a `[tokens, vocab]` matrix.
     ///
-    /// This is the cache-reuse counterpart of [`Self::prefill`]: a later
-    /// conversation turn or a teacher-forced evaluation segment extends the
-    /// existing caches instead of rebuilding them from scratch.
+    /// This is the cache-reuse counterpart of [`Self::prefill`] for a
+    /// teacher-forced evaluation segment; it is bit-identical to feeding the
+    /// tokens one at a time through [`Self::decode_step_into`] (which is
+    /// what it does to empty caches too). Attention runs through `scratch`'s
+    /// pool; the chunk's activation buffers are built per call — admission
+    /// paths hold a [`PrefillScratch`] and call [`Self::prefill_chunk`].
     ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty, if `caches.len() != n_layers`, or if the
     /// extended sequence would exceed `max_seq_len`.
-    pub fn extend<C: KvCache>(&self, tokens: &[u32], caches: &mut [C]) -> Matrix {
-        self.extend_with_scratch(tokens, caches, &mut DecodeScratch::new())
-    }
-
-    /// [`Self::extend`] with caller-owned attention scratch. Prefer
-    /// [`Self::extend_into`] with a [`StepScratch`], which also reuses the
-    /// per-layer step buffers.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::extend`].
-    pub fn extend_with_scratch<C: KvCache>(
-        &self,
-        tokens: &[u32],
-        caches: &mut [C],
-        scratch: &mut DecodeScratch,
-    ) -> Matrix {
-        let mut step = StepScratch::with_attend(std::mem::take(scratch));
-        let out = self.extend_into(tokens, caches, &mut step);
-        *scratch = step.into_attend();
-        out
-    }
-
-    /// [`Self::extend`] with caller-owned whole-step scratch, reusing every
-    /// step buffer across the fed tokens (and across calls).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::extend`].
     pub fn extend_into<C: KvCache>(
         &self,
         tokens: &[u32],
         caches: &mut [C],
         scratch: &mut StepScratch,
     ) -> Matrix {
-        assert!(!tokens.is_empty(), "extend requires at least one token");
-        assert_eq!(
-            caches.len(),
-            self.config.n_layers,
-            "one cache per layer required"
-        );
-        let start = caches.first().map_or(0, |c| c.len());
-        assert!(
-            start + tokens.len() <= self.config.max_seq_len,
-            "extended sequence longer than max_seq_len"
-        );
-        let mut out = Matrix::zeros(tokens.len(), self.config.vocab_size);
-        for (i, &token) in tokens.iter().enumerate() {
-            let logits = self.decode_step_into(token, caches, scratch);
-            out.row_mut(i).copy_from_slice(logits);
-        }
-        out
+        let mut chunk = ChunkScratch::with_workers(scratch.workers());
+        let attention = ChunkAttention::Cached(&mut scratch.attend);
+        self.forward_chunk(tokens, caches, None, &mut chunk, attention);
+        chunk.x.matmul_transposed(&self.weights.embedding)
     }
 }
 

@@ -7,7 +7,12 @@
 //!    attention, cache append, feed-forward and logits — performs zero
 //!    allocations through a warm [`StepScratch`], extending the PR 2
 //!    attend-only guarantee upward through the whole step (cache growth is
-//!    pre-reserved via [`FullPrecisionCache::reserve_tokens`]).
+//!    pre-reserved via [`FullPrecisionCache::reserve_tokens`]);
+//! 3. the chunk forward — both attention arms: tiled over empty caches, and
+//!    token by token behind cached history — performs zero allocations the
+//!    second time it sees a shape through a warm [`PrefillScratch`], as does
+//!    the GEMM under it ([`Matrix::matmul_into`] through a warm
+//!    [`GemmScratch`]).
 //!
 //! Same counting-allocator technique as `kvcache/tests/zero_alloc.rs`: a
 //! per-thread counter (const-initialised TLS, so reading it never allocates)
@@ -16,12 +21,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use million_kvcache::KvCache;
 use million_kvcache::{CacheLayout, FullPrecisionCache};
 use million_model::{
     prefill_attention_tiled, ModelConfig, PrefillScratch, StepScratch, Transformer,
 };
 use million_tensor::init::{normal_matrix, seeded_rng};
-use million_tensor::Matrix;
+use million_tensor::{GemmScratch, Matrix};
 
 struct CountingAllocator;
 
@@ -145,4 +151,70 @@ fn full_decode_step_is_allocation_free_when_scratch_is_warm() {
         "steady-state full decode step allocated {} times over 64 steps",
         after - before
     );
+}
+
+#[test]
+fn warm_matmul_into_is_allocation_free() {
+    let mut rng = seeded_rng(9);
+    // Ragged against the 4x8 tile on both axes, several row blocks deep.
+    let a = normal_matrix(&mut rng, 150, 48, 0.0, 1.0);
+    let b = normal_matrix(&mut rng, 48, 37, 0.0, 1.0);
+    let mut scratch = GemmScratch::serial();
+    let mut out = Matrix::default();
+    a.matmul_into(&b, &mut scratch, &mut out);
+
+    let before = thread_allocations();
+    for _ in 0..10 {
+        a.matmul_into(&b, &mut scratch, &mut out);
+    }
+    assert_eq!(
+        thread_allocations() - before,
+        0,
+        "warm matmul_into allocated"
+    );
+}
+
+#[test]
+fn chunk_forward_is_allocation_free_when_scratch_is_warm() {
+    let config = ModelConfig::tiny_for_tests();
+    let model = Transformer::new(config.clone(), 6);
+    let layout = CacheLayout::new(config.n_kv_heads, config.head_dim());
+    let mut caches: Vec<FullPrecisionCache> = (0..config.n_layers)
+        .map(|_| {
+            let mut cache = FullPrecisionCache::new(layout);
+            cache.reserve_tokens(128);
+            cache
+        })
+        .collect();
+    // 40 tokens: past the GEMM's pack threshold and one attention tile.
+    let chunk: Vec<u32> = (0..40u32).map(|i| (i * 7 + 3) % 100).collect();
+    let mut scratch = PrefillScratch::with_workers(1);
+    let mut logits = Vec::new();
+
+    // Tiled arm over empty caches: the first pass sizes every chunk buffer,
+    // the pack buffer, the tile arenas and the logits row.
+    model.prefill_chunk(&chunk, &mut caches, &mut scratch, &mut logits);
+    for cache in &mut caches {
+        cache.reset();
+    }
+    let before = thread_allocations();
+    model.prefill_chunk(&chunk, &mut caches, &mut scratch, &mut logits);
+    assert_eq!(
+        thread_allocations() - before,
+        0,
+        "second cold chunk forward allocated"
+    );
+
+    // Per-token arm behind the 40 cached tokens: one warm-up for the
+    // attention pool and the one-row append staging, then the same shape.
+    model.prefill_chunk(&chunk, &mut caches, &mut scratch, &mut logits);
+    let before = thread_allocations();
+    model.prefill_chunk(&chunk, &mut caches, &mut scratch, &mut logits);
+    assert_eq!(
+        thread_allocations() - before,
+        0,
+        "second chunk forward behind cached history allocated"
+    );
+    assert_eq!(caches[0].len(), 120);
+    assert_eq!(logits.len(), config.vocab_size);
 }

@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod alibi;
+pub mod gemm;
 pub mod init;
 pub mod matrix;
 pub mod online_softmax;
@@ -36,6 +37,7 @@ pub mod ops;
 pub mod rope;
 pub mod view;
 
+pub use gemm::GemmScratch;
 pub use matrix::Matrix;
 pub use online_softmax::OnlineSoftmax;
 pub use rope::Rope;

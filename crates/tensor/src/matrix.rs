@@ -4,6 +4,7 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use crate::gemm::{self, GemmScratch};
 use crate::TensorError;
 
 /// A dense, row-major matrix of `f32` values.
@@ -217,6 +218,15 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Makes `self` a copy of `other`, keeping the backing allocation whenever
+    /// its capacity suffices — the buffer-reuse counterpart of `clone`.
+    pub fn copy_from(&mut self, other: &Matrix) {
+        self.rows = other.rows;
+        self.cols = other.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&other.data);
+    }
+
     /// Returns a new matrix containing rows `range.start..range.end`.
     ///
     /// # Panics
@@ -265,6 +275,10 @@ impl Matrix {
 
     /// Dense GEMM: `self (m x k) * other (k x n) -> (m x n)`.
     ///
+    /// Allocates the result and a one-shot pack buffer; loops multiplying
+    /// many activations by the same shapes should hold a [`GemmScratch`] and
+    /// use [`Matrix::matmul_into`].
+    ///
     /// # Panics
     ///
     /// Panics if the inner dimensions do not agree. Use [`Matrix::try_matmul`]
@@ -286,27 +300,22 @@ impl Matrix {
                 rhs: other.shape(),
             });
         }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let k = self.cols;
-        let n = other.cols;
-        let compute_row = |(r, out_row): (usize, &mut [f32])| {
-            let a_row = &self.data[r * k..(r + 1) * k];
-            for (ki, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[ki * n..(ki + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        };
-        if self.rows * other.cols * k >= PAR_THRESHOLD * 8 {
-            out.data.par_chunks_mut(n).enumerate().for_each(compute_row);
-        } else {
-            out.data.chunks_mut(n).enumerate().for_each(compute_row);
-        }
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut GemmScratch::new(), &mut out);
         Ok(out)
+    }
+
+    /// Dense GEMM into a caller-owned result, packing `other` into a
+    /// caller-owned [`GemmScratch`]: allocation-free once both have grown to
+    /// the shapes in use. Every output entry folds `self[i][k] * other[k][j]`
+    /// for `k = 0..K` in order, so each row of the result is bit-identical to
+    /// [`crate::ops::vec_matmul_into`] on that row (see [`crate::gemm`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != other.rows`.
+    pub fn matmul_into(&self, other: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
+        gemm::gemm_into(self, other, scratch, out);
     }
 
     /// GEMM with the right-hand side transposed: `self (m x k) * other^T` where
@@ -507,6 +516,16 @@ mod tests {
         m.resize_zeroed(4, 4);
         assert_eq!(m.shape(), (4, 4));
         assert!(m.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn copy_from_reuses_capacity() {
+        let src = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
+        let mut dst = Matrix::from_fn(4, 4, |_, _| 7.0);
+        let ptr = dst.as_slice().as_ptr();
+        dst.copy_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.as_slice().as_ptr(), ptr);
     }
 
     #[test]
