@@ -200,6 +200,13 @@ pub enum SubmitError {
         /// The model's context window.
         max_seq_len: usize,
     },
+    /// The prompt holds a token id the model has no embedding for.
+    TokenOutOfVocab {
+        /// The first offending token id.
+        token: u32,
+        /// The model's vocabulary size.
+        vocab_size: usize,
+    },
     /// The engine is draining ([`ServingEngine::drain`]): admission is
     /// permanently closed on this instance.
     Draining,
@@ -215,6 +222,10 @@ impl std::fmt::Display for SubmitError {
             SubmitError::PromptTooLong { len, max_seq_len } => write!(
                 f,
                 "prompt of {len} tokens cannot fit the {max_seq_len}-token context window"
+            ),
+            SubmitError::TokenOutOfVocab { token, vocab_size } => write!(
+                f,
+                "prompt token {token} is outside the {vocab_size}-token vocabulary"
             ),
             SubmitError::Draining => write!(f, "engine is draining; admission is closed"),
         }
@@ -880,9 +891,10 @@ impl<'e> ServingEngine<'e> {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::EmptyPrompt`] / [`SubmitError::PromptTooLong`] for
-    /// unservable prompts, [`SubmitError::QueueFull`] when the pending queue
-    /// is at capacity — the backpressure signal.
+    /// [`SubmitError::EmptyPrompt`] / [`SubmitError::PromptTooLong`] /
+    /// [`SubmitError::TokenOutOfVocab`] for unservable prompts,
+    /// [`SubmitError::QueueFull`] when the pending queue is at capacity —
+    /// the backpressure signal.
     pub fn submit(&mut self, request: Request) -> Result<RequestHandle, SubmitError> {
         if self.draining {
             return Err(SubmitError::Draining);
@@ -890,12 +902,18 @@ impl<'e> ServingEngine<'e> {
         if request.prompt.is_empty() {
             return Err(SubmitError::EmptyPrompt);
         }
-        let max_seq_len = self.engine.model().config().max_seq_len;
+        let config = self.engine.model().config();
+        let (max_seq_len, vocab_size) = (config.max_seq_len, config.vocab_size);
         if request.prompt.len() >= max_seq_len {
             return Err(SubmitError::PromptTooLong {
                 len: request.prompt.len(),
                 max_seq_len,
             });
+        }
+        // The model panics on an id it has no embedding row for; inside a
+        // serve round that would take every resident down with it.
+        if let Some(&token) = request.prompt.iter().find(|&&t| t as usize >= vocab_size) {
+            return Err(SubmitError::TokenOutOfVocab { token, vocab_size });
         }
         // Injected backpressure fires before the real capacity check so a
         // chaos plan can exercise the 429 path on an otherwise idle queue.
@@ -1714,6 +1732,7 @@ impl<'e> ServingEngine<'e> {
     /// batch, after [`ServingEngine::accrue_deficits`] and the round's
     /// prefill chunks.
     fn decode_pass(&mut self, quantum: u32) -> Vec<(RequestId, StepResult)> {
+        let max_seq_len = self.engine.model().config().max_seq_len;
         let mut produced = Vec::new();
         loop {
             let mut progressed = false;
@@ -1766,7 +1785,11 @@ impl<'e> ServingEngine<'e> {
                     step.matched_stop = true;
                     slot.stopped_early = true;
                     slot.done = true;
-                } else if slot.tokens.len() >= slot.options.max_new_tokens {
+                } else if slot.tokens.len() >= slot.options.max_new_tokens
+                    || slot.session.cached_tokens() >= max_seq_len
+                {
+                    // Out of budget, or out of context window: the next
+                    // step would feed a position the model has none for.
                     slot.done = true;
                 }
                 if slot.done {
@@ -1922,6 +1945,60 @@ mod tests {
         assert_eq!(err, SubmitError::QueueFull { capacity: 2 });
         assert_eq!(serving.stats().rejected, 1);
         assert!(err.to_string().contains("full"));
+    }
+
+    #[test]
+    fn submit_rejects_tokens_outside_the_vocabulary() {
+        let engine = engine(false, 0);
+        let mut serving = ServingEngine::new(&engine, ServingConfig::default());
+        let vocab_size = engine.model().config().vocab_size;
+        let request = |prompt: Vec<u32>| Request::new(prompt, GenerationOptions::max_tokens(2));
+        let err = serving
+            .submit(request(vec![3, vocab_size as u32, 999_999]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SubmitError::TokenOutOfVocab {
+                token: vocab_size as u32,
+                vocab_size
+            }
+        );
+        assert!(err.to_string().contains(&vocab_size.to_string()), "{err}");
+        // Nothing about the engine changed, and the last id the model does
+        // have is served.
+        let handle = serving
+            .submit(request(vec![vocab_size as u32 - 1]))
+            .expect("queued");
+        serving.run_until_idle();
+        assert_eq!(handle.report().expect("request finished").tokens.len(), 2);
+    }
+
+    #[test]
+    fn generation_ends_at_the_context_window() {
+        let engine = engine(false, 5);
+        let config = engine.model().config();
+        let window = config.max_seq_len;
+        let prompt: Vec<u32> = (0..window - 6)
+            .map(|i| ((i * 7 + 3) % config.vocab_size) as u32)
+            .collect();
+        let mut serving = ServingEngine::new(&engine, ServingConfig::default());
+        let handle = serving
+            .submit(Request::new(
+                prompt.clone(),
+                GenerationOptions::max_tokens(64),
+            ))
+            .expect("queued");
+        serving.run_until_idle();
+        let report = handle.report().expect("request finished");
+        // Every position of the window was fed exactly once; the token
+        // sampled from the last one is returned but never fed.
+        assert_eq!(report.tokens.len(), window - prompt.len() + 1);
+        assert_eq!(serving.stats().completed, 1);
+        let mut session = engine.session();
+        session.prefill(&prompt);
+        let serial = session.generate(&GenerationOptions::max_tokens(report.tokens.len()));
+        assert_eq!(report.tokens, serial.tokens);
+        assert_eq!(session.cached_tokens(), window);
     }
 
     #[test]

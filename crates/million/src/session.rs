@@ -13,8 +13,8 @@
 //!   from the asynchronous quantization stream before attention and shipping
 //!   newly staged tokens after it, and reports per-step telemetry;
 //! * [`InferenceSession::append_prompt`] continues a conversation: the new
-//!   user turn is fed through the decode path, attending to the
-//!   *already-quantized* history — nothing is re-prefetched or re-encoded;
+//!   user turn is fed behind the cached history, attending to the
+//!   *already-quantized* tokens — nothing is re-prefetched or re-encoded;
 //! * [`InferenceSession::stream`] yields tokens lazily until a
 //!   [`StopCriteria`] fires.
 //!
@@ -137,18 +137,18 @@ pub struct InferenceSession<'e> {
     engine: &'e MillionEngine,
     pub(crate) id: usize,
     pub(crate) caches: Vec<PqKvCache>,
-    /// Whole-step scratch (attention pool plus every per-layer projection,
-    /// embedding and logits buffer), reused across every decode step (and
-    /// every turn) of this session — the steady-state decode step never
-    /// allocates. Scratch carries no results between calls, so N sessions
-    /// interleaved by a scheduler stay token-for-token identical to serial
-    /// execution.
+    /// The forward's working memory (attention pool plus every per-layer
+    /// activation buffer), resident for the one-token feeds: reused across
+    /// every decode step (and every turn) of this session, so the
+    /// steady-state decode step never allocates. Scratch carries no results
+    /// between calls, so N sessions interleaved by a scheduler stay
+    /// token-for-token identical to serial execution.
     scratch: StepScratch,
     stream: QuantStream,
     /// Per-layer tokens currently in flight to the worker (one batch per
     /// layer keeps ordering trivial, as in the paper's single stream).
     sent: Vec<usize>,
-    /// Logits predicting the next position, refreshed by every feed.
+    /// Logits predicting the next position, written by every feed.
     pub(crate) cur_logits: Option<Vec<f32>>,
     /// Sampled but not yet fed back through the model.
     pub(crate) pending: Option<u32>,
@@ -445,15 +445,15 @@ impl<'e> InferenceSession<'e> {
     }
 
     /// Feeds one chunk of the opening prompt after [`Self::prefill_begin`].
-    /// Every chunk runs the model's one chunk forward (dense stages as whole-
-    /// chunk GEMMs); only attention differs. The first chunk of a cold
-    /// admission attends to itself through the tiled prefill kernel and its
-    /// KV is encoded synchronously; every later chunk (and the unmatched
-    /// suffix of a warm admission) attends token by token through the caches,
-    /// the same extend path as [`Self::append_prompt`], which is pinned
-    /// bit-identical to feeding the tokens one decode step at a time. Chunk
-    /// boundaries are therefore scheduling artefacts only — the token stream
-    /// a session produces does not depend on them.
+    /// Every chunk runs the model's one forward (dense stages as whole-chunk
+    /// GEMMs); only attention differs. The first chunk of a cold admission
+    /// attends to itself through the tiled prefill kernel and its KV is
+    /// encoded synchronously; every later chunk (and the unmatched suffix of
+    /// a warm admission) attends token by token through the caches, exactly
+    /// as [`Self::append_prompt`] and [`Self::step`] do, which is pinned
+    /// bit-identical to feeding the tokens one at a time. Chunk boundaries
+    /// are therefore scheduling artefacts only — the token stream a session
+    /// produces does not depend on them.
     ///
     /// # Panics
     ///
@@ -464,18 +464,7 @@ impl<'e> InferenceSession<'e> {
             "prefill_chunk requires at least one token"
         );
         let chunk_start = std::time::Instant::now();
-        if self.cached_tokens() == 0 {
-            self.forward_chunk(tokens);
-            // In the asynchronous configuration the caches do not auto-encode,
-            // so the chunk's KV is encoded here, on the spot — prompt encoding
-            // is part of prefill in the paper, only *decode-time* encoding is
-            // off the critical path.
-            self.encode_dense_now();
-            self.history.extend_from_slice(tokens);
-            self.maybe_seal();
-        } else {
-            self.extend_prompt(tokens);
-        }
+        self.feed(tokens);
         self.prompt_tokens += tokens.len();
         self.prefill_admitted += tokens.len();
         self.prefill_chunks += 1;
@@ -504,9 +493,18 @@ impl<'e> InferenceSession<'e> {
         // The previously sampled token is part of the history the new turn
         // attends to; its KV enters the cache here.
         if let Some(tok) = self.pending.take() {
-            self.feed(tok);
+            self.feed(&[tok]);
         }
-        self.feed_chunk(tokens);
+        // With a quantization stream the turn goes in token by token, so
+        // worker traffic interleaves as it does while decoding; without one
+        // there is nothing to interleave and the turn is one chunk.
+        let stride = match self.stream {
+            QuantStream::Sync => tokens.len(),
+            _ => 1,
+        };
+        for chunk in tokens.chunks(stride) {
+            self.feed(chunk);
+        }
         self.prompt_tokens += tokens.len();
     }
 
@@ -530,11 +528,12 @@ impl<'e> InferenceSession<'e> {
     ///
     /// # Panics
     ///
-    /// Panics if the session has not been prefilled.
+    /// Panics if the session has not been prefilled, or if feeding the
+    /// previously sampled token would run past the model's context window.
     pub fn step_with(&mut self, sampler: &mut Sampler) -> StepResult {
         let step_start = std::time::Instant::now();
         if let Some(tok) = self.pending.take() {
-            self.feed(tok);
+            self.feed(&[tok]);
         }
         let logits = self
             .cur_logits
@@ -651,12 +650,25 @@ impl<'e> InferenceSession<'e> {
         }
     }
 
-    /// Feeds one token through the model: absorb finished blocks, decode
-    /// (through the session's whole-step scratch, so the steady state
-    /// allocates nothing), ship newly staged tokens, seal any newly
-    /// completed block into the store. The logits for the next position land
-    /// in `cur_logits`, whose buffer is reused across steps.
-    fn feed(&mut self, token: u32) {
+    /// The one way tokens enter the caches: absorb finished encode blocks,
+    /// run `tokens` through the model's forward at the caches' current
+    /// length — the logits of the last position land in `cur_logits`, whose
+    /// buffer is reused — extend `history`, hand the newly staged KV to the
+    /// quantization stream, seal any newly completed block into the store.
+    ///
+    /// A decode step is a chunk of one through the session's resident
+    /// scratch, so the steady state allocates nothing. A longer chunk builds
+    /// and drops its own: its activation buffers (~6 MB at 512 tokens of a
+    /// `*-7b-sim` model) would otherwise sit in resident memory between
+    /// chunks — per session — while re-growing them costs under 1 % of a
+    /// 100 ms-scale chunk (measured in `docs/PERF.md`).
+    ///
+    /// The opening chunk of a cold admission differs in one step: prompt
+    /// encoding is part of prefill in the paper (only *decode-time* encoding
+    /// is off the critical path), so its KV is encoded here, on the spot,
+    /// instead of being shipped.
+    fn feed(&mut self, tokens: &[u32]) {
+        let cold = self.cached_tokens() == 0;
         let results = match &mut self.stream {
             QuantStream::Owned(worker) => worker.try_drain(),
             _ => Vec::new(), // analyze: allow(no-alloc) — empty Vec::new never touches the allocator
@@ -664,57 +676,22 @@ impl<'e> InferenceSession<'e> {
         for result in results {
             self.absorb(result);
         }
-        let logits =
+        {
+            // A chunk's own scratch is gone before the encode below allocates.
+            let mut own = (tokens.len() > 1).then(PrefillScratch::new);
+            let scratch = own.as_mut().unwrap_or(&mut self.scratch);
+            let logits = self.cur_logits.get_or_insert_with(Vec::new);
             self.engine
                 .model()
-                .decode_step_into(token, &mut self.caches, &mut self.scratch);
-        let cur = self.cur_logits.get_or_insert_with(Vec::new);
-        cur.clear();
-        cur.extend_from_slice(logits);
-        self.history.push(token);
-        self.ship_staged();
-        self.maybe_seal();
-    }
-
-    /// Feeds a chunk of known tokens (a later conversation turn), leaving
-    /// the last position's logits in `cur_logits`.
-    fn feed_chunk(&mut self, tokens: &[u32]) {
-        if matches!(self.stream, QuantStream::Sync) {
-            // No worker traffic to interleave: extend the caches in one call.
-            self.extend_prompt(tokens);
-            return;
+                .prefill_chunk(tokens, &mut self.caches, scratch, logits);
         }
-        for &tok in tokens {
-            self.feed(tok);
-        }
-    }
-
-    /// Teacher-forces a chunk of known prompt tokens over the cached history
-    /// in one chunk forward, then ships everything it staged to the
-    /// quantization stream at once. Used when nothing is in flight
-    /// (synchronous configurations, and later chunks or the unmatched suffix
-    /// at admission — where the per-token absorb/ship interleaving of
-    /// [`Self::feed`] would only add channel traffic).
-    fn extend_prompt(&mut self, tokens: &[u32]) {
-        self.forward_chunk(tokens);
         self.history.extend_from_slice(tokens);
-        self.ship_staged();
+        if cold {
+            self.encode_dense_now();
+        } else {
+            self.ship_staged();
+        }
         self.maybe_seal();
-    }
-
-    /// Runs one chunk through the model at the caches' current length,
-    /// leaving the logits of its last position in the reusable `cur_logits`
-    /// buffer. The chunk's activation buffers (~6 MB at 512 tokens of a
-    /// `*-7b-sim` model) live for this call only: a chunk is a 100 ms-scale
-    /// event, so re-growing them costs under 1 % of it, while holding them —
-    /// per session, or even once per engine — would sit in resident memory
-    /// between chunks (measured in `docs/PERF.md`).
-    fn forward_chunk(&mut self, tokens: &[u32]) {
-        let mut scratch = PrefillScratch::new();
-        let logits = self.cur_logits.get_or_insert_with(Vec::new);
-        self.engine
-            .model()
-            .prefill_chunk(tokens, &mut self.caches, &mut scratch, logits);
     }
 
     /// Seals every completed block of quantized history into the engine's

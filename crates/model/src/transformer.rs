@@ -1,39 +1,47 @@
 //! Decoder-only transformer with pluggable KV-cache backends.
 //!
-//! The forward pass mirrors the structure in Fig. 1 of the paper, with two
-//! entry shapes:
+//! The forward pass mirrors the structure in Fig. 1 of the paper, and there
+//! is **one** of it: [`Transformer`]'s chunk forward is the only code that
+//! walks the layer stack. `tokens` enter at the caches' current length and
+//! run layer-major — per layer, norm → one `[chunk, d] x W` product per
+//! projection → RoPE at the chunk's positions → attention → output product →
+//! feed-forward products — with every buffer borrowed from a
+//! [`ForwardScratch`]. A decoded token is a chunk of one: below sixteen rows
+//! the product is the row kernel, which at one row is
+//! [`million_tensor::ops::vec_matmul_into`] line for line.
 //!
-//! * **one chunk forward** for every multi-token pass — a cold prompt (or
-//!   its first chunk), a later chunk of a chunked admission, the unmatched
-//!   suffix after an attached prefix, a later conversation turn. It is
-//!   layer-major: per layer, norm → one `[chunk, d] x W` GEMM per
-//!   projection → RoPE at the chunk's start position → attention → output
-//!   GEMM → feed-forward GEMMs, every buffer borrowed from a
-//!   [`PrefillScratch`]. Only the attention step differs by where the chunk
-//!   sits. On empty caches it is causal self-attention at full precision —
+//! Only attention differs by where the chunk sits — **two arms**:
+//!
+//! * **prompt** — on empty caches, causal self-attention at full precision:
 //!   the flash-style tiled kernel ([`prefill_attention_tiled`]: per (head,
 //!   query-tile) work unit it walks key/value tiles with an online softmax,
 //!   fusing scale, ALiBi and the causal mask into the tile loop, so no
-//!   `n x n` score matrix is ever materialised) — and the (possibly lossy)
-//!   cache backends see the chunk's KV in one bulk append *afterwards*,
-//!   step ③/④ of Fig. 4. Behind cached history it is, token by token in
-//!   order, exactly the attend-then-append pair the decode step makes, so
-//!   every cache backend sees the same call sequence and the chunk is
-//!   bit-identical to feeding its tokens one at a time. The seed's naive
-//!   attention is kept as [`Transformer::prefill_reference`] for
-//!   equivalence tests and benchmarks;
-//! * **decode** produces one token at a time; attention over the history goes
-//!   through the cache backend ([`million_kvcache::KvCache::attend`]) while
-//!   the current token's key/value is merged at full precision (Eq. 7). With
-//!   a caller-owned [`StepScratch`] the *entire* step — embedding,
-//!   projections, attention, cache append, feed-forward and logits — reuses
-//!   buffers and performs no steady-state allocations.
+//!   `n x n` score matrix is ever materialised). The (possibly lossy) cache
+//!   backends see the chunk's KV in one bulk append *afterwards*, step ③/④
+//!   of Fig. 4. The seed's naive attention is kept as
+//!   [`Transformer::prefill_reference`] for equivalence tests and
+//!   benchmarks;
+//! * **cached** — behind any cache state, token by token in order: every
+//!   query head attends over the cached history through the backend
+//!   ([`million_kvcache::KvCache::attend`]) merged with the token's own
+//!   full-precision pair (Eq. 7), then the pair is appended. Every backend
+//!   sees the same call sequence whatever the chunk boundaries, so a chunk
+//!   is bit-identical to feeding its tokens one at a time.
+//!
+//! The entry points differ in the arm they pick and in the **three shapes**
+//! the final hidden states leave in: logits of every position
+//! ([`Transformer::prefill`] and its variants on the prompt arm,
+//! [`Transformer::extend_into`] on the cached arm), the last position's
+//! logits into a caller's buffer ([`Transformer::prefill_chunk`], either
+//! arm — what an admission needs), and the one fed position's logits
+//! borrowed from the scratch ([`Transformer::decode_step_into`], cached arm
+//! — the decode loop, which performs no steady-state allocations).
 
 use million_kvcache::{AttendParams, AttendScratch, CacheLayout, KvCache};
 use million_tensor::alibi::alibi_slopes;
 use million_tensor::ops::{
     apply_causal_mask, dot_wide, gelu_in_place, layer_norm, rms_norm, silu_in_place,
-    softmax_in_place, vec_matmul_into, vec_matmul_transposed_into,
+    softmax_in_place, vec_matmul_transposed_into,
 };
 use million_tensor::{GemmScratch, Matrix, OnlineSoftmax, Rope, StridedRows};
 use rayon::prelude::*;
@@ -80,136 +88,6 @@ fn balanced_tile(slot: usize, tiles: usize) -> usize {
         slot / 2
     } else {
         tiles - 1 - slot / 2
-    }
-}
-
-/// Per-decode attention working memory: one [`AttendScratch`] per parallel
-/// attention worker, reused across decode steps so the steady-state attention
-/// path allocates nothing.
-///
-/// Owned by whoever drives a decode loop — an inference session keeps one
-/// alive (inside its [`StepScratch`]) for its whole lifetime; the pool is
-/// partitioned among rayon workers during the per-head parallel loop.
-#[derive(Debug)]
-pub struct DecodeScratch {
-    pool: Vec<AttendScratch>,
-}
-
-impl DecodeScratch {
-    /// Creates a pool with one scratch per rayon worker.
-    pub fn new() -> Self {
-        // analyze: allow(determinism) — sizes the scratch pool only; per-head accumulation order is fixed and the equivalence suite pins bit-identity across worker counts
-        Self::with_workers(rayon::current_num_threads())
-    }
-
-    /// Creates a pool with an explicit worker count. A single-state pool
-    /// forces the decode head loop down the serial (thread-free,
-    /// allocation-free) path regardless of context length — useful as a
-    /// reference when testing the parallel path, or to cap a session's
-    /// decode parallelism.
-    pub fn with_workers(workers: usize) -> Self {
-        Self {
-            pool: (0..workers.max(1)).map(|_| AttendScratch::new()).collect(),
-        }
-    }
-
-    /// Number of per-worker scratch states.
-    pub fn workers(&self) -> usize {
-        self.pool.len()
-    }
-}
-
-impl Default for DecodeScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Whole-decode-step working memory: the attention scratch pool plus every
-/// per-layer buffer the step needs — embedding row, normed hidden state,
-/// q/k/v projections, attention output, projection/FFN temporaries and the
-/// logits row.
-///
-/// The attend-only scratch pattern extended upward through the full step:
-/// [`Transformer::decode_step_into`] borrows every buffer from here, so a
-/// warm steady-state decode step performs **no** heap allocations at all
-/// (`crates/model/tests/zero_alloc_step.rs` proves it with a counting
-/// allocator).
-#[derive(Debug)]
-pub struct StepScratch {
-    attend: DecodeScratch,
-    /// Embedded input row, carried through the residual stream.
-    x: Matrix,
-    /// Normed copy of the residual stream (attention and FFN norm input).
-    h: Vec<f32>,
-    /// Query projection (`n_heads * head_dim`).
-    q: Vec<f32>,
-    /// Key projection (`n_kv_heads * head_dim`).
-    k: Vec<f32>,
-    /// Value projection (`n_kv_heads * head_dim`).
-    v: Vec<f32>,
-    /// Per-head attention output (`d_model`).
-    attn: Vec<f32>,
-    /// Output of the attention/FFN down projections (`d_model`).
-    proj: Vec<f32>,
-    /// FFN inner activation (`d_ff`).
-    inner: Vec<f32>,
-    /// 1-row matrices handed to [`KvCache::append`].
-    k_mat: Matrix,
-    v_mat: Matrix,
-    /// Logits of the fed position (`vocab_size`).
-    logits: Vec<f32>,
-}
-
-impl StepScratch {
-    /// Creates a scratch whose attention pool has one state per rayon worker.
-    pub fn new() -> Self {
-        Self::with_attend(DecodeScratch::new())
-    }
-
-    /// Creates a scratch with an explicit attention worker count (see
-    /// [`DecodeScratch::with_workers`]).
-    pub fn with_workers(workers: usize) -> Self {
-        Self::with_attend(DecodeScratch::with_workers(workers))
-    }
-
-    /// Wraps an existing attention scratch pool.
-    pub fn with_attend(attend: DecodeScratch) -> Self {
-        Self {
-            attend,
-            x: Matrix::default(),
-            h: Vec::new(),
-            q: Vec::new(),
-            k: Vec::new(),
-            v: Vec::new(),
-            attn: Vec::new(),
-            proj: Vec::new(),
-            inner: Vec::new(),
-            k_mat: Matrix::default(),
-            v_mat: Matrix::default(),
-            logits: Vec::new(),
-        }
-    }
-
-    /// Releases the attention scratch pool, dropping the step buffers.
-    pub fn into_attend(self) -> DecodeScratch {
-        self.attend
-    }
-
-    /// Number of per-worker attention scratch states.
-    pub fn workers(&self) -> usize {
-        self.attend.workers()
-    }
-
-    /// Logits written by the most recent [`Transformer::decode_step_into`].
-    pub fn logits(&self) -> &[f32] {
-        &self.logits
-    }
-}
-
-impl Default for StepScratch {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -275,49 +153,54 @@ struct ChunkScratch {
     v_row: Matrix,
 }
 
-impl ChunkScratch {
-    /// Empty buffers; a single worker keeps the GEMM row blocks on the
-    /// calling thread.
-    fn with_workers(workers: usize) -> Self {
-        let gemm = if workers <= 1 {
-            GemmScratch::serial()
-        } else {
-            GemmScratch::new()
-        };
-        Self {
-            gemm,
-            ..Self::default()
-        }
-    }
-}
-
-/// Working memory of the chunk forward ([`Transformer::prefill_chunk`] and
-/// the `prefill*` / `extend_into` wrappers over it): the chunk's activation
-/// buffers, the GEMM pack buffer, the tiled attention kernel's per-worker
-/// tile states and staging, and a decode attention pool for chunks behind
-/// cached history. All buffers grow to the largest geometry seen and are
+/// Working memory of the forward, whichever entry point drives it: the
+/// chunk's activation buffers and GEMM pack buffer, the tiled prompt
+/// kernel's per-worker tile states and staging, one [`AttendScratch`] per
+/// parallel attention worker for tokens that attend through the caches, and
+/// the logits row of [`Transformer::decode_step_into`].
+///
+/// Every part grows lazily to the largest geometry it has seen and is then
 /// reused across layers and calls, so a second forward of a shape already
-/// seen performs zero allocations.
+/// seen performs **zero** heap allocations
+/// (`crates/model/tests/zero_alloc_step.rs` proves it with a counting
+/// allocator) — and a decode loop's copy stays one row tall and never
+/// touches the tile pool or the pack buffer. It carries no results between
+/// calls. Whoever drives a loop owns one: an inference session keeps one
+/// alive for its decode steps, an admission builds one per chunk.
 #[derive(Debug)]
-pub struct PrefillScratch {
+pub struct ForwardScratch {
     tiles: TileScratch,
     chunk: ChunkScratch,
-    attend: DecodeScratch,
+    attend: Vec<AttendScratch>,
+    logits: Vec<f32>,
 }
 
-impl PrefillScratch {
-    /// Creates a scratch with one tile state per rayon worker.
+/// The [`ForwardScratch`] a decode loop holds.
+pub type StepScratch = ForwardScratch;
+
+/// The [`ForwardScratch`] a prompt admission holds.
+pub type PrefillScratch = ForwardScratch;
+
+impl ForwardScratch {
+    /// Creates a scratch with one tile state and one attention state per
+    /// rayon worker.
     pub fn new() -> Self {
-        // analyze: allow(determinism) — sizes the tile-state pool only; tile partitioning does not change float accumulation order (pinned by the prefill equivalence tests)
+        // analyze: allow(determinism) — sizes the per-worker pools only; neither tile partitioning nor the per-head fan-out changes float accumulation order (pinned across worker counts by the equivalence suites)
         Self::with_workers(rayon::current_num_threads())
     }
 
     /// Creates a scratch with an explicit worker count. A single-worker
     /// scratch forces the tile loop, the GEMM row blocks and the per-token
     /// head loop down their serial (thread- and allocation-free) paths
-    /// regardless of chunk length.
+    /// regardless of chunk or context length — the reference when testing
+    /// the parallel paths, or a cap on a session's parallelism.
     pub fn with_workers(workers: usize) -> Self {
         let workers = workers.max(1);
+        let gemm = if workers == 1 {
+            GemmScratch::serial()
+        } else {
+            GemmScratch::new()
+        };
         Self {
             tiles: TileScratch {
                 pool: (0..workers)
@@ -325,14 +208,23 @@ impl PrefillScratch {
                     .collect(),
                 head_out: Vec::new(),
             },
-            chunk: ChunkScratch::with_workers(workers),
-            attend: DecodeScratch::with_workers(workers),
+            chunk: ChunkScratch {
+                gemm,
+                ..ChunkScratch::default()
+            },
+            attend: (0..workers).map(|_| AttendScratch::new()).collect(),
+            logits: Vec::new(),
         }
     }
 
-    /// Number of per-worker tile states.
+    /// Number of per-worker tile (and attention) states.
     pub fn workers(&self) -> usize {
         self.tiles.pool.len()
+    }
+
+    /// Logits written by the most recent [`Transformer::decode_step_into`].
+    pub fn logits(&self) -> &[f32] {
+        &self.logits
     }
 
     /// Bytes of per-worker tile state once warmed for `head_dim` — the
@@ -345,7 +237,7 @@ impl PrefillScratch {
     }
 }
 
-impl Default for PrefillScratch {
+impl Default for ForwardScratch {
     fn default() -> Self {
         Self::new()
     }
@@ -357,10 +249,10 @@ enum ChunkAttention<'a> {
     /// full-precision `(q, k, v)` — the injected kernel writes the packed
     /// output — then one bulk append.
     Prompt(&'a mut dyn FnMut(&Matrix, &Matrix, &Matrix, &mut Matrix)),
-    /// Any cache state: per token, in order, the decode step's attend over
-    /// the cached history merged with the token's own pair (through the
-    /// lent attention pool), then a one-row append.
-    Cached(&'a mut DecodeScratch),
+    /// Any cache state: per token, in order, every head attends over the
+    /// cached history merged with the token's own pair (through the lent
+    /// attention pool), then a one-row append.
+    Cached(&'a mut [AttendScratch]),
 }
 
 /// Flash-style tiled causal self-attention over packed activations.
@@ -414,7 +306,7 @@ pub fn prefill_attention_tiled(
     );
 }
 
-/// [`prefill_attention_tiled`] on the tile half of a [`PrefillScratch`], so
+/// [`prefill_attention_tiled`] on the tile part of a [`ForwardScratch`], so
 /// the chunk forward can lend its activation buffers alongside.
 #[allow(clippy::too_many_arguments)]
 fn tiled_attention(
@@ -791,6 +683,7 @@ impl Transformer {
         capture: Option<&mut KvCapture>,
         scratch: &mut PrefillScratch,
     ) -> Matrix {
+        self.assert_within_window(tokens.len(), caches);
         self.prompt_hidden(tokens, caches, capture, scratch)
             .matmul_transposed(&self.weights.embedding)
     }
@@ -812,6 +705,7 @@ impl Transformer {
         caches: &mut [C],
         capture: Option<&mut KvCapture>,
     ) -> Matrix {
+        self.assert_within_window(tokens.len(), caches);
         let mut chunk = ChunkScratch::default();
         self.forward_chunk(
             tokens,
@@ -828,10 +722,14 @@ impl Transformer {
     /// place) — what an admission needs, without the `[chunk, vocab]` logits
     /// of [`Self::prefill`] / [`Self::extend_into`].
     ///
-    /// On empty caches the chunk attends to itself through the tiled kernel
-    /// and its KV reaches the caches in one bulk append, exactly as
-    /// [`Self::prefill`]; behind cached history it attends token by token
-    /// through the caches, exactly as [`Self::extend_into`].
+    /// On empty caches the chunk takes the prompt arm — it attends to itself
+    /// through the tiled kernel and its KV reaches the caches in one bulk
+    /// append, exactly as [`Self::prefill`]; behind cached history it takes
+    /// the cached arm, exactly as [`Self::extend_into`]. That is the one seam
+    /// between this and [`Self::decode_step_into`], which takes the cached
+    /// arm on empty caches too: a *single* token fed to empty caches attends
+    /// to nothing but itself either way, and the two agree bit for bit
+    /// (pinned in `crates/model/tests/extend_equivalence.rs`).
     ///
     /// # Panics
     ///
@@ -844,19 +742,31 @@ impl Transformer {
         scratch: &mut PrefillScratch,
         logits: &mut Vec<f32>,
     ) {
+        self.assert_within_window(tokens.len(), caches);
         let hidden = if caches.iter().all(|c| c.is_empty()) {
             self.prompt_hidden(tokens, caches, None, scratch)
         } else {
-            let PrefillScratch { chunk, attend, .. } = scratch;
-            self.forward_chunk(tokens, caches, None, chunk, ChunkAttention::Cached(attend));
-            &chunk.x
+            self.cached_hidden(tokens, caches, scratch)
         };
-        logits.resize(self.config.vocab_size, 0.0);
-        vec_matmul_transposed_into(
-            hidden.row(tokens.len() - 1),
-            &self.weights.embedding,
-            logits,
+        self.logits_into(hidden.row(tokens.len() - 1), logits);
+    }
+
+    /// The context-window contract of the multi-token entry points. The
+    /// one-token step deliberately has none: positions past the window
+    /// clamp (learned embeddings) or extrapolate (RoPE, ALiBi), which the
+    /// long-context probes rely on.
+    fn assert_within_window<C: KvCache>(&self, n: usize, caches: &[C]) {
+        let cached = caches.first().map_or(0, |c| c.len());
+        assert!(
+            cached + n <= self.config.max_seq_len,
+            "sequence longer than max_seq_len"
         );
+    }
+
+    /// Logits of one final-normed hidden row over the tied embedding.
+    fn logits_into(&self, hidden: &[f32], logits: &mut Vec<f32>) {
+        logits.resize(self.config.vocab_size, 0.0);
+        vec_matmul_transposed_into(hidden, &self.weights.embedding, logits);
     }
 
     /// The chunk forward over empty caches with this model's production
@@ -870,7 +780,7 @@ impl Transformer {
         capture: Option<&mut KvCapture>,
         scratch: &'s mut PrefillScratch,
     ) -> &'s Matrix {
-        let PrefillScratch { tiles, chunk, .. } = scratch;
+        let ForwardScratch { tiles, chunk, .. } = scratch;
         let tiles = (self.config.head_dim() <= PREFILL_MAX_HEAD_DIM).then_some(tiles);
         let mut kernel = self.prompt_attention(tiles);
         self.forward_chunk(
@@ -880,6 +790,19 @@ impl Transformer {
             chunk,
             ChunkAttention::Prompt(&mut kernel),
         );
+        &chunk.x
+    }
+
+    /// The chunk forward through the cached arm, whatever the caches hold.
+    /// Returns the final-normed hidden states, borrowed from the scratch.
+    fn cached_hidden<'s, C: KvCache>(
+        &self,
+        tokens: &[u32],
+        caches: &mut [C],
+        scratch: &'s mut ForwardScratch,
+    ) -> &'s Matrix {
+        let ForwardScratch { chunk, attend, .. } = scratch;
+        self.forward_chunk(tokens, caches, None, chunk, ChunkAttention::Cached(attend));
         &chunk.x
     }
 
@@ -904,18 +827,21 @@ impl Transformer {
         1.0 / (self.config.head_dim() as f32).sqrt()
     }
 
-    /// The one multi-token forward: `tokens` enter at the caches' current
-    /// length and run layer-major — per layer, norm, one `[chunk, d] x W`
-    /// GEMM per projection, RoPE at the chunk's positions, attention (see
+    /// The one forward: `tokens` enter at the caches' current length and run
+    /// layer-major — per layer, norm, one `[chunk, d] x W` GEMM per
+    /// projection, RoPE at the chunk's positions, attention (see
     /// [`ChunkAttention`]), output GEMM, feed-forward GEMMs — through
     /// buffers borrowed from `scratch`, which ends holding the final-normed
     /// hidden states in `scratch.x`.
     ///
-    /// Every GEMM row equals [`vec_matmul_into`] on that row bit for bit,
-    /// and the [`ChunkAttention::Cached`] arm makes, per cache, the same
-    /// attend/append calls in the same order as [`Self::decode_step_into`]
-    /// over the same tokens — so that arm is bit-identical to the one-token
-    /// path for every cache backend, whatever the chunk boundaries.
+    /// Every GEMM row equals [`million_tensor::ops::vec_matmul_into`] on
+    /// that row bit for bit, and the [`ChunkAttention::Cached`] arm makes,
+    /// per cache and per token, the same attend/append calls in the same
+    /// order whatever the chunk boundaries — so a chunk through that arm is
+    /// bit-identical to its tokens fed one at a time, for every cache
+    /// backend (pinned against a public-API oracle in
+    /// `crates/model/tests/extend_equivalence.rs`). It does not check the
+    /// context window; the multi-token entry points do.
     // analyze: no-alloc
     fn forward_chunk<C: KvCache>(
         &self,
@@ -932,10 +858,6 @@ impl Transformer {
         );
         assert!(!tokens.is_empty(), "a chunk requires at least one token");
         let start_pos = caches[0].len();
-        assert!(
-            start_pos + tokens.len() <= self.config.max_seq_len,
-            "sequence longer than max_seq_len"
-        );
         if matches!(attention, ChunkAttention::Prompt(_)) {
             assert!(
                 caches.iter().all(|c| c.is_empty()),
@@ -1054,7 +976,7 @@ impl Transformer {
         k: &[f32],
         v: &[f32],
         pos: usize,
-        attend: &mut DecodeScratch,
+        attend: &mut [AttendScratch],
         out: &mut [f32],
     ) {
         const PARALLEL_HEADS_MIN_WORK: usize = 1 << 18;
@@ -1063,9 +985,9 @@ impl Transformer {
         let scale = self.attention_scale();
         let alibi = self.alibi.as_deref();
         let parallel_heads = self.config.n_heads > 1 && pos * hd >= PARALLEL_HEADS_MIN_WORK;
-        let pool_len = if parallel_heads { attend.pool.len() } else { 1 };
+        let pool_len = if parallel_heads { attend.len() } else { 1 };
         out.par_chunks_mut(hd).enumerate().for_each_with_scratch(
-            &mut attend.pool[..pool_len],
+            &mut attend[..pool_len],
             |attend_scratch, (qh, out)| {
                 let kvh = qh / group;
                 let mut params = AttendParams::new(kvh, &q[qh * hd..(qh + 1) * hd], scale, pos)
@@ -1081,47 +1003,29 @@ impl Transformer {
     /// Generates the logits for one new token, reading history through the
     /// caches and appending the new token's KV to them.
     ///
-    /// Convenience wrapper that builds a fresh [`DecodeScratch`] per call;
-    /// decode loops should hold a [`StepScratch`] and use
-    /// [`Self::decode_step_into`] so every step buffer is reused.
+    /// Convenience wrapper that builds a fresh [`StepScratch`] per call;
+    /// decode loops should hold one and use [`Self::decode_step_into`] so
+    /// every step buffer is reused.
     ///
     /// # Panics
     ///
     /// Panics if `caches.len() != n_layers` or the token id is out of range.
     pub fn decode_step<C: KvCache>(&self, token: u32, caches: &mut [C]) -> Vec<f32> {
-        self.decode_step_with_scratch(token, caches, &mut DecodeScratch::new())
+        self.decode_step_into(token, caches, &mut StepScratch::new())
+            .to_vec()
     }
 
-    /// [`Self::decode_step`] with caller-owned *attention* scratch only: the
-    /// per-head attention loop reuses the pool, but the per-layer projection
-    /// and logits buffers are still allocated per call. Kept for callers that
-    /// only hold a [`DecodeScratch`]; prefer [`Self::decode_step_into`],
-    /// which reuses everything.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `caches.len() != n_layers` or the token id is out of range.
-    pub fn decode_step_with_scratch<C: KvCache>(
-        &self,
-        token: u32,
-        caches: &mut [C],
-        scratch: &mut DecodeScratch,
-    ) -> Vec<f32> {
-        let mut step = StepScratch::with_attend(std::mem::take(scratch));
-        let logits = self.decode_step_into(token, caches, &mut step).to_vec();
-        *scratch = step.into_attend();
-        logits
-    }
-
-    /// The fully scratch-backed decode step: embedding, norms, q/k/v
-    /// projections, per-head attention (parallel over rayon workers above the
-    /// work threshold), cache append, feed-forward and logits all borrow
-    /// their buffers from `scratch`. Once the scratch is warm the whole step
-    /// performs **zero** heap allocations (up to cache-append growth, which
-    /// callers can pre-reserve).
+    /// The decode step: the chunk forward over the one token through the
+    /// cached arm — embedding, norms, projections, per-head attention
+    /// (parallel over rayon workers above the work threshold), cache append,
+    /// feed-forward — plus the logits product, every buffer borrowed from
+    /// `scratch`. Once the scratch is warm the whole step performs **zero**
+    /// heap allocations (up to cache-append growth, which callers can
+    /// pre-reserve).
     ///
     /// Returns the logits of the fed position, borrowed from the scratch
-    /// (also readable later via [`StepScratch::logits`]).
+    /// (also readable later via [`StepScratch::logits`]). Unlike the
+    /// multi-token entry points it does not check the context window.
     ///
     /// # Panics
     ///
@@ -1132,89 +1036,20 @@ impl Transformer {
         caches: &mut [C],
         scratch: &'s mut StepScratch,
     ) -> &'s [f32] {
-        assert_eq!(
-            caches.len(),
-            self.config.n_layers,
-            "one cache per layer required"
-        );
-        let d = self.config.d_model;
-        let hd = self.config.head_dim();
-        let n_heads = self.config.n_heads;
-        let kv_width = self.config.kv_width();
-        let pos = caches[0].len();
-
-        let StepScratch {
+        let ForwardScratch {
+            chunk,
             attend,
-            x,
-            h,
-            q,
-            k,
-            v,
-            attn,
-            proj,
-            inner,
-            k_mat,
-            v_mat,
             logits,
+            ..
         } = scratch;
-
-        self.embed_into(&[token], pos, x);
-        let x = x.row_mut(0);
-        h.resize(d, 0.0);
-        q.resize(n_heads * hd, 0.0);
-        k.resize(kv_width, 0.0);
-        v.resize(kv_width, 0.0);
-        attn.resize(d, 0.0);
-        proj.resize(d, 0.0);
-        inner.resize(self.config.d_ff, 0.0);
-        k_mat.resize_zeroed(1, kv_width);
-        v_mat.resize_zeroed(1, kv_width);
-
-        for (l, layer) in self.weights.layers.iter().enumerate() {
-            // --- Attention block.
-            h.copy_from_slice(x);
-            self.norm_in_place(h, &layer.attn_norm_weight, &layer.attn_norm_bias);
-            vec_matmul_into(h, &layer.wq, q);
-            vec_matmul_into(h, &layer.wk, k);
-            vec_matmul_into(h, &layer.wv, v);
-            if let Some(rope) = &self.rope {
-                for qh in 0..n_heads {
-                    rope.apply(&mut q[qh * hd..(qh + 1) * hd], pos);
-                }
-                for kh in 0..self.config.n_kv_heads {
-                    rope.apply(&mut k[kh * hd..(kh + 1) * hd], pos);
-                }
-            }
-
-            self.attend_token(&caches[l], q, k, v, pos, attend, attn);
-            vec_matmul_into(attn, &layer.wo, proj);
-            for (a, b) in x.iter_mut().zip(proj.iter()) {
-                *a += b;
-            }
-
-            // Cache the new token's KV after the attention output is produced.
-            k_mat.as_mut_slice().copy_from_slice(k);
-            v_mat.as_mut_slice().copy_from_slice(v);
-            caches[l].append(k_mat, v_mat);
-
-            // --- Feed-forward block.
-            h.copy_from_slice(x);
-            self.norm_in_place(h, &layer.ffn_norm_weight, &layer.ffn_norm_bias);
-            vec_matmul_into(h, &layer.w_in, inner);
-            self.activate_in_place(inner);
-            vec_matmul_into(inner, &layer.w_out, proj);
-            for (a, b) in x.iter_mut().zip(proj.iter()) {
-                *a += b;
-            }
-        }
-
-        self.norm_in_place(
-            x,
-            &self.weights.final_norm_weight,
-            &self.weights.final_norm_bias,
+        self.forward_chunk(
+            &[token],
+            caches,
+            None,
+            chunk,
+            ChunkAttention::Cached(attend),
         );
-        logits.resize(self.config.vocab_size, 0.0);
-        vec_matmul_transposed_into(x, &self.weights.embedding, logits);
+        self.logits_into(chunk.x.row(0), logits);
         logits
     }
 
@@ -1226,9 +1061,8 @@ impl Transformer {
     /// This is the cache-reuse counterpart of [`Self::prefill`] for a
     /// teacher-forced evaluation segment; it is bit-identical to feeding the
     /// tokens one at a time through [`Self::decode_step_into`] (which is
-    /// what it does to empty caches too). Attention runs through `scratch`'s
-    /// pool; the chunk's activation buffers are built per call — admission
-    /// paths hold a [`PrefillScratch`] and call [`Self::prefill_chunk`].
+    /// what it does to empty caches too). Every buffer but the returned
+    /// logits is borrowed from `scratch`.
     ///
     /// # Panics
     ///
@@ -1240,10 +1074,9 @@ impl Transformer {
         caches: &mut [C],
         scratch: &mut StepScratch,
     ) -> Matrix {
-        let mut chunk = ChunkScratch::with_workers(scratch.workers());
-        let attention = ChunkAttention::Cached(&mut scratch.attend);
-        self.forward_chunk(tokens, caches, None, &mut chunk, attention);
-        chunk.x.matmul_transposed(&self.weights.embedding)
+        self.assert_within_window(tokens.len(), caches);
+        self.cached_hidden(tokens, caches, scratch)
+            .matmul_transposed(&self.weights.embedding)
     }
 }
 
@@ -1366,13 +1199,12 @@ mod tests {
         let mut caches_fresh = build_caches(&config, &CacheSpec::Full);
         let _ = model.prefill(&tokens, &mut caches_fresh, None);
 
-        let mut scratch = DecodeScratch::new();
+        let mut scratch = StepScratch::new();
         assert!(scratch.workers() >= 1);
         for step in 0..6u32 {
-            let with_reuse =
-                model.decode_step_with_scratch(step + 3, &mut caches_reused, &mut scratch);
+            let with_reuse = model.decode_step_into(step + 3, &mut caches_reused, &mut scratch);
             let with_fresh = model.decode_step(step + 3, &mut caches_fresh);
-            assert_eq!(with_reuse, with_fresh, "step {step}");
+            assert_eq!(with_reuse, with_fresh.as_slice(), "step {step}");
         }
     }
 

@@ -2,12 +2,19 @@
 //!
 //! A chunk fed at `start_pos > 0` (a later prefill chunk, a warm-prefix
 //! suffix, a later conversation turn) must be **bit-identical** — logits and
-//! cache contents — to feeding the same tokens one at a time through
-//! [`Transformer::decode_step_into`], for every cache backend: the dense
-//! stages run as whole-chunk GEMMs whose rows equal the one-token GEMV, and
-//! each cache sees the same attend/append calls in the same order. The cold
-//! arm (empty caches, tiled attention, bulk append) is pinned against the
-//! naive reference within the tiled kernel's tolerance.
+//! cache contents — to feeding the same tokens one at a time, for every cache
+//! backend: the dense stages run as whole-chunk GEMMs whose rows equal the
+//! one-token GEMV, and each cache sees the same attend/append calls in the
+//! same order. The cold arm (empty caches, tiled attention, bulk append) is
+//! pinned against the naive reference within the tiled kernel's tolerance.
+//!
+//! The serial twin is [`oracle_step`]: one token, one layer at a time,
+//! written here on the crates' public API only (weights, `embed_into`, the
+//! `ops` GEMV and norms, `Rope`, `alibi_slopes`, `KvCache::{attend,
+//! append}`). It shares no code with the model's forward, so the suite still
+//! compares two implementations now that [`Transformer::decode_step_into`]
+//! *is* the chunk forward at one token — and that entry point is itself
+//! pinned to the oracle over the same grid.
 
 use std::sync::Arc;
 
@@ -19,7 +26,11 @@ use million_model::{
     StepScratch, Transformer,
 };
 use million_quant::pq::{PqCodebook, PqConfig, PqTrainOptions};
-use million_tensor::Matrix;
+use million_tensor::alibi::alibi_slopes;
+use million_tensor::ops::{
+    gelu_in_place, layer_norm, rms_norm, silu_in_place, vec_matmul_into, vec_matmul_transposed_into,
+};
+use million_tensor::{Matrix, Rope};
 
 /// Chunk lengths: below the GEMM's pack threshold (row kernel), ragged
 /// against its 4-row tile, and — from [`PREFIX`] — across the PQ residual
@@ -169,7 +180,88 @@ fn fingerprint<C: KvCache>(caches: &[C]) -> Vec<u32> {
     out
 }
 
-/// The serial twin: `chunk` through `decode_step_into`, recording every
+/// `x · w` as a fresh vector (the one-token GEMV).
+fn gemv(x: &[f32], w: &Matrix) -> Vec<f32> {
+    let mut out = vec![0.0f32; w.cols()];
+    vec_matmul_into(x, w, &mut out);
+    out
+}
+
+fn add_assign(x: &mut [f32], delta: &[f32]) {
+    for (a, b) in x.iter_mut().zip(delta) {
+        *a += b;
+    }
+}
+
+/// The independent oracle: one token through the layer stack on public API
+/// only — per layer norm → GEMV → RoPE → per-head `attend` over the cached
+/// history merged with the token's own pair (Eq. 7) → `wo` → append → FFN —
+/// returning the logits of the fed position.
+fn oracle_step<C: KvCache>(model: &Transformer, token: u32, caches: &mut [C]) -> Vec<f32> {
+    let config = model.config();
+    let weights = model.weights();
+    let hd = config.head_dim();
+    let group = config.n_heads / config.n_kv_heads;
+    let scale = 1.0 / (hd as f32).sqrt();
+    let rope = match config.positional {
+        Positional::Rope {
+            theta,
+            position_scale,
+        } => Some(Rope::new(hd, theta, position_scale)),
+        _ => None,
+    };
+    let slopes =
+        matches!(config.positional, Positional::Alibi).then(|| alibi_slopes(config.n_heads));
+    let norm = |x: &mut [f32], weight: &[f32], bias: &[f32]| match config.norm {
+        NormKind::RmsNorm => rms_norm(x, weight, 1e-6),
+        NormKind::LayerNorm => layer_norm(x, weight, bias, 1e-6),
+    };
+
+    let pos = caches[0].len();
+    let mut embedded = Matrix::default();
+    model.embed_into(&[token], pos, &mut embedded);
+    let mut x = embedded.row(0).to_vec();
+    let mut scratch = AttendScratch::new();
+    for (layer, cache) in weights.layers.iter().zip(caches.iter_mut()) {
+        let mut h = x.clone();
+        norm(&mut h, &layer.attn_norm_weight, &layer.attn_norm_bias);
+        let mut q = gemv(&h, &layer.wq);
+        let mut k = gemv(&h, &layer.wk);
+        let v = gemv(&h, &layer.wv);
+        if let Some(rope) = &rope {
+            for head in q.chunks_mut(hd).chain(k.chunks_mut(hd)) {
+                rope.apply(head, pos);
+            }
+        }
+        let mut attn = vec![0.0f32; config.n_heads * hd];
+        for (qh, out) in attn.chunks_mut(hd).enumerate() {
+            let kv = (qh / group) * hd..(qh / group + 1) * hd;
+            let mut params = AttendParams::new(qh / group, &q[qh * hd..(qh + 1) * hd], scale, pos)
+                .with_current(&k[kv.clone()], &v[kv]);
+            if let Some(slopes) = &slopes {
+                params = params.with_alibi(slopes[qh]);
+            }
+            cache.attend(&params, &mut scratch, out);
+        }
+        add_assign(&mut x, &gemv(&attn, &layer.wo));
+        cache.append(&Matrix::from_row(&k), &Matrix::from_row(&v));
+
+        let mut h = x.clone();
+        norm(&mut h, &layer.ffn_norm_weight, &layer.ffn_norm_bias);
+        let mut inner = gemv(&h, &layer.w_in);
+        match config.norm {
+            NormKind::RmsNorm => silu_in_place(&mut inner),
+            NormKind::LayerNorm => gelu_in_place(&mut inner),
+        }
+        add_assign(&mut x, &gemv(&inner, &layer.w_out));
+    }
+    norm(&mut x, &weights.final_norm_weight, &weights.final_norm_bias);
+    let mut logits = vec![0.0f32; config.vocab_size];
+    vec_matmul_transposed_into(&x, &weights.embedding, &mut logits);
+    logits
+}
+
+/// The serial twin: `chunk` through [`oracle_step`], recording every
 /// position's logits and the cache fingerprint after each length in `marks`.
 fn serial_twin<C: KvCache>(
     model: &Transformer,
@@ -177,15 +269,10 @@ fn serial_twin<C: KvCache>(
     chunk: &[u32],
     marks: &[usize],
 ) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
-    let mut scratch = StepScratch::new();
     let mut logits = Vec::new();
     let mut prints = Vec::new();
     for (i, &token) in chunk.iter().enumerate() {
-        logits.push(bits(model.decode_step_into(
-            token,
-            &mut caches,
-            &mut scratch,
-        )));
+        logits.push(bits(&oracle_step(model, token, &mut caches)));
         if marks.contains(&(i + 1)) {
             prints.push(fingerprint(&caches));
         }
@@ -211,6 +298,22 @@ fn check_backend<C: KvCache>(
     let (twin_logits, twin_prints) = serial_twin(model, make(), chunk, &CHUNK_LENGTHS);
     let mut step = StepScratch::new();
     let mut scratch = PrefillScratch::new();
+
+    // The one-token entry point against the oracle, position by position.
+    let mut caches = make();
+    let mut prints = twin_prints.iter();
+    for (i, (&token, expected)) in chunk.iter().zip(&twin_logits).enumerate() {
+        let logits = model.decode_step_into(token, &mut caches, &mut step);
+        assert_eq!(&bits(logits), expected, "{label} decode step {i}");
+        if CHUNK_LENGTHS.contains(&(i + 1)) {
+            let print = prints.next().unwrap();
+            assert_eq!(
+                &fingerprint(&caches),
+                print,
+                "{label} decode step {i}: cache"
+            );
+        }
+    }
     for (&len, twin_print) in CHUNK_LENGTHS.iter().zip(&twin_prints) {
         let label = format!("{label} chunk {len}");
         let mut caches = make();
@@ -313,6 +416,41 @@ fn cold_chunk_forward_matches_the_reference_within_tolerance() {
                 "{} len {len}",
                 config.name
             );
+        }
+    }
+}
+
+#[test]
+fn a_single_token_on_empty_caches_is_the_same_through_either_arm() {
+    // The one seam between the entry points: on empty caches
+    // `prefill_chunk` takes the prompt arm (tiled kernel, bulk append) while
+    // `decode_step_into` takes the cached arm (per-head `attend` over an
+    // empty history, one-row append). A lone token attends to nothing but
+    // itself — softmax weight exactly 1 — so the two must agree to the bit,
+    // logits and cache contents, for every positional scheme and backend.
+    for config in configs() {
+        let model = Transformer::new(config.clone(), 37);
+        let pq = pq_spec(&model, 4, 64);
+        for (backend, spec) in specs(&pq) {
+            for token in [0, 41, config.vocab_size as u32 - 1] {
+                let label = format!("{} {backend} token {token}", config.name);
+                let mut prompt_arm = build_caches(&config, &spec);
+                let mut last = Vec::new();
+                model.prefill_chunk(
+                    &[token],
+                    &mut prompt_arm,
+                    &mut PrefillScratch::new(),
+                    &mut last,
+                );
+                let mut cached_arm = build_caches(&config, &spec);
+                let step = model.decode_step(token, &mut cached_arm);
+                assert_eq!(bits(&last), bits(&step), "{label}: logits");
+                assert_eq!(
+                    fingerprint(&prompt_arm),
+                    fingerprint(&cached_arm),
+                    "{label}: cache contents"
+                );
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
 //! beyond what the tiny unit-test prompts reach, so this test fills the
 //! caches directly with 8192 tokens of random KV (no O(n²) prefill) and
 //! compares a multi-worker decode against the forced-serial reference
-//! (`DecodeScratch::with_workers(1)`). Heads never share accumulators, so
+//! (`StepScratch::with_workers(1)`). Heads never share accumulators, so
 //! the two partitionings must agree **bit for bit**.
 //!
 //! This file is its own test binary with a single test: the
@@ -12,7 +12,7 @@
 //! touches the rayon shim (the value is cached on first use), which a
 //! shared test binary could not guarantee.
 
-use million_model::{build_caches, CacheSpec, DecodeScratch, ModelConfig, Transformer};
+use million_model::{build_caches, CacheSpec, ModelConfig, StepScratch, Transformer};
 use million_tensor::init::{normal_matrix, seeded_rng};
 
 #[test]
@@ -41,19 +41,18 @@ fn parallel_head_decode_is_bit_identical_to_serial() {
         filled += block;
     }
 
-    let mut parallel = DecodeScratch::new();
+    let mut parallel = StepScratch::new();
     assert!(
         parallel.workers() >= 4,
         "RAYON_NUM_THREADS override did not take (workers = {}); \
          another rayon call must have run first",
         parallel.workers()
     );
-    let mut serial = DecodeScratch::with_workers(1);
+    let mut serial = StepScratch::with_workers(1);
 
     for step in 0..2u32 {
-        let with_parallel =
-            model.decode_step_with_scratch(step + 7, &mut caches_par, &mut parallel);
-        let with_serial = model.decode_step_with_scratch(step + 7, &mut caches_ser, &mut serial);
+        let with_parallel = model.decode_step_into(step + 7, &mut caches_par, &mut parallel);
+        let with_serial = model.decode_step_into(step + 7, &mut caches_ser, &mut serial);
         assert_eq!(
             with_parallel, with_serial,
             "step {step}: head-partitioned decode diverged from serial"

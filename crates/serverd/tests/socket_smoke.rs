@@ -5,7 +5,9 @@
 //! SSE generations bit-identical to direct engine runs, prefix-affinity
 //! placement with visible store deduplication, queue-full spill then
 //! 429 load shedding, mid-stream client disconnect freeing the slot,
-//! deadline timeouts over HTTP, and drain/shutdown.
+//! deadline timeouts over HTTP, prompts the model cannot serve (ids
+//! outside the vocabulary, budgets past the context window), and
+//! drain/shutdown.
 //!
 //! Determinism leans on the shard pause/step controls: a paused shard
 //! queues submissions but decodes only when stepped, so queue depths and
@@ -628,6 +630,68 @@ fn deadline_over_http_reports_timed_out() {
     assert_eq!(total(&doc, "cancelled"), 0.0);
 
     shard.pause(false);
+    control.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn unservable_prompts_are_answered_not_crashed_on() {
+    let mut config = AppConfig {
+        engine: tiny_engine_settings(),
+        ..AppConfig::default()
+    };
+    config.server.shards = 1;
+    let settings = config.engine.clone();
+    let (control, join) = start_server(config);
+    let addr = control.addr();
+    let restarts = || {
+        let prom = roundtrip(
+            addr,
+            "GET /metrics HTTP/1.1\r\nHost: t\r\nAccept: text/plain\r\n\r\n",
+        );
+        assert_eq!(prom.status, 200);
+        prom.body
+            .lines()
+            .find_map(|l| l.strip_prefix("million_shard_restarts_total{shard=\"fleet\"} "))
+            .map(|v| v.trim().to_string())
+    };
+
+    // A token id the model has no embedding row for: a typed 400 at
+    // submission, never a panic inside the shard's serve round.
+    let response = post(
+        addr,
+        "/v1/generate",
+        "{\"prompt\": [3, 999999], \"max_new_tokens\": 4, \"stream\": false}",
+    );
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("bad_request"), "{}", response.body);
+    assert!(response.body.contains("999999"), "{}", response.body);
+
+    // A budget that overruns the context window (tiny-test: 256 tokens)
+    // finishes at the window with an ordinary report, matching the direct
+    // engine run token for token.
+    let prompt: Vec<u32> = (0..250u32).map(|i| (i * 7 + 3) % 100).collect();
+    let body = format!(
+        "{{\"prompt\": {}, \"max_new_tokens\": 64, \"stream\": false}}",
+        prompt_json(&prompt)
+    );
+    let response = post(addr, "/v1/generate", &body);
+    assert_eq!(response.status, 200, "{}", response.body);
+    let doc = serde_json::from_str(&response.body).unwrap();
+    let tokens: Vec<u32> = doc
+        .get("tokens")
+        .and_then(|t| t.as_array())
+        .expect("tokens")
+        .iter()
+        .map(|t| t.as_f64().unwrap() as u32)
+        .collect();
+    assert_eq!(tokens, expected_tokens(&settings, &prompt, 7));
+
+    assert_eq!(
+        restarts().as_deref(),
+        Some("0"),
+        "the shard never restarted"
+    );
     control.shutdown();
     join.join().unwrap();
 }

@@ -1,7 +1,7 @@
 //! Dense linear-algebra substrate for the MILLION reproduction.
 //!
 //! This crate provides the small set of numerical building blocks that the
-//! transformer substrate ([`million-model`]) and the quantization crates are
+//! transformer substrate (`million-model`) and the quantization crates are
 //! built on: a row-major [`Matrix`] type with (optionally parallel) GEMM,
 //! attention-related primitives (softmax, [`OnlineSoftmax`]), normalisation
 //! layers, and the three positional-embedding schemes used by the models in

@@ -190,7 +190,7 @@ fn scheduler_scratch_reuse_matches_fresh_scratch_decode_token_for_token() {
     // many (layer, head) calls between its own steps. A stale buffer — a
     // leftover LUT, score, or centroid-mass value — would show up here as a
     // divergence from the fresh-scratch-per-step reference loop, which
-    // builds a new DecodeScratch on every decode_step call.
+    // builds a new StepScratch on every decode_step call.
     let config = ModelConfig::tiny_for_tests();
     let engine = build_engine(
         &config,
