@@ -133,7 +133,11 @@ pub(crate) mod test_fixtures {
 
     /// The tiny engine shared by the engine/session/serving test modules.
     pub(crate) fn engine(async_quant: bool, seed: u64) -> MillionEngine {
-        let config = ModelConfig::tiny_for_tests();
+        engine_for(ModelConfig::tiny_for_tests(), async_quant, seed)
+    }
+
+    /// [`engine`] over a variant of the tiny model configuration.
+    pub(crate) fn engine_for(config: ModelConfig, async_quant: bool, seed: u64) -> MillionEngine {
         let model = Transformer::new(config.clone(), seed);
         let calibration: Vec<u32> = (0..96)
             .map(|i| ((i * 13 + 5) % config.vocab_size) as u32)

@@ -26,9 +26,17 @@
 //! participating in prefix sharing. With the store disabled — or a different
 //! block granularity — the sealed blocks are folded back into private code
 //! tails instead.
+//!
+//! ## Request checkpoints (`MLNCKPT2`)
+//!
+//! `request-<id>.ckpt`, the only on-disk form of an in-flight serving
+//! request: the magic, a CRC-framed request section (id, class, budget, stop
+//! criteria, sampler state, streamed tokens, unfed prompt) and a CRC-framed
+//! `MLNSES02` snapshot. `MLNCKPT1` lacked the unfed prompt and is retired.
 
 use std::path::Path;
 
+use million_model::{Sampler, SamplerState};
 use million_quant::pq::{PqCodes, PqConfig};
 use million_store::persist::{
     atomic_write, put_block, put_codes, put_f32_slice, put_section, put_u32, put_u32_slice,
@@ -37,11 +45,47 @@ use million_store::persist::{
 use million_store::Block;
 
 use crate::engine::MillionEngine;
-use crate::session::InferenceSession;
+use crate::serving::{QosClass, Request, RequestId};
+use crate::session::{GenerationOptions, InferenceSession, StopCriteria};
 use crate::MillionError;
 
 const MAGIC: &[u8; 8] = b"MLNSES02";
 const MAGIC_V1: &[u8; 8] = b"MLNSES01";
+const CKPT_MAGIC: &[u8; 8] = b"MLNCKPT2";
+const CKPT_MAGIC_V1: &[u8; 8] = b"MLNCKPT1";
+
+/// A serving request as its checkpoint records it — everything
+/// [`crate::ServingEngine::recover`] needs to seat it in a slot again.
+pub(crate) struct Checkpoint<'e> {
+    pub(crate) id: RequestId,
+    /// Class, token budget, stop criteria and sampler state. `prompt` holds
+    /// only the tokens not yet fed (empty once the request decodes);
+    /// deadlines are not persisted.
+    pub(crate) request: Request,
+    /// Tokens streamed before the checkpoint.
+    pub(crate) tokens: Vec<u32>,
+    pub(crate) session: InferenceSession<'e>,
+}
+
+/// A presence flag, then the value if present.
+fn put_opt_u32(out: &mut Vec<u8>, value: Option<u32>) {
+    out.push(u8::from(value.is_some()));
+    value.into_iter().for_each(|v| put_u32(out, v));
+}
+
+fn get_opt_u32(r: &mut Reader) -> Result<Option<u32>, PersistError> {
+    Ok(if r.get_u8()? == 1 {
+        Some(r.get_u32()?)
+    } else {
+        None
+    })
+}
+
+fn expect_exhausted(r: &Reader, section: &str) -> Result<(), PersistError> {
+    r.is_exhausted()
+        .then_some(())
+        .ok_or_else(|| PersistError::Corrupt(format!("trailing bytes in {section} section")))
+}
 
 /// Per-head rows of one layer's dense recent window (keys, values).
 type DenseLayer = (Vec<Vec<f32>>, Vec<Vec<f32>>);
@@ -83,11 +127,51 @@ impl InferenceSession<'_> {
     }
 
     /// The encoded snapshot bytes, after flushing the asynchronous
-    /// quantization stream (the serving engine's checkpoint path composes
-    /// these into its own checkpoint files).
+    /// quantization stream.
     pub(crate) fn snapshot_bytes(&mut self) -> Vec<u8> {
         self.flush();
         self.encode()
+    }
+
+    /// Encodes the request checkpoint (`MLNCKPT2`) of the serving request
+    /// this session runs: `request` carries its class, budget, stop
+    /// criteria and sampler, with `prompt` holding only the tokens not yet
+    /// fed; `tokens` are the ones already streamed. The inverse is
+    /// [`MillionEngine::decode_checkpoint`].
+    pub(crate) fn checkpoint_bytes(
+        &mut self,
+        id: RequestId,
+        request: &Request,
+        tokens: &[u32],
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(CKPT_MAGIC);
+        let mut body = Vec::new();
+        put_u64(&mut body, id.as_u64());
+        body.push(request.class.index() as u8);
+        put_u64(&mut body, request.options.max_new_tokens as u64);
+        put_opt_u32(&mut body, request.options.stop.eos_id);
+        put_u32_slice(&mut body, &request.options.stop.stop_ids);
+        match request.sampler.state() {
+            SamplerState::Greedy => body.push(0),
+            SamplerState::TopK {
+                temperature,
+                top_k,
+                seed,
+                draws,
+            } => {
+                body.push(1);
+                put_u32(&mut body, temperature.to_bits());
+                put_u64(&mut body, top_k as u64);
+                put_u64(&mut body, seed);
+                put_u64(&mut body, draws);
+            }
+        }
+        put_u32_slice(&mut body, tokens);
+        put_u32_slice(&mut body, &request.prompt);
+        put_section(&mut out, &body);
+        put_section(&mut out, &self.snapshot_bytes());
+        out
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -166,13 +250,7 @@ impl InferenceSession<'_> {
         body.clear();
         put_u64(&mut body, self.prompt_tokens as u64);
         put_u32_slice(&mut body, &self.generated);
-        match self.pending {
-            Some(token) => {
-                body.push(1);
-                put_u32(&mut body, token);
-            }
-            None => body.push(0),
-        }
+        put_opt_u32(&mut body, self.pending);
         match &self.cur_logits {
             Some(logits) => {
                 body.push(1);
@@ -199,7 +277,9 @@ impl MillionEngine {
     /// # Errors
     ///
     /// Returns [`MillionError::Persist`] if the file cannot be read, is
-    /// corrupt, or disagrees with this engine's geometry.
+    /// corrupt, disagrees with this engine's geometry, or holds a value the
+    /// model cannot serve (a pending token outside the vocabulary, logits
+    /// of another width, a cache longer than the context window).
     pub fn restore_session<P: AsRef<Path>>(
         &self,
         path: P,
@@ -211,14 +291,13 @@ impl MillionEngine {
 
     /// Restores a session from already-read snapshot bytes — the same
     /// decode path as [`MillionEngine::restore_session`], exposed for
-    /// callers (checkpoint recovery, fault-injection harnesses) that manage
-    /// the I/O themselves.
+    /// callers (fault-injection harnesses) that manage the I/O themselves.
     ///
     /// # Errors
     ///
     /// Returns [`MillionError::Persist`] on any malformed input: truncation
-    /// at any byte, a checksum mismatch in any section, or a geometry
-    /// disagreement with this engine.
+    /// at any byte, a checksum mismatch in any section, a geometry
+    /// disagreement with this engine, or a value the model cannot serve.
     pub fn restore_session_bytes(
         &self,
         bytes: &[u8],
@@ -227,28 +306,112 @@ impl MillionEngine {
             .map_err(|e| MillionError::Persist(e.to_string()))
     }
 
+    /// Decodes a request checkpoint written by
+    /// [`InferenceSession::checkpoint_bytes`]. Beyond the session snapshot's
+    /// own checks, unfed prompt tokens get [`crate::ServingEngine::submit`]'s
+    /// vocabulary and window rules and a decoding request must carry logits
+    /// to sample, so a recovered request can never panic its first serve
+    /// round.
+    pub(crate) fn decode_checkpoint(&self, bytes: &[u8]) -> Result<Checkpoint<'_>, PersistError> {
+        let corrupt = PersistError::Corrupt;
+        let (magic, rest) = bytes
+            .split_first_chunk::<8>()
+            .ok_or(PersistError::Truncated)?;
+        let mut r = Reader::new(rest);
+        match magic {
+            CKPT_MAGIC => {}
+            CKPT_MAGIC_V1 => {
+                return Err(corrupt(
+                    "request checkpoint format v1 (MLNCKPT1) lacks the unfed prompt and is \
+                     no longer readable"
+                        .into(),
+                ))
+            }
+            _ => return Err(corrupt("bad checkpoint magic".into())),
+        }
+
+        let mut m = Reader::new(r.get_section()?);
+        let id = RequestId::from_u64(m.get_len()? as u64);
+        let class_tag = m.get_u8()?;
+        let class = *QosClass::ALL
+            .get(usize::from(class_tag))
+            .ok_or_else(|| corrupt(format!("unknown QoS class tag {class_tag}")))?;
+        let max_new_tokens = m.get_len()?;
+        let eos_id = get_opt_u32(&mut m)?;
+        let stop_ids = m.get_u32_slice()?;
+        let sampler = match m.get_u8()? {
+            0 => Sampler::greedy(),
+            1 => {
+                let temperature = f32::from_bits(m.get_u32()?);
+                let top_k = m.get_len()?;
+                let seed = m.get_len()? as u64;
+                let draws = m.get_len()? as u64;
+                if !temperature.is_finite() || temperature <= 0.0 || top_k == 0 {
+                    return Err(corrupt(format!(
+                        "checkpoint sampler state is unservable \
+                         (temperature {temperature}, top_k {top_k})"
+                    )));
+                }
+                Sampler::from_state(&SamplerState::TopK {
+                    temperature,
+                    top_k,
+                    seed,
+                    draws,
+                })
+            }
+            kind => return Err(corrupt(format!("unknown sampler kind tag {kind}"))),
+        };
+        let tokens = m.get_u32_slice()?;
+        let unfed = m.get_u32_slice()?;
+        expect_exhausted(&m, "checkpoint request")?;
+        let mut session = self.decode_session(r.get_section()?)?;
+        expect_exhausted(&r, "checkpoint")?;
+
+        // The next serve round feeds the unfed prompt (held to `submit`'s
+        // rules) or samples the logits and feeds the pending token.
+        let config = self.model().config();
+        let unservable = if unfed.iter().any(|&t| t as usize >= config.vocab_size) {
+            Some("an unfed prompt token is outside the vocabulary")
+        } else if session.cached_tokens() + unfed.len() >= config.max_seq_len {
+            Some("no position is left in the context window")
+        } else if unfed.is_empty() && session.cur_logits.is_none() {
+            Some("a decoding request carries no logits")
+        } else {
+            None
+        };
+        if let Some(reason) = unservable {
+            return Err(corrupt(format!("unservable checkpoint: {reason}")));
+        }
+        session.id = id.as_u64() as usize;
+        Ok(Checkpoint {
+            id,
+            request: Request {
+                prompt: unfed,
+                options: GenerationOptions {
+                    max_new_tokens,
+                    stop: StopCriteria { eos_id, stop_ids },
+                },
+                sampler,
+                class,
+                deadline_ms: None,
+            },
+            tokens,
+            session,
+        })
+    }
+
     fn decode_session(&self, bytes: &[u8]) -> Result<InferenceSession<'_>, PersistError> {
         let corrupt = |msg: &str| PersistError::Corrupt(msg.to_string());
-        let done = |r: &Reader, section: &str| -> Result<(), PersistError> {
-            if r.is_exhausted() {
-                Ok(())
-            } else {
-                Err(PersistError::Corrupt(format!(
-                    "trailing bytes in {section} section"
-                )))
-            }
-        };
-        let mut r = Reader::new(bytes);
-        let mut magic = [0u8; 8];
-        for slot in magic.iter_mut() {
-            *slot = r.get_u8()?;
-        }
-        if &magic == MAGIC_V1 {
+        let (magic, rest) = bytes
+            .split_first_chunk::<8>()
+            .ok_or(PersistError::Truncated)?;
+        let mut r = Reader::new(rest);
+        if magic == MAGIC_V1 {
             return Err(corrupt(
                 "snapshot format v1 (MLNSES01) predates CRC framing and is no longer readable",
             ));
         }
-        if &magic != MAGIC {
+        if magic != MAGIC {
             return Err(corrupt("bad magic"));
         }
 
@@ -276,11 +439,11 @@ impl MillionEngine {
         if own_key != Some(key_config) || own_value != Some(value_config) {
             return Err(corrupt("PQ configuration mismatch"));
         }
-        done(&h, "header")?;
+        expect_exhausted(&h, "header")?;
 
         let mut s = Reader::new(r.get_section()?);
         let history = s.get_u32_slice()?;
-        done(&s, "history")?;
+        expect_exhausted(&s, "history")?;
 
         let mut s = Reader::new(r.get_section()?);
         let n_blocks = s.get_u32()? as usize;
@@ -301,7 +464,7 @@ impl MillionEngine {
             }
             blocks.push(block);
         }
-        done(&s, "block")?;
+        expect_exhausted(&s, "block")?;
 
         // Per-layer private tails and dense windows: every code sequence and
         // dense row is validated here (config, equal lengths across heads
@@ -332,7 +495,7 @@ impl MillionEngine {
             }
             private.push((keys, values));
         }
-        done(&s, "private tail")?;
+        expect_exhausted(&s, "private tail")?;
 
         let mut s = Reader::new(r.get_section()?);
         let mut dense: Vec<DenseLayer> = Vec::with_capacity(n_layers);
@@ -355,25 +518,37 @@ impl MillionEngine {
             }
             dense.push((keys, values));
         }
-        done(&s, "dense window")?;
+        expect_exhausted(&s, "dense window")?;
 
         let mut s = Reader::new(r.get_section()?);
         let prompt_tokens = s.get_len()?;
         let generated = s.get_u32_slice()?;
-        let pending = if s.get_u8()? == 1 {
-            Some(s.get_u32()?)
-        } else {
-            None
-        };
+        let pending = get_opt_u32(&mut s)?;
         let cur_logits = if s.get_u8()? == 1 {
             Some(s.get_f32_slice()?)
         } else {
             None
         };
         let prefix_reused = s.get_len()?;
-        done(&s, "decode front")?;
+        expect_exhausted(&s, "decode front")?;
         if !r.is_exhausted() {
             return Err(corrupt("trailing bytes after snapshot"));
+        }
+        // Valid CRCs do not make values servable: the next step embeds the
+        // pending token, samples the logits and extends the cache, whose
+        // length must match the history (checked below) and fit the window.
+        let config = self.model().config();
+        if pending.is_some_and(|t| t as usize >= config.vocab_size) {
+            return Err(corrupt("pending token is outside the vocabulary"));
+        }
+        if cur_logits
+            .as_ref()
+            .is_some_and(|l| l.len() != config.vocab_size)
+        {
+            return Err(corrupt("decode-front logits do not span the vocabulary"));
+        }
+        if history.len() > config.max_seq_len {
+            return Err(corrupt("cache exceeds the context window"));
         }
 
         let mut session = InferenceSession::new(self, 0, false);
@@ -463,9 +638,10 @@ impl MillionEngine {
 
 #[cfg(test)]
 mod tests {
+    use million_model::ModelConfig;
+
     use super::*;
-    use crate::test_fixtures::{engine, prompt};
-    use crate::GenerationOptions;
+    use crate::test_fixtures::{engine, engine_for, prompt};
 
     /// A hand-built snapshot whose header matches `engine` but whose
     /// private-tail codes use the wrong bit width must come back as a
@@ -535,7 +711,136 @@ mod tests {
         let mut session = engine.session();
         session.prefill(&prompt());
         let _ = session.generate(&GenerationOptions::max_tokens(6));
-        session.snapshot_bytes()
+        session.encode()
+    }
+
+    /// Re-frames section `index` of a snapshot through `edit`, with a fresh
+    /// CRC: the result passes every checksum but carries the edited values.
+    fn patch_section(bytes: &[u8], index: usize, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+        let (magic, rest) = bytes.split_at(8);
+        let (mut r, mut out) = (Reader::new(rest), magic.to_vec());
+        let mut edit = Some(edit);
+        let mut section = 0;
+        while !r.is_exhausted() {
+            let payload = r.get_section().expect("intact section");
+            let body = match edit.take_if(|_| section == index) {
+                Some(edit) => edit(payload),
+                None => payload.to_vec(),
+            };
+            put_section(&mut out, &body);
+            section += 1;
+        }
+        out
+    }
+
+    /// Rewrites the decode front's pending token and logits.
+    fn patch_front(
+        bytes: &[u8],
+        edit: impl FnOnce(&mut Option<u32>, &mut Option<Vec<f32>>),
+    ) -> Vec<u8> {
+        patch_section(bytes, 5, |payload| {
+            let mut s = Reader::new(payload);
+            let prompt_tokens = s.get_len().expect("prompt tokens");
+            let generated = s.get_u32_slice().expect("generated");
+            let mut pending = get_opt_u32(&mut s).expect("pending");
+            let mut logits = match s.get_u8().expect("flag") {
+                1 => Some(s.get_f32_slice().expect("logits")),
+                _ => None,
+            };
+            let prefix_reused = s.get_len().expect("prefix reused");
+            edit(&mut pending, &mut logits);
+            let mut body = Vec::new();
+            put_u64(&mut body, prompt_tokens as u64);
+            put_u32_slice(&mut body, &generated);
+            put_opt_u32(&mut body, pending);
+            match &logits {
+                Some(logits) => {
+                    body.push(1);
+                    put_f32_slice(&mut body, logits);
+                }
+                None => body.push(0),
+            }
+            put_u64(&mut body, prefix_reused as u64);
+            body
+        })
+    }
+
+    /// Checksums prove the bytes are the ones written, not that the model
+    /// can serve them: a pending token outside the vocabulary, logits of
+    /// the wrong width, or a cache longer than the window would each
+    /// restore and then panic at the first step. Each is a typed error.
+    #[test]
+    fn values_the_model_would_index_out_of_range_are_typed_errors() {
+        let engine = engine(false, 44);
+        let vocab = engine.model().config().vocab_size;
+        let bytes = snapshot(&engine);
+        assert_eq!(patch_front(&bytes, |_, _| {}), bytes, "faithful re-framing");
+
+        let bad = patch_front(&bytes, |pending, _| *pending = Some(vocab as u32));
+        let err = engine
+            .restore_session_bytes(&bad)
+            .expect_err("pending token outside the vocabulary");
+        assert!(matches!(err, MillionError::Persist(_)));
+        assert!(err.to_string().contains("pending token"), "{err}");
+
+        let bad = patch_front(&bytes, |_, logits| {
+            logits.as_mut().expect("logits").pop();
+        });
+        let err = engine
+            .restore_session_bytes(&bad)
+            .expect_err("logits narrower than the vocabulary");
+        assert!(err.to_string().contains("logits"), "{err}");
+
+        // Same geometry, shorter window: the 17-token cache cannot fit 16.
+        let mut config = ModelConfig::tiny_for_tests();
+        config.max_seq_len = 16;
+        let short = engine_for(config, false, 44);
+        let err = short
+            .restore_session_bytes(&bytes)
+            .expect_err("cache beyond the window");
+        assert!(err.to_string().contains("context window"), "{err}");
+    }
+
+    /// A checkpoint's unfed prompt is held to `submit`'s vocabulary and
+    /// window rules, and a decoding one must have logits to sample.
+    #[test]
+    fn checkpoints_the_engine_cannot_serve_are_typed_errors() {
+        let engine = engine(false, 46);
+        let config = engine.model().config();
+        let id = RequestId::from_u64(3);
+        let checkpoint = |fed: &[u32], unfed: Vec<u32>| {
+            let mut session = engine.session();
+            if !fed.is_empty() {
+                session.prefill(fed);
+            }
+            let request = Request::new(unfed, GenerationOptions::max_tokens(4));
+            session.checkpoint_bytes(id, &request, &[])
+        };
+        let decoded = engine
+            .decode_checkpoint(&checkpoint(&prompt(), vec![5, 6]))
+            .unwrap_or_else(|e| panic!("servable checkpoint: {e}"));
+        assert_eq!(decoded.id, id);
+        assert_eq!(decoded.request.prompt, [5, 6]);
+        assert_eq!(decoded.session.id(), 3);
+
+        let cases = [
+            (
+                checkpoint(&prompt(), vec![5, config.vocab_size as u32]),
+                "vocabulary",
+            ),
+            (
+                checkpoint(&prompt(), vec![5; config.max_seq_len]),
+                "context window",
+            ),
+            (checkpoint(&[], Vec::new()), "logits"),
+        ];
+        for (bytes, reason) in cases {
+            let err = engine
+                .decode_checkpoint(&bytes)
+                .err()
+                .unwrap_or_else(|| panic!("{reason} checkpoint decodes"));
+            assert!(err.to_string().contains(reason), "{reason}: {err}");
+        }
     }
 
     /// Kill-point sweep: a snapshot truncated at *any* byte — every section

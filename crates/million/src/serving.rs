@@ -61,8 +61,8 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use million_model::{Sampler, SamplerState};
-use million_store::persist::{atomic_write, put_section, put_u32, put_u32_slice, put_u64, Reader};
+use million_model::Sampler;
+use million_store::persist::atomic_write;
 use million_telemetry::{Event, EventKind, RetireOutcome};
 use serde::Serialize;
 
@@ -70,12 +70,7 @@ use crate::async_quant::QuantWorker;
 use crate::engine::MillionEngine;
 use crate::fault::FaultPlan;
 use crate::observe::{RequestInfo, RequestState, RoundPhase, ServingTelemetry, TelemetrySnapshot};
-use crate::session::{GenerationOptions, InferenceSession, StepResult, StopCriteria};
-
-/// Magic prefix of a serving-engine crash-recovery checkpoint
-/// (`request-<id>.ckpt`): request metadata and a `MLNSES02` session
-/// snapshot, each in its own CRC32-framed section.
-const CKPT_MAGIC: &[u8; 8] = b"MLNCKPT1";
+use crate::session::{GenerationOptions, InferenceSession, StepResult};
 
 /// Quality-of-service class of a request, ordered from most to least
 /// urgent. The class weight sets the request's share of decode throughput
@@ -415,12 +410,12 @@ pub struct ServingConfig {
     pub journal_events: usize,
     /// Directory for crash-recovery checkpoints. When set (and
     /// [`ServingConfig::checkpoint_every_rounds`] is non-zero), every
-    /// decoding resident is periodically snapshotted to
-    /// `dir/request-<id>.ckpt` — sampler state, token budget and stream
-    /// progress included — and the file is removed when the request retires
-    /// cleanly. After a crash, [`ServingEngine::recover`] re-admits the
-    /// survivors for bit-identical continuation. `None` disables
-    /// checkpointing.
+    /// resident — decoding or still prefilling — is periodically
+    /// checkpointed to `dir/request-<id>.ckpt` (sampler state, token
+    /// budget, stream progress and unfed prompt included), and the file is
+    /// removed when the request retires for good. After a crash,
+    /// [`ServingEngine::recover`] re-admits the survivors for bit-identical
+    /// continuation. `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint cadence in rounds (checkpoints are written at round
     /// boundaries when `round % checkpoint_every_rounds == 0`). `0`
@@ -485,9 +480,8 @@ pub struct ServingStats {
     /// resident store prefixes are not counted: attachment costs no prefill
     /// work.
     pub prefill_tokens_by_class: [u64; 3],
-    /// Snapshot/checkpoint files written successfully (periodic round
-    /// checkpoints, [`ServingEngine::persist_request`], and persist-mode
-    /// drains all count here).
+    /// Checkpoint files written successfully (periodic round checkpoints
+    /// and persist-mode drains both count here).
     pub snapshot_writes: u64,
     /// Checkpoint restores rejected during [`ServingEngine::recover`] —
     /// corrupt, truncated, or unreadable files, each surfaced as a typed
@@ -561,9 +555,9 @@ pub struct DrainReport {
     /// Resident requests decoded to completion during the drain (the
     /// finish-mode path).
     pub finished: usize,
-    /// Resident requests snapshotted mid-flight and their snapshot paths
-    /// (the persist-mode path); each can be revived later via
-    /// [`crate::MillionEngine::restore_session`].
+    /// Resident requests checkpointed mid-flight and their checkpoint paths
+    /// (the persist-mode path); [`ServingEngine::recover`] on the drain
+    /// directory brings every one of them back.
     pub persisted: Vec<(RequestId, PathBuf)>,
     /// Scheduling rounds driven while finishing residents.
     pub rounds: u64,
@@ -622,41 +616,24 @@ impl Pending {
     }
 }
 
-/// Admission work still owed by a resident in the *Prefilling* state: the
-/// request's prompt and how much of it has entered the session's caches
-/// (store-attached prefix tokens included in `fed`).
-#[derive(Debug)]
-struct PrefillJob {
-    prompt: Vec<u32>,
-    fed: usize,
-    /// Round in which the slot's most recent chunk executed. The first
-    /// chunk runs inside `admit` — sealing its blocks so later admissions
-    /// in the same pass can attach them — and `prefill_round` must not
-    /// charge the slot a second chunk in that same round.
-    chunked_round: u64,
-}
-
-impl PrefillJob {
-    fn remaining(&self) -> usize {
-        self.prompt.len() - self.fed
-    }
-}
-
 /// A request resident in a decode slot.
 struct Resident<'e> {
     id: RequestId,
     session: InferenceSession<'e>,
-    sampler: Sampler,
-    options: GenerationOptions,
-    class: QosClass,
+    /// What was asked for. `request.prompt` holds only the tokens not yet
+    /// fed: non-empty while the slot is still admitting its prompt in
+    /// chunks (the *Prefilling* state), empty once it decodes.
+    request: Request,
     tokens: Vec<u32>,
     /// DWRR ledger: grows by `weight(class)` per round, spends `quantum`
     /// per decode step (a non-final prefill chunk spends the whole round's
     /// accrual).
     deficit: u32,
-    /// `Some` while the slot is still admitting its prompt in chunks (the
-    /// *Prefilling* state); `None` once it decodes.
-    prefill: Option<PrefillJob>,
+    /// Round in which the slot's most recent prefill chunk executed. The
+    /// first chunk runs inside `admit` — sealing its blocks so later
+    /// admissions in the same pass can attach them — and `prefill_round`
+    /// must not charge the slot a second chunk in that same round.
+    chunked_round: u64,
     shared: Arc<HandleShared>,
     tx: Sender<StepResult>,
     /// When the request was submitted — the anchor for TTFT and
@@ -678,6 +655,12 @@ struct Resident<'e> {
     /// Finished decoding (stop token or token budget); retired when the
     /// round that set it closes.
     done: bool,
+}
+
+impl Resident<'_> {
+    fn prefilling(&self) -> bool {
+        !self.request.prompt.is_empty()
+    }
 }
 
 /// Iteration-level serving engine over one [`MillionEngine`].
@@ -784,20 +767,17 @@ impl<'e> ServingEngine<'e> {
             });
         }
         for slot in &self.resident {
-            let state = if slot.prefill.is_some() {
+            let state = if slot.prefilling() {
                 RequestState::Prefilling
             } else {
                 RequestState::Decoding
             };
-            let (prompt_tokens, tokens_fed) = match &slot.prefill {
-                Some(job) => (job.prompt.len(), job.fed),
-                None => (slot.session.prompt_tokens(), slot.session.prompt_tokens()),
-            };
+            let tokens_fed = slot.session.prompt_tokens();
             out.push(RequestInfo {
                 id: slot.id.0,
-                class: slot.class,
+                class: slot.request.class,
                 state,
-                prompt_tokens,
+                prompt_tokens: tokens_fed + slot.request.prompt.len(),
                 tokens_fed,
                 generated: slot.tokens.len(),
                 age_ms: now.duration_since(slot.submitted_at).as_millis() as u64,
@@ -825,17 +805,13 @@ impl<'e> ServingEngine<'e> {
     /// Residents currently admitting their prompt in chunks (the
     /// *Prefilling* state).
     pub fn prefilling_sessions(&self) -> usize {
-        self.resident.iter().filter(|s| s.prefill.is_some()).count()
+        self.resident.iter().filter(|s| s.prefilling()).count()
     }
 
     /// Prompt tokens still to be teacher-forced across every prefilling
     /// resident — the backlog the chunk scheduler is working through.
     pub fn prefill_tokens_remaining(&self) -> usize {
-        self.resident
-            .iter()
-            .filter_map(|s| s.prefill.as_ref())
-            .map(PrefillJob::remaining)
-            .sum()
+        self.resident.iter().map(|s| s.request.prompt.len()).sum()
     }
 
     /// Whether every submitted request has been fully served: nothing
@@ -930,6 +906,23 @@ impl<'e> ServingEngine<'e> {
         }
         let id = RequestId(self.next_id);
         self.next_id += 1;
+        let (handle, pending) = self.open(id, request, 0, 0);
+        self.pending.push_back(pending);
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.pending.len());
+        Ok(handle)
+    }
+
+    /// The one way a request enters the engine — submitted, or recovered
+    /// from a checkpoint already `recovered_tokens` into its stream, with
+    /// `fed` prompt tokens in its session: builds its handle and the
+    /// engine's side of it, and counts and journals the submission.
+    fn open(
+        &mut self,
+        id: RequestId,
+        request: Request,
+        recovered_tokens: usize,
+        fed: usize,
+    ) -> (RequestHandle, Pending) {
         let shared = Arc::new(HandleShared {
             cancel: AtomicBool::new(false),
             report: Mutex::new(None),
@@ -940,28 +933,26 @@ impl<'e> ServingEngine<'e> {
             class: request.class,
             rx,
             shared: shared.clone(),
-            recovered_tokens: 0,
+            recovered_tokens,
         };
-        let (class, prompt_tokens) = (request.class, request.prompt.len() as u32);
-        self.pending.push_back(Pending {
+        self.stats.submitted += 1;
+        self.telemetry.event(
+            id.0,
+            self.round,
+            EventKind::Submit {
+                class: request.class.name(),
+                prompt_tokens: (fed + request.prompt.len()) as u32,
+            },
+        );
+        let pending = Pending {
             id,
             request,
             shared,
             tx,
             submitted_at: Instant::now(),
             submit_round: self.round,
-        });
-        self.stats.submitted += 1;
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.pending.len());
-        self.telemetry.event(
-            id.0,
-            self.round,
-            EventKind::Submit {
-                class: class.name(),
-                prompt_tokens,
-            },
-        );
-        Ok(handle)
+        };
+        (handle, pending)
     }
 
     /// Runs one scheduling round: retire finished/cancelled requests,
@@ -1036,38 +1027,6 @@ impl<'e> ServingEngine<'e> {
         rounds
     }
 
-    /// Persists the resident session of `id` to `path` mid-flight (see
-    /// [`crate::InferenceSession::persist`]); the request keeps decoding.
-    /// Returns `Ok(false)` if the request is not currently resident.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error if the snapshot cannot be
-    /// written.
-    pub fn persist_request<P: AsRef<std::path::Path>>(
-        &mut self,
-        id: RequestId,
-        path: P,
-    ) -> std::io::Result<bool> {
-        // Everything in flight on the shared stream must land before the
-        // snapshot, or the session's own flush would miss tokens the worker
-        // still owes it.
-        Self::sync_worker(&mut self.worker, &mut self.resident);
-        match self.resident.iter_mut().find(|s| s.id == id) {
-            Some(slot) => {
-                let bytes = slot.session.snapshot_bytes();
-                Self::write_snapshot(
-                    &self.config.fault_plan,
-                    &mut self.stats,
-                    path.as_ref(),
-                    &bytes,
-                )
-                .map(|()| true)
-            }
-            None => Ok(false),
-        }
-    }
-
     /// Retires everything — resident sessions are flushed and reported
     /// (whether finished or not), queued requests are reported as cancelled
     /// — and returns every report of this engine's lifetime, ordered by
@@ -1087,6 +1046,7 @@ impl<'e> ServingEngine<'e> {
                 RetireOutcome::Completed
             };
             self.retire_resident(slot, outcome);
+            Self::remove_checkpoint(&self.config, slot.id);
         }
         drop(fleet);
         while let Some(pending) = self.pending.pop_front() {
@@ -1109,12 +1069,15 @@ impl<'e> ServingEngine<'e> {
     /// * `persist_dir: None` — **finish**: keep serving rounds until every
     ///   resident has decoded to completion (clients get their full
     ///   streams);
-    /// * `persist_dir: Some(dir)` — **persist**: snapshot each resident
-    ///   mid-flight to `dir/request-<id>.kv` (see
-    ///   [`crate::InferenceSession::persist`]) and retire it immediately;
-    ///   its handle resolves to a cancelled report carrying the tokens
-    ///   produced so far, and the snapshot restores bit-identically via
-    ///   [`crate::MillionEngine::restore_session`].
+    /// * `persist_dir: Some(dir)` — **persist**: checkpoint each resident
+    ///   mid-flight — prefilling or decoding — to `dir/request-<id>.ckpt`,
+    ///   the same file a periodic checkpoint writes, and retire it
+    ///   immediately; its handle resolves to a cancelled report carrying
+    ///   the tokens produced so far. [`ServingEngine::recover`] on `dir`, on
+    ///   a fresh engine over an equal [`MillionEngine`], resumes every one
+    ///   bit-identically. Draining into this engine's own
+    ///   [`ServingConfig::checkpoint_dir`] keeps the files, so a restart
+    ///   that recovers from that directory picks the requests up.
     ///
     /// Either way the engine ends idle; the caller still owns it (and its
     /// lifetime reports) and typically calls [`ServingEngine::shutdown`]
@@ -1122,9 +1085,9 @@ impl<'e> ServingEngine<'e> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from snapshot writes in persist mode; no
+    /// Propagates I/O errors from checkpoint writes in persist mode; no
     /// resident is retired by a failed drain, so every one keeps decoding
-    /// and the drain can be retried (it rewrites each snapshot).
+    /// and the drain can be retried (it rewrites each checkpoint).
     pub fn drain(&mut self, persist_dir: Option<&Path>) -> std::io::Result<DrainReport> {
         self.draining = true;
         let mut report = DrainReport::default();
@@ -1135,16 +1098,25 @@ impl<'e> ServingEngine<'e> {
         if let Some(dir) = persist_dir {
             std::fs::create_dir_all(dir)?;
             // Everything in flight on the shared stream must land before
-            // any snapshot (same contract as `persist_request`).
+            // any session is flushed into its checkpoint.
             Self::sync_worker(&mut self.worker, &mut self.resident);
             for slot in &mut self.resident {
-                let path = dir.join(format!("request-{}.kv", slot.id.as_u64()));
-                let bytes = slot.session.snapshot_bytes();
-                Self::write_snapshot(&self.config.fault_plan, &mut self.stats, &path, &bytes)?;
+                let path = Self::write_checkpoint(&self.config, &mut self.stats, slot, dir)?;
                 report.persisted.push((slot.id, path));
             }
+            // The drained files are how these requests come back; a
+            // periodic checkpoint left in another directory would bring
+            // them back a second time.
+            let own_dir = self
+                .config
+                .checkpoint_dir
+                .as_deref()
+                .is_some_and(|own| same_dir(own, dir));
             for mut slot in std::mem::take(&mut self.resident) {
                 self.retire_resident(&mut slot, RetireOutcome::Cancelled);
+                if !own_dir {
+                    Self::remove_checkpoint(&self.config, slot.id);
+                }
             }
         } else {
             let completed_before = self.stats.completed;
@@ -1157,40 +1129,46 @@ impl<'e> ServingEngine<'e> {
         Ok(report)
     }
 
-    /// One snapshot write, routed through the fault plan: the scheduled
-    /// injected I/O error fires *instead of* touching the filesystem, and
-    /// every successful write is atomic (temp + fsync + rename) and counted
-    /// in [`ServingStats::snapshot_writes`].
-    fn write_snapshot(
-        fault: &Option<Arc<FaultPlan>>,
+    /// Writes `slot`'s request checkpoint into `dir` and returns its path.
+    /// The write is routed through the fault plan: the scheduled injected
+    /// I/O error fires *instead of* touching the filesystem, and every
+    /// successful write is atomic (temp + fsync + rename) and counted in
+    /// [`ServingStats::snapshot_writes`].
+    fn write_checkpoint(
+        config: &ServingConfig,
         stats: &mut ServingStats,
-        path: &Path,
-        bytes: &[u8],
-    ) -> std::io::Result<()> {
-        if let Some(err) = fault
+        slot: &mut Resident<'e>,
+        dir: &Path,
+    ) -> std::io::Result<PathBuf> {
+        if let Some(err) = config
+            .fault_plan
             .as_ref()
             .and_then(|plan| plan.inject_snapshot_io_error())
         {
             return Err(err);
         }
-        atomic_write(path, bytes)?;
+        let path = checkpoint_path(dir, slot.id);
+        let bytes = slot
+            .session
+            .checkpoint_bytes(slot.id, &slot.request, &slot.tokens);
+        atomic_write(&path, &bytes)?;
         stats.snapshot_writes += 1;
-        Ok(())
+        Ok(path)
     }
 
-    /// Removes the request's checkpoint file, if checkpointing is
-    /// configured — called on every clean retirement so a later
-    /// [`ServingEngine::recover`] never resurrects a finished request.
+    /// Removes the request's periodic checkpoint file, if checkpointing is
+    /// configured — called whenever a request leaves for good so a later
+    /// [`ServingEngine::recover`] never resurrects it.
     fn remove_checkpoint(config: &ServingConfig, id: RequestId) {
         if let Some(dir) = &config.checkpoint_dir {
-            let _ = std::fs::remove_file(dir.join(format!("request-{}.ckpt", id.as_u64())));
+            let _ = std::fs::remove_file(checkpoint_path(dir, id));
         }
     }
 
     /// Writes this round's crash-recovery checkpoints
     /// ([`ServingConfig::checkpoint_dir`] /
-    /// [`ServingConfig::checkpoint_every_rounds`]): every resident that has
-    /// finished prefilling and is still decoding is snapshotted to
+    /// [`ServingConfig::checkpoint_every_rounds`]): every resident not
+    /// cancelled — decoding or still prefilling — is checkpointed to
     /// `dir/request-<id>.ckpt`. Failures (including injected ones) are
     /// non-fatal — the previous checkpoint, if any, survives untouched
     /// because writes are atomic.
@@ -1202,77 +1180,28 @@ impl<'e> ServingEngine<'e> {
         let Some(dir) = self.config.checkpoint_dir.clone() else {
             return;
         };
-        let wants_checkpoint = |slot: &Resident<'_>| {
-            slot.prefill.is_none() && !slot.shared.cancel.load(Ordering::Relaxed)
-        };
-        if !self.resident.iter().any(wants_checkpoint) {
+        if self.resident.is_empty() || std::fs::create_dir_all(&dir).is_err() {
             return;
         }
-        if std::fs::create_dir_all(&dir).is_err() {
-            return;
-        }
-        // Same contract as `persist_request`: in-flight encode traffic must
-        // land before any session is flushed into its snapshot.
+        // In-flight encode traffic must land before any session is flushed
+        // into its checkpoint.
         Self::sync_worker(&mut self.worker, &mut self.resident);
-        for idx in 0..self.resident.len() {
-            if !wants_checkpoint(&self.resident[idx]) {
-                continue;
-            }
-            let slot = &mut self.resident[idx];
-            let id = slot.id;
-            let bytes = Self::encode_checkpoint(slot);
-            let path = dir.join(format!("request-{}.ckpt", id.as_u64()));
-            let _ = Self::write_snapshot(&self.config.fault_plan, &mut self.stats, &path, &bytes);
-        }
-    }
-
-    /// Encodes one resident's crash-recovery checkpoint: request metadata
-    /// (id, class, budget, stop criteria, exact sampler state, the tokens
-    /// streamed so far) in one CRC-framed section, the session snapshot
-    /// (`MLNSES02`) in a second.
-    fn encode_checkpoint(slot: &mut Resident<'e>) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(CKPT_MAGIC);
-        let mut body = Vec::new();
-        put_u64(&mut body, slot.id.as_u64());
-        body.push(slot.class.index() as u8);
-        put_u64(&mut body, slot.options.max_new_tokens as u64);
-        match slot.options.stop.eos_id {
-            Some(token) => {
-                body.push(1);
-                put_u32(&mut body, token);
-            }
-            None => body.push(0),
-        }
-        put_u32_slice(&mut body, &slot.options.stop.stop_ids);
-        match slot.sampler.state() {
-            SamplerState::Greedy => body.push(0),
-            SamplerState::TopK {
-                temperature,
-                top_k,
-                seed,
-                draws,
-            } => {
-                body.push(1);
-                put_u32(&mut body, temperature.to_bits());
-                put_u64(&mut body, top_k as u64);
-                put_u64(&mut body, seed);
-                put_u64(&mut body, draws);
+        for slot in &mut self.resident {
+            if !slot.shared.cancel.load(Ordering::Relaxed) {
+                let _ = Self::write_checkpoint(&self.config, &mut self.stats, slot, &dir);
             }
         }
-        put_u32_slice(&mut body, &slot.tokens);
-        put_section(&mut out, &body);
-        put_section(&mut out, &slot.session.snapshot_bytes());
-        out
     }
 
     /// Re-admits every restorable checkpoint in `dir` — the supervisor's
-    /// first act after restarting a crashed shard. Each restored request
-    /// resumes with its exact sampler state and token budget, so its
-    /// continuation is bit-identical to the stream the crashed incarnation
+    /// first act after restarting a crashed shard, and the one way a
+    /// drained request comes back. Each restored request resumes with its
+    /// exact sampler state and token budget — a request checkpointed
+    /// mid-prefill resumes chunked admission where it stopped — so its
+    /// continuation is bit-identical to the stream the original engine
     /// would have produced. Malformed checkpoints (truncated, flipped
-    /// bytes, wrong geometry) are reported in
-    /// [`RecoverReport::failed`] and counted in
+    /// bytes, wrong geometry, a retired format, values the model cannot
+    /// serve) are reported in [`RecoverReport::failed`] and counted in
     /// [`ServingStats::snapshot_crc_failures`]; they never panic and never
     /// admit a corrupt session. A missing or unreadable directory recovers
     /// nothing.
@@ -1305,143 +1234,18 @@ impl<'e> ServingEngine<'e> {
         if let Some(plan) = &self.config.fault_plan {
             plan.corrupt_restore_read(&mut bytes);
         }
-        let mut r = Reader::new(&bytes);
-        let mut magic = [0u8; 8];
-        for slot in magic.iter_mut() {
-            *slot = r.get_u8().map_err(|e| e.to_string())?;
-        }
-        if &magic != CKPT_MAGIC {
-            return Err("bad checkpoint magic".to_string());
-        }
-        let meta = r.get_section().map_err(|e| e.to_string())?;
-        let mut m = Reader::new(meta);
-        let parsed: Result<_, million_store::persist::PersistError> = (|| {
-            let id = m.get_len()? as u64;
-            let class = m.get_u8()?;
-            let max_new_tokens = m.get_len()?;
-            let eos_id = if m.get_u8()? == 1 {
-                Some(m.get_u32()?)
-            } else {
-                None
-            };
-            let stop_ids = m.get_u32_slice()?;
-            let sampler_kind = m.get_u8()?;
-            let sampler_state = if sampler_kind == 1 {
-                Some((
-                    f32::from_bits(m.get_u32()?),
-                    m.get_len()?,
-                    m.get_len()? as u64,
-                    m.get_len()? as u64,
-                ))
-            } else {
-                None
-            };
-            let tokens = m.get_u32_slice()?;
-            Ok((
-                id,
-                class,
-                max_new_tokens,
-                eos_id,
-                stop_ids,
-                sampler_kind,
-                sampler_state,
-                tokens,
-            ))
-        })();
-        let (id, class, max_new_tokens, eos_id, stop_ids, sampler_kind, sampler_state, tokens) =
-            parsed.map_err(|e| e.to_string())?;
-        if !m.is_exhausted() {
-            return Err("trailing bytes in checkpoint metadata section".to_string());
-        }
-        let class = *QosClass::ALL
-            .get(class as usize)
-            .ok_or_else(|| format!("unknown QoS class tag {class}"))?;
-        let sampler = match (sampler_kind, sampler_state) {
-            (0, None) => Sampler::greedy(),
-            (1, Some((temperature, top_k, seed, draws))) => {
-                if !temperature.is_finite() || temperature <= 0.0 || top_k == 0 {
-                    return Err(format!(
-                        "checkpoint sampler state is unservable \
-                         (temperature {temperature}, top_k {top_k})"
-                    ));
-                }
-                Sampler::from_state(&SamplerState::TopK {
-                    temperature,
-                    top_k,
-                    seed,
-                    draws,
-                })
-            }
-            (kind, _) => return Err(format!("unknown sampler kind tag {kind}")),
-        };
-        let session_bytes = r.get_section().map_err(|e| e.to_string())?;
-        if !r.is_exhausted() {
-            return Err("trailing bytes after checkpoint sections".to_string());
-        }
-        let mut session = self
+        let c = self
             .engine
-            .restore_session_bytes(session_bytes)
+            .decode_checkpoint(&bytes)
             .map_err(|e| e.to_string())?;
-        session.id = id as usize;
-        if self.engine.config().async_quant && self.worker.is_none() {
-            self.worker = Some(QuantWorker::spawn(
-                self.engine.codebooks().key.clone(),
-                self.engine.codebooks().value.clone(),
-                self.engine.model().cache_layout(),
-            ));
+        // Two live requests under one id would cross their encode traffic.
+        if self.resident.iter().any(|s| s.id == c.id) || self.pending.iter().any(|p| p.id == c.id) {
+            return Err(format!("request {} is already in flight", c.id.as_u64()));
         }
-        let shared = Arc::new(HandleShared {
-            cancel: AtomicBool::new(false),
-            report: Mutex::new(None),
-        });
-        let (tx, rx) = channel();
-        let handle = RequestHandle {
-            id: RequestId(id),
-            class,
-            rx,
-            shared: shared.clone(),
-            recovered_tokens: tokens.len(),
-        };
-        let prompt_tokens = session.prompt_tokens() as u32;
-        let done = tokens.len() >= max_new_tokens;
-        self.resident.push(Resident {
-            id: RequestId(id),
-            session,
-            sampler,
-            options: GenerationOptions {
-                max_new_tokens,
-                stop: StopCriteria { eos_id, stop_ids },
-            },
-            class,
-            tokens,
-            deficit: 0,
-            prefill: None,
-            shared,
-            tx,
-            submitted_at: Instant::now(),
-            queue_wait_ns: 0,
-            queue_wait_rounds: 0,
-            first_token_ns: None,
-            last_token_at: None,
-            stopped_early: false,
-            deadline: None,
-            done,
-        });
-        self.next_id = self.next_id.max(id + 1);
-        self.stats.submitted += 1;
-        self.stats.admitted += 1;
-        self.stats.max_resident_sessions =
-            self.stats.max_resident_sessions.max(self.resident.len());
-        self.telemetry.event(
-            id,
-            self.round,
-            EventKind::Submit {
-                class: class.name(),
-                prompt_tokens,
-            },
-        );
-        self.telemetry
-            .event(id, self.round, EventKind::Admit { queue_wait_ns: 0 });
+        self.next_id = self.next_id.max(c.id.as_u64() + 1);
+        let (handle, pending) =
+            self.open(c.id, c.request, c.tokens.len(), c.session.prompt_tokens());
+        self.seat(pending, c.session, c.tokens, 0);
         Ok(handle)
     }
 
@@ -1487,13 +1291,15 @@ impl<'e> ServingEngine<'e> {
             Self::sync_worker(&mut self.worker, &mut self.resident);
             let mut slot = self.resident.remove(idx);
             self.retire_resident(&mut slot, outcome);
+            Self::remove_checkpoint(&self.config, slot.id);
         }
     }
 
     /// The one way a resident leaves: flush it and build its report, resolve
-    /// the handle, count and journal the outcome, drop its checkpoint. The
-    /// caller has synced the shared worker and owns removing `slot` from
-    /// the resident set (and so decides when its KV is released).
+    /// the handle, count and journal the outcome. The caller has synced the
+    /// shared worker and owns removing `slot` from the resident set (and so
+    /// decides when its KV is released) and its checkpoint file (a
+    /// persist-mode drain keeps the one it just wrote).
     fn retire_resident(&mut self, slot: &mut Resident<'e>, outcome: RetireOutcome) {
         let report = Self::build_report(slot, outcome);
         *slot.shared.report.lock().expect("request handle poisoned") = Some(report.clone());
@@ -1502,7 +1308,6 @@ impl<'e> ServingEngine<'e> {
                 .record_e2e(slot.submitted_at.elapsed().as_nanos() as u64);
         }
         self.record_exit(slot.id, outcome, report.tokens.len());
-        Self::remove_checkpoint(&self.config, slot.id);
         self.reports.push(report);
     }
 
@@ -1620,7 +1425,28 @@ impl<'e> ServingEngine<'e> {
     /// seal immediately — a request admitted later in this same pass can
     /// attach them; the rest is teacher-forced one chunk per round by
     /// [`ServingEngine::prefill_round`].
-    fn admit(&mut self, pending: Pending) {
+    fn admit(&mut self, mut pending: Pending) {
+        let queue_wait_ns = pending.queue_wait_ns();
+        self.telemetry.record_queue_wait(queue_wait_ns);
+        let mut session = InferenceSession::new(self.engine, pending.id.0 as usize, true);
+        let reused = session.prefill_begin(&pending.request.prompt);
+        pending.request.prompt.drain(..reused);
+        self.seat(pending, session, Vec::new(), queue_wait_ns);
+        self.feed_chunk(self.resident.len() - 1);
+    }
+
+    /// The one way a request takes a slot — fresh from the queue
+    /// ([`ServingEngine::admit`]) or back from a checkpoint
+    /// ([`ServingEngine::recover`]) with `tokens` already streamed. A
+    /// request whose `prompt` still holds unfed tokens seats in the
+    /// *Prefilling* state; an empty one decodes from the next round.
+    fn seat(
+        &mut self,
+        pending: Pending,
+        session: InferenceSession<'e>,
+        tokens: Vec<u32>,
+        queue_wait_ns: u64,
+    ) {
         if self.engine.config().async_quant && self.worker.is_none() {
             self.worker = Some(QuantWorker::spawn(
                 self.engine.codebooks().key.clone(),
@@ -1628,7 +1454,6 @@ impl<'e> ServingEngine<'e> {
                 self.engine.model().cache_layout(),
             ));
         }
-        let queue_wait_ns = pending.queue_wait_ns();
         let deadline = pending.deadline();
         let Pending {
             id,
@@ -1638,31 +1463,15 @@ impl<'e> ServingEngine<'e> {
             submitted_at,
             submit_round,
         } = pending;
-        let Request {
-            prompt,
-            options,
-            sampler,
-            class,
-            deadline_ms: _,
-        } = request;
-        self.telemetry.record_queue_wait(queue_wait_ns);
         self.telemetry
             .event(id.0, self.round, EventKind::Admit { queue_wait_ns });
-        let mut session = InferenceSession::new(self.engine, id.0 as usize, true);
-        let fed = session.prefill_begin(&prompt);
         self.resident.push(Resident {
             id,
             session,
-            sampler,
-            options,
-            class,
-            tokens: Vec::new(),
+            request,
+            tokens,
             deficit: 0,
-            prefill: Some(PrefillJob {
-                prompt,
-                fed,
-                chunked_round: self.round,
-            }),
+            chunked_round: self.round,
             shared,
             tx,
             submitted_at,
@@ -1674,7 +1483,6 @@ impl<'e> ServingEngine<'e> {
             deadline,
             done: false,
         });
-        self.feed_chunk(self.resident.len() - 1);
         self.stats.admitted += 1;
         self.stats.max_resident_sessions =
             self.stats.max_resident_sessions.max(self.resident.len());
@@ -1683,37 +1491,33 @@ impl<'e> ServingEngine<'e> {
     /// Feeds the prefilling slot `idx` its next chunk of prompt, counts and
     /// journals it, and ships whatever encode batches the chunk staged (a
     /// warm admission's unmatched suffix rides the decode path) through the
-    /// shared worker. Clears the slot's *Prefilling* state when the prompt
-    /// is exhausted; returns whether it did.
+    /// shared worker. Returns whether the chunk exhausted the prompt (the
+    /// slot decodes from here on).
     fn feed_chunk(&mut self, idx: usize) -> bool {
         let slot = &mut self.resident[idx];
-        let job = slot.prefill.as_mut().expect("slot is prefilling");
-        let take = self.config.prefill_chunk_tokens.min(job.remaining());
-        slot.session
-            .prefill_chunk(&job.prompt[job.fed..job.fed + take]);
-        job.fed += take;
-        job.chunked_round = self.round;
-        let finished = job.remaining() == 0;
+        let prompt = &mut slot.request.prompt;
+        let take = self.config.prefill_chunk_tokens.min(prompt.len());
+        slot.session.prefill_chunk(&prompt[..take]);
+        prompt.drain(..take);
+        slot.chunked_round = self.round;
+        let remaining = prompt.len();
         self.stats.prefill_chunks += 1;
-        self.stats.prefill_tokens_by_class[slot.class.index()] += take as u64;
+        self.stats.prefill_tokens_by_class[slot.request.class.index()] += take as u64;
         self.telemetry.event(
             slot.id.0,
             self.round,
             EventKind::PrefillChunk {
-                fed: job.fed as u32,
-                remaining: job.remaining() as u32,
+                fed: slot.session.prompt_tokens() as u32,
+                remaining: remaining as u32,
             },
         );
-        if finished {
-            slot.prefill = None;
-        }
         let requests = slot.session.take_encode_requests();
         if let Some(worker) = &mut self.worker {
             for encode in requests {
                 worker.submit(encode);
             }
         }
-        finished
+        remaining == 0
     }
 
     /// Opens this round's DWRR pass: computes the quantum (the minimum
@@ -1721,9 +1525,13 @@ impl<'e> ServingEngine<'e> {
     /// weight into its deficit. `None` when nothing is resident — the round
     /// has no prefill or decode work.
     fn accrue_deficits(&mut self) -> Option<u32> {
-        let quantum = self.resident.iter().map(|s| s.class.weight()).min()?;
+        let quantum = self
+            .resident
+            .iter()
+            .map(|s| s.request.class.weight())
+            .min()?;
         for slot in &mut self.resident {
-            slot.deficit += slot.class.weight();
+            slot.deficit += slot.request.class.weight();
         }
         Some(quantum)
     }
@@ -1739,7 +1547,7 @@ impl<'e> ServingEngine<'e> {
             for idx in 0..self.resident.len() {
                 {
                     let slot = &self.resident[idx];
-                    if slot.done || slot.prefill.is_some() || slot.deficit < quantum {
+                    if slot.done || slot.prefilling() || slot.deficit < quantum {
                         continue;
                     }
                     if slot.shared.cancel.load(Ordering::Relaxed) {
@@ -1757,9 +1565,9 @@ impl<'e> ServingEngine<'e> {
                 let slot = &mut self.resident[idx];
                 slot.deficit -= quantum;
                 // analyze: no-alloc(begin)
-                let mut step = slot.session.step_with(&mut slot.sampler);
+                let mut step = slot.session.step_with(&mut slot.request.sampler);
                 slot.tokens.push(step.token);
-                self.stats.tokens_by_class[slot.class.index()] += 1;
+                self.stats.tokens_by_class[slot.request.class.index()] += 1;
                 if slot.tokens.len() == 1 {
                     // TTFT is part of the report contract
                     // ([`SessionReport::first_token_ns`]), so it is
@@ -1781,11 +1589,11 @@ impl<'e> ServingEngine<'e> {
                     }
                     slot.last_token_at = Some(now);
                 }
-                if slot.options.stop.matches(step.token) {
+                if slot.request.options.stop.matches(step.token) {
                     step.matched_stop = true;
                     slot.stopped_early = true;
                     slot.done = true;
-                } else if slot.tokens.len() >= slot.options.max_new_tokens
+                } else if slot.tokens.len() >= slot.request.options.max_new_tokens
                     || slot.session.cached_tokens() >= max_seq_len
                 {
                     // Out of budget, or out of context window: the next
@@ -1828,13 +1636,13 @@ impl<'e> ServingEngine<'e> {
     fn prefill_round(&mut self) {
         for idx in 0..self.resident.len() {
             let slot = &mut self.resident[idx];
-            let Some(job) = &slot.prefill else {
+            if !slot.prefilling() {
                 continue;
-            };
+            }
             // A cancelled slot retires at the round boundary, the rest of
             // its prompt never fed; a slot admitted this round already ran
             // its chunk inside `admit`. Either way it is owed no more work.
-            if slot.shared.cancel.load(Ordering::Relaxed) || job.chunked_round == self.round {
+            if slot.shared.cancel.load(Ordering::Relaxed) || slot.chunked_round == self.round {
                 slot.deficit = 0;
                 continue;
             }
@@ -1879,7 +1687,7 @@ impl<'e> ServingEngine<'e> {
         slot.session.flush();
         SessionReport {
             session: slot.id.0 as usize,
-            class: slot.class,
+            class: slot.request.class,
             tokens: std::mem::take(&mut slot.tokens),
             prompt_tokens: slot.session.prompt_tokens(),
             kv_bytes: slot.session.kv_bytes(),
@@ -1902,10 +1710,21 @@ impl<'e> ServingEngine<'e> {
     }
 }
 
+/// Where request `id`'s checkpoint lives under `dir`.
+fn checkpoint_path(dir: &Path, id: RequestId) -> PathBuf {
+    dir.join(format!("request-{}.ckpt", id.as_u64()))
+}
+
+/// Whether `a` and `b` name the same directory, spelled alike or not.
+fn same_dir(a: &Path, b: &Path) -> bool {
+    a == b || matches!((a.canonicalize(), b.canonicalize()), (Ok(a), Ok(b)) if a == b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::session::StopCriteria;
     use crate::test_fixtures::engine;
 
     fn prompts() -> Vec<Vec<u32>> {
@@ -2476,45 +2295,106 @@ mod tests {
     #[test]
     fn drain_persist_mode_snapshots_residents_that_restore_bit_identically() {
         let engine = engine(false, 11);
-        let dir = std::env::temp_dir().join(format!("million_drain_{}", std::process::id()));
-        let mut serving = ServingEngine::new(
-            &engine,
-            ServingConfig {
-                max_resident: 2,
-                ..ServingConfig::default()
-            },
-        );
+        let dir = checkpoint_dir("drain");
         let p = prompts();
-        let handle = serving
-            .submit(Request::new(
-                p[0].clone(),
-                GenerationOptions::max_tokens(12),
-            ))
-            .expect("queued");
+        let submit_both = |serving: &mut ServingEngine| -> Vec<RequestHandle> {
+            vec![
+                serving
+                    .submit(Request::new(
+                        p[0].clone(),
+                        GenerationOptions::max_tokens(12),
+                    ))
+                    .expect("queued"),
+                serving
+                    .submit(
+                        Request::new(p[1].clone(), GenerationOptions::max_tokens(12))
+                            .with_sampler(Sampler::top_k(0.8, 8, 5)),
+                    )
+                    .expect("queued"),
+            ]
+        };
+        let mut undrained = ServingEngine::new(&engine, ServingConfig::default());
+        let expected: Vec<Vec<u32>> = {
+            let handles = submit_both(&mut undrained);
+            undrained.run_until_idle();
+            handles
+                .iter()
+                .map(|h| h.report().expect("done").tokens)
+                .collect()
+        };
+
+        let mut serving = ServingEngine::new(&engine, ServingConfig::default());
+        let handles = submit_both(&mut serving);
         for _ in 0..4 {
             serving.serve_round();
         }
         let report = serving.drain(Some(&dir)).expect("drain persists");
-        assert_eq!(report.persisted.len(), 1);
+        assert_eq!(report.persisted.len(), 2);
         assert_eq!(report.finished, 0);
-        assert!(serving.is_idle(), "persisted resident retired immediately");
-        let partial = handle.report().expect("retired");
-        assert!(partial.cancelled, "stream ended early");
-        assert_eq!(partial.tokens.len(), 4);
-        // The snapshot resumes exactly where the drained engine stopped and
-        // continues token-identically with an undisturbed serial run.
-        let (id, path) = &report.persisted[0];
-        assert_eq!(*id, handle.id());
-        let mut restored = engine.restore_session(path).expect("snapshot loads");
-        let tail = restored.generate(&GenerationOptions::max_tokens(8));
-        let mut serial = engine.session();
-        serial.prefill(&p[0]);
-        let full = serial.generate(&GenerationOptions::max_tokens(12));
-        assert_eq!(
-            [partial.tokens.clone(), tail.tokens].concat(),
-            full.tokens,
-            "drain/restore splices into the serial stream"
-        );
+        assert!(serving.is_idle(), "persisted residents retired immediately");
+        for (handle, (id, path)) in handles.iter().zip(&report.persisted) {
+            let partial = handle.report().expect("retired");
+            assert!(partial.cancelled, "stream ended early");
+            assert_eq!(partial.tokens.len(), 4);
+            assert_eq!(*id, handle.id());
+            assert_eq!(*path, dir.join(format!("request-{}.ckpt", id.as_u64())));
+        }
+        // The checkpoints resume exactly where the drained engine stopped
+        // and continue token-identically with the undrained run — the
+        // seeded sampler's position included.
+        let mut restarted = ServingEngine::new(&engine, ServingConfig::default());
+        let recovered = restarted.recover(&dir);
+        assert!(recovered.failed.is_empty(), "{:?}", recovered.failed);
+        assert_eq!(recovered.restored.len(), 2);
+        restarted.run_until_idle();
+        for ((handle, old), expected) in recovered.restored.iter().zip(&handles).zip(&expected) {
+            assert_eq!(handle.id(), old.id());
+            assert_eq!(handle.recovered_tokens(), 4);
+            let tail: Vec<u32> = handle.drain_tokens().iter().map(|s| s.token).collect();
+            assert_eq!(
+                [old.report().expect("retired").tokens, tail].concat(),
+                *expected,
+                "drain/recover splices into the undrained stream"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Draining into the engine's own checkpoint directory leaves every
+    /// file the drain wrote — retirement must not treat them as the stale
+    /// periodic checkpoints of finished requests — and a restart that
+    /// recovers from that directory picks every request up.
+    #[test]
+    fn drain_into_the_checkpoint_dir_keeps_its_files() {
+        let engine = engine(false, 25);
+        let dir = checkpoint_dir("own_dir");
+        let config = ServingConfig {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every_rounds: 1,
+            ..ServingConfig::default()
+        };
+        let mut serving = ServingEngine::new(&engine, config.clone());
+        for prompt in &prompts()[..2] {
+            serving
+                .submit(Request::new(
+                    prompt.clone(),
+                    GenerationOptions::max_tokens(16),
+                ))
+                .expect("queued");
+        }
+        for _ in 0..3 {
+            serving.serve_round();
+        }
+        let report = serving.drain(Some(&dir)).expect("drain persists");
+        assert_eq!(report.persisted.len(), 2);
+        for (_, path) in &report.persisted {
+            assert!(path.exists(), "{} survives retirement", path.display());
+        }
+        let mut restarted = ServingEngine::new(&engine, config);
+        let recovered = restarted.recover(&dir);
+        assert_eq!(recovered.restored.len(), 2, "{:?}", recovered.failed);
+        restarted.run_until_idle();
+        assert_eq!(restarted.stats().completed, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -3017,6 +2897,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Periodic checkpoints catch a resident mid-prefill too: its unfed
+    /// prompt rides in the checkpoint, so after a crash the recovered
+    /// request resumes chunked admission and completes bit-identically.
+    #[test]
+    fn a_crash_mid_prefill_recovers_from_the_periodic_checkpoint() {
+        let engine = engine(false, 27);
+        let dir = checkpoint_dir("mid_prefill");
+        let chunked = ServingConfig {
+            prefill_chunk_tokens: 4,
+            ..ServingConfig::default()
+        };
+        let config = ServingConfig {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every_rounds: 1,
+            ..chunked.clone()
+        };
+        let prompt: Vec<u32> = (0..20u32).map(|i| (i * 7 + 3) % 64).collect();
+        let request = || Request::new(prompt.clone(), GenerationOptions::max_tokens(6));
+        let mut baseline = ServingEngine::new(&engine, chunked);
+        let expected = baseline.submit(request()).expect("queued");
+        baseline.run_until_idle();
+
+        let mut crashed = ServingEngine::new(&engine, config.clone());
+        crashed.submit(request()).expect("queued");
+        crashed.serve_round();
+        crashed.serve_round();
+        assert_eq!(crashed.prefill_tokens_remaining(), 12, "two chunks fed");
+        drop(crashed);
+
+        let mut restarted = ServingEngine::new(&engine, config);
+        let recovered = restarted.recover(&dir);
+        assert!(recovered.failed.is_empty(), "{:?}", recovered.failed);
+        assert_eq!(restarted.prefill_tokens_remaining(), 12);
+        restarted.run_until_idle();
+        assert_eq!(
+            recovered.restored[0].report().expect("done").tokens,
+            expected.report().expect("done").tokens
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Corrupt checkpoints — truncation, flipped bytes, garbage — are typed
     /// recovery failures, counted and reported, never panics; intact
     /// neighbours still restore.
@@ -3072,7 +2993,8 @@ mod tests {
 
     /// The fault plan's serving hooks: a scheduled queue-full burst rejects
     /// submissions on an empty queue, and the scheduled snapshot I/O error
-    /// surfaces through `persist_request` while later writes succeed.
+    /// surfaces through a persist-mode drain — which retires nobody — while
+    /// the retried drain lands.
     #[test]
     fn fault_plan_injects_queue_full_and_snapshot_io_errors() {
         let engine = engine(false, 23);
@@ -3098,21 +3020,56 @@ mod tests {
             .submit(Request::new(p[0].clone(), GenerationOptions::max_tokens(8)))
             .expect("burst over");
         serving.serve_round();
-        let path = std::env::temp_dir().join(format!("million_fault_{}.kv", std::process::id()));
+        let dir = checkpoint_dir("fault");
         let err = serving
-            .persist_request(handle.id(), &path)
+            .drain(Some(&dir))
             .expect_err("first write is the scheduled failure");
         assert!(err.to_string().contains("injected fault"));
         assert_eq!(serving.stats().snapshot_writes, 0);
-        assert!(
-            serving
-                .persist_request(handle.id(), &path)
-                .expect("written"),
-            "the retry lands"
+        assert_eq!(
+            serving.resident_sessions(),
+            1,
+            "a failed drain retires nobody"
         );
+        assert!(!handle.is_finished());
+        let report = serving.drain(Some(&dir)).expect("the retry lands");
+        assert_eq!(report.persisted.len(), 1);
         assert_eq!(serving.stats().snapshot_writes, 1);
-        serving.run_until_idle();
-        std::fs::remove_file(&path).ok();
+        assert!(serving.is_idle());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A retired format is a typed, counted recovery failure that names
+    /// its version — never a misread of the bytes that follow the magic.
+    #[test]
+    fn recover_rejects_a_v1_checkpoint_by_name() {
+        let engine = engine(false, 26);
+        let dir = checkpoint_dir("v1");
+        let mut serving = ServingEngine::new(&engine, ServingConfig::default());
+        serving
+            .submit(Request::new(
+                prompts()[0].clone(),
+                GenerationOptions::max_tokens(8),
+            ))
+            .expect("queued");
+        serving.serve_round();
+        let report = serving.drain(Some(&dir)).expect("drain persists");
+        let (_, path) = &report.persisted[0];
+        let mut bytes = std::fs::read(path).expect("checkpoint exists");
+        bytes[..8].copy_from_slice(b"MLNCKPT1");
+        std::fs::write(path, &bytes).unwrap();
+
+        let mut restarted = ServingEngine::new(&engine, ServingConfig::default());
+        let recovered = restarted.recover(&dir);
+        assert!(recovered.restored.is_empty());
+        assert_eq!(recovered.failed.len(), 1);
+        assert!(
+            recovered.failed[0].1.contains("MLNCKPT1"),
+            "{:?}",
+            recovered.failed
+        );
+        assert_eq!(restarted.stats().snapshot_crc_failures, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A scheduled short read corrupts checkpoint recovery exactly once —

@@ -145,8 +145,8 @@ pub struct ServingSettings {
     /// Lifecycle-journal ring capacity per shard (oldest events are
     /// evicted beyond it).
     pub journal_events: usize,
-    /// Checkpoint live sessions every N rounds (0 = only on drain).
-    /// Effective only when `server.checkpoint_dir` is set.
+    /// Checkpoint in-flight requests every N rounds (0 = never; drains
+    /// write their own). Effective only when `server.checkpoint_dir` is set.
     pub checkpoint_every_rounds: u64,
 }
 
@@ -586,6 +586,7 @@ impl ServingSettings {
             prefill_chunk_tokens: self.prefill_chunk_tokens,
             telemetry: self.telemetry,
             journal_events: self.journal_events,
+            checkpoint_every_rounds: self.checkpoint_every_rounds,
             ..ServingConfig::default()
         }
     }

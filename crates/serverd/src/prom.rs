@@ -224,14 +224,14 @@ pub fn render(shards: &[ShardSnapshot], health: &[ShardHealth]) -> String {
         &mut w,
         shards,
         "million_snapshot_writes_total",
-        "Session checkpoints durably written (temp + fsync + rename).",
+        "Request checkpoints durably written (temp + fsync + rename).",
         |s| s.stats.snapshot_writes,
     );
     counter(
         &mut w,
         shards,
         "million_snapshot_crc_failures_total",
-        "Checkpoint restores rejected for corruption (bad magic, CRC, or truncation).",
+        "Checkpoint restores rejected (bad or retired format, CRC, truncation, bad values).",
         |s| s.stats.snapshot_crc_failures,
     );
     counter(

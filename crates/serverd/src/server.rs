@@ -166,7 +166,6 @@ impl Server {
                 checkpoint_dir: checkpoint_base
                     .as_ref()
                     .map(|base| base.join(format!("shard-{index}"))),
-                checkpoint_every_rounds: config.serving.checkpoint_every_rounds,
                 fault_plan,
             };
             shards.push(spawn_shard(

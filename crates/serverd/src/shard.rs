@@ -177,11 +177,10 @@ pub struct SupervisorSettings {
     pub max_restarts: u64,
     /// Base backoff between restarts; doubles per restart, capped at 5 s.
     pub backoff_ms: u64,
-    /// Directory holding this shard's session checkpoints. `None`
-    /// disables checkpointing and recovery.
+    /// This shard's request checkpoints, recovered at every start (a drain
+    /// into it included); the cadence is `serving.checkpoint_every_rounds`.
+    /// `None` disables checkpointing and recovery.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint live sessions every N rounds (0 = only on drain).
-    pub checkpoint_every_rounds: u64,
     /// Deterministic fault schedule (injected panics, snapshot I/O errors,
     /// short reads, queue-full bursts) for chaos tests.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -193,7 +192,6 @@ impl Default for SupervisorSettings {
             max_restarts: 3,
             backoff_ms: 100,
             checkpoint_dir: None,
-            checkpoint_every_rounds: 0,
             fault_plan: None,
         }
     }
@@ -631,7 +629,6 @@ fn run_incarnation(
 
     let mut config = serving_settings.to_serving_config();
     config.checkpoint_dir = supervisor.checkpoint_dir.clone();
-    config.checkpoint_every_rounds = supervisor.checkpoint_every_rounds;
     config.fault_plan = supervisor.fault_plan.clone();
     let mut serving = ServingEngine::new(&engine, config);
 
@@ -938,9 +935,12 @@ mod tests {
         let supervisor = SupervisorSettings {
             backoff_ms: 10,
             checkpoint_dir: Some(dir.clone()),
-            checkpoint_every_rounds: 1,
             fault_plan: Some(plan),
             ..SupervisorSettings::default()
+        };
+        let ss = ServingSettings {
+            checkpoint_every_rounds: 1,
+            ..ss
         };
         let shard = spawn_shard(0, es, ss, supervisor).unwrap();
         let handle = shard.submit(request()).unwrap();
@@ -983,6 +983,80 @@ mod tests {
         assert_eq!(report.tokens, baseline);
 
         shard.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The drain-then-restart recipe on shards: a paused shard holding a
+    /// greedy request mid-prefill and a seeded top-k request mid-decode
+    /// drains into a directory; a fresh shard whose checkpoint directory is
+    /// that directory recovers both as it starts, and splicing each stream
+    /// reproduces an undrained run bit for bit.
+    #[test]
+    fn drain_then_restart_resumes_every_request_bit_identically() {
+        let (es, ss) = tiny();
+        let ss = ServingSettings {
+            prefill_chunk_tokens: 8,
+            ..ss
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "serverd-drain-restart-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let long_prompt: Vec<u32> = (0..40u32).map(|i| (i * 7 + 3) % 128).collect();
+        let requests = || {
+            [
+                Request::new(long_prompt.clone(), GenerationOptions::max_tokens(6)),
+                Request::new(vec![5, 10, 20, 40], GenerationOptions::max_tokens(10))
+                    .with_sampler(million_model::Sampler::top_k(0.8, 8, 77)),
+            ]
+        };
+
+        let undrained = spawn_shard(0, es.clone(), ss.clone(), SupervisorSettings::default())
+            .expect("shard builds");
+        let baseline: Vec<Vec<u32>> = requests()
+            .into_iter()
+            .map(|r| drain_handle(&undrained.submit(r).expect("queued")))
+            .collect();
+        undrained.shutdown();
+
+        let shard = spawn_shard(0, es.clone(), ss.clone(), SupervisorSettings::default())
+            .expect("shard builds");
+        shard.pause(true);
+        let handles: Vec<RequestHandle> = requests()
+            .into_iter()
+            .map(|r| shard.submit(r).expect("queued"))
+            .collect();
+        // Three rounds: 24 of the long prompt's 40 tokens fed, three tokens
+        // of the short request decoded.
+        shard.step(3);
+        let report = shard.drain(Some(dir.clone())).expect("drain persists");
+        assert_eq!(report.persisted.len(), 2);
+        let streamed: Vec<Vec<u32>> = handles.iter().map(drain_handle).collect();
+        assert!(streamed[0].is_empty(), "drained mid-prefill");
+        assert_eq!(streamed[1].len(), 3, "drained mid-decode");
+        shard.shutdown();
+
+        let supervisor = SupervisorSettings {
+            checkpoint_dir: Some(dir.clone()),
+            ..SupervisorSettings::default()
+        };
+        let restarted = spawn_shard(0, es, ss, supervisor).expect("shard builds");
+        for ((handle, streamed), baseline) in handles.iter().zip(&streamed).zip(&baseline) {
+            let recovered = restarted
+                .claim_recovered(handle.id())
+                .expect("drained request recovered");
+            assert_eq!(recovered.recovered_tokens(), streamed.len());
+            let full = [streamed.clone(), drain_handle(&recovered)].concat();
+            assert_eq!(
+                &full,
+                baseline,
+                "request {:?} resumes bit-identically",
+                handle.id()
+            );
+        }
+        restarted.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

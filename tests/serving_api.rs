@@ -8,6 +8,8 @@
 //! fresh session, which is what lets iteration-level scheduling, QoS
 //! weighting, and mid-flight admission be pure policy.
 
+use std::path::PathBuf;
+
 use million::{
     GenerationOptions, MillionConfig, MillionEngine, QosClass, Request, ServingConfig,
     ServingEngine,
@@ -124,17 +126,28 @@ fn short_high_priority_request_overtakes_a_long_running_batch() {
     }
 }
 
-/// Satellite: persistence from inside the serving loop. A session persisted
-/// mid-decode *from a serving round* restores into a standalone session that
-/// continues token-identically with the remainder the serving run produced.
+/// A fresh, empty scratch directory for one test's checkpoints.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("million_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Satellite: persistence from inside the serving loop. A request
+/// checkpointed mid-decode *by a serving round* recovers into a fresh
+/// serving engine that continues token-identically with the remainder the
+/// serving run produced.
 #[test]
 fn request_persisted_mid_serving_round_restores_and_continues_identically() {
     let config = ModelConfig::tiny_for_tests();
     let engine = build_engine(&config, sync_config(config.head_dim()), 17);
+    let dir = scratch_dir("serving_persist");
     let mut serving = ServingEngine::new(
         &engine,
         ServingConfig {
             max_resident: 2,
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every_rounds: 7,
             ..ServingConfig::default()
         },
     );
@@ -150,29 +163,32 @@ fn request_persisted_mid_serving_round_restores_and_continues_identically() {
     for _ in 0..7 {
         serving.serve_round();
     }
-    let path = std::env::temp_dir().join(format!(
-        "million_serving_persist_{}.bin",
-        std::process::id()
-    ));
-    assert!(
-        serving
-            .persist_request(target.id(), &path)
-            .expect("snapshot written"),
-        "request is resident"
-    );
+    // Round 7 checkpointed every resident; keep the target's file before
+    // its clean retirement removes it.
+    let kept = scratch_dir("serving_persist_kept");
+    std::fs::create_dir_all(&kept).unwrap();
+    let name = format!("request-{}.ckpt", target.id().as_u64());
+    std::fs::copy(dir.join(&name), kept.join(&name)).expect("checkpoint written");
 
-    // The serving run continues to completion, unperturbed by the snapshot.
+    // The serving run continues to completion, unperturbed by the checkpoint.
     serving.run_until_idle();
     let report = target.report().expect("finished");
     assert_eq!(report.tokens.len(), 20);
 
-    // The restored session picks up exactly where the snapshot was taken:
-    // 7 tokens in, 13 to go.
-    let mut restored = engine.restore_session(&path).expect("snapshot restores");
-    assert_eq!(restored.generated_tokens(), &report.tokens[..7]);
-    let continued: Vec<u32> = (0..13).map(|_| restored.step().token).collect();
+    // The recovered request picks up exactly where the checkpoint was
+    // taken: 7 tokens in, 13 to go.
+    let mut restarted = ServingEngine::new(&engine, ServingConfig::default());
+    let recovered = restarted.recover(&kept);
+    assert!(recovered.failed.is_empty(), "{:?}", recovered.failed);
+    let restored = &recovered.restored[0];
+    assert_eq!(restored.id(), target.id());
+    assert_eq!(restored.recovered_tokens(), 7);
+    restarted.run_until_idle();
+    let continued: Vec<u32> = restored.drain_tokens().iter().map(|s| s.token).collect();
     assert_eq!(continued, &report.tokens[7..]);
-    std::fs::remove_file(&path).ok();
+    assert_eq!(restored.report().expect("finished").tokens, report.tokens);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&kept).ok();
 }
 
 /// Satellite: the budgeted store keeps a departed session's blocks resident,
@@ -480,23 +496,22 @@ fn deadline_expiry_mid_prefill_retires_at_the_chunk_boundary() {
     assert!(serving.is_idle());
 }
 
-/// Draining in persist mode mid-prefill snapshots the partially-fed
-/// session. Restoring it and feeding the *rest* of the prompt continues
-/// bit-identically with a serial one-shot run — the chunked prefix state is
-/// exactly the serial prefix state.
+/// Draining in persist mode mid-prefill checkpoints the partially-fed
+/// session together with the rest of its prompt. Recovering it resumes
+/// chunked admission where the drain stopped and completes bit-identically
+/// with a serial run — the chunked prefix state is exactly the serial
+/// prefix state, and nothing of the prompt has to be supplied again.
 #[test]
 fn drain_persist_mid_prefill_restores_and_completes_identically() {
     let config = ModelConfig::tiny_for_tests();
     let engine = build_engine(&config, sync_config(config.head_dim()), 37);
-    let dir = std::env::temp_dir().join(format!("million_drain_prefill_{}", std::process::id()));
-    let mut serving = ServingEngine::new(
-        &engine,
-        ServingConfig {
-            max_resident: 1,
-            prefill_chunk_tokens: 8,
-            ..ServingConfig::default()
-        },
-    );
+    let dir = scratch_dir("drain_prefill");
+    let serving_config = ServingConfig {
+        max_resident: 1,
+        prefill_chunk_tokens: 8,
+        ..ServingConfig::default()
+    };
+    let mut serving = ServingEngine::new(&engine, serving_config.clone());
     let p = prompt(&config, 56);
     let handle = serving
         .submit(Request::new(p.clone(), GenerationOptions::max_tokens(10)))
@@ -510,13 +525,21 @@ fn drain_persist_mid_prefill_restores_and_completes_identically() {
     let partial = handle.report().expect("retired");
     assert!(partial.cancelled, "stream ended early");
     assert!(partial.tokens.is_empty());
-    assert_eq!(partial.prompt_tokens, 16, "snapshot taken at the boundary");
+    assert_eq!(
+        partial.prompt_tokens, 16,
+        "checkpoint taken at the boundary"
+    );
 
-    let (id, path) = &report.persisted[0];
+    let (id, _) = &report.persisted[0];
     assert_eq!(*id, handle.id());
-    let mut restored = engine.restore_session(path).expect("snapshot loads");
-    restored.append_prompt(&p[16..]);
-    let resumed = restored.generate(&GenerationOptions::max_tokens(10));
+    let mut restarted = ServingEngine::new(&engine, serving_config);
+    let recovered = restarted.recover(&dir);
+    assert!(recovered.failed.is_empty(), "{:?}", recovered.failed);
+    assert_eq!(restarted.prefilling_sessions(), 1, "resumes mid-prefill");
+    assert_eq!(restarted.prefill_tokens_remaining(), 40);
+    restarted.run_until_idle();
+    let resumed = recovered.restored[0].report().expect("finished");
+    assert_eq!(resumed.prompt_tokens, 56);
     // The serial twin mirrors the chunked construction — first chunk through
     // the tiled prefill, the rest through the extend path (PR 3's resume
     // primitive); chunk call granularity is bitwise-invisible, so one
@@ -527,7 +550,7 @@ fn drain_persist_mid_prefill_restores_and_completes_identically() {
     let expected = serial.generate(&GenerationOptions::max_tokens(10));
     assert_eq!(
         resumed.tokens, expected.tokens,
-        "restored mid-prefill state splices into the serial stream"
+        "recovered mid-prefill state splices into the serial stream"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
