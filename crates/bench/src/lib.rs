@@ -95,14 +95,6 @@ pub fn trained_million_spec(
     (codebooks, spec)
 }
 
-/// Formats an optional milliseconds value, using the paper's "OOM" marker.
-pub fn format_ms(value: Option<f64>) -> String {
-    match value {
-        Some(ms) => format!("{ms:.2}"),
-        None => "OOM".into(),
-    }
-}
-
 /// Measurement-only reference kernels.
 ///
 /// The production decode path now runs the fused packed kernel
@@ -217,12 +209,6 @@ pub mod kernels {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn format_ms_handles_oom() {
-        assert_eq!(format_ms(Some(12.345)), "12.35");
-        assert_eq!(format_ms(None), "OOM");
-    }
 
     #[test]
     fn streams_are_deterministic_and_in_vocab() {

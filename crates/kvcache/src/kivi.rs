@@ -8,7 +8,7 @@
 //!
 //! Attention over this cache must de-quantize keys and values on the fly —
 //! the overhead MILLION's lookup-table attention avoids; the cost difference
-//! is modelled in `million-perfsim` and measured in the Criterion benches.
+//! is measured in the Criterion benches.
 
 use million_quant::uniform::{Granularity, QuantizedMatrix, Symmetry};
 use million_tensor::alibi::alibi_bias;

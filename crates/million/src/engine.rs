@@ -191,6 +191,9 @@ impl MillionEngine {
         let mut caches = build_caches(self.model.config(), &CacheSpec::Full);
         let logits = self.model.prefill(prompt, &mut caches, None);
         let mut tokens = Vec::with_capacity(max_new_tokens);
+        if max_new_tokens == 0 {
+            return tokens;
+        }
         let mut next = sampler.sample(logits.row(prompt.len() - 1));
         tokens.push(next);
         let mut scratch = StepScratch::new();
@@ -274,6 +277,20 @@ mod tests {
         assert!(reference
             .iter()
             .all(|&t| (t as usize) < engine.model().config().vocab_size));
+    }
+
+    #[test]
+    fn reference_and_quantized_generation_return_the_same_length() {
+        let engine = engine(false, 7);
+        for max_new_tokens in [0, 1] {
+            let reference =
+                engine.generate_reference(&prompt(), max_new_tokens, &mut Sampler::greedy());
+            let quantized = engine
+                .generate(&prompt(), max_new_tokens, &mut Sampler::greedy())
+                .tokens;
+            assert_eq!(reference.len(), max_new_tokens);
+            assert_eq!(quantized.len(), max_new_tokens);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Everything here is deterministic and CPU-only; GPU kernels from the paper
 //! are reproduced algorithmically (same arithmetic, same data layout
-//! decisions) and their cost is modelled separately in `million-perfsim`.
+//! decisions) and their cost is measured on the CPU (see `docs/PERF.md`).
 //!
 //! # Example
 //!

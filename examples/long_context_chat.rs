@@ -2,15 +2,13 @@
 //! session across several user turns. The first turn pays the long-document
 //! prefill once; every later turn rides on the already-quantized history via
 //! `append_prompt`, which is exactly the serving pattern MILLION's
-//! PQ-compressed cache exists for. The A40 cost model then predicts the
-//! latency at the corresponding full-scale context length.
+//! PQ-compressed cache exists for.
 //!
 //! Run with `cargo run --release -p million --example long_context_chat`.
 
 use million::{GenerationOptions, MillionConfig, MillionEngine};
 use million_eval::corpus::{CorpusConfig, SyntheticCorpus};
 use million_model::{ModelConfig, Transformer};
-use million_perfsim::{tpot_ms, GpuSpec, KvCacheMethod, ModelGeometry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Longchat-style preset: RoPE with position interpolation, 32K window.
@@ -66,18 +64,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // What this would mean on the real hardware of the paper.
-    let gpu = GpuSpec::a40();
-    let geom = ModelGeometry::llama2_7b();
-    for ctx in [8192usize, 32_768] {
-        let base = tpot_ms(&gpu, &geom, &KvCacheMethod::Fp16, ctx, 100);
-        let ours = tpot_ms(&gpu, &geom, &KvCacheMethod::million_4bit(), ctx, 100);
-        if let (Some(base), Some(ours)) = (base, ours) {
-            println!(
-                "A40 cost model @ {ctx:>6} ctx: fp16 {base:6.2} ms/token, MILLION {ours:6.2} ms/token ({:.2}x)",
-                base / ours
-            );
-        }
-    }
     Ok(())
 }
