@@ -20,6 +20,8 @@
 //! and [`analyze_sources`] (pure: `Vec<SourceFile>` in, [`Report`] out),
 //! so tests can drive the whole pipeline on in-memory fixtures.
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod policy;
 pub mod report;

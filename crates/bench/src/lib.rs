@@ -5,6 +5,8 @@
 //! table; machine-readable JSON is written next to it under
 //! `target/experiments/` so results can be diffed between runs.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 
 use million::{MillionConfig, TrainedCodebooks};

@@ -13,6 +13,7 @@
 //!   standard deviation) behind Fig. 2 and Fig. 3.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod corpus;

@@ -20,6 +20,7 @@
 //! memory footprint so compression ratios can be measured exactly.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod full;
 pub mod kivi;

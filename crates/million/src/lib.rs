@@ -62,6 +62,7 @@
 //! (`examples/shared_prefix_serving.rs`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod async_quant;
 pub mod config;

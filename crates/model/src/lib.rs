@@ -27,6 +27,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache_factory;
 pub mod config;

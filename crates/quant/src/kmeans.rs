@@ -149,8 +149,8 @@ pub(crate) fn lloyd(
     })
 }
 
-/// Centroids scanned together by [`nearest_in_planes`]: four SSE registers
-/// of running minima.
+/// Centroids scanned together by [`nearest_in_planes`], one running minimum
+/// per lane: two 8-lane registers under AVX2, four 4-lane ones under SSE2.
 const LANES: usize = 16;
 
 /// Finds the nearest centroid (index, squared distance) of `sample` among
@@ -167,11 +167,27 @@ const LANES: usize = 16;
 /// chunk follows with one running `(min, chunk)` pair per lane instead of
 /// one chain of `k` dependent compares.
 ///
+/// On an x86-64 CPU with AVX2 the scan runs as an AVX2 build of the same
+/// source, with the same bits (see `docs/PERF.md`, "ISA dispatch").
+///
 /// # Panics
 ///
 /// Panics if `planes.len() != sample.len() * k`.
 // analyze: no-alloc
 pub fn nearest_in_planes(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked on the line above.
+        return unsafe { nearest_avx2(sample, planes, k) };
+    }
+    nearest(sample, planes, k)
+}
+
+/// The body of [`nearest_in_planes`] that every instruction-set build
+/// compiles; [`crate::pq::PqCodebook::encode_into`] inlines it into its own
+/// per-vector builds.
+#[inline(always)]
+pub(crate) fn nearest(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
     assert_eq!(planes.len(), sample.len() * k, "centroid plane shape");
     // A known channel count lets the compiler unroll the distance loop and
     // keep a whole chunk of lanes in registers.
@@ -182,6 +198,13 @@ pub fn nearest_in_planes(sample: &[f32], planes: &[f32], k: usize) -> (usize, f3
         8 => scan_planes(&sample[..8], planes, k),
         _ => scan_planes(sample, planes, k),
     }
+}
+
+/// [`nearest`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn nearest_avx2(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
+    nearest(sample, planes, k)
 }
 
 #[inline(always)]
@@ -204,15 +227,19 @@ fn scan_planes(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
             lane_chunk[l] = if closer { chunk as u32 } else { lane_chunk[l] };
         }
     }
-    let mut best = 0usize;
-    let mut best_dist = f32::INFINITY;
-    for l in 0..LANES {
-        let c = lane_chunk[l] as usize * LANES + l;
-        if lane_min[l] < best_dist || (lane_min[l] == best_dist && c < best) {
-            best_dist = lane_min[l];
-            best = c;
-        }
+    // Fold the lanes to the smallest distance, lowest index on ties. A lane
+    // minimum is a sum of squares that won a `<`, so it lies in [+0, +inf]
+    // (never NaN, never -0), where float order is the order of the bit
+    // patterns: the smallest (distance bits, index) key is the winner, with
+    // no data-dependent branch.
+    let mut keys = [0u64; LANES];
+    for (l, key) in keys.iter_mut().enumerate() {
+        let index = lane_chunk[l] * LANES as u32 + l as u32;
+        *key = u64::from(lane_min[l].to_bits()) << 32 | u64::from(index);
     }
+    let key = keys.iter().fold(u64::MAX, |a, &b| a.min(b));
+    let mut best = key as u32 as usize;
+    let mut best_dist = f32::from_bits((key >> 32) as u32);
     // The `k % LANES` tail holds the highest indices, so strict `<` keeps
     // the first-wins rule.
     for c in chunks * LANES..k {
@@ -453,6 +480,83 @@ mod tests {
             });
             assert_scans_agree(&[1.0, 1.0], &centroids);
             assert_scans_agree(&[0.25, -3.0], &centroids);
+        }
+    }
+
+    type Scan = fn(&[f32], &[f32], usize) -> (usize, f32);
+
+    /// Every instruction-set build of the scan by name, `None` where this
+    /// CPU lacks the instruction set.
+    fn isa_builds() -> Vec<(&'static str, Option<Scan>)> {
+        let mut builds: Vec<(&'static str, Option<Scan>)> = vec![("portable", Some(nearest))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2: Scan = |sample, planes, k| {
+                // SAFETY: `isa_builds` lists this only when the CPU supports
+                // AVX2.
+                unsafe { nearest_avx2(sample, planes, k) }
+            };
+            builds.push(("avx2", is_x86_feature_detected!("avx2").then_some(avx2)));
+        }
+        builds
+    }
+
+    #[test]
+    fn isa_builds_are_bit_identical_to_the_portable_scan() {
+        let builds = isa_builds();
+        let check = |sample: &[f32], centroids: &Matrix| {
+            let (k, planes) = (centroids.rows(), centroids.transpose());
+            let (want, want_dist) = nearest(sample, planes.as_slice(), k);
+            for (name, build) in &builds {
+                if let Some(scan) = build {
+                    let (got, got_dist) = scan(sample, planes.as_slice(), k);
+                    assert_eq!(
+                        (got, got_dist.to_bits()),
+                        (want, want_dist.to_bits()),
+                        "{name}: k={k} dim={} sample={sample:?}",
+                        centroids.cols()
+                    );
+                }
+            }
+        };
+        // `k` covers a tail-only scan, whole chunks, and chunks plus a tail.
+        for k in [8usize, 16, 40, 64, 256] {
+            for dim in [1usize, 2, 3, 4, 8] {
+                // Ties and duplicate centroids on a coarse grid.
+                let grid = Matrix::from_fn(k, dim, |c, j| {
+                    ((c * 7 + j * 5 + c / 3) % 9) as f32 * 0.5 - 2.0
+                });
+                for probe in 0..40usize {
+                    let sample: Vec<f32> = (0..dim)
+                        .map(|j| ((probe * 11 + j * 3) % 17) as f32 * 0.25 - 2.0)
+                        .collect();
+                    check(&sample, &grid);
+                }
+                let mut rng = seeded_rng((k * 31 + dim) as u64);
+                let samples = million_tensor::init::normal_matrix(&mut rng, 40, dim, 0.0, 1.3);
+                for r in 0..samples.rows() {
+                    check(samples.row(r), &grid);
+                }
+                // Every distance NaN, every distance infinite, and NaN or
+                // infinite centroids among finite ties.
+                let first = |v: f32| (0..dim).map(|j| if j == 0 { v } else { 0.0 }).collect();
+                let (nan, inf): (Vec<f32>, Vec<f32>) = (first(f32::NAN), first(f32::INFINITY));
+                check(&nan, &Matrix::zeros(k, dim));
+                check(&inf, &Matrix::zeros(k, dim));
+                let poisoned = Matrix::from_fn(k, dim, |c, j| match (c % 5, j) {
+                    (0, 0) => f32::NAN,
+                    (1, _) => f32::INFINITY,
+                    _ => 1.0,
+                });
+                check(&vec![1.0; dim], &poisoned);
+                check(&first(0.25), &poisoned);
+            }
+        }
+        for (name, build) in &builds {
+            match build {
+                Some(_) => println!("scan: {name} build bit-compared"),
+                None => println!("scan: {name} build skipped, this CPU lacks it"),
+            }
         }
     }
 

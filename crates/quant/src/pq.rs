@@ -22,7 +22,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::bitpack::PackedCodes;
-use crate::kmeans::{kmeans, nearest_in_planes, KMeansOptions};
+use crate::kmeans::{kmeans, nearest, KMeansOptions};
 use crate::QuantError;
 
 /// Static configuration of a product quantizer.
@@ -273,6 +273,10 @@ impl PqCodebook {
 
     /// Encodes one vector into a caller-provided buffer of `m` codes.
     ///
+    /// The CPU is checked once per vector: on x86-64 with AVX2 every
+    /// subspace's scan runs as the AVX2 build of
+    /// [`crate::kmeans::nearest_in_planes`], with the same bits.
+    ///
     /// # Panics
     ///
     /// Panics if `vector.len() != dim` or `codes.len() != m`.
@@ -280,14 +284,33 @@ impl PqCodebook {
     pub fn encode_into(&self, vector: &[f32], codes: &mut [u16]) {
         assert_eq!(vector.len(), self.dim, "encode dimension mismatch");
         assert_eq!(codes.len(), self.config.m, "encode code-count mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked on the line above.
+            return unsafe { self.encode_avx2(vector, codes) };
+        }
+        self.encode_subspaces(vector, codes);
+    }
+
+    /// The body of [`Self::encode_into`] that every instruction-set build
+    /// compiles: one nearest-centroid scan per subspace.
+    #[inline(always)]
+    fn encode_subspaces(&self, vector: &[f32], codes: &mut [u16]) {
         let k = self.config.codebook_size();
         for (sub, (code, sv)) in codes
             .iter_mut()
             .zip(vector.chunks_exact(self.dsub))
             .enumerate()
         {
-            *code = nearest_in_planes(sv, self.subspace_planes(sub), k).0 as u16;
+            *code = nearest(sv, self.subspace_planes(sub), k).0 as u16;
         }
+    }
+
+    /// [`Self::encode_subspaces`] compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn encode_avx2(&self, vector: &[f32], codes: &mut [u16]) {
+        self.encode_subspaces(vector, codes);
     }
 
     /// Encodes every row of a `[n, dim]` matrix into a [`PqCodes`] block.
@@ -1619,6 +1642,44 @@ mod tests {
                 assert_eq!(into, want, "m={m} nbits={nbits} row {r}");
                 assert_eq!(cb.encode(row), want);
                 assert_eq!(read, want);
+            }
+        }
+    }
+
+    #[test]
+    fn isa_builds_of_encode_are_bit_identical_to_the_portable_encode() {
+        type Encode = fn(&PqCodebook, &[f32], &mut [u16]);
+        let mut builds: Vec<(&str, Option<Encode>)> =
+            vec![("portable", Some(PqCodebook::encode_subspaces))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2: Encode = |cb, vector, codes| {
+                // SAFETY: listed below only when the CPU supports AVX2.
+                unsafe { cb.encode_avx2(vector, codes) }
+            };
+            builds.push(("avx2", is_x86_feature_detected!("avx2").then_some(avx2)));
+        }
+        // Sub-dimensions 1, 2, 3 and 4; 8 centroids (the scan's tail alone)
+        // up to 256.
+        for (m, dsub, nbits) in [(8usize, 1usize, 3u8), (8, 2, 8), (4, 3, 6), (4, 4, 5)] {
+            let data = training_data(80 + dsub as u64, 200, m * dsub);
+            let config = PqConfig::new(m, nbits).unwrap();
+            let cb = PqCodebook::train(&config, &data, &PqTrainOptions::default(), 3).unwrap();
+            let (mut want, mut got) = (vec![0u16; m], vec![0u16; m]);
+            for r in 0..data.rows() {
+                cb.encode_subspaces(data.row(r), &mut want);
+                for (name, build) in &builds {
+                    if let Some(encode) = build {
+                        encode(&cb, data.row(r), &mut got);
+                        assert_eq!(got, want, "{name}: m={m} dsub={dsub} row {r}");
+                    }
+                }
+            }
+        }
+        for (name, build) in &builds {
+            match build {
+                Some(_) => println!("encode: {name} build bit-compared"),
+                None => println!("encode: {name} build skipped, this CPU lacks it"),
             }
         }
     }

@@ -30,6 +30,7 @@
 //! protocol and `examples/networked_serving.rs` for an end-to-end driver.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod engine;

@@ -29,6 +29,7 @@
 //! therefore belongs to exactly one engine.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod block;
 mod chain;

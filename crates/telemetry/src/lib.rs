@@ -23,6 +23,7 @@
 //! it durations and events and render what comes back out.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod hist;
 mod journal;

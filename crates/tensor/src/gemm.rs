@@ -17,6 +17,17 @@
 //!   `[n / NR][k][NR]` panels packed once per call into a caller-owned
 //!   [`GemmScratch`], so the inner loop touches memory only to load operands.
 //!
+//! # Instruction sets
+//!
+//! The tiled kernel is one `#[inline(always)]` body, generic over the panel
+//! width, compiled three times: for the baseline target ([`NR`] columns), and
+//! inside `#[target_feature]` wrappers for AVX2 ([`NR_AVX2`]) and AVX-512F
+//! ([`NR_AVX512`]). [`Matrix::matmul_into`] checks the CPU once per product
+//! and runs the widest build it supports (x86-64 only; every other
+//! architecture has the baseline build alone). Wider registers change no
+//! bits: each lane still multiplies, then adds, in the same `k` order, and
+//! Rust never contracts the two into an FMA.
+//!
 //! # The zero skip
 //!
 //! The row kernel skips a `k` whose coefficient `a[i][k]` is `±0.0`; the
@@ -39,10 +50,19 @@ use crate::Matrix;
 /// Rows of the register tile.
 pub const MR: usize = 4;
 
-/// Columns of the register tile — two 4-lane vectors per row on the
-/// baseline x86-64 target, so an `MR x NR` tile fills 8 of its 16 vector
-/// registers and leaves room for the operands.
+/// Columns of the register tile of the baseline build — two 4-lane SSE2
+/// vectors per row, so an `MR x NR` tile fills 8 of the 16 vector registers
+/// and leaves room for the operands.
 pub const NR: usize = 8;
+
+/// Columns of the register tile of the AVX2 build: two 8-lane vectors per
+/// row, 8 of the 16 `ymm` registers (at 8 columns the four accumulator
+/// chains are add-latency-bound, at 24 they spill; see `docs/PERF.md`).
+pub const NR_AVX2: usize = 16;
+
+/// Columns of the register tile of the AVX-512F build: two 16-lane vectors
+/// per row, 8 of the 32 `zmm` registers (64 columns measured no faster).
+pub const NR_AVX512: usize = 32;
 
 /// Output rows per block: the unit row blocks are fanned out in, sized so a
 /// block of `a` (`MC x k` floats) stays cache-resident while the panels
@@ -123,24 +143,25 @@ fn rows_block(a: &[f32], b: &[f32], k: usize, out: &mut [f32], n: usize) {
     }
 }
 
-/// Packs `b` (`k x n`, row-major) into `n.div_ceil(NR)` panels of `[k][NR]`
+/// Packs `b` (`k x n`, row-major) into `n.div_ceil(W)` panels of `[k][W]`
 /// (the ragged last panel zero-padded) and reports whether every entry is
 /// finite.
-fn pack_panels(b: &Matrix, panels: &mut Vec<f32>) -> bool {
+#[inline(always)]
+fn pack_panels<const W: usize>(b: &Matrix, panels: &mut Vec<f32>) -> bool {
     const EXPONENT: u32 = 0x7f80_0000;
     let (k, n) = b.shape();
     panels.clear();
-    panels.resize(n.div_ceil(NR) * k * NR, 0.0);
-    for (p, panel) in panels.chunks_exact_mut(k * NR).enumerate() {
-        let j0 = p * NR;
-        let width = NR.min(n - j0);
-        if width == NR {
-            // Fixed-width copies compile to two vector moves, not a call.
-            for (dst, src) in panel.chunks_exact_mut(NR).zip(b.as_slice().chunks_exact(n)) {
-                dst.copy_from_slice(&src[j0..j0 + NR]);
+    panels.resize(n.div_ceil(W) * k * W, 0.0);
+    for (p, panel) in panels.chunks_exact_mut(k * W).enumerate() {
+        let j0 = p * W;
+        let width = W.min(n - j0);
+        if width == W {
+            // Fixed-width copies compile to vector moves, not a call.
+            for (dst, src) in panel.chunks_exact_mut(W).zip(b.as_slice().chunks_exact(n)) {
+                dst.copy_from_slice(&src[j0..j0 + W]);
             }
         } else {
-            for (dst, src) in panel.chunks_exact_mut(NR).zip(b.as_slice().chunks_exact(n)) {
+            for (dst, src) in panel.chunks_exact_mut(W).zip(b.as_slice().chunks_exact(n)) {
                 dst[..width].copy_from_slice(&src[j0..j0 + width]);
             }
         }
@@ -152,26 +173,33 @@ fn pack_panels(b: &Matrix, panels: &mut Vec<f32>) -> bool {
 }
 
 /// One register tile: `MR` rows of `a` (contiguous, `k` floats each) against
-/// one packed panel, written to columns `j0..j0 + width` of the matching
-/// `MR` rows of `out` (`n` floats each).
-#[inline]
-fn tile(a: &[f32], k: usize, panel: &[f32], out: &mut [f32], n: usize, j0: usize, width: usize) {
+/// one packed panel of width `W`, written to columns `j0..j0 + width` of the
+/// matching `MR` rows of `out` (`n` floats each).
+#[inline(always)]
+fn tile<const W: usize>(
+    a: &[f32],
+    k: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    j0: usize,
+    width: usize,
+) {
     let (a0, rest) = a.split_at(k);
     let (a1, rest) = rest.split_at(k);
     let (a2, a3) = rest.split_at(k);
-    let mut acc = [[0.0f32; NR]; MR];
-    let [c0, c1, c2, c3] = &mut acc;
-    for ((((b, &x0), &x1), &x2), &x3) in panel.chunks_exact(NR).zip(a0).zip(a1).zip(a2).zip(a3) {
-        for j in 0..NR {
+    let (mut c0, mut c1, mut c2, mut c3) = ([0.0f32; W], [0.0f32; W], [0.0f32; W], [0.0f32; W]);
+    for ((((b, &x0), &x1), &x2), &x3) in panel.chunks_exact(W).zip(a0).zip(a1).zip(a2).zip(a3) {
+        for j in 0..W {
             c0[j] += x0 * b[j];
             c1[j] += x1 * b[j];
             c2[j] += x2 * b[j];
             c3[j] += x3 * b[j];
         }
     }
-    for (acc_row, out_row) in acc.iter().zip(out.chunks_exact_mut(n)) {
-        if width == NR {
-            out_row[j0..j0 + NR].copy_from_slice(acc_row);
+    for (acc_row, out_row) in [c0, c1, c2, c3].iter().zip(out.chunks_exact_mut(n)) {
+        if width == W {
+            out_row[j0..j0 + W].copy_from_slice(acc_row);
         } else {
             out_row[j0..j0 + width].copy_from_slice(&acc_row[..width]);
         }
@@ -182,46 +210,115 @@ fn tile(a: &[f32], k: usize, panel: &[f32], out: &mut [f32], n: usize, j0: usize
 /// panel stays in L1 while the block's rows stream past it), `MR`-row tiles
 /// inside. Rows are independent and the two kernels agree bit for bit, so a
 /// ragged block's last 1–3 rows simply take the row kernel.
-fn tiled_block(a: &[f32], b: &[f32], k: usize, panels: &[f32], out: &mut [f32], n: usize) {
+#[inline(always)]
+fn tiled_block<const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    panels: &[f32],
+    out: &mut [f32],
+    n: usize,
+) {
     let rows = out.len() / n;
     let full = rows - rows % MR;
-    for (p, panel) in panels.chunks_exact(k * NR).enumerate() {
-        let j0 = p * NR;
-        let width = NR.min(n - j0);
+    for (p, panel) in panels.chunks_exact(k * W).enumerate() {
+        let j0 = p * W;
+        let width = W.min(n - j0);
         for (a, out) in a[..full * k]
             .chunks_exact(MR * k)
             .zip(out.chunks_exact_mut(MR * n))
         {
-            tile(a, k, panel, out, n, j0, width);
+            tile::<W>(a, k, panel, out, n, j0, width);
         }
     }
     rows_block(&a[full * k..], b, k, &mut out[full * n..], n);
 }
 
-/// `out = a · b` — the body of [`Matrix::matmul_into`].
-// analyze: no-alloc
-pub(crate) fn gemm_into(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
+/// `out = a · b` through the tiled kernel at panel width `W`, running
+/// `block` (a [`tiled_block`] at the same width) over each block of output
+/// rows: the one body every instruction-set build compiles. Empty products
+/// and a `b` with a non-finite entry take the row kernel (see the module
+/// docs).
+#[inline(always)]
+fn tiled<const W: usize>(
+    a: &Matrix,
+    b: &Matrix,
+    scratch: &mut GemmScratch,
+    out: &mut Matrix,
+    block: impl Fn(&[f32], &[f32], usize, &[f32], &mut [f32], usize) + Sync,
+) {
     let m = a.rows();
     let (k, n) = b.shape();
-    if m < PACK_MIN_ROWS || k == 0 || n == 0 || !pack_panels(b, &mut scratch.panels) {
+    if k == 0 || n == 0 || !pack_panels::<W>(b, &mut scratch.panels) {
         matmul_rows_into(a, b, out);
         return;
     }
     out.resize_zeroed(m, n);
     let panels = scratch.panels.as_slice();
     let (a, b) = (a.as_slice(), b.as_slice());
-    let block = |(blk, out_rows): (usize, &mut [f32])| {
+    let run = |(blk, out_rows): (usize, &mut [f32])| {
         let r0 = blk * MC;
         let rows = out_rows.len() / n;
-        tiled_block(&a[r0 * k..(r0 + rows) * k], b, k, panels, out_rows, n);
+        block(&a[r0 * k..(r0 + rows) * k], b, k, panels, out_rows, n);
     };
     let blocks = out.as_mut_slice();
     if scratch.parallel && m * n * k >= PAR_MIN_WORK {
-        blocks.par_chunks_mut(MC * n).enumerate().for_each(block);
+        blocks.par_chunks_mut(MC * n).enumerate().for_each(run);
     } else {
-        blocks.chunks_mut(MC * n).enumerate().for_each(block);
+        blocks.chunks_mut(MC * n).enumerate().for_each(run);
     }
+}
+
+/// [`tiled`] for the baseline target at [`NR`] columns.
+fn tiled_portable(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
+    tiled::<NR>(a, b, scratch, out, tiled_block::<NR>);
+}
+
+// A closure inherits the target features of the function it is written in,
+// not of one it is inlined into. So the AVX builds write their row-block
+// closure here: one written in `tiled` would run as the baseline build
+// wherever rayon calls it.
+
+/// [`tiled`] compiled for AVX2 at [`NR_AVX2`] columns.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tiled_avx2(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
+    tiled::<NR_AVX2>(a, b, scratch, out, |a, b, k, panels, out, n| {
+        tiled_block::<NR_AVX2>(a, b, k, panels, out, n);
+    });
+}
+
+/// [`tiled`] compiled for AVX-512F at [`NR_AVX512`] columns.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tiled_avx512(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
+    tiled::<NR_AVX512>(a, b, scratch, out, |a, b, k, panels, out, n| {
+        tiled_block::<NR_AVX512>(a, b, k, panels, out, n);
+    });
+}
+
+/// `out = a · b` — the body of [`Matrix::matmul_into`]: the row kernel below
+/// [`PACK_MIN_ROWS`] rows, otherwise the widest build of the tiled kernel
+/// this CPU runs.
+// analyze: no-alloc
+pub(crate) fn gemm_into(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
+    assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
+    if a.rows() < PACK_MIN_ROWS {
+        matmul_rows_into(a, b, out);
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU supports AVX-512F, checked on the line above.
+            return unsafe { tiled_avx512(a, b, scratch, out) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked on the line above.
+            return unsafe { tiled_avx2(a, b, scratch, out) };
+        }
+    }
+    tiled_portable(a, b, scratch, out);
 }
 
 #[cfg(test)]
@@ -233,14 +330,94 @@ mod tests {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Tiled product, row-kernel product and row-wise `vec_matmul_into`,
-    /// asserted equal bit for bit (so signed zeros count).
+    /// Coefficients the row kernel skips (`0.0`, `-0.0`), ones it must not
+    /// (subnormals of both signs), and runs that cancel exactly so an
+    /// accumulator passes back through zero before meeting a `-0.0` product —
+    /// the only way a skipped term could show.
+    const SPECIALS: [f32; 13] = [
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::MIN_POSITIVE / 2.0,
+        1.0,
+        -1.0,
+        1.0,
+        -1.0,
+        -0.0,
+        3.5,
+        -3.5,
+        0.0,
+    ];
+
+    /// Values of `b`, one per column repeated down the rows, so the ±1 /
+    /// ±3.5 pairs of [`SPECIALS`] cancel exactly; signs and magnitudes vary
+    /// by column, with zero, negative-zero and subnormal columns among them.
+    const COLUMN: [f32; 11] = [
+        2.0,
+        -2.0,
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        1.5e-20,
+        -7.25,
+        1e20,
+        0.5,
+        -0.5,
+    ];
+
+    /// An `m x k` by `k x n` product over [`SPECIALS`] and [`COLUMN`].
+    fn edge_operands(m: usize, k: usize, n: usize) -> (Matrix, Matrix) {
+        let a = Matrix::from_fn(m, k, |r, c| SPECIALS[(r * 5 + c) % SPECIALS.len()]);
+        let b = Matrix::from_fn(k, n, |_, c| COLUMN[c % COLUMN.len()]);
+        (a, b)
+    }
+
+    type Product = fn(&Matrix, &Matrix, &mut GemmScratch, &mut Matrix);
+
+    /// Every instruction-set build of the tiled product by name, `None`
+    /// where this CPU lacks the instruction set.
+    fn isa_builds() -> Vec<(&'static str, Option<Product>)> {
+        let mut builds: Vec<(&'static str, Option<Product>)> =
+            vec![("portable", Some(tiled_portable))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2: Product = |a, b, scratch, out| {
+                // SAFETY: `isa_builds` lists this only when the CPU supports
+                // AVX2.
+                unsafe { tiled_avx2(a, b, scratch, out) }
+            };
+            let avx512: Product = |a, b, scratch, out| {
+                // SAFETY: `isa_builds` lists this only when the CPU supports
+                // AVX-512F.
+                unsafe { tiled_avx512(a, b, scratch, out) }
+            };
+            builds.push(("avx2", is_x86_feature_detected!("avx2").then_some(avx2)));
+            builds.push((
+                "avx512f",
+                is_x86_feature_detected!("avx512f").then_some(avx512),
+            ));
+        }
+        builds
+    }
+
+    /// Tiled product (as dispatched, and as every build this CPU runs),
+    /// row-kernel product and row-wise `vec_matmul_into`, asserted equal bit
+    /// for bit (so signed zeros count).
     fn assert_all_kernels_agree(a: &Matrix, b: &Matrix) -> Matrix {
         let mut tiled = Matrix::default();
         a.matmul_into(b, &mut GemmScratch::serial(), &mut tiled);
         let mut rows = Matrix::default();
         matmul_rows_into(a, b, &mut rows);
         assert_eq!(bits(&tiled), bits(&rows), "tiled vs row kernel");
+        for (name, build) in isa_builds() {
+            if let Some(product) = build {
+                let mut out = Matrix::default();
+                product(a, b, &mut GemmScratch::serial(), &mut out);
+                assert_eq!(bits(&out), bits(&rows), "{name} build vs row kernel");
+            }
+        }
         let mut row = vec![0.0f32; b.cols()];
         for r in 0..a.rows() {
             vec_matmul_into(a.row(r), b, &mut row);
@@ -256,41 +433,52 @@ mod tests {
 
     #[test]
     fn dropping_the_zero_skip_is_bit_identical_for_finite_b() {
-        // Coefficients the row kernel skips (`0.0`, `-0.0`), ones it must
-        // not (subnormals of both signs), and runs that cancel exactly so an
-        // accumulator passes back through zero before meeting a `-0.0`
-        // product — the only way a skipped term could show.
-        let tiny = f32::from_bits(1);
-        let specials = [
-            0.0,
-            -0.0,
-            tiny,
-            -tiny,
-            f32::MIN_POSITIVE / 2.0,
-            1.0,
-            -1.0,
-            1.0,
-            -1.0,
-            -0.0,
-            3.5,
-            -3.5,
-            0.0,
-        ];
-        let (m, k, n) = (PACK_MIN_ROWS + MR + 1, 2 * specials.len(), NR + 3);
-        let a = Matrix::from_fn(m, k, |r, c| specials[(r * 5 + c) % specials.len()]);
-        // Every column repeats its value down the rows, so the ±1 / ±3.5
-        // pairs in `a` cancel exactly; signs and magnitudes vary by column,
-        // with zero, negative-zero and subnormal columns among them.
-        let column = [
-            2.0, -2.0, 0.0, -0.0, tiny, -tiny, 1.5e-20, -7.25, 1e20, 0.5, -0.5,
-        ];
-        let b = Matrix::from_fn(k, n, |_, c| column[c % column.len()]);
+        let (a, b) = edge_operands(PACK_MIN_ROWS + MR + 1, 2 * SPECIALS.len(), NR + 3);
         let out = assert_all_kernels_agree(&a, &b);
         // The proof's conclusion, observed: no accumulator ever lands on -0.0.
         assert!(out
             .as_slice()
             .iter()
             .all(|v| v.to_bits() != (-0.0f32).to_bits()));
+    }
+
+    #[test]
+    fn isa_builds_are_bit_identical_to_the_portable_tile() {
+        // Row counts around the tile height and past a row block, column
+        // counts around every build's panel width, and `k` empty, one and
+        // odd, over the zero-skip grid.
+        let builds = isa_builds();
+        for m in [1, MR - 1, MR, MR + 1, 2 * MR + 3, MC + 3] {
+            for k in [0, 1, 7, 2 * SPECIALS.len() + 1] {
+                for n in [
+                    1,
+                    NR - 1,
+                    NR + 3,
+                    NR_AVX2 - 1,
+                    NR_AVX2 + 1,
+                    NR_AVX512 - 1,
+                    NR_AVX512,
+                    2 * NR_AVX512 + 5,
+                ] {
+                    let (a, b) = edge_operands(m, k, n);
+                    let mut portable = Matrix::default();
+                    tiled_portable(&a, &b, &mut GemmScratch::serial(), &mut portable);
+                    for (name, build) in &builds {
+                        if let Some(product) = build {
+                            let mut out = Matrix::default();
+                            product(&a, &b, &mut GemmScratch::serial(), &mut out);
+                            assert_eq!(bits(&out), bits(&portable), "{name} at {m}x{k}x{n}");
+                        }
+                    }
+                }
+            }
+        }
+        for (name, build) in &builds {
+            match build {
+                Some(_) => println!("gemm: {name} build bit-compared"),
+                None => println!("gemm: {name} build skipped, this CPU lacks it"),
+            }
+        }
     }
 
     #[test]
