@@ -1,14 +1,17 @@
 //! Criterion micro-benchmarks for the PQ kernels behind MILLION:
 //! codebook training, encoding, decoding, LUT construction, the centroid mix,
 //! the k-means assignment scan, ADC scoring —
-//! and the decode-kernel ladder this PR introduced: unpacked-u16 two-pass
-//! (the seed kernel) → packed two-pass → fused packed single-pass.
+//! and the decode-kernel ladder: unpacked-u16 two-pass (the seed kernel) →
+//! packed two-pass → fused packed single-pass, whole and as the 32-token
+//! chunks of a paged block chain.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use million_bench::kernels;
 use million_quant::bitpack::PackedCodes;
 use million_quant::kmeans::nearest_in_planes;
-use million_quant::pq::{PqCodebook, PqCodes, PqConfig, PqTrainOptions, ValueAccumulator};
+use million_quant::pq::{
+    FusedState, PqCodebook, PqCodes, PqConfig, PqTrainOptions, ValueAccumulator,
+};
 use million_tensor::init::{normal_matrix, seeded_rng};
 
 const HEAD_DIM: usize = 128;
@@ -189,6 +192,32 @@ fn bench_attend_kernels(c: &mut Criterion) {
                     &mut acc,
                     &mut out,
                 );
+                out[0]
+            })
+        });
+        group.bench_function("fused_packed_paged32", |b| {
+            // The same tokens as the block store holds them: one chunk per
+            // 32-token block, walked through one online-softmax state.
+            let chunks: Vec<(PqCodes, PqCodes)> = (0..TOKENS)
+                .step_by(32)
+                .map(|start| {
+                    (
+                        key_codes.clone_rows(start, 32),
+                        value_codes.clone_rows(start, 32),
+                    )
+                })
+                .collect();
+            let mut acc = ValueAccumulator::for_codebook(&value_cb);
+            let mut out = vec![0.0f32; HEAD_DIM];
+            b.iter(|| {
+                let lut = std::hint::black_box(&lut);
+                acc.reset();
+                let mut state = FusedState::new();
+                for (keys, values) in &chunks {
+                    lut.fused_attend_chunk(keys, values, scale, None, &mut acc, &mut state);
+                }
+                acc.finish_into(&value_cb, &mut out);
+                out.iter_mut().for_each(|v| *v /= state.sum_exp);
                 out[0]
             })
         });

@@ -15,6 +15,8 @@
 //!   mass per centroid and mixing the centroids once, instead of
 //!   reconstructing each cached value vector.
 
+use std::ops::Range;
+
 use million_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -787,10 +789,27 @@ impl ScoreLut {
     /// should also feed the chunks themselves newest-first under ALiBi so the
     /// running maximum settles early.
     ///
+    /// The chunk is walked in blocks of up to `WALK_BLOCK` tokens, in three
+    /// phases per block:
+    ///
+    /// 1. score every token of the block into a stack buffer (for 8-bit
+    ///    codes, and 4-bit codes with an even `m`, the table chains of
+    ///    `SCORE_LANES` tokens advance together; each token still sums its
+    ///    subspaces in order from `0.0`);
+    /// 2. token by token, in walk order, apply scale and ALiBi, move the
+    ///    running maximum and `sum_exp`, and store the token's weight;
+    /// 3. scatter the stored weights into the centroid mass.
+    ///
+    /// Phase 2 scatters the tokens still pending before it rescales the mass.
+    /// Every mass bucket therefore receives the same adds, in the same token
+    /// order, between the same rescales as a token-at-a-time walk — the
+    /// result is bit-identical to it (`docs/PERF.md`, "The code walk").
+    ///
     /// # Panics
     ///
-    /// Panics if the key/value chunks hold different token counts or
-    /// `key_codes` does not match this table's subspace count.
+    /// Panics if the key/value chunks hold different token counts,
+    /// `key_codes` does not match this table's subspace count, or
+    /// `value_codes` does not match `acc`'s subspace count and codebook size.
     // analyze: no-alloc
     pub fn fused_attend_chunk(
         &self,
@@ -808,8 +827,15 @@ impl ScoreLut {
             self.m,
             "fused_attend subspace count mismatch"
         );
-        let k = self.k;
-        let table = &self.table;
+        let value_config = value_codes.config();
+        assert!(
+            value_config.m == acc.m && value_config.codebook_size() == acc.k,
+            "value codes are {} x {} but the accumulator is {} x {}",
+            value_config.m,
+            value_config.codebook_size(),
+            acc.m,
+            acc.k
+        );
         // ALiBi bias grows with token position, so a forward walk would move
         // the running maximum on ~every token once the linear trend dominates
         // score noise — each move rescaling the whole m*k mass buffer. Walk
@@ -818,33 +844,131 @@ impl ScoreLut {
         // per-centroid sums and `sum_exp` are order-independent up to float
         // rounding).
         let newest_first = alibi.is_some();
-        for i in 0..n {
-            let t = if newest_first { n - 1 - i } else { i };
-            let mut score = 0.0f32;
-            key_codes.walk_row(t, |sub, code| score += table[sub * k + code]);
-            score *= scale;
-            if let Some(FusedAlibi {
-                slope,
-                query_pos,
-                base_pos,
-            }) = alibi
-            {
-                score += million_tensor::alibi::alibi_bias(slope, query_pos, base_pos + t);
-            }
-            if score > state.max_score {
-                if state.max_score != f32::NEG_INFINITY {
-                    let rescale = (state.max_score - score).exp();
-                    state.sum_exp *= rescale;
-                    acc.rescale(rescale);
+        let mut scores = [0.0f32; WALK_BLOCK];
+        let mut weights = [0.0f32; WALK_BLOCK];
+        for block in 0..n.div_ceil(WALK_BLOCK) {
+            // Rows `lo..lo + len` of the chunk; newest first, blocks are taken
+            // from its end.
+            let done = block * WALK_BLOCK;
+            let len = WALK_BLOCK.min(n - done);
+            let lo = if newest_first { n - done - len } else { done };
+            self.score_rows(key_codes, lo, &mut scores[..len]);
+            // `scores` and `weights` are indexed by row within the block; the
+            // tokens walked since the last scatter are `pending..step`.
+            let row = |step: usize| if newest_first { len - 1 - step } else { step };
+            let mut pending = 0;
+            for step in 0..len {
+                let r = row(step);
+                let mut score = scores[r] * scale;
+                if let Some(FusedAlibi {
+                    slope,
+                    query_pos,
+                    base_pos,
+                }) = alibi
+                {
+                    score += million_tensor::alibi::alibi_bias(slope, query_pos, base_pos + lo + r);
                 }
-                state.max_score = score;
+                if score > state.max_score {
+                    if state.max_score != f32::NEG_INFINITY {
+                        acc.scatter_walked(
+                            value_codes,
+                            lo,
+                            &weights[..len],
+                            pending..step,
+                            newest_first,
+                        );
+                        pending = step;
+                        let rescale = (state.max_score - score).exp();
+                        state.sum_exp *= rescale;
+                        acc.rescale(rescale);
+                    }
+                    state.max_score = score;
+                }
+                let w = (score - state.max_score).exp();
+                state.sum_exp += w;
+                weights[r] = w;
             }
-            let w = (score - state.max_score).exp();
-            state.sum_exp += w;
-            acc.add_indexed(w, value_codes, t);
+            acc.scatter_walked(value_codes, lo, &weights[..len], pending..len, newest_first);
+        }
+    }
+
+    /// Phase 1 of [`ScoreLut::fused_attend_chunk`]: the logit of every row
+    /// `lo..lo + out.len()` of `codes` into `out`, each one summed over its
+    /// subspaces in order from `0.0`.
+    #[inline]
+    fn score_rows(&self, codes: &PqCodes, lo: usize, out: &mut [f32]) {
+        match (codes.config().nbits, self.k, self.m % 2) {
+            (8, 256, _) => self.score_packed::<256, 1>(codes, lo, out),
+            (4, 16, 0) => self.score_packed::<16, 2>(codes, lo, out),
+            _ => {
+                for (r, slot) in out.iter_mut().enumerate() {
+                    let mut score = 0.0f32;
+                    codes.walk_row(lo + r, |sub, code| score += self.table[sub * self.k + code]);
+                    *slot = score;
+                }
+            }
+        }
+    }
+
+    /// [`ScoreLut::score_rows`] for rows of `PER_BYTE` codes per byte from a
+    /// codebook of `K` entries: a code indexes a `[f32; K]` table row
+    /// without a bounds check, and `SCORE_LANES` independent chains hide the
+    /// latency of each add.
+    #[inline]
+    fn score_packed<const K: usize, const PER_BYTE: usize>(
+        &self,
+        codes: &PqCodes,
+        lo: usize,
+        out: &mut [f32],
+    ) {
+        let row_bytes = self.m / PER_BYTE;
+        let table = &self.table.as_chunks::<K>().0[..self.m];
+        let rows = &codes.packed_bytes()[lo * row_bytes..(lo + out.len()) * row_bytes];
+        let mut lanes = out.chunks_exact_mut(SCORE_LANES);
+        let mut groups = rows.chunks_exact(SCORE_LANES * row_bytes);
+        for (slots, group) in (&mut lanes).zip(&mut groups) {
+            let tokens: [&[u8]; SCORE_LANES] =
+                std::array::from_fn(|l| &group[l * row_bytes..][..row_bytes]);
+            let mut sums = [0.0f32; SCORE_LANES];
+            for (i, entries) in table.chunks_exact(PER_BYTE).enumerate() {
+                for (j, entries) in entries.iter().enumerate() {
+                    for (sum, token) in sums.iter_mut().zip(&tokens) {
+                        *sum += entries[packed_code::<K, PER_BYTE>(token[i], j)];
+                    }
+                }
+            }
+            slots.copy_from_slice(&sums);
+        }
+        for (slot, token) in lanes
+            .into_remainder()
+            .iter_mut()
+            .zip(groups.remainder().chunks_exact(row_bytes))
+        {
+            let mut score = 0.0f32;
+            for (entries, &byte) in table.chunks_exact(PER_BYTE).zip(token) {
+                for (j, entries) in entries.iter().enumerate() {
+                    score += entries[packed_code::<K, PER_BYTE>(byte, j)];
+                }
+            }
+            *slot = score;
         }
     }
 }
+
+/// Code `j` of a byte holding `PER_BYTE` codes LSB-first, for a codebook of
+/// `K` entries — below `K` by construction, so it indexes a `[f32; K]`
+/// without a bounds check.
+#[inline(always)]
+fn packed_code<const K: usize, const PER_BYTE: usize>(byte: u8, j: usize) -> usize {
+    (byte as usize >> (j * 8 / PER_BYTE)) & (K - 1)
+}
+
+/// Tokens per block of [`ScoreLut::fused_attend_chunk`] — the block store's
+/// block size, so a paged chain walks one block per kernel block.
+const WALK_BLOCK: usize = 32;
+
+/// Tokens whose table chains advance together when packed keys are scored.
+const SCORE_LANES: usize = 8;
 
 /// Running online-softmax state threaded through
 /// [`ScoreLut::fused_attend_chunk`] calls.
@@ -954,6 +1078,67 @@ impl ValueAccumulator {
         codes.walk_row(index, |sub, code| mass[sub * k + code] += weight);
     }
 
+    /// Phase 3 of [`ScoreLut::fused_attend_chunk`]: adds the weights of the
+    /// walk steps `steps` of a block to the mass, in walk order. The block
+    /// is rows `lo..lo + weights.len()` of `codes`, `weights` is indexed by
+    /// row within it, and newest first the walk runs from its last row down.
+    ///
+    /// 8-bit codes, and 4-bit codes with an even `m`, go subspace by
+    /// subspace — every token's add to one `[f32; k]` mass row, then the
+    /// next row — so no add waits on the `exp` of its token and no code is
+    /// bounds-checked. Other layouts add token by token through
+    /// [`ValueAccumulator::add_indexed`]. Either way each bucket receives
+    /// its adds in walk order.
+    #[inline]
+    fn scatter_walked(
+        &mut self,
+        codes: &PqCodes,
+        lo: usize,
+        weights: &[f32],
+        steps: Range<usize>,
+        newest_first: bool,
+    ) {
+        let rows = if newest_first {
+            weights.len() - steps.end..weights.len() - steps.start
+        } else {
+            steps
+        };
+        match (codes.config().nbits, self.m % 2) {
+            (8, _) => self.scatter_packed::<256, 1>(codes, lo, weights, rows, newest_first),
+            (4, 0) => self.scatter_packed::<16, 2>(codes, lo, weights, rows, newest_first),
+            _ if newest_first => rows
+                .rev()
+                .for_each(|r| self.add_indexed(weights[r], codes, lo + r)),
+            _ => rows.for_each(|r| self.add_indexed(weights[r], codes, lo + r)),
+        }
+    }
+
+    /// [`ValueAccumulator::scatter_walked`] for rows of `PER_BYTE` codes per
+    /// byte from a codebook of `K` entries, walking `rows` of the block.
+    #[inline]
+    fn scatter_packed<const K: usize, const PER_BYTE: usize>(
+        &mut self,
+        codes: &PqCodes,
+        lo: usize,
+        weights: &[f32],
+        rows: Range<usize>,
+        newest_first: bool,
+    ) {
+        let row_bytes = self.m / PER_BYTE;
+        let tokens =
+            &codes.packed_bytes()[(lo + rows.start) * row_bytes..(lo + rows.end) * row_bytes];
+        let weights = &weights[rows];
+        let mass = &mut self.mass.as_chunks_mut::<K>().0[..self.m];
+        for (i, mass) in mass.chunks_exact_mut(PER_BYTE).enumerate() {
+            let column = tokens.chunks_exact(row_bytes).zip(weights);
+            if newest_first {
+                add_column::<K, PER_BYTE>(mass, column.rev(), i);
+            } else {
+                add_column::<K, PER_BYTE>(mass, column, i);
+            }
+        }
+    }
+
     /// Produces `sum_t w_t * decode(V_t)` by mixing centroids with the
     /// accumulated mass.
     ///
@@ -1042,6 +1227,21 @@ impl ValueAccumulator {
             }
         }
         tiled
+    }
+}
+
+/// Adds each token's weight to the buckets its byte `i` selects in the
+/// `PER_BYTE` mass rows that byte codes.
+#[inline(always)]
+fn add_column<'a, const K: usize, const PER_BYTE: usize>(
+    mass: &mut [[f32; K]],
+    tokens: impl Iterator<Item = (&'a [u8], &'a f32)>,
+    i: usize,
+) {
+    for (token, &w) in tokens {
+        for (j, row) in mass.iter_mut().enumerate() {
+            row[packed_code::<K, PER_BYTE>(token[i], j)] += w;
+        }
     }
 }
 
@@ -1541,6 +1741,208 @@ mod tests {
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The token-at-a-time walk the block kernel replaced: each token is
+    /// scored, moves the maximum (rescaling the mass) and is scattered
+    /// before the next one is read. Returns how many rescales it made.
+    fn token_walk(
+        lut: &ScoreLut,
+        key_codes: &PqCodes,
+        value_codes: &PqCodes,
+        scale: f32,
+        alibi: Option<FusedAlibi>,
+        acc: &mut ValueAccumulator,
+        state: &mut FusedState,
+    ) -> usize {
+        let n = key_codes.len();
+        let mut rescales = 0;
+        for i in 0..n {
+            let t = if alibi.is_some() { n - 1 - i } else { i };
+            let mut score = 0.0f32;
+            key_codes.walk_row(t, |sub, code| score += lut.table[sub * lut.k + code]);
+            score *= scale;
+            if let Some(FusedAlibi {
+                slope,
+                query_pos,
+                base_pos,
+            }) = alibi
+            {
+                score += million_tensor::alibi::alibi_bias(slope, query_pos, base_pos + t);
+            }
+            if score > state.max_score {
+                if state.max_score != f32::NEG_INFINITY {
+                    let rescale = (state.max_score - score).exp();
+                    state.sum_exp *= rescale;
+                    acc.rescale(rescale);
+                    rescales += 1;
+                }
+                state.max_score = score;
+            }
+            let w = (score - state.max_score).exp();
+            state.sum_exp += w;
+            acc.add_indexed(w, value_codes, t);
+        }
+        rescales
+    }
+
+    /// Feeds `keys`/`values` to `walk` as chunks of `chunk` tokens through
+    /// one [`FusedState`] — oldest first, or newest first under ALiBi as the
+    /// paged cache does — into a freshly reset `acc`.
+    fn feed(
+        keys: &PqCodes,
+        values: &PqCodes,
+        alibi: Option<(f32, usize)>,
+        chunk: usize,
+        acc: &mut ValueAccumulator,
+        mut walk: impl FnMut(
+            &PqCodes,
+            &PqCodes,
+            Option<FusedAlibi>,
+            &mut ValueAccumulator,
+            &mut FusedState,
+        ),
+    ) -> FusedState {
+        acc.reset();
+        let mut state = FusedState::new();
+        let n = keys.len();
+        let mut starts: Vec<usize> = (0..n.max(1)).step_by(chunk).collect();
+        if alibi.is_some() {
+            starts.reverse();
+        }
+        for start in starts {
+            let len = chunk.min(n - start);
+            let alibi = alibi.map(|(slope, query_pos)| FusedAlibi {
+                slope,
+                query_pos,
+                base_pos: start,
+            });
+            let (k, v) = (keys.clone_rows(start, len), values.clone_rows(start, len));
+            walk(&k, &v, alibi, acc, &mut state);
+        }
+        state
+    }
+
+    /// A table with arbitrary entries, bypassing a codebook.
+    fn lut_from(m: usize, k: usize, entry: impl Fn(usize, usize) -> f32) -> ScoreLut {
+        ScoreLut {
+            m,
+            k,
+            table: (0..m * k).map(|i| entry(i / k, i % k)).collect(),
+        }
+    }
+
+    fn codes_from(config: PqConfig, n: usize, code: impl Fn(usize, usize) -> usize) -> PqCodes {
+        let mut codes = PqCodes::new(config);
+        for t in 0..n {
+            let row: Vec<u16> = (0..config.m).map(|s| code(t, s) as u16).collect();
+            codes.push(&row);
+        }
+        codes
+    }
+
+    /// A well-mixed value in `0..modulus` for the pair `(a, b)`.
+    fn mixed(a: usize, b: usize, modulus: usize) -> usize {
+        let h =
+            (a.wrapping_mul(2_654_435_761) ^ b.wrapping_mul(40_503)).wrapping_mul(2_246_822_519);
+        (h >> 16) % modulus
+    }
+
+    #[test]
+    fn block_walk_is_bit_identical_to_the_token_walk() {
+        let (mut feeds, mut rescales) = (0usize, 0usize);
+        for nbits in [4u8, 6, 8, 12] {
+            let k = 1usize << nbits;
+            // Key and value codebooks of equal and of different m. The rising
+            // cases rescale the whole mass on every token, which for 12-bit
+            // values takes seconds in a debug build unless their m is 1.
+            let pairs: &[(usize, usize)] = if nbits == 12 {
+                &[(1, 1), (4, 1), (16, 1)]
+            } else {
+                &[(1, 1), (4, 4), (16, 16), (4, 16), (16, 1)]
+            };
+            for &(mk, mv) in pairs {
+                let key_config = PqConfig::new(mk, nbits).unwrap();
+                let value_cb = random_codebook(90 + nbits as u64 + mv as u64, mv, nbits, 2);
+                let random = lut_from(mk, k, |s, c| mixed(s, c, 2001) as f32 / 1000.0 - 1.0);
+                let small = lut_from(mk, k, |s, c| mixed(c, s, 2001) as f32 / 1e5 - 0.01);
+                // Entry `c · k^(m-1-s)`: a row of base-`k` digits scores as
+                // its number, so counting rows score higher every token.
+                let digits = lut_from(mk, k, |s, c| {
+                    (c as f64 * (k as f64).powi((mk - 1 - s) as i32)) as f32
+                });
+                let mut query = vec![0.5f32; mk];
+                query[0] = f32::NAN;
+                let nan = random_codebook(7, mk, nbits, 1).score_lut(&query);
+                for n in [0usize, 1, 7, 8, 9, 31, 32, 33, 257, 1000] {
+                    let keys = codes_from(key_config, n, |t, s| mixed(t, s + 7, k));
+                    let counting = codes_from(key_config, n, |t, s| {
+                        k.checked_pow((mk - 1 - s) as u32)
+                            .map_or(0, |place| t / place % k)
+                    });
+                    let values = codes_from(value_cb.config(), n, |t, s| mixed(s + 3, t, k));
+                    // A slope below zero makes every newest-first step score
+                    // higher than the last: the maximum moves on every token.
+                    let cases = [
+                        ("random", &random, &keys, 0.37f32, None),
+                        ("alibi", &random, &keys, 0.37, Some((0.3f32, n + 3))),
+                        ("rising", &digits, &counting, 0.5, None),
+                        ("rising alibi", &small, &keys, 1.0, Some((-1.0, n + 3))),
+                        ("nan query", &nan, &keys, 0.37, None),
+                    ];
+                    for (case, lut, keys, scale, alibi) in cases {
+                        let ctx = format!("{case}: nbits {nbits}, m {mk}/{mv}, n {n}");
+                        let mut want_acc = ValueAccumulator::for_codebook(&value_cb);
+                        let want = feed(
+                            keys,
+                            &values,
+                            alibi,
+                            usize::MAX,
+                            &mut want_acc,
+                            |k, v, a, acc, st| {
+                                rescales += token_walk(lut, k, v, scale, a, acc, st);
+                            },
+                        );
+                        let mut want_out = vec![0.0f32; value_cb.dim()];
+                        want_acc.finish_into(&value_cb, &mut want_out);
+                        for chunk in [usize::MAX, 1, 5, 32] {
+                            let mut acc = ValueAccumulator::for_codebook(&value_cb);
+                            let got =
+                                feed(keys, &values, alibi, chunk, &mut acc, |k, v, a, acc, st| {
+                                    lut.fused_attend_chunk(k, v, scale, a, acc, st);
+                                });
+                            let mut out = vec![0.0f32; value_cb.dim()];
+                            acc.finish_into(&value_cb, &mut out);
+                            assert_eq!(
+                                (got.max_score.to_bits(), got.sum_exp.to_bits()),
+                                (want.max_score.to_bits(), want.sum_exp.to_bits()),
+                                "{ctx}, chunk {chunk}"
+                            );
+                            assert_eq!(
+                                bits(&acc.mass),
+                                bits(&want_acc.mass),
+                                "{ctx}, chunk {chunk}"
+                            );
+                            assert_eq!(bits(&out), bits(&want_out), "{ctx}, chunk {chunk}");
+                            feeds += 1;
+                        }
+                    }
+                }
+            }
+        }
+        println!(
+            "block walk: {feeds} feeds bit-compared with the token walk ({rescales} rescales)"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "value codes are 4 x 256 but the accumulator is 4 x 16")]
+    fn block_walk_rejects_value_codes_of_another_shape() {
+        let keys = codes_from(PqConfig::new(4, 4).unwrap(), 3, |t, s| (t + s) % 16);
+        let values = codes_from(PqConfig::new(4, 8).unwrap(), 3, |t, s| 200 + t + s);
+        let lut = lut_from(4, 16, |s, c| (s + c) as f32);
+        let mut acc = ValueAccumulator::new(4, 16);
+        lut.fused_attend_chunk(&keys, &values, 1.0, None, &mut acc, &mut FusedState::new());
     }
 
     #[test]
