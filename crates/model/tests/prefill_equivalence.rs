@@ -8,8 +8,8 @@
 //! its own index, never on how units are partitioned across threads.
 
 use million_model::{
-    build_caches, prefill_attention_tiled, CacheSpec, ModelConfig, NormKind, Positional,
-    PrefillScratch, Transformer, PREFILL_K_TILE, PREFILL_Q_TILE,
+    build_caches, prefill_attention_reference, prefill_attention_tiled, CacheSpec, ModelConfig,
+    NormKind, Positional, PrefillScratch, Transformer, PREFILL_K_TILE, PREFILL_Q_TILE,
 };
 use million_tensor::init::{normal_matrix, seeded_rng};
 use million_tensor::Matrix;
@@ -160,6 +160,67 @@ fn tiled_kernel_is_bit_identical_across_worker_counts() {
         outputs[2].as_slice(),
         "1 vs 8 workers"
     );
+}
+
+#[test]
+fn a_nan_query_row_comes_out_nan_from_both_kernels() {
+    // Every score of a query row with a NaN in it is NaN. `f32::max` skips
+    // NaN, so such a key tile reads a maximum of -inf — the tiled kernel
+    // must still not drop it as fully masked and write zeros. The row stays
+    // poisoned, as in the reference and the decode path; every other row
+    // (and every other head) is untouched by it.
+    let (n, hd, n_heads, n_kv_heads) = (70, 8, 2, 1);
+    let poisoned = 37;
+    let mut rng = seeded_rng(35);
+    let mut q = normal_matrix(&mut rng, n, n_heads * hd, 0.0, 1.0);
+    let k = normal_matrix(&mut rng, n, n_kv_heads * hd, 0.0, 1.0);
+    let v = normal_matrix(&mut rng, n, n_kv_heads * hd, 0.0, 1.0);
+    q.set(poisoned, 3, f32::NAN);
+    let scale = 1.0 / (hd as f32).sqrt();
+
+    for alibi in [None, Some([0.25f32, 0.5].as_slice())] {
+        let mut tiled = Matrix::default();
+        let mut scratch = PrefillScratch::with_workers(1);
+        prefill_attention_tiled(
+            &q,
+            &k,
+            &v,
+            n_heads,
+            n_kv_heads,
+            scale,
+            alibi,
+            &mut scratch,
+            &mut tiled,
+        );
+        let mut reference = Matrix::default();
+        prefill_attention_reference(
+            &q,
+            &k,
+            &v,
+            n_heads,
+            n_kv_heads,
+            scale,
+            alibi,
+            &mut reference,
+        );
+        for (label, out) in [("tiled", &tiled), ("reference", &reference)] {
+            for t in 0..n {
+                let (head0, head1) = out.row(t).split_at(hd);
+                if t == poisoned {
+                    assert!(
+                        head0.iter().all(|x| x.is_nan()),
+                        "{label}: row {t} {head0:?}"
+                    );
+                } else {
+                    assert!(head0.iter().all(|x| x.is_finite()), "{label}: row {t}");
+                }
+                assert!(
+                    head1.iter().all(|x| x.is_finite()),
+                    "{label}: row {t}, head 1"
+                );
+            }
+        }
+    }
 }
 
 #[test]

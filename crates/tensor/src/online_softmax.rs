@@ -113,29 +113,25 @@ impl OnlineSoftmax {
         crate::ops::axpy(w, value, &mut self.acc);
     }
 
-    /// Pushes one tile of `(score, value-row)` pairs in a single batch — the
-    /// flash-attention inner step used by the tiled prefill kernel. `values`
-    /// holds the tile's value rows contiguous (`[scores.len(), dim]`
-    /// row-major, e.g. a staged value tile); `scores` is consumed in place
-    /// (overwritten with the softmax weights).
+    /// Turns one tile of scores into softmax weights against the running
+    /// state — the first half of a flash-attention inner step
+    /// ([`Self::push_tile`]).
     ///
-    /// The tile's maximum triggers at most one rescale of the running state.
-    /// The exponentials are then batched into one pass of their own — a libm
-    /// `exp` call clobbers every SIMD register, so interleaving it with the
-    /// wide value accumulation would spill the accumulator around every
-    /// call — and the weighted value rows are folded in a second, pure axpy
-    /// pass over a stack-resident accumulator. Equivalent to pushing each
-    /// pair through [`Self::push`] up to floating-point reassociation (one
-    /// shared reference maximum per tile instead of a running one). `-inf`
-    /// scores (masked entries) contribute zero weight.
+    /// The tile's maximum triggers at most one rescale of the running sum
+    /// and accumulator. The scores are then overwritten in place with
+    /// `exp_approx(score - max)`, batched into one pass of their own — a
+    /// libm `exp` call clobbers every SIMD register — and their sum is added
+    /// to the running sum. The caller folds `weight · value-row` into the
+    /// accumulator for every key, in key order, to finish the step.
     ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != scores.len() * self.dim()` (when any score
-    /// is finite).
-    #[inline]
+    /// Returns `false`, with the state untouched, when the tile contributes
+    /// nothing: every score is `-inf` (fully masked). A tile holding a NaN
+    /// score is never dropped — `f32::max` skips NaN, so its maximum can read
+    /// `-inf`, but its weights are NaN and must poison the row as they do in
+    /// [`Self::push`] and the reference softmax.
+    #[inline(always)]
     // analyze: no-alloc
-    pub fn push_tile(&mut self, scores: &mut [f32], values: &[f32]) {
+    pub(crate) fn weigh_tile(&mut self, scores: &mut [f32]) -> bool {
         // Lane-parallel maximum: `max` is associative and commutative, so
         // folding four independent lanes gives the exact same result as a
         // sequential scan, without chaining every compare behind the last.
@@ -153,15 +149,9 @@ impl OnlineSoftmax {
         for &s in remainder {
             tile_max = tile_max.max(s);
         }
-        if tile_max == f32::NEG_INFINITY {
-            return;
+        if tile_max == f32::NEG_INFINITY && !scores.iter().any(|s| s.is_nan()) {
+            return false;
         }
-        let dim = self.acc.len();
-        assert_eq!(
-            values.len(),
-            scores.len() * dim,
-            "value tile shape mismatch"
-        );
         if tile_max > self.max_score {
             let rescale = if self.max_score == f32::NEG_INFINITY {
                 0.0
@@ -198,6 +188,36 @@ impl OnlineSoftmax {
             sum += w;
         }
         self.sum_exp += sum;
+        true
+    }
+
+    /// Pushes one tile of `(score, value-row)` pairs in a single batch:
+    /// [`Self::weigh_tile`], then the weighted value rows folded in key order
+    /// over a stack-resident accumulator. `values` holds the tile's value
+    /// rows contiguous (`[scores.len(), dim]` row-major); `scores` is
+    /// consumed in place (overwritten with the softmax weights).
+    ///
+    /// Equivalent to pushing each pair through [`Self::push`] up to
+    /// floating-point reassociation (one shared reference maximum per tile
+    /// instead of a running one). `-inf` scores (masked entries) contribute
+    /// zero weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != scores.len() * self.dim()` (when any score
+    /// is finite).
+    #[inline]
+    // analyze: no-alloc
+    pub fn push_tile(&mut self, scores: &mut [f32], values: &[f32]) {
+        if !self.weigh_tile(scores) {
+            return;
+        }
+        let dim = self.acc.len();
+        assert_eq!(
+            values.len(),
+            scores.len() * dim,
+            "value tile shape mismatch"
+        );
         // A stack-local accumulator keeps the fold in registers for the
         // whole tile (heads are <= 256 channels in every supported model);
         // wider reductions fall back to accumulating in place.

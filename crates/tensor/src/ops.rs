@@ -88,6 +88,36 @@ pub fn exp_approx(x: f32) -> f32 {
     // mantissa, rounding to nearest integer; subtracting recovers it.
     const MAGIC: f32 = 12_582_912.0;
     let x = x.clamp(-87.0, 88.0);
+    let shifted = x * LOG2E + MAGIC;
+    let kf = shifted - MAGIC;
+    let r = (x - kf * LN2_HI) - kf * LN2_LO;
+    let mut p = 1.388_888_9e-3_f32;
+    p = p * r + 8.333_334e-3;
+    p = p * r + 4.166_666_8e-2;
+    p = p * r + 1.666_666_7e-1;
+    p = p * r + 5.0e-1;
+    p = p * r + 1.0;
+    p = p * r + 1.0;
+    // `shifted` lies in [2^23, 2^24), where one ulp is 1.0, so its bits
+    // minus MAGIC's are exactly `k` — no float-to-int conversion (a
+    // saturating `as i32` costs more than the whole polynomial once
+    // vectorised). Only the low 9 bits of `k + 127` survive the shift; for
+    // a NaN input they are garbage, but `2^k` is then never NaN and `p`
+    // already is, so the product keeps `p`'s NaN either way.
+    let k = shifted.to_bits().wrapping_sub(MAGIC.to_bits());
+    let two_k = f32::from_bits(k.wrapping_add(127) << 23);
+    p * two_k
+}
+
+/// [`exp_approx`] as it was before it took `k` from the bits of the shifted
+/// sum: the oracle its edge and exhaustive tests compare against.
+#[cfg(test)]
+fn exp_approx_with_int_cast(x: f32) -> f32 {
+    const LOG2E: f32 = std::f32::consts::LOG2_E;
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    const MAGIC: f32 = 12_582_912.0;
+    let x = x.clamp(-87.0, 88.0);
     let kf = (x * LOG2E + MAGIC) - MAGIC;
     let r = (x - kf * LN2_HI) - kf * LN2_LO;
     let mut p = 1.388_888_9e-3_f32;
@@ -396,6 +426,74 @@ mod tests {
         assert!(floor > 0.0 && floor < 2e-38);
         assert_eq!(exp_approx(-1000.0), floor);
         assert!(exp_approx(f32::INFINITY).is_finite()); // clamped to e^88
+    }
+
+    /// Inputs where the bit trick could part from the integer cast: signed
+    /// zeros, infinities, NaNs of both signs with assorted payloads,
+    /// subnormals, the clamp bounds and their neighbours, and both sides of
+    /// every `k` rounding boundary `(k + 1/2)·ln 2`.
+    fn exp_approx_edge_inputs() -> Vec<f32> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0x7fff_ffff),
+            f32::from_bits(0xff80_0001),
+            f32::from_bits(0xffc0_5678),
+            f32::from_bits(0xffff_ffff),
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for bound in [-87.0f32, 88.0] {
+            xs.extend([
+                bound,
+                f32::from_bits(bound.to_bits() - 1),
+                f32::from_bits(bound.to_bits() + 1),
+            ]);
+        }
+        for k in -127..=128 {
+            let edge = (k as f32 + 0.5) * std::f32::consts::LN_2;
+            for step in -2i32..=2 {
+                xs.push(f32::from_bits(edge.to_bits().wrapping_add_signed(step)));
+            }
+        }
+        xs
+    }
+
+    #[test]
+    fn exp_approx_equals_the_int_cast_body_at_the_edges() {
+        for x in exp_approx_edge_inputs() {
+            assert_eq!(
+                exp_approx(x).to_bits(),
+                exp_approx_with_int_cast(x).to_bits(),
+                "x = {x} ({:#010x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 inputs, ~80 s in release: cargo test --release -p million_tensor --lib exp_approx -- --ignored"]
+    fn exp_approx_equals_the_int_cast_body_on_every_input() {
+        let mut differing = 0u64;
+        for bits in 0..=u32::MAX {
+            let x = f32::from_bits(bits);
+            if exp_approx(x).to_bits() != exp_approx_with_int_cast(x).to_bits() {
+                differing += 1;
+            }
+        }
+        println!("exp_approx: 2^32 inputs compared, {differing} differ");
+        assert_eq!(differing, 0);
     }
 
     #[test]
