@@ -1,13 +1,16 @@
 //! Criterion benchmark of decode-time attention over each KV-cache backend —
-//! the CPU analogue of the paper's SDPA comparison (Fig. 7).
+//! the CPU analogue of the paper's SDPA comparison (Fig. 7) — and of the
+//! tiled prompt attention a cold prefill runs before the prompt is encoded.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use million_kvcache::{
     AttendParams, AttendScratch, CacheLayout, FullPrecisionCache, KiviCache, KiviConfig, KvCache,
     KvQuantCache, KvQuantConfig, PqCacheConfig, PqKvCache,
 };
+use million_model::{prefill_attention_tiled, PrefillScratch};
 use million_quant::pq::{PqCodebook, PqConfig, PqTrainOptions};
 use million_tensor::init::{normal_matrix, seeded_rng};
+use million_tensor::Matrix;
 use std::sync::Arc;
 
 const HEAD_DIM: usize = 64;
@@ -76,12 +79,47 @@ fn bench_attention(c: &mut Criterion) {
     group.finish();
 }
 
+/// One layer of causal prompt attention at the long-context geometry (8
+/// heads of 32 channels), on one worker.
+fn bench_prefill_attention(c: &mut Criterion) {
+    const HEADS: usize = 8;
+    const PREFILL_HEAD_DIM: usize = 32;
+    let width = HEADS * PREFILL_HEAD_DIM;
+    let scale = 1.0 / (PREFILL_HEAD_DIM as f32).sqrt();
+    let mut group = c.benchmark_group("prefill_attention");
+    for &tokens in &[512usize, 2048] {
+        let mut rng = seeded_rng(11);
+        let q = normal_matrix(&mut rng, tokens, width, 0.0, 1.0);
+        let k = normal_matrix(&mut rng, tokens, width, 0.0, 1.0);
+        let v = normal_matrix(&mut rng, tokens, width, 0.0, 1.0);
+        let mut scratch = PrefillScratch::with_workers(1);
+        let mut attn = Matrix::default();
+        group.bench_with_input(BenchmarkId::new("tiled", tokens), &tokens, |b, _| {
+            b.iter(|| {
+                prefill_attention_tiled(
+                    std::hint::black_box(&q),
+                    &k,
+                    &v,
+                    HEADS,
+                    HEADS,
+                    scale,
+                    None,
+                    &mut scratch,
+                    &mut attn,
+                );
+                attn.get(0, 0)
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(15)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_attention
+    targets = bench_attention, bench_prefill_attention
 }
 criterion_main!(benches);

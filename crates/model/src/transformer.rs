@@ -40,10 +40,11 @@
 use million_kvcache::{AttendParams, AttendScratch, CacheLayout, KvCache};
 use million_tensor::alibi::alibi_slopes;
 use million_tensor::ops::{
-    apply_causal_mask, dot_wide, gelu_in_place, layer_norm, rms_norm, silu_in_place,
-    softmax_in_place, vec_matmul_transposed_into,
+    apply_causal_mask, gelu_in_place, layer_norm, rms_norm, silu_in_place, softmax_in_place,
+    vec_matmul_transposed_into,
 };
-use million_tensor::{GemmScratch, Matrix, OnlineSoftmax, Rope, StridedRows};
+use million_tensor::prompt_attention::{attend_unit, UnitScratch, KEY_TILE};
+use million_tensor::{GemmScratch, Matrix, Rope, StridedRows};
 use rayon::prelude::*;
 
 use crate::config::{ModelConfig, NormKind, Positional};
@@ -53,14 +54,13 @@ use crate::weights::ModelWeights;
 /// Query rows covered by one prefill work unit (one head x one query tile).
 pub const PREFILL_Q_TILE: usize = 32;
 
-/// Key rows walked per inner step of the tiled prefill kernel; bounds the
-/// per-worker score buffer.
-pub const PREFILL_K_TILE: usize = 64;
+/// Key rows walked per inner step of the tiled prefill kernel
+/// ([`million_tensor::prompt_attention`]).
+pub const PREFILL_K_TILE: usize = KEY_TILE;
 
-/// Widest head the tiled kernel supports (stack-staged query rows and
-/// accumulators are sized for it, like FlashAttention's head-dim ceiling).
-/// Every Table I preset is far below; [`Transformer::prefill`] falls back to
-/// the reference path for anything wider.
+/// Widest head the tiled kernel is used for; [`Transformer::prefill`] falls
+/// back to the reference path for anything wider. Every Table I preset is
+/// far below it.
 pub const PREFILL_MAX_HEAD_DIM: usize = 256;
 
 /// Analytical work threshold for fanning prefill (head x query-tile) units
@@ -91,36 +91,12 @@ fn balanced_tile(slot: usize, tiles: usize) -> usize {
     }
 }
 
-/// Per-worker state of the tiled prefill kernel: one staging arena (key
-/// tile, value tile and score buffer at fixed relative offsets) plus one
-/// online-softmax accumulator per query row of the tile.
-#[derive(Debug, Default)]
-struct PrefillTileScratch {
-    /// `[k_tile (K·hd) | pad | v_tile (K·hd) | pad | scores (K)]`.
-    ///
-    /// The key/value tiles are copied contiguous because the packed
-    /// activations stride by `n_kv_heads * head_dim` — walking them in place
-    /// would drag the unused head bands through cache once per query row;
-    /// one copy per (unit, key-tile) is amortised over up to
-    /// `PREFILL_Q_TILE` query rows. All three live in **one** allocation
-    /// with a deliberate stagger between the tiles: as separate heap
-    /// buffers their relative addresses vary run to run, and layouts that
-    /// land 4 KiB-aliased thrash the same L1 sets (observed as a bimodal
-    /// ~1.5x kernel slowdown across otherwise identical processes).
-    arena: Vec<f32>,
-    rows: Vec<OnlineSoftmax>,
-}
-
-/// Floats of stagger between the arena's sections (32 bytes — breaks 4 KiB
-/// set aliasing between the key and value tiles without wasting a line).
-const PREFILL_ARENA_PAD: usize = 8;
-
-/// Working memory of the tiled prefill kernel: one [`PrefillTileScratch`]
-/// per rayon worker plus the head-major staging buffer the (head,
+/// Working memory of the tiled prefill kernel: one [`UnitScratch`] per rayon
+/// worker plus the head-major staging buffer the (head,
 /// query-tile) units write into.
 #[derive(Debug)]
 struct TileScratch {
-    pool: Vec<PrefillTileScratch>,
+    pool: Vec<UnitScratch>,
     /// Unit-major staging `[n_heads * tiles, PREFILL_Q_TILE, head_dim]`;
     /// each (head, query-tile) work unit owns one contiguous chunk, with the
     /// tiles of a head in [`balanced_tile`] order so contiguous worker
@@ -203,9 +179,7 @@ impl ForwardScratch {
         };
         Self {
             tiles: TileScratch {
-                pool: (0..workers)
-                    .map(|_| PrefillTileScratch::default())
-                    .collect(),
+                pool: (0..workers).map(|_| UnitScratch::default()).collect(),
                 head_out: Vec::new(),
             },
             chunk: ChunkScratch {
@@ -228,12 +202,11 @@ impl ForwardScratch {
     }
 
     /// Bytes of per-worker tile state once warmed for `head_dim` — the
-    /// staging arena (key tile, value tile, score buffer) plus the per-row
+    /// staging arena (key tile, value tile, score row) plus the per-row
     /// accumulators. Deterministic from the geometry, tracked by the
     /// `BENCH_prefill.json` regression gate.
     pub fn tile_bytes(head_dim: usize) -> usize {
-        let arena = 2 * (PREFILL_K_TILE * head_dim + PREFILL_ARENA_PAD) + PREFILL_K_TILE;
-        (arena + PREFILL_Q_TILE * head_dim) * std::mem::size_of::<f32>()
+        UnitScratch::bytes(head_dim, PREFILL_Q_TILE)
     }
 }
 
@@ -262,10 +235,11 @@ enum ChunkAttention<'a> {
 /// KV head). The result `softmax(mask(q·kᵀ·scale + alibi)) · v` is written
 /// into `attn` (resized to `[n, n_heads * head_dim]`).
 ///
-/// Per (head, query-tile) work unit the kernel walks key/value tiles with a
-/// running online softmax: scale and the ALiBi bias are applied as each tile
-/// of scores is produced, and the causal mask is fused into the loop bounds
-/// (future keys are never scored at all). Heads read the packed activations
+/// Per (head, query-tile) work unit the blocked kernel
+/// [`million_tensor::prompt_attention::attend_unit`] walks key/value tiles
+/// with a running online softmax: scale and the ALiBi bias are applied as
+/// each tile of scores is produced, and the causal mask is fused into the
+/// loop bounds (future keys are never scored at all). Heads read the packed activations
 /// through [`StridedRows`] views — no `n x n` score matrix, no mask pass and
 /// no per-head copy exists. Units fan out across the rayon shim, one
 /// [`PrefillScratch`] pool slot per worker, once the per-unit tile walk
@@ -359,76 +333,22 @@ fn tiled_attention(
     stage
         .par_chunks_mut(PREFILL_Q_TILE * hd)
         .enumerate()
-        .for_each_with_scratch(&mut pool[..pool_len], |tile_scratch, (unit, chunk)| {
+        .for_each_with_scratch(&mut pool[..pool_len], |unit_scratch, (unit, chunk)| {
             let qh = unit / tiles;
             let tile = balanced_tile(unit % tiles, tiles);
             let q0 = tile * PREFILL_Q_TILE;
             let q1 = (q0 + PREFILL_Q_TILE).min(n);
-            let n_rows = q1 - q0;
             let kvh = qh / group;
-            let q_rows = StridedRows::from_matrix(q, qh * hd, hd);
-            let k_rows = StridedRows::from_matrix(k, kvh * hd, hd);
-            let v_rows = StridedRows::from_matrix(v, kvh * hd, hd);
-            let slope = alibi.map(|s| s[qh]);
-
-            let PrefillTileScratch { arena, rows } = tile_scratch;
-            if rows.len() < n_rows {
-                rows.resize_with(n_rows, || OnlineSoftmax::new(0));
-            }
-            let tile_floats = PREFILL_K_TILE * hd;
-            let arena_need = 2 * (tile_floats + PREFILL_ARENA_PAD) + PREFILL_K_TILE;
-            if arena.len() < arena_need {
-                arena.resize(arena_need, 0.0);
-            }
-            let (k_tile, rest) = arena.split_at_mut(tile_floats);
-            let (v_tile, rest) = rest[PREFILL_ARENA_PAD..].split_at_mut(tile_floats);
-            let scores = &mut rest[PREFILL_ARENA_PAD..PREFILL_ARENA_PAD + PREFILL_K_TILE];
-            for state in &mut rows[..n_rows] {
-                state.reset(hd);
-            }
-
-            let mut k0 = 0;
-            while k0 < q1 {
-                let k1 = (k0 + PREFILL_K_TILE).min(q1);
-                // Stage the key/value tile contiguous, one copy amortised
-                // over every query row of the unit.
-                for (dst, j) in k_tile.chunks_exact_mut(hd).zip(k0..k1) {
-                    dst.copy_from_slice(k_rows.row(j));
-                }
-                for (dst, j) in v_tile.chunks_exact_mut(hd).zip(k0..k1) {
-                    dst.copy_from_slice(v_rows.row(j));
-                }
-                for (i, state) in rows[..n_rows].iter_mut().enumerate() {
-                    let qi = q0 + i;
-                    // Causal mask, fused into the loop bound: query `qi`
-                    // sees keys `0..=qi` only.
-                    let limit = (qi + 1).min(k1);
-                    if limit <= k0 {
-                        continue;
-                    }
-                    let len = limit - k0;
-                    // A stack-local copy of the query row lets the score
-                    // loop keep it in registers (measured ~1.3x on the
-                    // whole kernel versus reading the matrix row in place).
-                    let mut q_buf = [0.0f32; PREFILL_MAX_HEAD_DIM];
-                    let query = &mut q_buf[..hd];
-                    query.copy_from_slice(q_rows.row(qi));
-                    let tile_scores = &mut scores[..len];
-                    for (jj, s) in tile_scores.iter_mut().enumerate() {
-                        *s = dot_wide(query, &k_tile[jj * hd..(jj + 1) * hd]) * scale;
-                    }
-                    if let Some(slope) = slope {
-                        for (jj, s) in tile_scores.iter_mut().enumerate() {
-                            *s -= slope * (qi - (k0 + jj)) as f32;
-                        }
-                    }
-                    state.push_tile(tile_scores, &v_tile[..len * hd]);
-                }
-                k0 = k1;
-            }
-            for (i, state) in rows[..n_rows].iter().enumerate() {
-                state.finish_into(&mut chunk[i * hd..(i + 1) * hd]);
-            }
+            attend_unit(
+                StridedRows::from_matrix(q, qh * hd, hd),
+                StridedRows::from_matrix(k, kvh * hd, hd),
+                StridedRows::from_matrix(v, kvh * hd, hd),
+                q0..q1,
+                scale,
+                alibi.map(|s| s[qh]),
+                unit_scratch,
+                &mut chunk[..(q1 - q0) * hd],
+            );
         });
 
     // Fold the staging into the packed [n, n_heads*hd] output. Each unit's

@@ -35,6 +35,7 @@ pub mod init;
 pub mod matrix;
 pub mod online_softmax;
 pub mod ops;
+pub mod prompt_attention;
 pub mod rope;
 pub mod view;
 

@@ -114,15 +114,16 @@ impl OnlineSoftmax {
     }
 
     /// Turns one tile of scores into softmax weights against the running
-    /// state — the first half of a flash-attention inner step
-    /// ([`Self::push_tile`]).
+    /// state — the first half of a flash-attention inner step, run per query
+    /// row by the blocked prompt-attention kernel
+    /// ([`crate::prompt_attention::attend_unit`]).
     ///
     /// The tile's maximum triggers at most one rescale of the running sum
     /// and accumulator. The scores are then overwritten in place with
     /// `exp_approx(score - max)`, batched into one pass of their own — a
     /// libm `exp` call clobbers every SIMD register — and their sum is added
-    /// to the running sum. The caller folds `weight · value-row` into the
-    /// accumulator for every key, in key order, to finish the step.
+    /// to the running sum. The caller folds `weight · value-row` into
+    /// [`Self::acc_mut`] for every key, in key order, to finish the step.
     ///
     /// Returns `false`, with the state untouched, when the tile contributes
     /// nothing: every score is `-inf` (fully masked). A tile holding a NaN
@@ -191,6 +192,13 @@ impl OnlineSoftmax {
         true
     }
 
+    /// The running weighted-value accumulator, for a caller folding the
+    /// weights of [`Self::weigh_tile`] itself.
+    #[inline(always)]
+    pub(crate) fn acc_mut(&mut self) -> &mut [f32] {
+        &mut self.acc
+    }
+
     /// Pushes one tile of `(score, value-row)` pairs in a single batch:
     /// [`Self::weigh_tile`], then the weighted value rows folded in key order
     /// over a stack-resident accumulator. `values` holds the tile's value
@@ -202,13 +210,15 @@ impl OnlineSoftmax {
     /// instead of a running one). `-inf` scores (masked entries) contribute
     /// zero weight.
     ///
+    /// The one-row-at-a-time prompt-attention unit built on it is the
+    /// reference the blocked kernel is bit-compared against.
+    ///
     /// # Panics
     ///
     /// Panics if `values.len() != scores.len() * self.dim()` (when any score
     /// is finite).
-    #[inline]
-    // analyze: no-alloc
-    pub fn push_tile(&mut self, scores: &mut [f32], values: &[f32]) {
+    #[cfg(test)]
+    pub(crate) fn push_tile(&mut self, scores: &mut [f32], values: &[f32]) {
         if !self.weigh_tile(scores) {
             return;
         }
