@@ -92,8 +92,8 @@ fn balanced_tile(slot: usize, tiles: usize) -> usize {
 }
 
 /// Working memory of the tiled prefill kernel: one [`UnitScratch`] per rayon
-/// worker plus the head-major staging buffer the (head,
-/// query-tile) units write into.
+/// worker plus the head-major staging buffer the (head, query-tile) units
+/// write into.
 #[derive(Debug)]
 struct TileScratch {
     pool: Vec<UnitScratch>,
@@ -239,9 +239,9 @@ enum ChunkAttention<'a> {
 /// [`million_tensor::prompt_attention::attend_unit`] walks key/value tiles
 /// with a running online softmax: scale and the ALiBi bias are applied as
 /// each tile of scores is produced, and the causal mask is fused into the
-/// loop bounds (future keys are never scored at all). Heads read the packed activations
-/// through [`StridedRows`] views — no `n x n` score matrix, no mask pass and
-/// no per-head copy exists. Units fan out across the rayon shim, one
+/// loop bounds (future keys are never scored at all). Heads read the packed
+/// activations through [`StridedRows`] views — no `n x n` score matrix, no
+/// mask pass and no per-head copy exists. Units fan out across the rayon shim, one
 /// [`PrefillScratch`] pool slot per worker, once the per-unit tile walk
 /// crosses an analytical work threshold; below it the loop runs serially on
 /// `pool[0]`, which is thread- and allocation-free.

@@ -24,17 +24,17 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// Dot product with eight independent partial accumulators.
+/// Dot product with eight independent partial accumulators: lane `l` sums
+/// the products of elements `l, l + 8, …` from `0.0`, the lanes fold as
+/// `((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))`, then the `len % 8`
+/// tail adds in order.
 ///
-/// [`dot`] folds every product into a single accumulator, which serialises
-/// the adds behind each other's latency; this variant keeps eight partial
-/// lanes (two SIMD registers after auto-vectorisation) and folds them once
-/// at the end. The summation **order differs** from [`dot`], so results are
-/// not bit-compatible — use it only on throughput-bound, tolerance-pinned
-/// paths (the tiled prefill score loop); established bit-exact paths keep
-/// [`dot`].
-#[inline]
-pub fn dot_wide(a: &[f32], b: &[f32]) -> f32 {
+/// The summation **order differs** from [`dot`], so results are not
+/// bit-compatible. This is the association of every prompt-attention score
+/// ([`crate::prompt_attention`] computes it eight keys at a time); the
+/// one-row unit that called it per key is the kernel's test reference.
+#[cfg(test)]
+pub(crate) fn dot_wide(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot_wide length mismatch");
     let mut lanes = [0.0f32; 8];
     let chunks = a.len() / 8;

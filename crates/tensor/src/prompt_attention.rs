@@ -10,7 +10,7 @@
 //!    arena;
 //! 2. **scores one query row against the whole tile, keys across SIMD
 //!    lanes**: lane `l` of key `j` sums `q[8i + l] · kᵀ[8i + l][j]` over `i`
-//!    from `0.0`, the lanes combine in [`crate::ops::dot_wide`]'s tree
+//!    from `0.0`, the lanes combine in `ops::dot_wide`'s tree
 //!    `((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))`, then the
 //!    `head_dim % 8` tail is added, the sum multiplied by the scale and the
 //!    ALiBi bias subtracted. That is `dot_wide(q, k) * scale` operation for
@@ -46,7 +46,7 @@ use crate::{OnlineSoftmax, StridedRows};
 /// Keys per tile of the walk.
 pub const KEY_TILE: usize = 64;
 
-/// Partial sums of one score, as in [`crate::ops::dot_wide`].
+/// Partial sums of one score, as in `ops::dot_wide`.
 const LANES: usize = 8;
 
 /// Query rows folded per pass over a value tile.
