@@ -276,8 +276,8 @@ fn stage_transposed(k: StridedRows<'_>, keys: Range<usize>, k_tile: &mut [f32]) 
 }
 
 /// Scores `query` against the first `len` keys of the transposed tile
-/// (`KEYS` keys per vector, rounded up; the scores past `len` are
-/// meaningless), each exactly `dot_wide(query, key) * scale`.
+/// (`KEYS` keys per vector, rounded up; the scores past `len` are unused),
+/// each exactly `dot_wide(query, key) * scale`.
 #[inline(always)]
 fn score<const KEYS: usize>(
     query: &[f32],
