@@ -496,7 +496,6 @@ impl PqKvCache {
     /// Attends the dense recent window and the current token into
     /// `scratch.softmax` (which the quantized segment has already been
     /// merged into) and writes the normalised result.
-    // analyze: no-alloc
     fn attend_dense_tail(
         &self,
         params: &AttendParams<'_>,
@@ -531,7 +530,7 @@ impl PqKvCache {
     /// quantized token into a materialised buffer, find the maximum, then
     /// make a second pass to exponentiate and accumulate value mass.
     ///
-    /// Kept as the cache-level equivalence reference for
+    /// Test-only: the cache-level equivalence reference for
     /// [`KvCache::attend`], whose results agree with it up to the fused
     /// kernel's online-softmax reassociation (≲1e-6). The benchmark ladder
     /// (criterion + `bench_decode_baseline`) measures the standalone
@@ -541,8 +540,8 @@ impl PqKvCache {
     /// # Panics
     ///
     /// Same contract as [`KvCache::attend`].
-    // analyze: no-alloc
-    pub fn attend_two_pass(
+    #[cfg(test)]
+    fn attend_two_pass(
         &self,
         params: &AttendParams<'_>,
         scratch: &mut AttendScratch,
@@ -563,7 +562,7 @@ impl PqKvCache {
                 .fill_from(&self.config.key_codebook, params.query);
             // Pass 1: materialise every chunk's scores at its absolute
             // position offset, walking the shared chain then the private tail.
-            let scores = grown(&mut scratch.scores, self.quantized_len);
+            let mut scores = vec![0.0f32; self.quantized_len];
             let mut off = 0;
             for block in &self.shared {
                 let chunk = block.key_codes(layer, h);
@@ -641,7 +640,6 @@ impl KvCache for PqKvCache {
         }
     }
 
-    // analyze: no-alloc
     fn attend(&self, params: &AttendParams<'_>, scratch: &mut AttendScratch, out: &mut [f32]) {
         let d = self.layout.head_dim;
         assert_eq!(params.query.len(), d, "query length mismatch");

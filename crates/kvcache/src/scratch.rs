@@ -24,9 +24,6 @@ use million_tensor::OnlineSoftmax;
 pub struct AttendScratch {
     /// Per-query score lookup table (PQ backend).
     pub(crate) lut: ScoreLut,
-    /// Materialised per-token score buffer, used by the two-pass reference
-    /// kernel (the fused kernel never materialises scores).
-    pub(crate) scores: Vec<f32>,
     /// Per-centroid softmax mass (PQ backend).
     pub(crate) acc: ValueAccumulator,
     /// Mixed-centroid segment of `head_dim` floats (PQ backend).
@@ -45,7 +42,6 @@ impl AttendScratch {
     pub fn new() -> Self {
         Self {
             lut: ScoreLut::empty(),
-            scores: Vec::new(),
             acc: ValueAccumulator::new(1, 1),
             segment: Vec::new(),
             softmax: OnlineSoftmax::new(0),

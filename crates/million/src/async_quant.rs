@@ -133,7 +133,7 @@ impl QuantWorker {
 
     /// Collects every finished block without waiting.
     pub fn try_drain(&mut self) -> Vec<EncodeResult> {
-        let mut out = Vec::new(); // analyze: allow(no-alloc) — empty Vec::new is allocation-free; it grows only when a finished encode batch arrived (block-boundary path)
+        let mut out = Vec::new();
         while let Ok(result) = self.result_rx.try_recv() {
             self.in_flight -= 1;
             out.push(result);

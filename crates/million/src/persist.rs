@@ -34,6 +34,18 @@
 //! criteria, sampler state, streamed tokens, unfed prompt) and a CRC-framed
 //! `MLNSES02` snapshot. `MLNCKPT1` lacked the unfed prompt and is retired.
 
+// A panic on the snapshot path loses committed state; errors are typed.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::panic_in_result_fn
+)]
+
 use std::path::Path;
 
 use million_model::{Sampler, SamplerState};

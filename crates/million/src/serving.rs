@@ -1564,7 +1564,6 @@ impl<'e> ServingEngine<'e> {
                 Self::sync_worker_nonblocking(&mut self.worker, &mut self.resident);
                 let slot = &mut self.resident[idx];
                 slot.deficit -= quantum;
-                // analyze: no-alloc(begin)
                 let mut step = slot.session.step_with(&mut slot.request.sampler);
                 slot.tokens.push(step.token);
                 self.stats.tokens_by_class[slot.request.class.index()] += 1;
@@ -1607,7 +1606,6 @@ impl<'e> ServingEngine<'e> {
                 // `StepResult` is `Copy`, so handing it to the channel
                 // costs a memcpy, not a clone.
                 let _ = slot.tx.send(step);
-                // analyze: no-alloc(end)
                 let requests = slot.session.take_encode_requests();
                 let id = slot.id;
                 if let Some(worker) = &mut self.worker {

@@ -671,7 +671,7 @@ impl<'e> InferenceSession<'e> {
         let cold = self.cached_tokens() == 0;
         let results = match &mut self.stream {
             QuantStream::Owned(worker) => worker.try_drain(),
-            _ => Vec::new(), // analyze: allow(no-alloc) — empty Vec::new never touches the allocator
+            _ => Vec::new(),
         };
         for result in results {
             self.absorb(result);
@@ -708,7 +708,7 @@ impl<'e> InferenceSession<'e> {
         let Some(chain) = self.chain.as_mut() else {
             return;
         };
-        let store = chain.store().clone(); // analyze: allow(no-alloc) — Arc clone: refcount bump, no heap allocation
+        let store = chain.store().clone();
         let bt = store.block_tokens();
         loop {
             let sealable = self
@@ -721,7 +721,7 @@ impl<'e> InferenceSession<'e> {
                 return;
             }
             let sealed = chain.sealed_tokens();
-            let tokens: Vec<u32> = self.history[sealed..sealed + bt].to_vec(); // analyze: allow(no-alloc) — block seal: once per block_tokens steps, amortized O(1/bt) per token
+            let tokens: Vec<u32> = self.history[sealed..sealed + bt].to_vec();
             if let Some((id, block)) = store.lookup_child(chain.last_id(), &tokens) {
                 // Token-chain identity is necessary but not sufficient: the
                 // same tokens admitted through a different prefill/turn
@@ -744,14 +744,14 @@ impl<'e> InferenceSession<'e> {
                     return;
                 }
                 for cache in &mut self.caches {
-                    cache.replace_private_front_with_block(block.clone()); // analyze: allow(no-alloc) — Arc clone: refcount bump, no heap allocation
+                    cache.replace_private_front_with_block(block.clone());
                 }
                 chain.push(id, block);
             } else {
                 let heads = self.engine.model().cache_layout().n_kv_heads;
                 let n_layers = self.caches.len();
-                let mut key_codes = Vec::with_capacity(n_layers * heads); // analyze: allow(no-alloc) — block seal: once per block_tokens steps
-                let mut value_codes = Vec::with_capacity(n_layers * heads); // analyze: allow(no-alloc) — block seal: once per block_tokens steps
+                let mut key_codes = Vec::with_capacity(n_layers * heads);
+                let mut value_codes = Vec::with_capacity(n_layers * heads);
                 for cache in &mut self.caches {
                     let (keys, values) = cache.take_private_front(bt);
                     key_codes.extend(keys);
@@ -760,7 +760,7 @@ impl<'e> InferenceSession<'e> {
                 let block = Block::new(n_layers, heads, key_codes, value_codes);
                 let (id, arc) = store.insert_child(chain.last_id(), &tokens, block);
                 for cache in &mut self.caches {
-                    cache.attach_shared_block(arc.clone()); // analyze: allow(no-alloc) — Arc clone: refcount bump, no heap allocation
+                    cache.attach_shared_block(arc.clone());
                 }
                 chain.push(id, arc);
             }

@@ -137,7 +137,7 @@ mod tests {
             CacheSpec::KvQuant(KvQuantConfig::default()).label(),
             CacheSpec::Pq(pq_spec(&config)).label(),
         ];
-        let unique: std::collections::HashSet<_> = labels.iter().collect();
+        let unique: std::collections::BTreeSet<_> = labels.iter().collect();
         assert_eq!(unique.len(), labels.len());
     }
 

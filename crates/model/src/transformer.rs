@@ -160,8 +160,11 @@ pub type PrefillScratch = ForwardScratch;
 impl ForwardScratch {
     /// Creates a scratch with one tile state and one attention state per
     /// rayon worker.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "sizes the per-worker pools only; neither tile partitioning nor the per-head fan-out changes float accumulation order (pinned across worker counts by the equivalence suites)"
+    )]
     pub fn new() -> Self {
-        // analyze: allow(determinism) — sizes the per-worker pools only; neither tile partitioning nor the per-head fan-out changes float accumulation order (pinned across worker counts by the equivalence suites)
         Self::with_workers(rayon::current_num_threads())
     }
 
@@ -762,7 +765,6 @@ impl Transformer {
     /// backend (pinned against a public-API oracle in
     /// `crates/model/tests/extend_equivalence.rs`). It does not check the
     /// context window; the multi-token entry points do.
-    // analyze: no-alloc
     fn forward_chunk<C: KvCache>(
         &self,
         tokens: &[u32],

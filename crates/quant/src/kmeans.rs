@@ -173,7 +173,6 @@ const LANES: usize = 16;
 /// # Panics
 ///
 /// Panics if `planes.len() != sample.len() * k`.
-// analyze: no-alloc
 pub fn nearest_in_planes(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {

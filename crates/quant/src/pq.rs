@@ -282,7 +282,6 @@ impl PqCodebook {
     /// # Panics
     ///
     /// Panics if `vector.len() != dim` or `codes.len() != m`.
-    // analyze: no-alloc
     pub fn encode_into(&self, vector: &[f32], codes: &mut [u16]) {
         assert_eq!(vector.len(), self.dim, "encode dimension mismatch");
         assert_eq!(codes.len(), self.config.m, "encode code-count mismatch");
@@ -634,7 +633,6 @@ impl ScoreLut {
     /// # Panics
     ///
     /// Panics if `query.len() != codebook.dim()`.
-    // analyze: no-alloc
     pub fn fill_from(&mut self, codebook: &PqCodebook, query: &[f32]) {
         assert_eq!(query.len(), codebook.dim(), "score_lut dimension mismatch");
         let m = codebook.config.m;
@@ -810,7 +808,6 @@ impl ScoreLut {
     /// Panics if the key/value chunks hold different token counts,
     /// `key_codes` does not match this table's subspace count, or
     /// `value_codes` does not match `acc`'s subspace count and codebook size.
-    // analyze: no-alloc
     pub fn fused_attend_chunk(
         &self,
         key_codes: &PqCodes,
@@ -1156,7 +1153,6 @@ impl ValueAccumulator {
     ///
     /// Panics if `out.len() != codebook.dim()` or the codebook shape differs
     /// from the accumulator shape.
-    // analyze: no-alloc
     pub fn finish_into(&self, codebook: &PqCodebook, out: &mut [f32]) {
         assert_eq!(out.len(), codebook.dim(), "output buffer length mismatch");
         assert_eq!(codebook.config().m, self.m, "codebook m mismatch");

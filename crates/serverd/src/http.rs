@@ -14,6 +14,18 @@
 //! so a vanished reader fails the next write within one keep-alive period
 //! and the connection handler can cancel the request it was streaming.
 
+// Malformed input must become a 4xx response, never a worker abort.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::panic_in_result_fn
+)]
+
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 

@@ -36,6 +36,18 @@
 //! stepped, which makes queue-overflow, spill, and shared-prefix residency
 //! deterministic instead of racing the decode loop.
 
+// The supervisor is what must survive a panic, so it may not raise its own.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::panic_in_result_fn
+)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -718,8 +730,11 @@ fn shard_loop(
         if !paused && !serving.is_idle() {
             if let Some(plan) = fault {
                 let next_round = serving.rounds() + 1;
+                #[allow(
+                    clippy::panic,
+                    reason = "seeded fault injection: this panic is the chaos test's payload"
+                )]
                 if plan.should_panic(index, next_round) {
-                    // analyze: allow(no-panic) — seeded fault injection: this panic IS the chaos test's payload
                     panic!("injected fault: shard {index} panics before round {next_round}");
                 }
             }

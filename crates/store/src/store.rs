@@ -270,6 +270,12 @@ impl BlockStore {
         self.byte_budget
     }
 
+    /// The one way into the store's state. Every allocation, lookup and
+    /// release runs under this single mutex, so a guard must never be held
+    /// across a channel operation, file I/O or a second lock: that would be
+    /// a deadlock or a tail-latency cliff for every session. Each method
+    /// takes the guard, mutates `Inner` and drops it before returning; the
+    /// `store_model` proptest checks the state those methods leave behind.
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().expect("block store mutex poisoned")
     }

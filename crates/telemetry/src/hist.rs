@@ -62,7 +62,6 @@ impl LatencyHistogram {
     }
 
     /// Records one duration.
-    // analyze: no-alloc
     pub fn record(&mut self, ns: u64) {
         match bucket_index(ns) {
             Some(idx) => self.counts[idx] += 1,

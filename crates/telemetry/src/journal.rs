@@ -126,7 +126,6 @@ impl EventJournal {
     }
 
     /// Appends an event, evicting the oldest if the ring is full.
-    // analyze: no-alloc
     pub fn push(&mut self, event: Event) {
         self.total += 1;
         if self.capacity == 0 {

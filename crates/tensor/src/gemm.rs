@@ -300,7 +300,6 @@ fn tiled_avx512(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Mat
 /// `out = a · b` — the body of [`Matrix::matmul_into`]: the row kernel below
 /// [`PACK_MIN_ROWS`] rows, otherwise the widest build of the tiled kernel
 /// this CPU runs.
-// analyze: no-alloc
 pub(crate) fn gemm_into(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
     if a.rows() < PACK_MIN_ROWS {

@@ -90,7 +90,6 @@ impl OnlineSoftmax {
     /// # Panics
     ///
     /// Panics if `value.len() != self.dim()`.
-    // analyze: no-alloc
     pub fn push(&mut self, score: f32, value: &[f32]) {
         assert_eq!(value.len(), self.acc.len(), "value dimension mismatch");
         if score == f32::NEG_INFINITY {
@@ -131,7 +130,6 @@ impl OnlineSoftmax {
     /// `-inf`, but its weights are NaN and must poison the row as they do in
     /// [`Self::push`] and the reference softmax.
     #[inline(always)]
-    // analyze: no-alloc
     pub(crate) fn weigh_tile(&mut self, scores: &mut [f32]) -> bool {
         // Lane-parallel maximum: `max` is associative and commutative, so
         // folding four independent lanes gives the exact same result as a

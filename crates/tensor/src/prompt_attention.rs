@@ -168,7 +168,6 @@ fn unit_avx2(
 /// vector, `W` channels of a row folded per pass.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-// analyze: no-alloc
 fn unit<const KEYS: usize, const W: usize>(
     q: StridedRows<'_>,
     k: StridedRows<'_>,
