@@ -1,12 +1,10 @@
 //! Criterion micro-benchmarks for the PQ kernels behind MILLION:
 //! codebook training, encoding, decoding, LUT construction, the centroid mix,
 //! the k-means assignment scan, ADC scoring —
-//! and the decode-kernel ladder: unpacked-u16 two-pass (the seed kernel) →
-//! packed two-pass → fused packed single-pass, whole and as the 32-token
-//! chunks of a paged block chain.
+//! and the fused packed decode kernel, whole and as the 32-token chunks of a
+//! paged block chain.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use million_bench::kernels;
+use criterion::{criterion_group, criterion_main, Criterion};
 use million_quant::bitpack::PackedCodes;
 use million_quant::kmeans::nearest_in_planes;
 use million_quant::pq::{
@@ -95,18 +93,6 @@ fn bench_pq(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("pq_adc_scores_4096_tokens_unpacked_u16", |b| {
-        let lut = codebook.score_lut(&query);
-        let rows = kernels::unpack_rows(&codes);
-        let mut out = vec![0.0f32; TOKENS];
-        b.iter(|| {
-            for (slot, row) in out.iter_mut().zip(rows.iter()) {
-                *slot = lut.score_codes(std::hint::black_box(row));
-            }
-            out[0]
-        })
-    });
-
     c.bench_function("pq_value_mass_accumulation_4096_tokens", |b| {
         b.iter(|| {
             let mut acc = ValueAccumulator::for_codebook(&codebook);
@@ -128,9 +114,8 @@ fn bench_pq(c: &mut Criterion) {
     });
 }
 
-/// The attend-kernel ladder at a 4k-token context, for 8-bit and 4-bit
-/// codes: the fused packed kernel must beat the seed's two-pass unpacked
-/// kernel (tracked in `BENCH_decode.json` by `bench_decode_baseline`).
+/// The fused attend kernel at a 4k-token context, for 8-bit and 4-bit
+/// codes: over one code block, and over the same tokens as 32-token blocks.
 fn bench_attend_kernels(c: &mut Criterion) {
     for nbits in [8u8, 4] {
         let key_cb = trained(nbits, 2);
@@ -144,54 +129,14 @@ fn bench_attend_kernels(c: &mut Criterion) {
         let scale = 1.0 / (HEAD_DIM as f32).sqrt();
 
         let mut group = c.benchmark_group(&format!("attend_kernel_{TOKENS}tok_{nbits}bit"));
-        group.bench_function("two_pass_unpacked_u16", |b| {
-            let key_rows = kernels::unpack_rows(&key_codes);
-            let value_rows = kernels::unpack_rows(&value_codes);
-            b.iter_batched(
-                || (),
-                |()| {
-                    kernels::two_pass_unpacked(
-                        std::hint::black_box(&lut),
-                        &key_rows,
-                        &value_rows,
-                        &value_cb,
-                        scale,
-                    )
-                },
-                BatchSize::SmallInput,
-            )
-        });
-        group.bench_function("two_pass_packed", |b| {
-            let mut scores = Vec::new();
-            let mut acc = ValueAccumulator::new(1, 1);
-            let mut out = vec![0.0f32; HEAD_DIM];
-            b.iter(|| {
-                kernels::two_pass_packed(
-                    std::hint::black_box(&lut),
-                    &key_codes,
-                    &value_codes,
-                    &value_cb,
-                    scale,
-                    &mut scores,
-                    &mut acc,
-                    &mut out,
-                );
-                out[0]
-            })
-        });
         group.bench_function("fused_packed", |b| {
             let mut acc = ValueAccumulator::new(1, 1);
             let mut out = vec![0.0f32; HEAD_DIM];
             b.iter(|| {
-                kernels::fused_packed(
-                    std::hint::black_box(&lut),
-                    &key_codes,
-                    &value_codes,
-                    &value_cb,
-                    scale,
-                    &mut acc,
-                    &mut out,
-                );
+                let lut = std::hint::black_box(&lut);
+                let (_max, sum) = lut.fused_attend(&key_codes, &value_codes, scale, None, &mut acc);
+                acc.finish_into(&value_cb, &mut out);
+                out.iter_mut().for_each(|v| *v /= sum);
                 out[0]
             })
         });

@@ -1,8 +1,7 @@
 //! Shared plumbing for the experiment harnesses in `src/bin/`.
 //!
-//! Every binary regenerates one table or figure of the paper (see
-//! `DESIGN.md` for the experiment index) and prints it as an aligned text
-//! table; machine-readable JSON is written next to it under
+//! Every binary regenerates the table or figure of the paper it is named
+//! after and prints it as an aligned text table; machine-readable JSON is written next to it under
 //! `target/experiments/` so results can be diffed between runs.
 
 #![forbid(unsafe_code)]
@@ -97,117 +96,6 @@ pub fn trained_million_spec(
     (codebooks, spec)
 }
 
-/// Measurement-only reference kernels.
-///
-/// The production decode path now runs the fused packed kernel
-/// ([`million_quant::pq::ScoreLut::fused_attend`]); these functions keep its
-/// two predecessors measurable — the seed's two-pass kernel over unpacked
-/// `u16` codes (per-call allocations and all) and the two-pass variant over
-/// packed codes with reused scratch — so `benches/pq_kernels.rs` and the
-/// `bench_decode_baseline` harness can track the win of each step.
-pub mod kernels {
-    use million_quant::pq::{PqCodebook, PqCodes, ScoreLut, ValueAccumulator};
-
-    /// Unpacks a code block into the one-`u16`-per-code row representation
-    /// the bit-packed kernel layout replaced (4x the memory at 4 bits).
-    pub fn unpack_rows(codes: &PqCodes) -> Vec<Vec<u16>> {
-        let m = codes.config().m;
-        (0..codes.len())
-            .map(|i| {
-                let mut row = vec![0u16; m];
-                codes.read_into(i, &mut row);
-                row
-            })
-            .collect()
-    }
-
-    /// The seed implementation of quantized decode attention: score every
-    /// unpacked row through the LUT into a freshly allocated score vector,
-    /// take the max, then make a second pass to accumulate value-centroid
-    /// mass into a freshly allocated accumulator. Returns the normalised
-    /// head output (also freshly allocated, as the seed did).
-    pub fn two_pass_unpacked(
-        lut: &ScoreLut,
-        key_rows: &[Vec<u16>],
-        value_rows: &[Vec<u16>],
-        value_codebook: &PqCodebook,
-        scale: f32,
-    ) -> Vec<f32> {
-        let mut scores = Vec::with_capacity(key_rows.len());
-        for row in key_rows {
-            scores.push(lut.score_codes(row) * scale);
-        }
-        let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut acc = ValueAccumulator::for_codebook(value_codebook);
-        let mut sum = 0.0f32;
-        for (row, &s) in value_rows.iter().zip(scores.iter()) {
-            let w = (s - max).exp();
-            sum += w;
-            acc.add(w, row);
-        }
-        let mut out = vec![0.0f32; value_codebook.dim()];
-        acc.finish_into(value_codebook, &mut out);
-        if sum > 0.0 {
-            out.iter_mut().for_each(|v| *v /= sum);
-        }
-        out
-    }
-
-    /// Two passes over the *packed* codes with caller-owned scratch — the
-    /// intermediate step between the seed kernel and the fused one,
-    /// isolating the packed-layout win from the fusion win.
-    #[allow(clippy::too_many_arguments)]
-    pub fn two_pass_packed(
-        lut: &ScoreLut,
-        key_codes: &PqCodes,
-        value_codes: &PqCodes,
-        value_codebook: &PqCodebook,
-        scale: f32,
-        scores: &mut Vec<f32>,
-        acc: &mut ValueAccumulator,
-        out: &mut [f32],
-    ) {
-        let n = key_codes.len();
-        let scores = million_kvcache::grown(scores, n);
-        lut.scores_into(key_codes, scores);
-        let mut max = f32::NEG_INFINITY;
-        for s in scores.iter_mut() {
-            *s *= scale;
-            max = max.max(*s);
-        }
-        acc.ensure_shape(value_codes.config().m, value_codes.config().codebook_size());
-        acc.reset();
-        let mut sum = 0.0f32;
-        for (t, &s) in scores.iter().enumerate() {
-            let w = (s - max).exp();
-            sum += w;
-            acc.add_indexed(w, value_codes, t);
-        }
-        acc.finish_into(value_codebook, out);
-        if sum > 0.0 {
-            out.iter_mut().for_each(|v| *v /= sum);
-        }
-    }
-
-    /// The production fused packed kernel, normalised for comparison with
-    /// the references above.
-    pub fn fused_packed(
-        lut: &ScoreLut,
-        key_codes: &PqCodes,
-        value_codes: &PqCodes,
-        value_codebook: &PqCodebook,
-        scale: f32,
-        acc: &mut ValueAccumulator,
-        out: &mut [f32],
-    ) {
-        let (_max, sum) = lut.fused_attend(key_codes, value_codes, scale, None, acc);
-        acc.finish_into(value_codebook, out);
-        if sum > 0.0 {
-            out.iter_mut().for_each(|v| *v /= sum);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,59 +109,6 @@ mod tests {
         assert!(ptb_stream(&config, 64)
             .iter()
             .all(|&t| (t as usize) < config.vocab_size));
-    }
-
-    #[test]
-    fn reference_kernels_agree_with_each_other() {
-        use million_quant::pq::{PqCodebook, PqConfig, PqTrainOptions, ValueAccumulator};
-        use million_tensor::init::{normal_matrix, seeded_rng};
-
-        let mut rng = seeded_rng(9);
-        let samples = normal_matrix(&mut rng, 400, 32, 0.0, 1.0);
-        let config = PqConfig::new(8, 4).unwrap();
-        let key_cb = PqCodebook::train(&config, &samples, &PqTrainOptions::default(), 0).unwrap();
-        let value_cb = PqCodebook::train(&config, &samples, &PqTrainOptions::default(), 1).unwrap();
-        let tokens = normal_matrix(&mut rng, 64, 32, 0.0, 1.0);
-        let key_codes = key_cb.encode_matrix(&tokens);
-        let value_codes = value_cb.encode_matrix(&tokens);
-        let query: Vec<f32> = (0..32).map(|i| (i as f32 * 0.2).sin()).collect();
-        let lut = key_cb.score_lut(&query);
-
-        let unpacked = kernels::two_pass_unpacked(
-            &lut,
-            &kernels::unpack_rows(&key_codes),
-            &kernels::unpack_rows(&value_codes),
-            &value_cb,
-            0.25,
-        );
-        let mut scores = Vec::new();
-        let mut acc = ValueAccumulator::new(1, 1);
-        let mut packed = vec![0.0f32; 32];
-        kernels::two_pass_packed(
-            &lut,
-            &key_codes,
-            &value_codes,
-            &value_cb,
-            0.25,
-            &mut scores,
-            &mut acc,
-            &mut packed,
-        );
-        let mut fused = vec![0.0f32; 32];
-        kernels::fused_packed(
-            &lut,
-            &key_codes,
-            &value_codes,
-            &value_cb,
-            0.25,
-            &mut acc,
-            &mut fused,
-        );
-
-        for ((u, p), f) in unpacked.iter().zip(packed.iter()).zip(fused.iter()) {
-            assert_eq!(u, p, "packed two-pass must be bit-identical to unpacked");
-            assert!((p - f).abs() < 1e-5, "fused {f} vs two-pass {p}");
-        }
     }
 
     #[test]

@@ -532,10 +532,7 @@ impl PqKvCache {
     ///
     /// Test-only: the cache-level equivalence reference for
     /// [`KvCache::attend`], whose results agree with it up to the fused
-    /// kernel's online-softmax reassociation (≲1e-6). The benchmark ladder
-    /// (criterion + `bench_decode_baseline`) measures the standalone
-    /// code-block variants in `million_bench::kernels` instead, which also
-    /// cover the seed's unpacked-`u16` kernel.
+    /// kernel's online-softmax reassociation (≲1e-6).
     ///
     /// # Panics
     ///

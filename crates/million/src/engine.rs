@@ -182,6 +182,10 @@ impl MillionEngine {
 
     /// Generates with a full-precision cache — the fp16 reference used by the
     /// fidelity metrics of Fig. 6.
+    ///
+    /// It is not [`Self::generate`] over another cache: a session always
+    /// decodes through the engine's PQ caches, so the full-precision
+    /// baseline drives the model directly.
     pub fn generate_reference(
         &self,
         prompt: &[u32],

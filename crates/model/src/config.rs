@@ -34,7 +34,9 @@ pub enum NormKind {
 ///
 /// The presets below reproduce the *shape* of the models in Table I of the
 /// paper (positional embedding, norm, context length) at a width that runs on
-/// a CPU; see `DESIGN.md` for the substitution rationale.
+/// a CPU. The weights are synthetic, so the channel-wise key outliers the
+/// paper measures on real checkpoints are planted instead
+/// ([`ModelConfig::outlier_channels`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelConfig {
     /// Human-readable name used in experiment reports.

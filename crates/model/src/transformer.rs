@@ -18,9 +18,7 @@
 //!   fusing scale, ALiBi and the causal mask into the tile loop, so no
 //!   `n x n` score matrix is ever materialised). The (possibly lossy) cache
 //!   backends see the chunk's KV in one bulk append *afterwards*, step ③/④
-//!   of Fig. 4. The seed's naive attention is kept as
-//!   [`Transformer::prefill_reference`] for equivalence tests and
-//!   benchmarks;
+//!   of Fig. 4;
 //! * **cached** — behind any cache state, token by token in order: every
 //!   query head attends over the cached history through the backend
 //!   ([`million_kvcache::KvCache::attend`]) merged with the token's own
@@ -40,8 +38,7 @@
 use million_kvcache::{AttendParams, AttendScratch, CacheLayout, KvCache};
 use million_tensor::alibi::alibi_slopes;
 use million_tensor::ops::{
-    apply_causal_mask, gelu_in_place, layer_norm, rms_norm, silu_in_place, softmax_in_place,
-    vec_matmul_transposed_into,
+    gelu_in_place, layer_norm, rms_norm, silu_in_place, vec_matmul_transposed_into,
 };
 use million_tensor::prompt_attention::{attend_unit, UnitScratch, KEY_TILE};
 use million_tensor::{GemmScratch, Matrix, Rope, StridedRows};
@@ -57,11 +54,6 @@ pub const PREFILL_Q_TILE: usize = 32;
 /// Key rows walked per inner step of the tiled prefill kernel
 /// ([`million_tensor::prompt_attention`]).
 pub const PREFILL_K_TILE: usize = KEY_TILE;
-
-/// Widest head the tiled kernel is used for; [`Transformer::prefill`] falls
-/// back to the reference path for anything wider. Every Table I preset is
-/// far below it.
-pub const PREFILL_MAX_HEAD_DIM: usize = 256;
 
 /// Analytical work threshold for fanning prefill (head x query-tile) units
 /// across rayon workers. Mirrors the decode-side gate: the vendored shim
@@ -203,14 +195,6 @@ impl ForwardScratch {
     pub fn logits(&self) -> &[f32] {
         &self.logits
     }
-
-    /// Bytes of per-worker tile state once warmed for `head_dim` — the
-    /// staging arena (key tile, value tile, score row) plus the per-row
-    /// accumulators. Deterministic from the geometry, tracked by the
-    /// `BENCH_prefill.json` regression gate.
-    pub fn tile_bytes(head_dim: usize) -> usize {
-        UnitScratch::bytes(head_dim, PREFILL_Q_TILE)
-    }
 }
 
 impl Default for ForwardScratch {
@@ -222,9 +206,9 @@ impl Default for ForwardScratch {
 /// How a chunk forward attends (everything else is shared).
 enum ChunkAttention<'a> {
     /// Empty caches: causal self-attention over the chunk's own
-    /// full-precision `(q, k, v)` — the injected kernel writes the packed
-    /// output — then one bulk append.
-    Prompt(&'a mut dyn FnMut(&Matrix, &Matrix, &Matrix, &mut Matrix)),
+    /// full-precision `(q, k, v)` through the tiled kernel on the lent tile
+    /// states, then one bulk append.
+    Prompt(&'a mut TileScratch),
     /// Any cache state: per token, in order, every head attends over the
     /// cached history merged with the token's own pair (through the lent
     /// attention pool), then a one-row append.
@@ -250,9 +234,9 @@ enum ChunkAttention<'a> {
 /// `pool[0]`, which is thread- and allocation-free.
 ///
 /// Results are bit-identical across worker counts and repeated runs (each
-/// unit's arithmetic depends only on its own index), and match
-/// [`prefill_attention_reference`] up to the floating-point reassociation of
-/// the online softmax.
+/// unit's arithmetic depends only on its own index), and match a naive
+/// per-head softmax up to the floating-point reassociation of the online
+/// softmax (pinned in `crates/model/tests/prefill_equivalence.rs`).
 ///
 /// # Panics
 ///
@@ -315,10 +299,6 @@ fn tiled_attention(
     if let Some(slopes) = alibi {
         assert_eq!(slopes.len(), n_heads, "one ALiBi slope per head required");
     }
-    assert!(
-        hd <= PREFILL_MAX_HEAD_DIM,
-        "tiled prefill supports head_dim <= {PREFILL_MAX_HEAD_DIM} (got {hd})"
-    );
     let group = n_heads / n_kv_heads;
 
     attn.resize_zeroed(n, n_heads * hd);
@@ -365,57 +345,6 @@ fn tiled_attention(
         let chunk = &stage[unit * PREFILL_Q_TILE * hd..];
         for (i, t) in (q0..q1).enumerate() {
             attn.row_mut(t)[qh * hd..(qh + 1) * hd].copy_from_slice(&chunk[i * hd..(i + 1) * hd]);
-        }
-    }
-}
-
-/// The seed's naive prefill attention: per head, materialise the head's
-/// activations, the full `n x n` score matrix, a separate ALiBi pass, a
-/// separate causal-mask pass and a per-row softmax. Kept bit-identical to
-/// the pre-tiling implementation as the reference the tiled kernel is pinned
-/// against (and the baseline `bench_prefill_baseline` measures).
-///
-/// # Panics
-///
-/// Same shape contract as [`prefill_attention_tiled`].
-#[allow(clippy::too_many_arguments)]
-pub fn prefill_attention_reference(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    n_heads: usize,
-    n_kv_heads: usize,
-    scale: f32,
-    alibi: Option<&[f32]>,
-    attn: &mut Matrix,
-) {
-    let n = q.rows();
-    let hd = q.cols() / n_heads;
-    let group = n_heads / n_kv_heads.max(1);
-    attn.resize_zeroed(n, n_heads * hd);
-    for qh in 0..n_heads {
-        let kvh = qh / group;
-        let q_h = Matrix::from_fn(n, hd, |t, c| q.get(t, qh * hd + c));
-        let k_h = Matrix::from_fn(n, hd, |t, c| k.get(t, kvh * hd + c));
-        let v_h = Matrix::from_fn(n, hd, |t, c| v.get(t, kvh * hd + c));
-        let mut scores = q_h.matmul_transposed(&k_h);
-        scores.scale(scale);
-        if let Some(slopes) = alibi {
-            let slope = slopes[qh];
-            for i in 0..n {
-                let row = scores.row_mut(i);
-                for (j, s) in row.iter_mut().enumerate().take(i + 1) {
-                    *s -= slope * (i - j) as f32;
-                }
-            }
-        }
-        apply_causal_mask(&mut scores);
-        for i in 0..n {
-            softmax_in_place(scores.row_mut(i));
-        }
-        let out_h = scores.matmul(&v_h);
-        for t in 0..n {
-            attn.row_mut(t)[qh * hd..(qh + 1) * hd].copy_from_slice(out_h.row(t));
         }
     }
 }
@@ -611,35 +540,6 @@ impl Transformer {
             .matmul_transposed(&self.weights.embedding)
     }
 
-    /// [`Self::prefill`] through the seed's naive per-head attention path
-    /// (materialised `n x n` scores, separate ALiBi/mask/softmax passes).
-    ///
-    /// The online softmax of the tiled kernel reorders floating-point
-    /// summation, so the two paths agree only within tolerance; this
-    /// reference is what the equivalence tests pin against and what
-    /// `bench_prefill_baseline` measures the speedup over.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::prefill`].
-    pub fn prefill_reference<C: KvCache>(
-        &self,
-        tokens: &[u32],
-        caches: &mut [C],
-        capture: Option<&mut KvCapture>,
-    ) -> Matrix {
-        self.assert_within_window(tokens.len(), caches);
-        let mut chunk = ChunkScratch::default();
-        self.forward_chunk(
-            tokens,
-            caches,
-            capture,
-            &mut chunk,
-            ChunkAttention::Prompt(&mut self.prompt_attention(None)),
-        );
-        chunk.x.matmul_transposed(&self.weights.embedding)
-    }
-
     /// Feeds one chunk of known tokens at the caches' current length and
     /// writes the logits of its **last** position into `logits` (resized in
     /// place) — what an admission needs, without the `[chunk, vocab]` logits
@@ -692,10 +592,9 @@ impl Transformer {
         vec_matmul_transposed_into(hidden, &self.weights.embedding, logits);
     }
 
-    /// The chunk forward over empty caches with this model's production
-    /// prompt attention — the tiled kernel, or the naive reference for heads
-    /// wider than its stack staging supports (still correct, just slower).
-    /// Returns the final-normed hidden states, borrowed from the scratch.
+    /// The chunk forward over empty caches through the tiled prompt
+    /// attention. Returns the final-normed hidden states, borrowed from the
+    /// scratch.
     fn prompt_hidden<'s, C: KvCache>(
         &self,
         tokens: &[u32],
@@ -704,14 +603,12 @@ impl Transformer {
         scratch: &'s mut PrefillScratch,
     ) -> &'s Matrix {
         let ForwardScratch { tiles, chunk, .. } = scratch;
-        let tiles = (self.config.head_dim() <= PREFILL_MAX_HEAD_DIM).then_some(tiles);
-        let mut kernel = self.prompt_attention(tiles);
         self.forward_chunk(
             tokens,
             caches,
             capture,
             chunk,
-            ChunkAttention::Prompt(&mut kernel),
+            ChunkAttention::Prompt(tiles),
         );
         &chunk.x
     }
@@ -727,23 +624,6 @@ impl Transformer {
         let ForwardScratch { chunk, attend, .. } = scratch;
         self.forward_chunk(tokens, caches, None, chunk, ChunkAttention::Cached(attend));
         &chunk.x
-    }
-
-    /// Causal self-attention over a prompt chunk's own `(q, k, v)`: the
-    /// tiled kernel on `tiles`, the naive reference without.
-    fn prompt_attention<'a>(
-        &'a self,
-        mut tiles: Option<&'a mut TileScratch>,
-    ) -> impl FnMut(&Matrix, &Matrix, &Matrix, &mut Matrix) + 'a {
-        let (n_heads, n_kv_heads) = (self.config.n_heads, self.config.n_kv_heads);
-        let scale = self.attention_scale();
-        let alibi = self.alibi.as_deref();
-        move |q, k, v, attn| match tiles.as_deref_mut() {
-            Some(tiles) => {
-                tiled_attention(q, k, v, n_heads, n_kv_heads, scale, alibi, tiles, attn);
-            }
-            None => prefill_attention_reference(q, k, v, n_heads, n_kv_heads, scale, alibi, attn),
-        }
     }
 
     fn attention_scale(&self) -> f32 {
@@ -823,8 +703,18 @@ impl Transformer {
             }
 
             match &mut attention {
-                ChunkAttention::Prompt(kernel) => {
-                    kernel(q, k, v, attn);
+                ChunkAttention::Prompt(tiles) => {
+                    tiled_attention(
+                        q,
+                        k,
+                        v,
+                        n_heads,
+                        n_kv_heads,
+                        self.attention_scale(),
+                        self.alibi.as_deref(),
+                        tiles,
+                        attn,
+                    );
                     // Hand the full-precision KV to the (possibly lossy)
                     // cache only after the attention output is produced.
                     caches[l].append(k, v);

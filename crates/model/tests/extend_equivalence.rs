@@ -6,7 +6,8 @@
 //! backend: the dense stages run as whole-chunk GEMMs whose rows equal the
 //! one-token GEMV, and each cache sees the same attend/append calls in the
 //! same order. The cold arm (empty caches, tiled attention, bulk append) is
-//! pinned against the naive reference within the tiled kernel's tolerance.
+//! pinned against the oracle over empty full-precision caches, within the
+//! tiled kernel's tolerance.
 //!
 //! The serial twin is [`oracle_step`]: one token, one layer at a time,
 //! written here on the crates' public API only (weights, `embed_into`, the
@@ -385,9 +386,9 @@ fn chunks_on_empty_caches_through_the_cached_arm_match_the_decode_loop() {
 
 #[test]
 fn cold_chunk_forward_matches_the_reference_within_tolerance() {
-    // Last-position logits of the tiled arm against the naive reference's
-    // last row, at lengths on both sides of the GEMM pack threshold and the
-    // attention tile sizes.
+    // Last-position logits of the tiled arm against the oracle's last step
+    // over empty full-precision caches, at lengths on both sides of the GEMM
+    // pack threshold and the attention tile sizes.
     for config in configs() {
         let model = Transformer::new(config.clone(), 31);
         let mut scratch = PrefillScratch::new();
@@ -397,9 +398,12 @@ fn cold_chunk_forward_matches_the_reference_within_tolerance() {
             let mut last = Vec::new();
             model.prefill_chunk(&prompt, &mut caches, &mut scratch, &mut last);
             let mut caches_ref = build_caches(&config, &CacheSpec::Full);
-            let reference = model.prefill_reference(&prompt, &mut caches_ref, None);
+            let mut reference = Vec::new();
+            for &token in &prompt {
+                reference = oracle_step(&model, token, &mut caches_ref);
+            }
             assert_eq!(caches[0].len(), len);
-            for (a, b) in last.iter().zip(reference.row(len - 1)) {
+            for (a, b) in last.iter().zip(&reference) {
                 let denom = a.abs().max(b.abs()).max(1.0);
                 assert!(
                     (a - b).abs() / denom < 1e-3,

@@ -1,17 +1,26 @@
-//! Pins the tiled prefill kernel against the seed's naive reference path.
+//! Pins the tiled prefill against two references.
+//!
+//! * Model level: [`decode_loop`], the same prompt fed one token at a time
+//!   through [`Transformer::decode_step_into`] on full-precision caches —
+//!   the cached arm, whose attention is `FullPrecisionCache::attend`
+//!   merged with the token's own pair.
+//! * Kernel level: [`naive_attention`], per head a materialised `n x n`
+//!   score matrix, an ALiBi pass, a causal-mask pass and a row softmax,
+//!   written here on public `Matrix` and `ops` calls.
 //!
 //! The online softmax of the tiled kernel reorders floating-point summation,
-//! so the two paths agree within tolerance (not bitwise) — but the tiled
+//! so it agrees with both within tolerance (not bitwise) — but the tiled
 //! path itself must be **exactly** deterministic: repeated runs, reused vs
 //! fresh scratch, and any worker count must produce bit-identical logits,
 //! because each (head, query-tile) work unit's arithmetic depends only on
 //! its own index, never on how units are partitioned across threads.
 
 use million_model::{
-    build_caches, prefill_attention_reference, prefill_attention_tiled, CacheSpec, ModelConfig,
-    NormKind, Positional, PrefillScratch, Transformer, PREFILL_K_TILE, PREFILL_Q_TILE,
+    build_caches, prefill_attention_tiled, CacheSpec, ModelConfig, NormKind, Positional,
+    PrefillScratch, StepScratch, Transformer, PREFILL_K_TILE, PREFILL_Q_TILE,
 };
 use million_tensor::init::{normal_matrix, seeded_rng};
+use million_tensor::ops::{apply_causal_mask, softmax_in_place};
 use million_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -35,6 +44,60 @@ fn prompt_of(len: usize, vocab: usize, seed: u64) -> Vec<u32> {
         .collect()
 }
 
+/// The logits of every position of `prompt`, fed one token at a time to
+/// empty full-precision caches.
+fn decode_loop(model: &Transformer, prompt: &[u32]) -> Matrix {
+    let config = model.config();
+    let mut caches = build_caches(config, &CacheSpec::Full);
+    let mut scratch = StepScratch::with_workers(1);
+    let mut logits = Vec::with_capacity(prompt.len() * config.vocab_size);
+    for &token in prompt {
+        logits.extend_from_slice(model.decode_step_into(token, &mut caches, &mut scratch));
+    }
+    Matrix::from_vec(prompt.len(), config.vocab_size, logits).expect("one row per token")
+}
+
+/// Naive causal self-attention over packed `q`/`k`/`v`, one head at a time:
+/// `softmax(mask(q·kᵀ·scale − alibi)) · v`.
+fn naive_attention(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    n_heads: usize,
+    n_kv_heads: usize,
+    scale: f32,
+    alibi: Option<&[f32]>,
+) -> Matrix {
+    let n = q.rows();
+    let hd = q.cols() / n_heads;
+    let group = n_heads / n_kv_heads;
+    let mut attn = Matrix::zeros(n, n_heads * hd);
+    for qh in 0..n_heads {
+        let kvh = qh / group;
+        let q_h = Matrix::from_fn(n, hd, |t, c| q.get(t, qh * hd + c));
+        let k_h = Matrix::from_fn(n, hd, |t, c| k.get(t, kvh * hd + c));
+        let v_h = Matrix::from_fn(n, hd, |t, c| v.get(t, kvh * hd + c));
+        let mut scores = q_h.matmul_transposed(&k_h);
+        scores.scale(scale);
+        if let Some(slopes) = alibi {
+            for i in 0..n {
+                for (j, s) in scores.row_mut(i).iter_mut().enumerate().take(i + 1) {
+                    *s -= slopes[qh] * (i - j) as f32;
+                }
+            }
+        }
+        apply_causal_mask(&mut scores);
+        for i in 0..n {
+            softmax_in_place(scores.row_mut(i));
+        }
+        let out_h = scores.matmul(&v_h);
+        for t in 0..n {
+            attn.row_mut(t)[qh * hd..(qh + 1) * hd].copy_from_slice(out_h.row(t));
+        }
+    }
+    attn
+}
+
 fn assert_close(tiled: &Matrix, reference: &Matrix, label: &str) {
     assert_eq!(tiled.shape(), reference.shape(), "{label}: shape");
     for (a, b) in tiled.as_slice().iter().zip(reference.as_slice()) {
@@ -50,15 +113,14 @@ fn check_equivalence(config: &ModelConfig, len: usize, seed: u64) {
     let model = Transformer::new(config.clone(), seed);
     let prompt = prompt_of(len, config.vocab_size, seed);
 
-    let mut caches_tiled = build_caches(config, &CacheSpec::Full);
-    let tiled = model.prefill(&prompt, &mut caches_tiled, None);
-    let mut caches_ref = build_caches(config, &CacheSpec::Full);
-    let reference = model.prefill_reference(&prompt, &mut caches_ref, None);
-
-    assert_close(&tiled, &reference, &format!("{} len={len}", config.name));
-    // Both paths hand identical layer-0 KV to the caches; later layers may
-    // drift within tolerance but token counts always agree.
-    assert_eq!(caches_tiled[0].len(), caches_ref[0].len());
+    let mut caches = build_caches(config, &CacheSpec::Full);
+    let tiled = model.prefill(&prompt, &mut caches, None);
+    assert_eq!(caches[0].len(), len);
+    assert_close(
+        &tiled,
+        &decode_loop(&model, &prompt),
+        &format!("{} len={len}", config.name),
+    );
 }
 
 #[test]
@@ -192,17 +254,7 @@ fn a_nan_query_row_comes_out_nan_from_both_kernels() {
             &mut scratch,
             &mut tiled,
         );
-        let mut reference = Matrix::default();
-        prefill_attention_reference(
-            &q,
-            &k,
-            &v,
-            n_heads,
-            n_kv_heads,
-            scale,
-            alibi,
-            &mut reference,
-        );
+        let reference = naive_attention(&q, &k, &v, n_heads, n_kv_heads, scale, alibi);
         for (label, out) in [("tiled", &tiled), ("reference", &reference)] {
             for t in 0..n {
                 let (head0, head1) = out.row(t).split_at(hd);
@@ -224,22 +276,43 @@ fn a_nan_query_row_comes_out_nan_from_both_kernels() {
 }
 
 #[test]
-fn heads_wider_than_the_kernel_limit_fall_back_to_the_reference_path() {
-    // head_dim 288 exceeds PREFILL_MAX_HEAD_DIM (256): `prefill` must route
-    // to the naive path and produce its bit-exact output.
+fn heads_wider_than_256_match_the_naive_reference() {
+    // The kernel sizes its arena and row states from the head width, so a
+    // 288-wide head (GQA, with and without ALiBi, across the tile edges)
+    // runs the same tiled path as a narrow one.
+    let (hd, n_heads, n_kv_heads) = (288, 2, 1);
+    let scale = 1.0 / (hd as f32).sqrt();
+    for n in [1, 9, 70, 130] {
+        let mut rng = seeded_rng(41 + n as u64);
+        let q = normal_matrix(&mut rng, n, n_heads * hd, 0.0, 1.0);
+        let k = normal_matrix(&mut rng, n, n_kv_heads * hd, 0.0, 1.0);
+        let v = normal_matrix(&mut rng, n, n_kv_heads * hd, 0.0, 1.0);
+        for alibi in [None, Some([0.25f32, 0.5].as_slice())] {
+            let mut tiled = Matrix::default();
+            prefill_attention_tiled(
+                &q,
+                &k,
+                &v,
+                n_heads,
+                n_kv_heads,
+                scale,
+                alibi,
+                &mut PrefillScratch::with_workers(1),
+                &mut tiled,
+            );
+            let reference = naive_attention(&q, &k, &v, n_heads, n_kv_heads, scale, alibi);
+            assert_close(&tiled, &reference, &format!("hd {hd} n {n}"));
+        }
+    }
+
+    // And through the model's prefill.
     let mut config = ModelConfig::tiny_for_tests();
-    config.d_model = 288;
+    config.d_model = hd;
     config.n_heads = 1;
     config.n_kv_heads = 1;
     config.d_ff = 64;
     config.positional = Positional::Absolute;
-    let model = Transformer::new(config.clone(), 41);
-    let prompt = prompt_of(9, config.vocab_size, 41);
-    let mut caches_a = build_caches(&config, &CacheSpec::Full);
-    let tiled_api = model.prefill(&prompt, &mut caches_a, None);
-    let mut caches_b = build_caches(&config, &CacheSpec::Full);
-    let reference = model.prefill_reference(&prompt, &mut caches_b, None);
-    assert_eq!(tiled_api.as_slice(), reference.as_slice());
+    check_equivalence(&config, 9, 41);
 }
 
 proptest! {
@@ -255,10 +328,9 @@ proptest! {
         let model = Transformer::new(config.clone(), seed);
         let prompt = prompt_of(len, config.vocab_size, seed);
 
-        let mut caches_tiled = build_caches(&config, &CacheSpec::Full);
-        let tiled = model.prefill(&prompt, &mut caches_tiled, None);
-        let mut caches_ref = build_caches(&config, &CacheSpec::Full);
-        let reference = model.prefill_reference(&prompt, &mut caches_ref, None);
+        let mut caches = build_caches(&config, &CacheSpec::Full);
+        let tiled = model.prefill(&prompt, &mut caches, None);
+        let reference = decode_loop(&model, &prompt);
 
         prop_assert_eq!(tiled.shape(), reference.shape());
         for (a, b) in tiled.as_slice().iter().zip(reference.as_slice()) {

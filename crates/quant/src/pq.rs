@@ -684,18 +684,6 @@ impl ScoreLut {
         self.table[sub * self.k + code as usize]
     }
 
-    /// Approximate attention logit of the query against one encoded vector:
-    /// the sum of table entries addressed by its codes.
-    #[inline]
-    pub fn score_codes(&self, codes: &[u16]) -> f32 {
-        debug_assert_eq!(codes.len(), self.m);
-        let mut acc = 0.0f32;
-        for (sub, &code) in codes.iter().enumerate() {
-            acc += self.table[sub * self.k + code as usize];
-        }
-        acc
-    }
-
     /// Computes the approximate logits of the query against every vector of a
     /// code block, appending them to `out`. This is the CPU analogue of the
     /// paper's LUT-in-shared-memory CUDA kernel.
@@ -1057,8 +1045,8 @@ impl ValueAccumulator {
     }
 
     /// Adds `weight` to the centroid buckets selected by `codes`.
-    #[inline]
-    pub fn add(&mut self, weight: f32, codes: &[u16]) {
+    #[cfg(test)]
+    fn add(&mut self, weight: f32, codes: &[u16]) {
         debug_assert_eq!(codes.len(), self.m);
         for (sub, &code) in codes.iter().enumerate() {
             self.mass[sub * self.k + code as usize] += weight;
@@ -1664,6 +1652,10 @@ mod tests {
         assert_eq!(cb.bytes_per_vector(), 6);
         assert_eq!(codes.memory_bytes(), data.rows() * 6);
         assert_eq!(cb.codebook_bytes(), 8 * 64 * 4 * 4);
+        // The decode layouts, 32 subspaces of a 128-wide head: one byte per
+        // code at 8 bits, two codes per byte at 4 bits.
+        assert_eq!(random_codebook(1, 32, 8, 4).bytes_per_vector(), 32);
+        assert_eq!(random_codebook(2, 32, 4, 4).bytes_per_vector(), 16);
     }
 
     #[test]

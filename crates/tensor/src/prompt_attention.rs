@@ -604,7 +604,7 @@ mod tests {
         for n in [31, 32, 63, 64, 65, 257] {
             cases.push((n, 2, 1, 32));
         }
-        for hd in [3, 8, 16, 24, 40, 64, 256] {
+        for hd in [3, 8, 16, 24, 40, 64, 256, 288] {
             for n in [1, 33, 65] {
                 cases.push((n, 2, 1, hd));
             }

@@ -10,7 +10,7 @@ use million_model::{ModelConfig, Sampler, Transformer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A scaled-down Llama-2-style model with synthetic weights (RoPE,
-    //    RMSNorm, channel-wise key outliers — see DESIGN.md).
+    //    RMSNorm, channel-wise key outliers planted per layer).
     let config = ModelConfig::llama2_7b_sim();
     let model = Transformer::new(config.clone(), 42);
     println!(

@@ -11,11 +11,11 @@
 use std::path::PathBuf;
 
 use million::{
-    GenerationOptions, MillionConfig, MillionEngine, QosClass, Request, ServingConfig,
-    ServingEngine,
+    GenerationOptions, MillionConfig, MillionEngine, QosClass, Request, RequestHandle,
+    ServingConfig, ServingEngine,
 };
 use million_eval::corpus::{CorpusConfig, SyntheticCorpus};
-use million_model::{ModelConfig, Transformer};
+use million_model::{ModelConfig, NormKind, Positional, Sampler, Transformer};
 
 fn build_engine(config: &ModelConfig, engine_cfg: MillionConfig, seed: u64) -> MillionEngine {
     let model = Transformer::new(config.clone(), seed);
@@ -553,4 +553,215 @@ fn drain_persist_mid_prefill_restores_and_completes_identically() {
         "recovered mid-prefill state splices into the serial stream"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `(arrival_round, prompt_tokens, max_new_tokens, class)`.
+type Arrival = (u64, usize, usize, QosClass);
+
+/// A bursty schedule exercising queueing, mid-flight refills, priority
+/// admission and all three QoS classes against 3 decode slots.
+const WORKLOAD: &[Arrival] = &[
+    (0, 96, 24, QosClass::Background),
+    (0, 48, 20, QosClass::Standard),
+    (0, 160, 24, QosClass::Background),
+    (1, 64, 16, QosClass::Standard),
+    (3, 32, 8, QosClass::Interactive),
+    (5, 128, 20, QosClass::Background),
+    (7, 24, 6, QosClass::Interactive),
+    (8, 96, 16, QosClass::Standard),
+    (10, 40, 8, QosClass::Interactive),
+    (12, 72, 12, QosClass::Standard),
+    (14, 56, 12, QosClass::Background),
+    (16, 16, 4, QosClass::Interactive),
+];
+
+/// One long prompt (768 tokens of a 1024-token window) lands mid-stream
+/// over short interactive decodes. It is the only Background request, so
+/// the Background prefill ledger isolates its per-round charge.
+const LONG_WORKLOAD: &[Arrival] = &[
+    (0, 24, 40, QosClass::Interactive),
+    (0, 32, 40, QosClass::Interactive),
+    (4, 768, 8, QosClass::Background),
+    (8, 16, 12, QosClass::Interactive),
+    (12, 20, 12, QosClass::Interactive),
+];
+
+const LONG_PROMPT_CHUNK: usize = 64;
+
+/// What [`serve_arrivals`] observed beyond the engine's own stats.
+struct Served {
+    handles: Vec<RequestHandle>,
+    /// The distinct rounds in which each request produced a token.
+    produced_rounds: Vec<Vec<u64>>,
+    /// The largest Background prefill charge of any one round.
+    max_background_prefill: u64,
+}
+
+/// Submits each arrival at its round, with prompt token `i` of request `r`
+/// set to `token(r, i)`, and serves rounds until the engine is idle.
+fn serve_arrivals(
+    serving: &mut ServingEngine<'_>,
+    workload: &[Arrival],
+    token: impl Fn(usize, usize) -> u32,
+) -> Served {
+    let background = QosClass::Background.index();
+    let mut served = Served {
+        handles: Vec::new(),
+        produced_rounds: Vec::new(),
+        max_background_prefill: 0,
+    };
+    let mut next = 0;
+    while next < workload.len() || !serving.is_idle() {
+        while next < workload.len() && workload[next].0 <= serving.rounds() {
+            let (_, prompt_len, max_tokens, class) = workload[next];
+            let prompt = (0..prompt_len).map(|i| token(next, i)).collect();
+            let request = Request::new(prompt, GenerationOptions::max_tokens(max_tokens))
+                .with_class(class)
+                .with_sampler(Sampler::greedy());
+            served
+                .handles
+                .push(serving.submit(request).expect("queue sized for workload"));
+            served.produced_rounds.push(Vec::new());
+            next += 1;
+        }
+        let before = serving.stats().prefill_tokens_by_class[background];
+        let produced = serving.serve_round();
+        let charged = serving.stats().prefill_tokens_by_class[background] - before;
+        served.max_background_prefill = served.max_background_prefill.max(charged);
+        for (id, _) in &produced {
+            let idx = served
+                .handles
+                .iter()
+                .position(|h| h.id() == *id)
+                .expect("known id");
+            let rounds = &mut served.produced_rounds[idx];
+            if rounds.last() != Some(&serving.rounds()) {
+                rounds.push(serving.rounds());
+            }
+        }
+    }
+    served
+}
+
+/// The entry at quantile `q` of sorted values (nearest rank).
+fn percentile(sorted: &[u64], q: f64) -> u64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
+/// No request stops early, so every request runs exactly its token budget
+/// and the scheduling counts are a pure function of the workloads and the
+/// scheduler policy: they are pinned exactly. A change to any of them is a
+/// change to admission, fairness or chunking.
+#[test]
+fn scheduling_counts_of_the_fixed_workloads_are_exact() {
+    let config = ModelConfig {
+        name: "serving-bench".into(),
+        vocab_size: 512,
+        d_model: 64,
+        n_layers: 2,
+        n_heads: 4,
+        n_kv_heads: 2,
+        d_ff: 128,
+        max_seq_len: 1024,
+        positional: Positional::Rope {
+            theta: 10_000.0,
+            position_scale: 1.0,
+        },
+        norm: NormKind::RmsNorm,
+        outlier_channels: 2,
+        outlier_scale: (4.0, 12.0),
+    };
+    let calibration: Vec<u32> = (0..512u64).map(|i| ((i * 13 + 5) % 512) as u32).collect();
+    let engine = MillionEngine::new(
+        Transformer::new(config.clone(), 7),
+        sync_config(config.head_dim()),
+        &calibration,
+    )
+    .expect("engine builds");
+
+    // The mixed workload: 12 requests over 3 slots.
+    let mut serving = ServingEngine::new(
+        &engine,
+        ServingConfig {
+            max_resident: 3,
+            queue_capacity: WORKLOAD.len(),
+            ..ServingConfig::default()
+        },
+    );
+    let served = serve_arrivals(&mut serving, WORKLOAD, |r, i| {
+        ((i * 31 + r * 97 + 7) % 512) as u32
+    });
+    let reports: Vec<_> = served
+        .handles
+        .iter()
+        .map(|h| h.report().expect("workload drained"))
+        .collect();
+    let stats = serving.stats();
+    assert_eq!(serving.rounds(), 46);
+    assert_eq!(stats.completed as usize, WORKLOAD.len());
+    assert_eq!(stats.tokens_by_class, [26, 64, 80]);
+    let mut waits: Vec<u64> = reports.iter().map(|r| r.queue_wait_rounds).collect();
+    waits.sort_unstable();
+    assert_eq!(
+        [
+            percentile(&waits, 0.5),
+            percentile(&waits, 0.95),
+            waits[waits.len() - 1]
+        ],
+        [7, 17, 21],
+        "queue-wait rounds p50/p95/max"
+    );
+    let mean_x100_by_class = QosClass::ALL.map(|class| {
+        let class_waits: Vec<u64> = reports
+            .iter()
+            .filter(|r| r.class == class)
+            .map(|r| r.queue_wait_rounds)
+            .collect();
+        100 * class_waits.iter().sum::<u64>() / class_waits.len() as u64
+    });
+    assert_eq!(mean_x100_by_class, [400, 1100, 950]);
+    assert!(
+        mean_x100_by_class[QosClass::Interactive.index()]
+            <= mean_x100_by_class[QosClass::Background.index()],
+        "interactive admission must not lag background"
+    );
+
+    // The long prompt's arrival, admitted in chunks.
+    let mut serving = ServingEngine::new(
+        &engine,
+        ServingConfig {
+            max_resident: 3,
+            queue_capacity: LONG_WORKLOAD.len(),
+            prefill_chunk_tokens: LONG_PROMPT_CHUNK,
+            ..ServingConfig::default()
+        },
+    );
+    let served = serve_arrivals(&mut serving, LONG_WORKLOAD, |r, i| {
+        ((i * 29 + r * 83 + 11) % 512) as u32
+    });
+    let stats = serving.stats();
+    assert_eq!(serving.rounds(), 23);
+    assert_eq!(stats.completed as usize, LONG_WORKLOAD.len());
+    assert_eq!(stats.prefill_chunks, 16);
+    assert_eq!(
+        served.max_background_prefill, LONG_PROMPT_CHUNK as u64,
+        "per-round prefill work must be bounded by the chunk size"
+    );
+    // The longest gap between a request's producing rounds: resident
+    // decodes never stall behind the chunked prefill.
+    let decode_stall_rounds_max = served
+        .produced_rounds
+        .iter()
+        .flat_map(|rounds| rounds.windows(2).map(|pair| pair[1] - pair[0] - 1))
+        .max();
+    assert_eq!(decode_stall_rounds_max, Some(0));
+    let mut interactive_waits: Vec<u64> = served
+        .handles
+        .iter()
+        .zip(LONG_WORKLOAD)
+        .filter(|(_, arrival)| arrival.3 == QosClass::Interactive)
+        .map(|(h, _)| h.report().expect("drained").queue_wait_rounds)
+        .collect();
+    interactive_waits.sort_unstable();
+    assert_eq!(percentile(&interactive_waits, 0.95), 5);
 }
