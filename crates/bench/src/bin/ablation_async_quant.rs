@@ -6,8 +6,8 @@
 use std::time::Instant;
 
 use million::{MillionConfig, MillionEngine};
-use million_bench::{build_model, print_table, wikitext_stream, write_json};
-use million_model::{ModelConfig, Sampler};
+use million_bench::{print_table, wikitext_stream, write_json};
+use million_model::{ModelConfig, Sampler, Transformer};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -20,7 +20,7 @@ struct AblationRecord {
 
 fn measure(async_quant: bool) -> AblationRecord {
     let config = ModelConfig::llama2_7b_sim();
-    let model = build_model(&config, 55);
+    let model = Transformer::new(config.clone(), 55);
     let calibration = wikitext_stream(&config, 256);
     let mut engine_cfg = MillionConfig::four_bit(config.head_dim());
     engine_cfg.async_quant = async_quant;

@@ -1,8 +1,10 @@
-//! Shared plumbing for the experiment harnesses in `src/bin/`.
+//! Shared plumbing for the experiment harnesses in `src/bin/`: the quality
+//! row builder behind the `quality` bin, the corpus streams, and table and
+//! JSON output.
 //!
-//! Every binary regenerates the table or figure of the paper it is named
-//! after and prints it as an aligned text table; machine-readable JSON is written next to it under
-//! `target/experiments/` so results can be diffed between runs.
+//! Every binary prints aligned text tables; machine-readable JSON is written
+//! next to them under `target/experiments/` so results can be diffed between
+//! runs.
 
 #![forbid(unsafe_code)]
 
@@ -10,8 +12,17 @@ use std::path::PathBuf;
 
 use million::{MillionConfig, TrainedCodebooks};
 use million_eval::corpus::{CorpusConfig, SyntheticCorpus};
+use million_eval::perplexity::{evaluate_perplexity_against, teacher_log_probs};
+use million_kvcache::{KiviConfig, KvQuantConfig};
 use million_model::{CacheSpec, ModelConfig, Transformer};
+use million_quant::pq::PqConfig;
 use serde::Serialize;
+
+/// Stream tokens fed before the first scored position.
+pub const SEED_LEN: usize = 16;
+
+/// Seed of the KVQuant baseline's non-uniform level fitting.
+pub const KVQUANT_SEED: u64 = 3;
 
 /// Prints an aligned text table with a title.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -64,11 +75,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Builds a deterministic model for one of the Table I presets.
-pub fn build_model(config: &ModelConfig, seed: u64) -> Transformer {
-    Transformer::new(config.clone(), seed)
-}
-
 /// A Wikitext-2-like calibration/evaluation stream for a model.
 pub fn wikitext_stream(config: &ModelConfig, len: usize) -> Vec<u32> {
     SyntheticCorpus::new(CorpusConfig::wikitext2_like(config.vocab_size)).generate(len)
@@ -96,6 +102,148 @@ pub fn trained_million_spec(
     (codebooks, spec)
 }
 
+/// One cache the quality table scores.
+#[derive(Clone)]
+pub struct Method {
+    /// Row label: the method, its bits, and how its levels are fitted.
+    pub label: String,
+    /// The cache the model runs on.
+    pub spec: CacheSpec,
+}
+
+/// The caches one model's quality rows compare. The PQ codebooks are trained
+/// on the model's calibration slice, once, and kept for the tables that
+/// reuse them.
+pub struct ModelMethods {
+    /// MILLION-3b codebooks: `M = head_dim / 4`, 12-bit codes.
+    pub million3: TrainedCodebooks,
+    /// MILLION-4b codebooks: `M = head_dim / 2`, 8-bit codes.
+    pub million4: TrainedCodebooks,
+    /// fp16, KIVI-4b, KVQuant-3b/4b with and without 1 % outliers, and
+    /// MILLION-3b/4b, in table order.
+    pub methods: Vec<Method>,
+}
+
+fn kvquant(bits: u8, outlier_fraction: f64) -> Method {
+    let outliers = if outlier_fraction > 0.0 { "+1%" } else { "" };
+    Method {
+        label: format!("KVQuant-{bits}b{outliers} (online levels)"),
+        spec: CacheSpec::KvQuant(KvQuantConfig {
+            bits,
+            outlier_fraction,
+            requant_block: 64,
+            seed: KVQUANT_SEED,
+        }),
+    }
+}
+
+fn pq_label(name: &str, pq: &PqConfig) -> String {
+    format!("{name} ({}, {})", pq.m, pq.nbits)
+}
+
+/// Trains MILLION-3b and -4b on `calibration` and lists every method the
+/// quality table scores on each corpus.
+pub fn model_methods(model: &Transformer, calibration: &[u32]) -> ModelMethods {
+    let head_dim = model.config().head_dim();
+    let three = MillionConfig::three_bit(head_dim);
+    let four = MillionConfig::four_bit(head_dim);
+    let (million3, spec3) = trained_million_spec(model, &three, calibration);
+    let (million4, spec4) = trained_million_spec(model, &four, calibration);
+    let methods = vec![
+        Method {
+            label: "fp16".into(),
+            spec: CacheSpec::Full,
+        },
+        Method {
+            label: "KIVI-4b (online groups)".into(),
+            spec: CacheSpec::Kivi(KiviConfig::default()),
+        },
+        kvquant(3, 0.0),
+        kvquant(3, 0.01),
+        Method {
+            label: pq_label("MILLION-3b", &three.pq),
+            spec: spec3,
+        },
+        kvquant(4, 0.0),
+        kvquant(4, 0.01),
+        Method {
+            label: pq_label("MILLION-4b", &four.pq),
+            spec: spec4,
+        },
+    ];
+    ModelMethods {
+        million3,
+        million4,
+        methods,
+    }
+}
+
+/// The footnote-2 `(M, nbits)` points other than MILLION-3b and -4b, each
+/// trained on `calibration`.
+pub fn sweep_methods(model: &Transformer, calibration: &[u32]) -> Vec<Method> {
+    let d = model.config().head_dim();
+    [
+        (d / 8, 8),
+        (d / 8, 12),
+        (d / 4, 6),
+        (d / 4, 8),
+        (d / 2, 4),
+        (d / 2, 6),
+    ]
+    .into_iter()
+    .filter_map(|(m, nbits)| PqConfig::new(m, nbits).ok())
+    .map(|pq| Method {
+        label: pq_label("PQ", &pq),
+        spec: trained_million_spec(model, &MillionConfig::new(pq), calibration).1,
+    })
+    .collect()
+}
+
+/// One row of the quality table.
+#[derive(Debug, Clone, Serialize)]
+pub struct QualityRow {
+    /// Model preset name.
+    pub model: String,
+    /// Corpus the scored stream comes from.
+    pub corpus: String,
+    /// Method label.
+    pub method: String,
+    /// KV-cache bytes per cached token, all layers: the stream's last token
+    /// is scored but never fed, so `len - 1` tokens are cached.
+    pub bytes_per_token: f64,
+    /// Mean KL (nats) of the method's predictions from the fp16 teacher's.
+    pub kl_vs_fp16: f64,
+    /// `exp(cross-entropy against the fp16 teacher)`.
+    pub ppl: f64,
+}
+
+/// Scores every method on `stream` against the model's fp16 teacher, which
+/// is computed once.
+pub fn quality_rows(
+    model: &Transformer,
+    corpus: &str,
+    stream: &[u32],
+    methods: &[Method],
+) -> Vec<QualityRow> {
+    let teacher = teacher_log_probs(model, stream, SEED_LEN);
+    let cached_tokens = (stream.len() - 1) as f64;
+    methods
+        .iter()
+        .map(|method| {
+            let report =
+                evaluate_perplexity_against(model, &method.spec, stream, SEED_LEN, &teacher);
+            QualityRow {
+                model: model.config().name.clone(),
+                corpus: corpus.to_string(),
+                method: method.label.clone(),
+                bytes_per_token: report.kv_bytes as f64 / cached_tokens,
+                kl_vs_fp16: report.kl_vs_fp16,
+                ppl: report.ppl,
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,11 +262,42 @@ mod tests {
     #[test]
     fn trained_spec_covers_all_layers() {
         let config = ModelConfig::tiny_for_tests();
-        let model = build_model(&config, 1);
+        let model = Transformer::new(config.clone(), 1);
         let stream = wikitext_stream(&config, 64);
         let engine_cfg = MillionConfig::four_bit(config.head_dim());
         let (codebooks, spec) = trained_million_spec(&model, &engine_cfg, &stream);
         assert_eq!(codebooks.n_layers(), config.n_layers);
         assert_eq!(spec.label(), "million");
+    }
+
+    #[test]
+    fn quality_rows_score_held_out_tokens_at_their_cache_bytes() {
+        let config = ModelConfig::tiny_for_tests();
+        let model = Transformer::new(config.clone(), 21);
+        // 96 scored tokens cache 95: KVQuant quantizes in 64-token blocks, so
+        // a shorter slice would leave it dense and its KL at 0.
+        let stream = wikitext_stream(&config, 96 + 96);
+        let (calibration, scored) = stream.split_at(96);
+        let set = model_methods(&model, calibration);
+        let rows = quality_rows(&model, "wikitext-2", scored, &set.methods);
+
+        assert_eq!(rows.len(), set.methods.len());
+        assert_eq!(rows[0].method, "fp16");
+        assert_eq!(rows[0].kl_vs_fp16, 0.0);
+        for row in &rows[1..] {
+            assert!(
+                row.ppl.is_finite() && row.kl_vs_fp16.is_finite() && row.kl_vs_fp16 > 1e-6,
+                "{} reads KL {} on held-out tokens",
+                row.method,
+                row.kl_vs_fp16
+            );
+        }
+        let pq4 = rows
+            .iter()
+            .find(|r| r.method.starts_with("MILLION-4b"))
+            .expect("MILLION-4b row");
+        let code_bytes =
+            config.n_layers * config.n_kv_heads * 2 * set.million4.key[0].bytes_per_vector();
+        assert_eq!(pq4.bytes_per_token, code_bytes as f64);
     }
 }
