@@ -19,7 +19,7 @@ use million_quant::pq::PqConfig;
 use serde::Serialize;
 
 /// Stream tokens fed before the first scored position.
-pub const SEED_LEN: usize = 16;
+const SEED_LEN: usize = 16;
 
 /// Seed of the KVQuant baseline's non-uniform level fitting.
 pub const KVQUANT_SEED: u64 = 3;
