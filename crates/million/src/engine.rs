@@ -50,11 +50,12 @@ impl GenerationResult {
 /// MILLION engine: a transformer plus trained PQ codebooks. Decode state
 /// (caches, positions, the asynchronous quantization stream) lives in
 /// [`InferenceSession`]s, so one engine serves any number of concurrent
-/// sequences.
+/// sequences. The model and codebooks are shared, read-only, by every
+/// [`Self::sibling`]; only the block store is per engine.
 #[derive(Debug)]
 pub struct MillionEngine {
-    model: Transformer,
-    codebooks: TrainedCodebooks,
+    model: Arc<Transformer>,
+    codebooks: Arc<TrainedCodebooks>,
     config: MillionConfig,
     /// Copy-on-write code store shared by every session of this engine
     /// (`None` when `config.block_tokens == 0`). Token-content addressing is
@@ -71,18 +72,13 @@ impl MillionEngine {
     /// Returns [`MillionError`] if codebook training fails (empty calibration
     /// stream, PQ geometry not dividing the head dimension, ...).
     pub fn new(
-        model: Transformer,
+        model: impl Into<Arc<Transformer>>,
         config: MillionConfig,
         calibration: &[u32],
     ) -> Result<Self, MillionError> {
+        let model = model.into();
         let codebooks = train_codebooks(&model, calibration, &config)?;
-        let store = Self::build_store(&config);
-        Ok(Self {
-            model,
-            codebooks,
-            config,
-            store,
-        })
+        Self::from_parts(model, codebooks, config)
     }
 
     /// Builds an engine from already-trained codebooks.
@@ -92,10 +88,11 @@ impl MillionEngine {
     /// Returns [`MillionError::InvalidConfig`] if the codebook count does not
     /// match the model's layer count.
     pub fn from_parts(
-        model: Transformer,
+        model: impl Into<Arc<Transformer>>,
         codebooks: TrainedCodebooks,
         config: MillionConfig,
     ) -> Result<Self, MillionError> {
+        let model = model.into();
         if codebooks.n_layers() != model.config().n_layers {
             return Err(MillionError::InvalidConfig(format!(
                 "{} codebook pairs for a {}-layer model",
@@ -106,10 +103,22 @@ impl MillionEngine {
         let store = Self::build_store(&config);
         Ok(Self {
             model,
-            codebooks,
+            codebooks: Arc::new(codebooks),
             config,
             store,
         })
+    }
+
+    /// An engine over this one's model and codebooks, with the same config
+    /// and a fresh, empty block store: no weights are copied and nothing is
+    /// trained. Sessions of one engine never see another's blocks.
+    pub fn sibling(&self) -> Self {
+        Self {
+            model: Arc::clone(&self.model),
+            codebooks: Arc::clone(&self.codebooks),
+            config: self.config.clone(),
+            store: Self::build_store(&self.config),
+        }
     }
 
     fn build_store(config: &MillionConfig) -> Option<Arc<BlockStore>> {
@@ -131,8 +140,8 @@ impl MillionEngine {
         self.store.as_ref().map(|s| s.stats())
     }
 
-    /// The underlying transformer.
-    pub fn model(&self) -> &Transformer {
+    /// The underlying transformer, shared with every [`Self::sibling`].
+    pub fn model(&self) -> &Arc<Transformer> {
         &self.model
     }
 
@@ -325,6 +334,26 @@ mod tests {
         codebooks.key.pop();
         codebooks.value.pop();
         assert!(MillionEngine::from_parts(model, codebooks, engine_cfg).is_err());
+    }
+
+    #[test]
+    fn sibling_shares_model_and_codebooks_but_not_the_store() {
+        let engine = engine(false, 8);
+        let mut session = engine.session();
+        session.prefill(&prompt());
+        let tokens = session.generate(&GenerationOptions::max_tokens(40)).tokens;
+        assert!(engine.store_stats().unwrap().resident_bytes > 0);
+
+        let sibling = engine.sibling();
+        assert!(Arc::ptr_eq(engine.model(), sibling.model()));
+        assert!(std::ptr::eq(engine.codebooks(), sibling.codebooks()));
+        assert_eq!(sibling.store_stats().unwrap().resident_bytes, 0);
+        let mut session = sibling.session();
+        session.prefill(&prompt());
+        assert_eq!(
+            session.generate(&GenerationOptions::max_tokens(40)).tokens,
+            tokens
+        );
     }
 
     #[test]

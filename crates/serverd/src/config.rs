@@ -79,8 +79,9 @@ impl Default for ServerSettings {
     }
 }
 
-/// Model + quantizer settings, one engine per shard (the `[engine]`
-/// section). Shards built from equal settings are bit-identical.
+/// Model + quantizer settings (the `[engine]` section): the server builds
+/// one engine from them and every shard serves from it. Engines built from
+/// equal settings are bit-identical.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EngineSettings {
     /// Model preset: `tiny-test`, `gpt2-xl-sim`, `llama2-7b-sim`,
@@ -184,7 +185,7 @@ pub struct FaultSettings {
 pub struct AppConfig {
     /// Listener and sharding router settings.
     pub server: ServerSettings,
-    /// Per-shard model/quantizer settings.
+    /// Model/quantizer settings of the one engine every shard serves from.
     pub engine: EngineSettings,
     /// Per-shard continuous-batching settings.
     pub serving: ServingSettings,

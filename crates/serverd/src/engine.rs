@@ -1,26 +1,24 @@
-//! Deterministic engine construction shared by the shard threads, the
-//! `serverd` binary, and the end-to-end tests.
+//! Deterministic engine construction: [`crate::Server::bind`] builds one
+//! engine per process (weights and codebook training) and every shard
+//! incarnation serves from a [`MillionEngine::sibling`] of it.
 //!
-//! Determinism is the contract the whole front-end leans on: two shards
-//! built from the same [`EngineSettings`] hold bit-identical simulated
-//! weights and codebooks, so a greedy request produces the same token
-//! stream no matter which shard the router (or a spill) lands it on — and
-//! the socket tests can compare an HTTP/SSE stream against a direct
-//! in-process [`million::ServingEngine`] run token for token.
+//! Determinism is the contract the end-to-end tests lean on: an engine
+//! built from the same [`EngineSettings`] holds bit-identical simulated
+//! weights and codebooks, so the socket tests can compare an HTTP/SSE
+//! stream against a direct in-process [`million::ServingEngine`] run over a
+//! reference engine token for token.
 
 use million::{MillionEngine, MillionError};
 
 use crate::config::{ConfigError, EngineSettings};
 
-/// Why a shard's engine could not be constructed.
+/// Why the engine could not be constructed.
 #[derive(Debug)]
 pub enum BuildError {
     /// The settings were internally inconsistent (bad preset name, etc.).
     Config(ConfigError),
     /// Codebook calibration or engine assembly failed.
     Engine(MillionError),
-    /// The OS refused to spawn the shard's supervisor thread.
-    Spawn(std::io::Error),
 }
 
 impl std::fmt::Display for BuildError {
@@ -28,7 +26,6 @@ impl std::fmt::Display for BuildError {
         match self {
             BuildError::Config(e) => write!(f, "engine settings: {e}"),
             BuildError::Engine(e) => write!(f, "engine build: {e}"),
-            BuildError::Spawn(e) => write!(f, "shard thread spawn: {e}"),
         }
     }
 }
@@ -47,18 +44,18 @@ impl From<MillionError> for BuildError {
     }
 }
 
-/// The deterministic calibration stream used to train each shard's
-/// codebooks: the same mixed-congruential walk the engine's own test
-/// fixtures use, stretched to `len` tokens.
+/// The deterministic calibration stream the codebooks are trained on: the
+/// same mixed-congruential walk the engine's own test fixtures use,
+/// stretched to `len` tokens.
 pub fn calibration_stream(len: usize, vocab_size: usize) -> Vec<u32> {
     (0..len)
         .map(|i| ((i * 13 + 5) % vocab_size) as u32)
         .collect()
 }
 
-/// Builds one shard's engine from `settings`: resolve the model preset,
-/// instantiate seeded simulated weights, train codebooks on the synthetic
-/// calibration stream, and wire the PQ store.
+/// Builds the engine from `settings`: resolve the model preset, instantiate
+/// seeded simulated weights, train codebooks on the synthetic calibration
+/// stream, and wire the PQ store.
 pub fn build_engine(settings: &EngineSettings) -> Result<MillionEngine, BuildError> {
     let model_config = settings.model_config()?;
     let model = million_model::Transformer::new(model_config.clone(), settings.seed);

@@ -9,9 +9,12 @@
 //! - **[`config`]** — layered [`config::AppConfig`]: defaults → TOML file
 //!   → `SERVERD_*` environment → CLI flags, with one typed dispatcher so
 //!   every layer validates identically.
-//! - **[`shard`]** — each shard is a thread owning a private engine +
-//!   serving loop, driven by a command channel and publishing lock-free
-//!   load gauges.
+//! - **[`engine`]** — the one engine per process: [`server::Server::bind`]
+//!   builds the model and trains the codebooks once, and every shard serves
+//!   from it.
+//! - **[`shard`]** — each shard is a thread owning a serving loop over its
+//!   own block store (a sibling of the shared engine), driven by a command
+//!   channel and publishing lock-free load gauges.
 //! - **[`router`]** — prefix-affinity placement: prompts are hashed with
 //!   the store's own token-chain hash over their leading tokens, so
 //!   sessions sharing a system prompt land in the same shard's PQ store

@@ -39,9 +39,9 @@ fn main() {
     };
 
     eprintln!(
-        "serverd: building {} shard(s) of `{}` ({}-bit PQ, prefix sharing {}) ...",
-        config.server.shards,
+        "serverd: building `{}` once for {} shard(s) ({}-bit PQ, prefix sharing {}) ...",
         config.engine.model,
+        config.server.shards,
         config.engine.bits,
         if config.engine.prefix_sharing {
             "on"

@@ -205,17 +205,22 @@ impl Router {
 mod tests {
     use super::*;
     use million::GenerationOptions;
+    use std::sync::Arc;
 
     use crate::config::{EngineSettings, ServingSettings};
+    use crate::engine::build_engine;
     use crate::shard::{spawn_shard, SupervisorSettings};
 
     fn tiny_router(shards: usize, queue_capacity: usize, max_resident: usize) -> Router {
-        let engine = EngineSettings {
-            model: "tiny-test".into(),
-            calibration_tokens: 96,
-            async_quant: false,
-            ..EngineSettings::default()
-        };
+        let engine = Arc::new(
+            build_engine(&EngineSettings {
+                model: "tiny-test".into(),
+                calibration_tokens: 96,
+                async_quant: false,
+                ..EngineSettings::default()
+            })
+            .unwrap(),
+        );
         let serving = ServingSettings {
             max_resident,
             queue_capacity,
@@ -225,7 +230,7 @@ mod tests {
             .map(|i| {
                 spawn_shard(
                     i,
-                    engine.clone(),
+                    Arc::clone(&engine),
                     serving.clone(),
                     SupervisorSettings::default(),
                 )

@@ -53,7 +53,7 @@ use million_model::Sampler;
 use million_telemetry::render_chrome_trace;
 
 use crate::config::{AppConfig, ConfigError};
-use crate::engine::BuildError;
+use crate::engine::{build_engine, BuildError};
 use crate::http::{self, HttpRequest, ParseError};
 use crate::prom;
 use crate::router::{RouteError, Router};
@@ -77,9 +77,9 @@ static SHED_SEQ: AtomicU64 = AtomicU64::new(0);
 pub enum ServerdError {
     /// Configuration could not be assembled.
     Config(ConfigError),
-    /// A shard engine failed to build.
+    /// The engine failed to build.
     Build(BuildError),
-    /// The listener could not bind.
+    /// The listener could not bind, or a shard thread could not spawn.
     Io(std::io::Error),
 }
 
@@ -88,7 +88,7 @@ impl std::fmt::Display for ServerdError {
         match self {
             ServerdError::Config(e) => write!(f, "{e}"),
             ServerdError::Build(e) => write!(f, "{e}"),
-            ServerdError::Io(e) => write!(f, "listener: {e}"),
+            ServerdError::Io(e) => write!(f, "{e}"),
         }
     }
 }
@@ -151,9 +151,12 @@ impl ServerControl {
 }
 
 impl Server {
-    /// Spawns `config.server.shards` supervised engine shards (building
-    /// each model + codebooks on its own thread) and binds the listener.
+    /// Builds the engine (model + codebooks) once, spawns
+    /// `config.server.shards` supervised shards that all serve from it, and
+    /// binds the listener. Bad engine settings fail here, before any shard
+    /// starts.
     pub fn bind(config: AppConfig) -> Result<Server, ServerdError> {
+        let engine = Arc::new(build_engine(&config.engine)?);
         let checkpoint_base = (!config.server.checkpoint_dir.is_empty())
             .then(|| PathBuf::from(&config.server.checkpoint_dir));
         let mut shards = Vec::with_capacity(config.server.shards);
@@ -182,7 +185,7 @@ impl Server {
             };
             shards.push(spawn_shard(
                 index,
-                config.engine.clone(),
+                Arc::clone(&engine),
                 config.serving.clone(),
                 supervisor,
             )?);
@@ -815,6 +818,18 @@ mod tests {
         assert!(body.request.options.stop.matches(0));
         assert!(body.request.options.stop.matches(5));
         assert!(!body.stream);
+    }
+
+    #[test]
+    fn bind_fails_on_a_bad_model_before_any_shard_starts() {
+        let mut config = AppConfig::default();
+        config.engine.model = "no-such-model".into();
+        config.server.listen = "127.0.0.1:0".into();
+        let err = Server::bind(config).err().expect("unknown preset");
+        assert!(
+            matches!(err, ServerdError::Build(BuildError::Config(_))),
+            "{err}"
+        );
     }
 
     #[test]

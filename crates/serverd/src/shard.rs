@@ -1,6 +1,8 @@
-//! Engine shards: one supervised thread per shard, each owning a private
-//! [`million::MillionEngine`] + [`ServingEngine`] pair and driven by a command
-//! channel.
+//! Engine shards: one supervised thread per shard, each serving a
+//! [`ServingEngine`] over its own [`MillionEngine::sibling`] of the one
+//! engine [`crate::Server::bind`] built, and driven by a command channel.
+//! The model and codebooks are shared by every shard and never rebuilt; the
+//! block store belongs to one incarnation.
 //!
 //! [`ServingEngine`] is deliberately single-threaded — it borrows its
 //! engine and schedules rounds synchronously — so the networked front-end
@@ -21,9 +23,9 @@
 //! 1. marks the shard [`ShardState::Restarting`] and seals the command
 //!    channel, so in-flight handles observe a closed stream and new
 //!    submissions fail over to other shards;
-//! 2. backs off exponentially (capped), rebuilds the engine from the same
-//!    deterministic settings, and re-admits every crash-safe checkpoint
-//!    found under its checkpoint directory;
+//! 2. backs off exponentially (capped), takes a fresh sibling of the
+//!    shared engine (an empty store, no training), and re-admits every
+//!    crash-safe checkpoint found under its checkpoint directory;
 //! 3. goes [`ShardState::Live`] again with a fresh channel — or
 //!    [`ShardState::Failed`] permanently once the restart budget is spent.
 //!
@@ -59,13 +61,12 @@ use std::time::Duration;
 use serde::Serialize;
 
 use million::{
-    DrainReport, FaultPlan, Request, RequestHandle, RequestId, RequestInfo, ServingEngine,
-    ServingStats, StoreStats, SubmitError, TelemetrySnapshot,
+    DrainReport, FaultPlan, MillionEngine, Request, RequestHandle, RequestId, RequestInfo,
+    ServingEngine, ServingStats, StoreStats, SubmitError, TelemetrySnapshot,
 };
 use million_telemetry::Event;
 
-use crate::config::{EngineSettings, ServingSettings};
-use crate::engine::{build_engine, BuildError};
+use crate::config::ServingSettings;
 
 /// How long an idle shard thread sleeps on its command channel between
 /// wake-ups.
@@ -133,10 +134,10 @@ pub enum ShardCommand {
 pub enum ShardState {
     /// The shard thread is serving.
     Live,
-    /// The shard crashed; its supervisor is backing off and rebuilding.
+    /// The shard crashed; its supervisor is backing off before it starts a
+    /// fresh incarnation.
     Restarting,
-    /// The shard spent its restart budget (or died during construction)
-    /// and stays down permanently.
+    /// The shard spent its restart budget and stays down permanently.
     Failed,
 }
 
@@ -469,17 +470,18 @@ impl Drop for ShardHandle {
     }
 }
 
-/// Spawns shard `index` under supervision: the shard thread builds the
-/// engine (weights, calibration, codebooks), recovers any checkpointed
-/// sessions, then enters the command/decode loop; panics restart it per
-/// `supervisor`. Fails fast — first-build errors are reported here, not at
-/// first request.
+/// Spawns shard `index` under supervision: every incarnation serves from a
+/// sibling of `engine` (same model and codebooks, fresh block store),
+/// recovers any checkpointed sessions, then enters the command/decode loop;
+/// panics restart it per `supervisor`. Returns once the first incarnation
+/// is live with its checkpoints re-admitted (or the shard has failed), so
+/// the only error is the OS refusing the thread.
 pub fn spawn_shard(
     index: usize,
-    engine_settings: EngineSettings,
+    engine: Arc<MillionEngine>,
     serving_settings: ServingSettings,
     supervisor: SupervisorSettings,
-) -> Result<ShardHandle, BuildError> {
+) -> std::io::Result<ShardHandle> {
     let gauges = Arc::new(ShardGauges::default());
     let (sealed, _) = mpsc::channel();
     let shared = Arc::new(ShardShared {
@@ -489,7 +491,7 @@ pub fn spawn_shard(
         stopping: AtomicBool::new(false),
         recovered: Mutex::new(Vec::new()),
     });
-    let (ready_tx, ready_rx) = mpsc::channel::<Result<(), BuildError>>();
+    let (ready_tx, ready_rx) = mpsc::channel();
 
     let thread_gauges = Arc::clone(&gauges);
     let thread_shared = Arc::clone(&shared);
@@ -498,76 +500,51 @@ pub fn spawn_shard(
         .spawn(move || {
             supervise(
                 index,
-                &engine_settings,
+                &engine,
                 &serving_settings,
                 &supervisor,
                 &thread_shared,
                 &thread_gauges,
                 ready_tx,
             );
-        })
-        .map_err(BuildError::Spawn)?;
-
-    match ready_rx.recv() {
-        Ok(Ok(())) => Ok(ShardHandle {
-            index,
-            shared,
-            gauges,
-            join: Mutex::new(Some(join)),
-        }),
-        Ok(Err(e)) => {
-            let _ = join.join();
-            Err(e)
-        }
-        Err(_) => {
-            let _ = join.join();
-            Err(BuildError::Config(crate::config::ConfigError::BadValue {
-                key: "engine".into(),
-                msg: "shard thread died during construction".into(),
-            }))
-        }
-    }
-}
-
-/// How one engine incarnation ended.
-enum IncarnationEnd {
-    /// Clean shutdown (or a first build that failed and was already
-    /// reported through the ready channel): the supervisor exits.
-    Exit,
-    /// The incarnation could not even be constructed; treated like a
-    /// crash so the restart budget still bounds rebuild loops.
-    Crashed(String),
+        })?;
+    // A closed channel means the supervisor gave up before any incarnation
+    // went live; the handle then reports `Failed`.
+    let _ = ready_rx.recv();
+    Ok(ShardHandle {
+        index,
+        shared,
+        gauges,
+        join: Mutex::new(Some(join)),
+    })
 }
 
 /// The supervisor loop: runs engine incarnations under `catch_unwind`,
 /// restarting with capped exponential backoff until the budget is spent.
 fn supervise(
     index: usize,
-    engine_settings: &EngineSettings,
+    engine: &MillionEngine,
     serving_settings: &ServingSettings,
     supervisor: &SupervisorSettings,
     shared: &Arc<ShardShared>,
     gauges: &ShardGauges,
-    ready: Sender<Result<(), BuildError>>,
+    ready: Sender<()>,
 ) {
     let mut ready = Some(ready);
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_incarnation(
                 index,
-                engine_settings,
+                engine,
                 serving_settings,
                 supervisor,
                 shared,
                 gauges,
                 &mut ready,
-            )
+            );
         }));
-        let reason = match outcome {
-            Ok(IncarnationEnd::Exit) => return,
-            Ok(IncarnationEnd::Crashed(reason)) => reason,
-            Err(payload) => panic_message(payload.as_ref()),
-        };
+        let Err(payload) = outcome else { return };
+        let reason = panic_message(payload.as_ref());
         // The incarnation's receiver died with it; seal the sender so
         // submissions fail over instead of queueing into the void.
         shared.seal();
@@ -614,31 +591,19 @@ fn supervise(
     }
 }
 
-/// Builds one engine incarnation, re-admits checkpointed sessions, opens a
-/// fresh command channel, and runs the serve loop to completion.
+/// Runs one incarnation on a fresh sibling of `engine`: re-admits
+/// checkpointed sessions, opens a fresh command channel, signals `ready`
+/// (first incarnation only), and runs the serve loop to completion.
 fn run_incarnation(
     index: usize,
-    engine_settings: &EngineSettings,
+    engine: &MillionEngine,
     serving_settings: &ServingSettings,
     supervisor: &SupervisorSettings,
     shared: &Arc<ShardShared>,
     gauges: &ShardGauges,
-    ready: &mut Option<Sender<Result<(), BuildError>>>,
-) -> IncarnationEnd {
-    let engine = match build_engine(engine_settings) {
-        Ok(engine) => engine,
-        Err(e) => {
-            return match ready.take() {
-                // First build: report synchronously and die for good.
-                Some(tx) => {
-                    let _ = tx.send(Err(e));
-                    IncarnationEnd::Exit
-                }
-                None => IncarnationEnd::Crashed(format!("engine rebuild failed: {e}")),
-            };
-        }
-    };
-
+    ready: &mut Option<Sender<()>>,
+) {
+    let engine = engine.sibling();
     let mut config = serving_settings.to_serving_config();
     config.checkpoint_dir = supervisor.checkpoint_dir.clone();
     config.fault_plan = supervisor.fault_plan.clone();
@@ -668,7 +633,7 @@ fn run_incarnation(
         .state
         .store(ShardState::Live.as_u8(), Ordering::SeqCst);
     if let Some(tx) = ready.take() {
-        let _ = tx.send(Ok(()));
+        let _ = tx.send(());
     }
 
     shard_loop(
@@ -679,7 +644,6 @@ fn run_incarnation(
         supervisor.fault_plan.as_deref(),
         &shared.stopping,
     );
-    IncarnationEnd::Exit
 }
 
 /// Best-effort extraction of the panic payload for the restart log line.
@@ -844,17 +808,20 @@ fn snapshot(index: usize, serving: &ServingEngine<'_>, gauges: &ShardGauges) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EngineSettings;
+    use crate::engine::build_engine;
     use million::{GenerationOptions, TokenWait};
     use std::time::Instant;
 
-    fn tiny() -> (EngineSettings, ServingSettings) {
+    fn tiny() -> (Arc<MillionEngine>, ServingSettings) {
+        let settings = EngineSettings {
+            model: "tiny-test".into(),
+            calibration_tokens: 96,
+            async_quant: false,
+            ..EngineSettings::default()
+        };
         (
-            EngineSettings {
-                model: "tiny-test".into(),
-                calibration_tokens: 96,
-                async_quant: false,
-                ..EngineSettings::default()
-            },
+            Arc::new(build_engine(&settings).expect("tiny engine builds")),
             ServingSettings::default(),
         )
     }
@@ -873,8 +840,8 @@ mod tests {
 
     #[test]
     fn shard_serves_a_request_end_to_end() {
-        let (es, ss) = tiny();
-        let shard = spawn_shard(0, es, ss, SupervisorSettings::default()).unwrap();
+        let (engine, ss) = tiny();
+        let shard = spawn_shard(0, engine, ss, SupervisorSettings::default()).unwrap();
         let request = Request::new(vec![3, 9, 27, 81], GenerationOptions::max_tokens(6));
         let handle = shard.submit(request).unwrap();
         let tokens = drain_handle(&handle);
@@ -890,8 +857,8 @@ mod tests {
 
     #[test]
     fn paused_shard_queues_submissions_until_stepped() {
-        let (es, ss) = tiny();
-        let shard = spawn_shard(0, es, ss, SupervisorSettings::default()).unwrap();
+        let (engine, ss) = tiny();
+        let shard = spawn_shard(0, engine, ss, SupervisorSettings::default()).unwrap();
         shard.pause(true);
         // Give the pause command time to land before submitting.
         let handle = shard
@@ -917,20 +884,14 @@ mod tests {
         shard.shutdown();
     }
 
-    #[test]
-    fn spawn_reports_build_errors_synchronously() {
-        let (mut es, ss) = tiny();
-        es.model = "no-such-model".into();
-        assert!(spawn_shard(0, es, ss, SupervisorSettings::default()).is_err());
-    }
-
     /// The supervision tentpole, in miniature: an injected panic kills the
-    /// incarnation mid-stream, the supervisor restarts it, and the
-    /// checkpointed session continues bit-identically to an uninterrupted
-    /// run on a fresh shard.
+    /// incarnation mid-stream, the supervisor restarts it on the same model
+    /// allocation (nothing is rebuilt or retrained), and the checkpointed
+    /// session continues bit-identically to an uninterrupted run on a fresh
+    /// shard.
     #[test]
     fn injected_panic_restarts_the_shard_and_resumes_from_checkpoint() {
-        let (es, ss) = tiny();
+        let (engine, ss) = tiny();
         let dir = std::env::temp_dir().join(format!(
             "serverd-supervise-{}-{}",
             std::process::id(),
@@ -939,8 +900,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         // Reference: the same request on an unsupervised shard.
-        let baseline_shard =
-            spawn_shard(0, es.clone(), ss.clone(), SupervisorSettings::default()).unwrap();
+        let baseline_shard = spawn_shard(
+            0,
+            Arc::clone(&engine),
+            ss.clone(),
+            SupervisorSettings::default(),
+        )
+        .unwrap();
         let request = || Request::new(vec![3, 9, 27, 81, 11], GenerationOptions::max_tokens(8));
         let baseline = drain_handle(&baseline_shard.submit(request()).unwrap());
         assert_eq!(baseline.len(), 8);
@@ -957,7 +923,11 @@ mod tests {
             checkpoint_every_rounds: 1,
             ..ss
         };
-        let shard = spawn_shard(0, es, ss, supervisor).unwrap();
+        let shard = spawn_shard(0, Arc::clone(&engine), ss, supervisor).unwrap();
+        // The shard thread holds the engine, its live incarnation a sibling
+        // sharing the model.
+        assert_eq!(Arc::strong_count(&engine), 2);
+        assert_eq!(Arc::strong_count(engine.model()), 2);
         let handle = shard.submit(request()).unwrap();
         let id = handle.id();
 
@@ -978,6 +948,10 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(shard.restarts(), 1);
+        // The crashed incarnation's sibling is gone and the restarted one
+        // serves from the same model allocation: a rebuilt model would
+        // leave the shared one referenced by the test's engine alone.
+        assert_eq!(Arc::strong_count(engine.model()), 2);
         let recovered = shard
             .claim_recovered(id)
             .expect("checkpointed session re-admitted");
@@ -998,6 +972,7 @@ mod tests {
         assert_eq!(report.tokens, baseline);
 
         shard.shutdown();
+        assert_eq!(Arc::strong_count(engine.model()), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1008,7 +983,7 @@ mod tests {
     /// reproduces an undrained run bit for bit.
     #[test]
     fn drain_then_restart_resumes_every_request_bit_identically() {
-        let (es, ss) = tiny();
+        let (engine, ss) = tiny();
         let ss = ServingSettings {
             prefill_chunk_tokens: 8,
             ..ss
@@ -1028,16 +1003,26 @@ mod tests {
             ]
         };
 
-        let undrained = spawn_shard(0, es.clone(), ss.clone(), SupervisorSettings::default())
-            .expect("shard builds");
+        let undrained = spawn_shard(
+            0,
+            Arc::clone(&engine),
+            ss.clone(),
+            SupervisorSettings::default(),
+        )
+        .expect("shard builds");
         let baseline: Vec<Vec<u32>> = requests()
             .into_iter()
             .map(|r| drain_handle(&undrained.submit(r).expect("queued")))
             .collect();
         undrained.shutdown();
 
-        let shard = spawn_shard(0, es.clone(), ss.clone(), SupervisorSettings::default())
-            .expect("shard builds");
+        let shard = spawn_shard(
+            0,
+            Arc::clone(&engine),
+            ss.clone(),
+            SupervisorSettings::default(),
+        )
+        .expect("shard builds");
         shard.pause(true);
         let handles: Vec<RequestHandle> = requests()
             .into_iter()
@@ -1057,7 +1042,7 @@ mod tests {
             checkpoint_dir: Some(dir.clone()),
             ..SupervisorSettings::default()
         };
-        let restarted = spawn_shard(0, es, ss, supervisor).expect("shard builds");
+        let restarted = spawn_shard(0, engine, ss, supervisor).expect("shard builds");
         for ((handle, streamed), baseline) in handles.iter().zip(&streamed).zip(&baseline) {
             let recovered = restarted
                 .claim_recovered(handle.id())
@@ -1079,7 +1064,7 @@ mod tests {
     /// failed: submissions report `Down` and the health surface says so.
     #[test]
     fn restart_budget_exhaustion_marks_the_shard_failed() {
-        let (es, ss) = tiny();
+        let (engine, ss) = tiny();
         let plan = Arc::new(FaultPlan::parse("panic@shard=0,round=2", 0).unwrap());
         let supervisor = SupervisorSettings {
             max_restarts: 0,
@@ -1087,7 +1072,7 @@ mod tests {
             fault_plan: Some(plan),
             ..SupervisorSettings::default()
         };
-        let shard = spawn_shard(0, es, ss, supervisor).unwrap();
+        let shard = spawn_shard(0, engine, ss, supervisor).unwrap();
         let handle = shard
             .submit(Request::new(
                 vec![5, 10, 20],

@@ -46,7 +46,7 @@ fn concurrent_submitters_are_bit_identical_to_serial_and_lose_nothing() {
     let shard = Arc::new(
         spawn_shard(
             0,
-            tiny_settings(),
+            Arc::new(build_engine(&tiny_settings()).unwrap()),
             ServingSettings::default(),
             SupervisorSettings::default(),
         )
