@@ -11,8 +11,8 @@
 //! submissions round-trip over the channel and return the engine's own
 //! [`RequestHandle`], which is `Send` and streams tokens directly from the
 //! shard thread to whichever connection is serving the client. Load gauges
-//! are published through atomics so the router and `/metrics` can read
-//! them without a channel round-trip.
+//! are published through atomics so the router can read them without a
+//! channel round-trip.
 //!
 //! ## Supervision
 //!
@@ -258,14 +258,6 @@ pub struct ShardGauges {
     pub resident: AtomicUsize,
     /// Requests waiting in the pending queue.
     pub queued: AtomicUsize,
-    /// Quantized KV bytes attributed to this shard's live sessions.
-    pub kv_bytes: AtomicUsize,
-    /// Residents currently admitting their prompt in chunks.
-    pub prefilling: AtomicUsize,
-    /// Prompt tokens still to be prefilled across prefilling residents.
-    pub prefill_tokens_remaining: AtomicUsize,
-    /// Scheduling rounds run so far.
-    pub rounds: AtomicU64,
     /// Set once the shard enters drain; admission is closed.
     pub draining: AtomicBool,
 }
@@ -772,14 +764,6 @@ fn publish(serving: &ServingEngine<'_>, gauges: &ShardGauges) {
     gauges
         .queued
         .store(serving.queued_requests(), Ordering::Relaxed);
-    gauges.kv_bytes.store(serving.kv_bytes(), Ordering::Relaxed);
-    gauges
-        .prefilling
-        .store(serving.prefilling_sessions(), Ordering::Relaxed);
-    gauges
-        .prefill_tokens_remaining
-        .store(serving.prefill_tokens_remaining(), Ordering::Relaxed);
-    gauges.rounds.store(serving.rounds(), Ordering::Relaxed);
     gauges
         .draining
         .store(serving.is_draining(), Ordering::Relaxed);
