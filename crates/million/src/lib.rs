@@ -79,9 +79,7 @@ pub use config::MillionConfig;
 pub use engine::{GenerationResult, MillionEngine};
 pub use fault::FaultPlan;
 pub use million_store::{Block, BlockStore, StoreStats};
-pub use observe::{
-    HistogramReport, RequestInfo, RequestState, RoundPhase, ServingTelemetry, TelemetrySnapshot,
-};
+pub use observe::{RequestInfo, RequestState, RoundPhase, ServingTelemetry, TelemetrySnapshot};
 pub use serving::{
     DrainReport, QosClass, RecoverReport, Request, RequestHandle, RequestId, ServingConfig,
     ServingEngine, ServingStats, SessionReport, SubmitError, TokenWait,

@@ -14,10 +14,8 @@
 
 use std::time::Instant;
 
-use million_telemetry::{
-    Event, EventJournal, EventKind, HistogramSnapshot, LatencyHistogram, HIST_BUCKETS,
-};
-use serde::Serialize;
+use million_telemetry::{Event, EventJournal, EventKind, HistogramSnapshot, LatencyHistogram};
+use serde::{json_key, Serialize};
 
 use crate::serving::QosClass;
 
@@ -177,11 +175,11 @@ impl ServingTelemetry {
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             enabled: self.enabled,
-            ttft: HistogramReport::from_hist(&self.ttft),
-            inter_token: HistogramReport::from_hist(&self.inter_token),
-            queue_wait: HistogramReport::from_hist(&self.queue_wait),
-            e2e: HistogramReport::from_hist(&self.e2e),
-            phases: self.phases.iter().map(HistogramReport::from_hist).collect(),
+            ttft: self.ttft.snapshot(),
+            inter_token: self.inter_token.snapshot(),
+            queue_wait: self.queue_wait.snapshot(),
+            e2e: self.e2e.snapshot(),
+            phases: self.phases.each_ref().map(LatencyHistogram::snapshot),
             journal_len: self.journal.len(),
             journal_dropped: self.journal.dropped(),
             journal_total: self.journal.total(),
@@ -189,99 +187,22 @@ impl ServingTelemetry {
     }
 }
 
-/// A serializable, mergeable copy of one latency histogram: the exact
-/// count/sum/min/max, precomputed p50/p95/p99, and the raw log2 bucket
-/// counts (index `i` holds samples of bit width `i`; see
-/// [`million_telemetry::bucket_bound_ns`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct HistogramReport {
-    /// Total samples.
-    pub count: u64,
-    /// Exact sum of every sample, in nanoseconds.
-    pub sum_ns: u64,
-    /// Smallest sample (0 when empty).
-    pub min_ns: u64,
-    /// Largest sample (0 when empty).
-    pub max_ns: u64,
-    /// Median (log2-bucket upper bound, clamped to the exact max).
-    pub p50_ns: u64,
-    /// 95th percentile.
-    pub p95_ns: u64,
-    /// 99th percentile.
-    pub p99_ns: u64,
-    /// Samples beyond the last bucket's bound.
-    pub overflow: u64,
-    /// Per-bucket (non-cumulative) counts, [`HIST_BUCKETS`] long.
-    pub buckets: Vec<u64>,
-}
-
-impl HistogramReport {
-    /// A report with no samples.
-    pub fn empty() -> Self {
-        Self::from_snapshot(&HistogramSnapshot::empty())
-    }
-
-    fn from_hist(hist: &LatencyHistogram) -> Self {
-        Self::from_snapshot(&hist.snapshot())
-    }
-
-    /// Builds the report from a raw snapshot.
-    pub fn from_snapshot(snap: &HistogramSnapshot) -> Self {
-        Self {
-            count: snap.count,
-            sum_ns: snap.sum_ns,
-            min_ns: snap.min_ns,
-            max_ns: snap.max_ns,
-            p50_ns: snap.p50_ns(),
-            p95_ns: snap.p95_ns(),
-            p99_ns: snap.p99_ns(),
-            overflow: snap.overflow,
-            buckets: snap.counts.to_vec(),
-        }
-    }
-
-    /// Reconstructs the raw snapshot (for Prometheus rendering and
-    /// fleet-total merging).
-    pub fn to_snapshot(&self) -> HistogramSnapshot {
-        let mut counts = [0u64; HIST_BUCKETS];
-        for (slot, &c) in counts.iter_mut().zip(self.buckets.iter()) {
-            *slot = c;
-        }
-        HistogramSnapshot {
-            counts,
-            overflow: self.overflow,
-            count: self.count,
-            sum_ns: self.sum_ns,
-            min_ns: self.min_ns,
-            max_ns: self.max_ns,
-        }
-    }
-
-    /// Adds another report's samples into this one (percentiles are
-    /// recomputed over the merged buckets).
-    pub fn merge(&mut self, other: &HistogramReport) {
-        let mut snap = self.to_snapshot();
-        snap.merge(&other.to_snapshot());
-        *self = Self::from_snapshot(&snap);
-    }
-}
-
 /// Serializable copy of a [`ServingTelemetry`] recorder — what
 /// `GET /metrics` exports per shard and merges into fleet totals.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// Whether the source recorder was recording.
     pub enabled: bool,
     /// Submission to first decode token.
-    pub ttft: HistogramReport,
+    pub ttft: HistogramSnapshot,
     /// Gap between consecutive decode tokens of one request.
-    pub inter_token: HistogramReport,
+    pub inter_token: HistogramSnapshot,
     /// Submission to admission.
-    pub queue_wait: HistogramReport,
+    pub queue_wait: HistogramSnapshot,
     /// Submission to retirement (resident requests only).
-    pub e2e: HistogramReport,
+    pub e2e: HistogramSnapshot,
     /// Per-phase serve-round durations, indexed by [`RoundPhase::index`].
-    pub phases: Vec<HistogramReport>,
+    pub phases: [HistogramSnapshot; 4],
     /// Lifecycle events currently buffered in the journal.
     pub journal_len: usize,
     /// Lifecycle events evicted from the full journal ring.
@@ -295,14 +216,11 @@ impl TelemetrySnapshot {
     pub fn empty() -> Self {
         Self {
             enabled: false,
-            ttft: HistogramReport::empty(),
-            inter_token: HistogramReport::empty(),
-            queue_wait: HistogramReport::empty(),
-            e2e: HistogramReport::empty(),
-            phases: RoundPhase::ALL
-                .iter()
-                .map(|_| HistogramReport::empty())
-                .collect(),
+            ttft: HistogramSnapshot::empty(),
+            inter_token: HistogramSnapshot::empty(),
+            queue_wait: HistogramSnapshot::empty(),
+            e2e: HistogramSnapshot::empty(),
+            phases: [HistogramSnapshot::empty(); 4],
             journal_len: 0,
             journal_dropped: 0,
             journal_total: 0,
@@ -324,6 +242,63 @@ impl TelemetrySnapshot {
         self.journal_dropped += other.journal_dropped;
         self.journal_total += other.journal_total;
     }
+}
+
+// Hand-rolled so every histogram keeps its JSON shape: the exact counts, the
+// p50/p95/p99 read out of the buckets, and the raw bucket counts.
+impl Serialize for TelemetrySnapshot {
+    fn serialize_json(&self, out: &mut String) {
+        out.push('{');
+        let mut first = true;
+        json_key(out, &mut first, "enabled");
+        self.enabled.serialize_json(out);
+        for (name, hist) in [
+            ("ttft", &self.ttft),
+            ("inter_token", &self.inter_token),
+            ("queue_wait", &self.queue_wait),
+            ("e2e", &self.e2e),
+        ] {
+            json_key(out, &mut first, name);
+            histogram_json(hist, out);
+        }
+        json_key(out, &mut first, "phases");
+        out.push('[');
+        for (i, hist) in self.phases.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            histogram_json(hist, out);
+        }
+        out.push(']');
+        json_key(out, &mut first, "journal_len");
+        self.journal_len.serialize_json(out);
+        json_key(out, &mut first, "journal_dropped");
+        self.journal_dropped.serialize_json(out);
+        json_key(out, &mut first, "journal_total");
+        self.journal_total.serialize_json(out);
+        out.push('}');
+    }
+}
+
+fn histogram_json(hist: &HistogramSnapshot, out: &mut String) {
+    out.push('{');
+    let mut first = true;
+    for (name, value) in [
+        ("count", hist.count),
+        ("sum_ns", hist.sum_ns),
+        ("min_ns", hist.min_ns),
+        ("max_ns", hist.max_ns),
+        ("p50_ns", hist.p50_ns()),
+        ("p95_ns", hist.p95_ns()),
+        ("p99_ns", hist.p99_ns()),
+        ("overflow", hist.overflow),
+    ] {
+        json_key(out, &mut first, name);
+        value.serialize_json(out);
+    }
+    json_key(out, &mut first, "buckets");
+    hist.counts[..].serialize_json(out);
+    out.push('}');
 }
 
 /// Lifecycle state of a request in the `/debug/requests` live table.
@@ -408,11 +383,8 @@ mod tests {
         assert_eq!(snap.ttft.count, 3);
         assert_eq!(snap.ttft.sum_ns, 1_001_010);
         assert_eq!(snap.ttft.max_ns, 1_000_000);
-        assert_eq!(snap.ttft.buckets.len(), HIST_BUCKETS);
+        assert_eq!(snap.ttft.p50_ns(), 1_024);
         assert_eq!(snap.journal_len, 1);
-        // Report -> raw snapshot -> report is lossless.
-        let rebuilt = HistogramReport::from_snapshot(&snap.ttft.to_snapshot());
-        assert_eq!(rebuilt, snap.ttft);
         // Fleet merge doubles every count and keeps exact sums.
         let mut fleet = TelemetrySnapshot::empty();
         fleet.merge(&snap);
@@ -435,13 +407,32 @@ mod tests {
         t.record_phase(RoundPhase::Retire, 5);
         let doc = serde_json::to_string(&t.snapshot()).expect("snapshot serializes");
         let value: serde_json::Value = serde_json::from_str(&doc).expect("valid JSON");
+        let e2e = value.get("e2e").expect("e2e histogram");
+        for (key, expected) in [
+            ("count", 1.0),
+            ("sum_ns", 123.0),
+            ("min_ns", 123.0),
+            ("max_ns", 123.0),
+            ("p50_ns", 123.0),
+            ("p95_ns", 123.0),
+            ("p99_ns", 123.0),
+            ("overflow", 0.0),
+        ] {
+            assert_eq!(
+                e2e.get(key).and_then(|v| v.as_f64()),
+                Some(expected),
+                "{key}"
+            );
+        }
         assert_eq!(
-            value
-                .get("e2e")
-                .and_then(|h| h.get("count"))
-                .and_then(|v| v.as_f64()),
-            Some(1.0)
+            e2e.get("buckets")
+                .and_then(|v| v.as_array())
+                .map(<[_]>::len),
+            Some(million_telemetry::HIST_BUCKETS)
         );
+        for key in ["enabled", "journal_len", "journal_dropped", "journal_total"] {
+            assert!(value.get(key).is_some(), "{key}");
+        }
         assert_eq!(
             value
                 .get("phases")

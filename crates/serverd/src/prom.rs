@@ -12,8 +12,8 @@
 //! formatting over snapshots already fetched — it takes no locks and
 //! performs no channel round-trips of its own.
 
-use million::{HistogramReport, QosClass, RoundPhase, TelemetrySnapshot};
-use million_telemetry::PromWriter;
+use million::{QosClass, RoundPhase, TelemetrySnapshot};
+use million_telemetry::{HistogramSnapshot, PromWriter};
 
 pub use million_telemetry::PROMETHEUS_CONTENT_TYPE;
 
@@ -86,17 +86,13 @@ fn histogram(
     fleet: &TelemetrySnapshot,
     name: &str,
     help: &str,
-    pick: impl Fn(&TelemetrySnapshot) -> &HistogramReport,
+    pick: impl Fn(&TelemetrySnapshot) -> &HistogramSnapshot,
 ) {
     w.header(name, "histogram", help);
     for s in shards {
-        w.histogram(
-            name,
-            &shard_label(s.shard),
-            &pick(&s.telemetry).to_snapshot(),
-        );
+        w.histogram(name, &shard_label(s.shard), pick(&s.telemetry));
     }
-    w.histogram(name, FLEET, &pick(fleet).to_snapshot());
+    w.histogram(name, FLEET, pick(fleet));
 }
 
 /// Merges every shard's telemetry into the fleet-total snapshot.
@@ -423,14 +419,14 @@ pub fn render(shards: &[ShardSnapshot], health: &[ShardHealth]) -> String {
             w.histogram(
                 "million_round_phase_seconds",
                 &labels,
-                &s.telemetry.phases[phase.index()].to_snapshot(),
+                &s.telemetry.phases[phase.index()],
             );
         }
         let labels = format!("{FLEET},phase=\"{}\"", phase.name());
         w.histogram(
             "million_round_phase_seconds",
             &labels,
-            &fleet.phases[phase.index()].to_snapshot(),
+            &fleet.phases[phase.index()],
         );
     }
 

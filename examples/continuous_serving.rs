@@ -183,9 +183,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {name:<21}: n={:<4} p50 {:>9.3} ms, p95 {:>9.3} ms, p99 {:>9.3} ms, max {:>9.3} ms",
             h.count,
-            ms(h.p50_ns),
-            ms(h.p95_ns),
-            ms(h.p99_ns),
+            ms(h.p50_ns()),
+            ms(h.p95_ns()),
+            ms(h.p99_ns()),
             ms(h.max_ns)
         );
     }
@@ -195,7 +195,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "    {:<19}: {:>9.3} ms over {} rounds",
             phase.name(),
-            ms(h.p95_ns),
+            ms(h.p95_ns()),
             h.count
         );
     }
