@@ -195,6 +195,13 @@ mod tests {
     use million_quant::pq::{PqCodebook, PqConfig, PqTrainOptions};
     use std::sync::Arc;
 
+    /// Tokens of the calibration prefill: nearly the tiny model's whole
+    /// 256-token window.
+    const CALIBRATION_TOKENS: usize = 255;
+    /// Disjoint held-out slices scored after the calibration prefix.
+    const SLICES: usize = 4;
+    const SLICE_TOKENS: usize = 96;
+
     fn model_and_tokens() -> (Transformer, Vec<u32>) {
         let config = ModelConfig::tiny_for_tests();
         let model = Transformer::new(config.clone(), 11);
@@ -202,17 +209,35 @@ mod tests {
         (model, corpus.generate(96))
     }
 
-    fn trained_pq_spec(model: &Transformer, tokens: &[u32], m: usize, nbits: u8) -> PqSpec {
-        // Calibrate codebooks on the KV produced by a short prefill.
-        let config = model.config().clone();
-        let mut caches = build_caches(&config, &CacheSpec::Full);
+    /// The tiny model, the KV captured from a prefill of a calibration
+    /// prefix, and the held-out slices that follow that prefix in the same
+    /// stream.
+    fn calibrated_model_and_held_out_slices() -> (Transformer, KvCapture, Vec<Vec<u32>>) {
+        let config = ModelConfig::tiny_for_tests();
+        let model = Transformer::new(config.clone(), 11);
+        let corpus = SyntheticCorpus::new(CorpusConfig::wikitext2_like(config.vocab_size));
+        let stream = corpus.generate(CALIBRATION_TOKENS + SLICES * SLICE_TOKENS);
+        let (calibration, held_out) = stream.split_at(CALIBRATION_TOKENS);
+        let capture = calibration_capture(&model, calibration);
+        let slices = held_out.chunks(SLICE_TOKENS).map(<[u32]>::to_vec).collect();
+        (model, capture, slices)
+    }
+
+    /// The KV vectors a full-precision prefill of `calibration` produces.
+    fn calibration_capture(model: &Transformer, calibration: &[u32]) -> KvCapture {
+        let config = model.config();
+        let mut caches = build_caches(config, &CacheSpec::Full);
         let mut capture = KvCapture::new(config.n_layers, config.head_dim(), 512);
-        let _ = model.prefill(&tokens[..64], &mut caches, Some(&mut capture));
+        let _ = model.prefill(calibration, &mut caches, Some(&mut capture));
+        capture
+    }
+
+    fn trained_pq_spec(model: &Transformer, capture: &KvCapture, m: usize, nbits: u8) -> PqSpec {
         let pq_config = PqConfig::new(m, nbits).unwrap();
         let opts = PqTrainOptions::default();
         let mut key_cbs = Vec::new();
         let mut value_cbs = Vec::new();
-        for l in 0..config.n_layers {
+        for l in 0..model.config().n_layers {
             key_cbs.push(Arc::new(
                 PqCodebook::train(&pq_config, &capture.key_head_vectors(l), &opts, 1).unwrap(),
             ));
@@ -247,7 +272,12 @@ mod tests {
         for spec in [
             CacheSpec::Kivi(KiviConfig::default()),
             CacheSpec::KvQuant(KvQuantConfig::default()),
-            CacheSpec::Pq(trained_pq_spec(&model, &tokens, 16, 8)),
+            CacheSpec::Pq(trained_pq_spec(
+                &model,
+                &calibration_capture(&model, &tokens[..64]),
+                16,
+                8,
+            )),
         ] {
             let report = evaluate_perplexity_against(&model, &spec, &tokens, 8, &teacher);
             assert!(
@@ -261,12 +291,16 @@ mod tests {
         }
     }
 
+    /// 8 bits per channel (m = 16 single-channel subspaces at head_dim 16,
+    /// 8-bit codes) stays within 10 % of the fp16 perplexity. In sample: the
+    /// codebooks are calibrated on the first 64 of the 96 scored tokens.
     #[test]
     fn million_ppl_is_close_to_baseline() {
         let (model, tokens) = model_and_tokens();
         let teacher = teacher_log_probs(&model, &tokens, 8);
         let baseline = evaluate_perplexity_against(&model, &CacheSpec::Full, &tokens, 8, &teacher);
-        let spec = CacheSpec::Pq(trained_pq_spec(&model, &tokens, 16, 8));
+        let capture = calibration_capture(&model, &tokens[..64]);
+        let spec = CacheSpec::Pq(trained_pq_spec(&model, &capture, 16, 8));
         let million = evaluate_perplexity_against(&model, &spec, &tokens, 8, &teacher);
         let degradation = million.degradation_vs(&baseline);
         assert!(
@@ -277,32 +311,84 @@ mod tests {
         );
     }
 
+    /// The same 8-bit-per-channel geometry calibrated on the disjoint
+    /// 255-token prefix and held to the same 10 % bound on every held-out
+    /// slice. 256 centroids per channel from 510 calibration vectors are
+    /// starved: it reads 18.2 / 28.7 / 19.7 / 5.4 %.
     #[test]
-    fn million_beats_low_bit_kvquant() {
-        let (model, tokens) = model_and_tokens();
-        let teacher = teacher_log_probs(&model, &tokens, 8);
-        let million = evaluate_perplexity_against(
-            &model,
-            &CacheSpec::Pq(trained_pq_spec(&model, &tokens, 16, 8)),
-            &tokens,
-            8,
-            &teacher,
-        );
-        let kvquant = evaluate_perplexity_against(
-            &model,
-            &CacheSpec::KvQuant(KvQuantConfig {
+    #[ignore = "ROADMAP item 6(a): starved calibration, 5.4-28.7 % held out"]
+    fn million_ppl_is_close_to_baseline_held_out() {
+        let (model, capture, slices) = calibrated_model_and_held_out_slices();
+        let spec = CacheSpec::Pq(trained_pq_spec(&model, &capture, 16, 8));
+        for (i, slice) in slices.iter().enumerate() {
+            let teacher = teacher_log_probs(&model, slice, 8);
+            let baseline =
+                evaluate_perplexity_against(&model, &CacheSpec::Full, slice, 8, &teacher);
+            let million = evaluate_perplexity_against(&model, &spec, slice, 8, &teacher);
+            let degradation = million.degradation_vs(&baseline);
+            assert!(
+                degradation < 10.0,
+                "slice {i}: MILLION degradation {degradation:.2}% too large (ppl {} vs {})",
+                million.ppl,
+                baseline.ppl
+            );
+        }
+    }
+
+    /// Mean held-out KL and KV bytes of three caches: PQ (m = 8 two-channel
+    /// subspaces, 8-bit codes), a scalar codebook at PQ's bytes (m = 16
+    /// single channels, 4-bit codes: KVQuant's per-channel non-uniform
+    /// datatype without pre-RoPE keys or sparse outliers), both trained from
+    /// one capture of the calibration prefix, and 2-bit online KVQuant.
+    fn pq_scalar_and_kvquant_held_out() -> [(f64, usize); 3] {
+        let (model, capture, slices) = calibrated_model_and_held_out_slices();
+        let specs = [
+            CacheSpec::Pq(trained_pq_spec(&model, &capture, 8, 8)),
+            CacheSpec::Pq(trained_pq_spec(&model, &capture, 16, 4)),
+            CacheSpec::KvQuant(KvQuantConfig {
                 bits: 2,
                 ..KvQuantConfig::default()
             }),
-            &tokens,
-            8,
-            &teacher,
-        );
+        ];
+        let mut rows = [(0.0, 0); 3];
+        for slice in &slices {
+            let teacher = teacher_log_probs(&model, slice, 8);
+            for ((kl, bytes), spec) in rows.iter_mut().zip(&specs) {
+                let report = evaluate_perplexity_against(&model, spec, slice, 8, &teacher);
+                *kl += report.kl_vs_fp16 / slices.len() as f64;
+                *bytes = report.kv_bytes;
+            }
+        }
+        rows
+    }
+
+    /// Held out, 4 bits per channel of PQ beat 2-bit online KVQuant, whose
+    /// f32 level tables make it the larger cache (15,104 B against PQ's
+    /// 6,080 B at 95 cached tokens), and cost exactly the equal-bytes scalar
+    /// codebook's bytes. Mean KL reads PQ 0.256, KVQuant-2b 0.377.
+    #[test]
+    fn million_beats_low_bit_kvquant() {
+        let [(pq, pq_bytes), (_, scalar_bytes), (kvquant, kvquant_bytes)] =
+            pq_scalar_and_kvquant_held_out();
+        assert_eq!(pq_bytes, scalar_bytes, "PQ and scalar cost equal bytes");
+        assert!(kvquant_bytes > pq_bytes, "{kvquant_bytes} vs {pq_bytes} B");
         assert!(
-            million.kl_vs_fp16 < kvquant.kl_vs_fp16,
-            "million KL {:.4} vs kvquant-2b KL {:.4}",
-            million.kl_vs_fp16,
-            kvquant.kl_vs_fp16
+            pq < kvquant,
+            "mean KL: PQ {pq:.4} at {pq_bytes} B vs KVQuant-2b {kvquant:.4} at {kvquant_bytes} B"
+        );
+    }
+
+    /// The paper's ordering at equal bytes: vector PQ beats the scalar
+    /// codebook. With 510 calibration vectors (two per 8-bit PQ centroid) the
+    /// gap is inside k-means seed noise: mean KL reads PQ 0.256 vs scalar
+    /// 0.244 with these training seeds.
+    #[test]
+    #[ignore = "ROADMAP item 6(a): PQ 0.256 vs scalar 0.244 at 255 calibration tokens"]
+    fn million_beats_equal_bytes_scalar_held_out() {
+        let [(pq, _), (scalar, _), _] = pq_scalar_and_kvquant_held_out();
+        assert!(
+            pq < scalar,
+            "mean KL: PQ {pq:.4} vs scalar {scalar:.4} at equal bytes"
         );
     }
 
@@ -320,7 +406,12 @@ mod tests {
         );
         let million = evaluate_perplexity_against(
             &model,
-            &CacheSpec::Pq(trained_pq_spec(&model, &tokens, 8, 8)),
+            &CacheSpec::Pq(trained_pq_spec(
+                &model,
+                &calibration_capture(&model, &tokens[..64]),
+                8,
+                8,
+            )),
             &tokens,
             8,
             &teacher,
