@@ -1,5 +1,6 @@
 //! The paper's quality evidence from one row loop: Table II (KL and
-//! perplexity against the fp16 cache for KIVI, KVQuant and MILLION), the
+//! perplexity against the fp16 cache for KIVI, KVQuant, MILLION and scalar
+//! codebooks at MILLION's bytes), the
 //! footnote-2 `(M, nbits)` sweep, Table III(b) (key reconstruction error with
 //! and without 1 % outlier extraction) and Fig. 6 (LongBench-style
 //! fidelity of 4-bit MILLION with no residual window).
@@ -15,9 +16,11 @@
 //! "ppl" is `exp(cross-entropy against the fp16 reference)` and "KL" its
 //! excess over the fp16 row (see `million_eval::perplexity`). The online
 //! baselines fit their levels on the tokens they cache, so their labels say
-//! so.
+//! so; KVQuant's also say how many cached tokens it still holds dense.
 //!
-//! Run with `cargo run --release -p million_bench --bin quality`.
+//! Run with `cargo run --release -p million_bench --bin quality`. It runs its
+//! fork-join loops on one thread: the output is the same at two, and the
+//! vendored pool's per-call thread spawns only add system time.
 
 use million::MillionConfig;
 use million_bench::{
@@ -163,6 +166,8 @@ fn longbench_rows(model: &Transformer, spec: &CacheSpec) -> Vec<LongBenchRow> {
 }
 
 fn main() {
+    // The vendored rayon reads this once, on first use.
+    std::env::set_var("RAYON_NUM_THREADS", "1");
     let llama = ModelConfig::llama2_7b_sim();
     let mut report = Report {
         rows: Vec::new(),

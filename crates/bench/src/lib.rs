@@ -119,8 +119,9 @@ pub struct ModelMethods {
     pub million3: TrainedCodebooks,
     /// MILLION-4b codebooks: `M = head_dim / 2`, 8-bit codes.
     pub million4: TrainedCodebooks,
-    /// fp16, KIVI-4b, KVQuant-3b/4b with and without 1 % outliers, and
-    /// MILLION-3b/4b, in table order.
+    /// fp16, KIVI-4b, KVQuant-3b/4b with and without 1 % outliers,
+    /// MILLION-3b/4b, and the scalar codebooks at MILLION-3b/4b's bytes, in
+    /// table order.
     pub methods: Vec<Method>,
 }
 
@@ -142,13 +143,25 @@ fn pq_label(name: &str, pq: &PqConfig) -> String {
 }
 
 /// Trains MILLION-3b and -4b on `calibration` and lists every method the
-/// quality table scores on each corpus.
+/// quality table scores on each corpus. The scalar rows are one channel per
+/// subspace at 3 and 4 bits: KVQuant's offline per-channel non-uniform
+/// datatype (without pre-RoPE keys or sparse outliers), trained the same
+/// way on the same tokens, at exactly MILLION-3b and -4b's bytes.
 pub fn model_methods(model: &Transformer, calibration: &[u32]) -> ModelMethods {
     let head_dim = model.config().head_dim();
     let three = MillionConfig::three_bit(head_dim);
     let four = MillionConfig::four_bit(head_dim);
     let (million3, spec3) = trained_million_spec(model, &three, calibration);
     let (million4, spec4) = trained_million_spec(model, &four, calibration);
+    let scalar = |bits: u8| Method {
+        label: format!("scalar NUQ-{bits}b (offline, per-channel)"),
+        spec: trained_million_spec(
+            model,
+            &MillionConfig::new(PqConfig::new(head_dim, bits).expect("valid scalar geometry")),
+            calibration,
+        )
+        .1,
+    };
     let methods = vec![
         Method {
             label: "fp16".into(),
@@ -164,12 +177,14 @@ pub fn model_methods(model: &Transformer, calibration: &[u32]) -> ModelMethods {
             label: pq_label("MILLION-3b", &three.pq),
             spec: spec3,
         },
+        scalar(3),
         kvquant(4, 0.0),
         kvquant(4, 0.01),
         Method {
             label: pq_label("MILLION-4b", &four.pq),
             spec: spec4,
         },
+        scalar(4),
     ];
     ModelMethods {
         million3,
@@ -218,7 +233,8 @@ pub struct QualityRow {
 }
 
 /// Scores every method on `stream` against the model's fp16 teacher, which
-/// is computed once.
+/// is computed once. A KVQuant label says how many cached tokens it still
+/// holds dense: it codes whole `requant_block`s only.
 pub fn quality_rows(
     model: &Transformer,
     corpus: &str,
@@ -226,17 +242,25 @@ pub fn quality_rows(
     methods: &[Method],
 ) -> Vec<QualityRow> {
     let teacher = teacher_log_probs(model, stream, SEED_LEN);
-    let cached_tokens = (stream.len() - 1) as f64;
+    let cached_tokens = stream.len() - 1;
     methods
         .iter()
         .map(|method| {
             let report =
                 evaluate_perplexity_against(model, &method.spec, stream, SEED_LEN, &teacher);
+            let label = match &method.spec {
+                CacheSpec::KvQuant(config) => format!(
+                    "{} [{} of {cached_tokens} tokens dense]",
+                    method.label,
+                    cached_tokens % config.requant_block
+                ),
+                _ => method.label.clone(),
+            };
             QualityRow {
                 model: model.config().name.clone(),
                 corpus: corpus.to_string(),
-                method: method.label.clone(),
-                bytes_per_token: report.kv_bytes as f64 / cached_tokens,
+                method: label,
+                bytes_per_token: report.kv_bytes as f64 / cached_tokens as f64,
                 kl_vs_fp16: report.kl_vs_fp16,
                 ppl: report.ppl,
             }
@@ -292,12 +316,33 @@ mod tests {
                 row.kl_vs_fp16
             );
         }
-        let pq4 = rows
-            .iter()
-            .find(|r| r.method.starts_with("MILLION-4b"))
-            .expect("MILLION-4b row");
+        let bytes_per_token = |prefix: &str| {
+            rows.iter()
+                .find(|r| r.method.starts_with(prefix))
+                .unwrap_or_else(|| panic!("{prefix} row"))
+                .bytes_per_token
+        };
         let code_bytes =
             config.n_layers * config.n_kv_heads * 2 * set.million4.key[0].bytes_per_vector();
-        assert_eq!(pq4.bytes_per_token, code_bytes as f64);
+        assert_eq!(bytes_per_token("MILLION-4b"), code_bytes as f64);
+        // The scalar rows cost exactly MILLION's bytes at the same bits.
+        assert_eq!(
+            bytes_per_token("scalar NUQ-4b"),
+            bytes_per_token("MILLION-4b")
+        );
+        assert_eq!(
+            bytes_per_token("scalar NUQ-3b"),
+            bytes_per_token("MILLION-3b")
+        );
+        // 95 cached tokens: KVQuant codes one 64-token block, holds 31 dense.
+        let kvquant = rows
+            .iter()
+            .find(|r| r.method.starts_with("KVQuant-4b"))
+            .expect("KVQuant-4b row");
+        assert!(
+            kvquant.method.ends_with("[31 of 95 tokens dense]"),
+            "{}",
+            kvquant.method
+        );
     }
 }
