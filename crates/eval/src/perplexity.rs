@@ -232,17 +232,33 @@ mod tests {
         capture
     }
 
-    fn trained_pq_spec(model: &Transformer, capture: &KvCapture, m: usize, nbits: u8) -> PqSpec {
+    /// Training seeds of the key and the value codebooks.
+    const SEEDS: (u64, u64) = (1, 2);
+
+    fn trained_pq_spec(
+        model: &Transformer,
+        capture: &KvCapture,
+        m: usize,
+        nbits: u8,
+        (key_seed, value_seed): (u64, u64),
+    ) -> PqSpec {
         let pq_config = PqConfig::new(m, nbits).unwrap();
         let opts = PqTrainOptions::default();
         let mut key_cbs = Vec::new();
         let mut value_cbs = Vec::new();
         for l in 0..model.config().n_layers {
             key_cbs.push(Arc::new(
-                PqCodebook::train(&pq_config, &capture.key_head_vectors(l), &opts, 1).unwrap(),
+                PqCodebook::train(&pq_config, &capture.key_head_vectors(l), &opts, key_seed)
+                    .unwrap(),
             ));
             value_cbs.push(Arc::new(
-                PqCodebook::train(&pq_config, &capture.value_head_vectors(l), &opts, 2).unwrap(),
+                PqCodebook::train(
+                    &pq_config,
+                    &capture.value_head_vectors(l),
+                    &opts,
+                    value_seed,
+                )
+                .unwrap(),
             ));
         }
         PqSpec {
@@ -277,6 +293,7 @@ mod tests {
                 &calibration_capture(&model, &tokens[..64]),
                 16,
                 8,
+                SEEDS,
             )),
         ] {
             let report = evaluate_perplexity_against(&model, &spec, &tokens, 8, &teacher);
@@ -300,7 +317,7 @@ mod tests {
         let teacher = teacher_log_probs(&model, &tokens, 8);
         let baseline = evaluate_perplexity_against(&model, &CacheSpec::Full, &tokens, 8, &teacher);
         let capture = calibration_capture(&model, &tokens[..64]);
-        let spec = CacheSpec::Pq(trained_pq_spec(&model, &capture, 16, 8));
+        let spec = CacheSpec::Pq(trained_pq_spec(&model, &capture, 16, 8, SEEDS));
         let million = evaluate_perplexity_against(&model, &spec, &tokens, 8, &teacher);
         let degradation = million.degradation_vs(&baseline);
         assert!(
@@ -319,7 +336,7 @@ mod tests {
     #[ignore = "ROADMAP item 6(a): starved calibration, 5.4-28.7 % held out"]
     fn million_ppl_is_close_to_baseline_held_out() {
         let (model, capture, slices) = calibrated_model_and_held_out_slices();
-        let spec = CacheSpec::Pq(trained_pq_spec(&model, &capture, 16, 8));
+        let spec = CacheSpec::Pq(trained_pq_spec(&model, &capture, 16, 8, SEEDS));
         for (i, slice) in slices.iter().enumerate() {
             let teacher = teacher_log_probs(&model, slice, 8);
             let baseline =
@@ -343,8 +360,8 @@ mod tests {
     fn pq_scalar_and_kvquant_held_out() -> [(f64, usize); 3] {
         let (model, capture, slices) = calibrated_model_and_held_out_slices();
         let specs = [
-            CacheSpec::Pq(trained_pq_spec(&model, &capture, 8, 8)),
-            CacheSpec::Pq(trained_pq_spec(&model, &capture, 16, 4)),
+            CacheSpec::Pq(trained_pq_spec(&model, &capture, 8, 8, SEEDS)),
+            CacheSpec::Pq(trained_pq_spec(&model, &capture, 16, 4, SEEDS)),
             CacheSpec::KvQuant(KvQuantConfig {
                 bits: 2,
                 ..KvQuantConfig::default()
@@ -379,13 +396,32 @@ mod tests {
     }
 
     /// The paper's ordering at equal bytes: vector PQ beats the scalar
-    /// codebook. With 510 calibration vectors (two per 8-bit PQ centroid) the
-    /// gap is inside k-means seed noise: mean KL reads PQ 0.256 vs scalar
-    /// 0.244 with these training seeds.
+    /// codebook, in mean KL over the four held-out slices and eight
+    /// training-seed pairs `(2s + 1, 2s + 2)`, `s` in `0..8`, fixed before
+    /// the test was first run. One seed pair cannot carry the ordering at
+    /// 510 calibration vectors (two per 8-bit PQ centroid): k-means seed
+    /// noise alone moves either mean by more than the gap. Reads PQ 0.234,
+    /// scalar 0.381.
     #[test]
-    #[ignore = "ROADMAP item 6(a): PQ 0.256 vs scalar 0.244 at 255 calibration tokens"]
     fn million_beats_equal_bytes_scalar_held_out() {
-        let [(pq, _), (scalar, _), _] = pq_scalar_and_kvquant_held_out();
+        let (model, capture, slices) = calibrated_model_and_held_out_slices();
+        let teachers: Vec<_> = slices
+            .iter()
+            .map(|s| teacher_log_probs(&model, s, 8))
+            .collect();
+        let (mut pq, mut scalar) = (0.0, 0.0);
+        let pairs = 8;
+        for s in 0..pairs {
+            let seeds = (2 * s + 1, 2 * s + 2);
+            for (kl, (m, nbits)) in [(&mut pq, (8, 8)), (&mut scalar, (16, 4))] {
+                let spec = CacheSpec::Pq(trained_pq_spec(&model, &capture, m, nbits, seeds));
+                for (slice, teacher) in slices.iter().zip(&teachers) {
+                    let report = evaluate_perplexity_against(&model, &spec, slice, 8, teacher);
+                    *kl += report.kl_vs_fp16 / (pairs as usize * slices.len()) as f64;
+                }
+            }
+        }
+        println!("mean KL over {pairs} seed pairs: PQ {pq:.4}, scalar {scalar:.4}");
         assert!(
             pq < scalar,
             "mean KL: PQ {pq:.4} vs scalar {scalar:.4} at equal bytes"
@@ -411,6 +447,7 @@ mod tests {
                 &calibration_capture(&model, &tokens[..64]),
                 8,
                 8,
+                SEEDS,
             )),
             &tokens,
             8,

@@ -2,12 +2,24 @@
 //!
 //! Used both for PQ codebook training (N-dimensional subvectors) and for
 //! KVQuant-style non-uniform scalar quantization (1-dimensional values).
+//!
+//! A run is exact: its centroids, assignments, iteration count and inertia
+//! are the bits of the textbook loops, which the tests keep as references
+//! and compare with by `to_bits`. It is faster than those loops in two
+//! places, and each leaves every float operation's operands and order as
+//! they were:
+//!
+//! * seeding holds the samples channel-major, so each new centroid's
+//!   distance to every sample is one vectorisable pass;
+//! * after the first iteration, a sample whose centroid did not move in the
+//!   last update rescans only the centroids that did (see [`kmeans`]).
+//!
+//! The one nearest-centroid scan of the crate, `nearest`, serves both the
+//! assignment step and PQ encoding.
 
-use million_tensor::ops::squared_distance;
 use million_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::QuantError;
 
@@ -44,6 +56,21 @@ pub struct KMeansResult {
 
 /// Runs k-means++ initialised Lloyd's algorithm on the rows of `samples`.
 ///
+/// Each assignment step gives every sample its nearest centroid, the lowest
+/// index on ties. A centroid is a *mover* if the update before changed the
+/// bits of any of its coordinates. A centroid that did not move is at the
+/// same distance from every sample, to the bit, as in the step before, so a
+/// sample whose own centroid `a` did not move, at a finite distance `d_a`,
+/// still has `a` as its nearest among the centroids that did not move
+/// either. It scans only the movers and takes mover `c` at distance `d` if
+/// `d < d_a`, or `d == d_a` and `c < a`. The first step, and every sample
+/// whose centroid moved, scans all `k` centroids. The result is the same as
+/// a full scan of every sample in every step.
+///
+/// The CPU is checked once per run: on x86-64 with AVX-512F or AVX2 the run
+/// is an AVX-512F or AVX2 build of the same source, with the same bits
+/// (`docs/PERF.md`, "ISA dispatch").
+///
 /// # Errors
 ///
 /// Returns [`QuantError::InvalidConfig`] if `k == 0` or `k > u16::MAX + 1`,
@@ -54,81 +81,213 @@ pub fn kmeans(
     options: &KMeansOptions,
     rng: &mut StdRng,
 ) -> Result<KMeansResult, QuantError> {
-    lloyd(samples, k, options, rng, nearest_in_planes)
-}
-
-/// [`kmeans`] with the assignment-step scan as a parameter
-/// (`scan(sample, planes, k)` over the `[dim][k]` centroid planes), so the
-/// tests can drive the same loop with the scalar reference scan.
-pub(crate) fn lloyd(
-    samples: &Matrix,
-    k: usize,
-    options: &KMeansOptions,
-    rng: &mut StdRng,
-    scan: impl Fn(&[f32], &[f32], usize) -> (usize, f32) + Sync,
-) -> Result<KMeansResult, QuantError> {
     if k == 0 || k > (u16::MAX as usize + 1) {
         return Err(QuantError::InvalidConfig(format!(
             "cluster count {k} not in 1..=65536"
         )));
     }
-    let n = samples.rows();
-    let dim = samples.cols();
-    if n == 0 || dim == 0 {
+    if samples.rows() == 0 || samples.cols() == 0 {
         return Err(QuantError::InsufficientData(
             "k-means requires at least one sample with nonzero dimension".into(),
         ));
     }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU supports AVX-512F, checked on the line above.
+            return Ok(unsafe { run_avx512f(samples, k, options, rng) });
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked on the line above.
+            return Ok(unsafe { run_avx2(samples, k, options, rng) });
+        }
+    }
+    Ok(run(samples, k, options, rng))
+}
 
-    let mut centroids = init_plus_plus(samples, k, rng);
+/// The body of [`kmeans`] that every instruction-set build compiles, for
+/// `1 <= k <= 65536` and a non-empty `samples`.
+#[inline(always)]
+fn run(samples: &Matrix, k: usize, options: &KMeansOptions, rng: &mut StdRng) -> KMeansResult {
+    let centroids = init_plus_plus(samples, k, rng);
+    lloyd(samples, centroids, options, rng)
+}
+
+/// [`run`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2(samples: &Matrix, k: usize, options: &KMeansOptions, rng: &mut StdRng) -> KMeansResult {
+    run(samples, k, options, rng)
+}
+
+/// [`run`] compiled for AVX-512F. Only training gets this build of the scan:
+/// `PqCodebook::encode_into` runs on the core that decodes, and its
+/// AVX-512F build slowed decode (`docs/PERF.md`, "ISA dispatch").
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512f(
+    samples: &Matrix,
+    k: usize,
+    options: &KMeansOptions,
+    rng: &mut StdRng,
+) -> KMeansResult {
+    run(samples, k, options, rng)
+}
+
+/// k-means++ seeding: the first centroid is sampled uniformly, subsequent
+/// centroids proportionally to their squared distance from the closest
+/// already-chosen centroid.
+///
+/// The distances to each new centroid are one pass over channel-major
+/// planes of the samples; the sum of the minima and the pick scan stay
+/// sequential f64 chains in sample order.
+#[inline(always)]
+fn init_plus_plus(samples: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
+    let n = samples.rows();
+    let dim = samples.cols();
+    let mut centroids = Matrix::zeros(k, dim);
+
+    let first = rng.gen_range(0..n);
+    centroids.row_mut(0).copy_from_slice(samples.row(first));
+
+    let planes = samples.transpose();
+    let mut min_dist = vec![0.0f32; n];
+    distances_into(planes.as_slice(), centroids.row(0), &mut min_dist);
+    let mut dist = vec![0.0f32; n];
+
+    for c in 1..k {
+        let total = total_weight(&min_dist);
+        let pick = if total <= 0.0 {
+            rng.gen_range(0..n)
+        } else {
+            let mut target = rng.gen_range(0.0..total);
+            let mut chosen = n - 1;
+            for (i, &d) in min_dist.iter().enumerate() {
+                target -= d as f64;
+                if target <= 0.0 {
+                    chosen = i;
+                    break;
+                }
+            }
+            chosen
+        };
+        centroids.row_mut(c).copy_from_slice(samples.row(pick));
+        distances_into(planes.as_slice(), centroids.row(c), &mut dist);
+        for (slot, &d) in min_dist.iter_mut().zip(&dist) {
+            *slot = if d < *slot { d } else { *slot };
+        }
+    }
+    centroids
+}
+
+/// The f64 sum of the k-means++ weights in index order, one dependent chain.
+/// A regrouped sum can round differently and move the draw, so it must stay
+/// sequential even though it bounds seeding's speed.
+#[inline(always)]
+fn total_weight(min_dist: &[f32]) -> f64 {
+    min_dist.iter().map(|&d| d as f64).sum()
+}
+
+/// Writes every sample's squared distance to `centroid` into `out`, where
+/// `planes` holds the samples channel-major (`planes[j * n + i]` is channel
+/// `j` of sample `i`). Each distance accumulates from `+0.0` in channel
+/// order, as [`million_tensor::ops::squared_distance`] does.
+#[inline(always)]
+fn distances_into(planes: &[f32], centroid: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    for (plane, &y) in planes.chunks_exact(out.len()).zip(centroid) {
+        for (d, &x) in out.iter_mut().zip(plane) {
+            let diff = x - y;
+            *d += diff * diff;
+        }
+    }
+}
+
+/// Lloyd iterations from `centroids`, the assignment step as [`kmeans`]
+/// describes it. Inertia sums the samples' distances in sample order, the
+/// update sums each cluster's samples in sample order, and empty clusters
+/// are re-seeded in index order, each with one draw from `rng`.
+#[inline(always)]
+fn lloyd(
+    samples: &Matrix,
+    mut centroids: Matrix,
+    options: &KMeansOptions,
+    rng: &mut StdRng,
+) -> KMeansResult {
+    let (n, dim) = samples.shape();
+    let k = centroids.rows();
+    let rows = || samples.as_slice().chunks_exact(dim);
+
     let mut assignments = vec![0u16; n];
+    // Each sample's distance to its assigned centroid, as last scanned.
+    let mut dists = vec![f32::INFINITY; n];
+    // `[dim][k]` planes of all centroids, and of the movers alone in
+    // ascending index order.
+    let mut planes = centroids.transpose();
+    let mut moved = vec![true; k];
+    let mut movers: Vec<usize> = Vec::with_capacity(k);
+    let mut mover_planes: Vec<f32> = Vec::with_capacity(k * dim);
+    let mut sums = vec![0.0f64; k * dim];
+    let mut counts = vec![0usize; k];
     let mut prev_inertia = f64::INFINITY;
     let mut inertia = f64::INFINITY;
     let mut iterations = 0;
 
     for iter in 0..options.max_iters {
         iterations = iter + 1;
-        // Assignment step (parallel over samples), scanning the centroids
-        // channel-major so the distances of 16 centroids advance together.
-        let planes = centroids.transpose();
-        let results: Vec<(u16, f64)> = (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let (best, dist) = scan(samples.row(i), planes.as_slice(), k);
-                (best as u16, dist as f64)
-            })
-            .collect();
-        inertia = 0.0;
-        for (i, (a, d)) in results.into_iter().enumerate() {
-            assignments[i] = a;
-            inertia += d;
-        }
-
-        // Update step.
-        let mut sums = vec![0.0f64; k * dim];
-        let mut counts = vec![0usize; k];
-        for (i, &a) in assignments.iter().enumerate() {
-            let row = samples.row(i);
-            counts[a as usize] += 1;
-            let base = a as usize * dim;
-            for (j, &v) in row.iter().enumerate() {
-                sums[base + j] += v as f64;
+        // Assignment step. An infinite distance may stand for an all-NaN
+        // scan (index 0), so such a sample always rescans.
+        for ((sample, own), dist) in rows().zip(&mut assignments).zip(&mut dists) {
+            if moved[*own as usize] || !dist.is_finite() {
+                let (best, d) = nearest(sample, planes.as_slice(), k);
+                *own = best as u16;
+                *dist = d;
+            } else if !movers.is_empty() {
+                let (m, d) = nearest(sample, &mover_planes, movers.len());
+                let c = movers[m];
+                if d < *dist || (d == *dist && c < *own as usize) {
+                    *own = c as u16;
+                    *dist = d;
+                }
             }
         }
-        for c in 0..k {
+        inertia = 0.0;
+        for &d in &dists {
+            inertia += d as f64;
+        }
+
+        // Update step. A centroid is a mover if any coordinate's bits
+        // change.
+        sums.fill(0.0);
+        counts.fill(0);
+        for (sample, &a) in rows().zip(&assignments) {
+            counts[a as usize] += 1;
+            for (sum, &v) in sums[a as usize * dim..][..dim].iter_mut().zip(sample) {
+                *sum += v as f64;
+            }
+        }
+        movers.clear();
+        for (c, flag) in moved.iter_mut().enumerate() {
+            *flag = false;
+            let mut set = |j: usize, v: f32| {
+                *flag |= centroids.get(c, j).to_bits() != v.to_bits();
+                centroids.set(c, j, v);
+            };
             if counts[c] == 0 {
                 // Re-seed empty clusters with a random sample to keep all
                 // 2^nbits codebook entries useful.
                 let pick = rng.gen_range(0..n);
-                let row = samples.row(pick);
-                for (j, &v) in row.iter().enumerate() {
-                    centroids.set(c, j, v);
+                for (j, &v) in samples.row(pick).iter().enumerate() {
+                    set(j, v);
                 }
-                continue;
+            } else {
+                let inv = 1.0 / counts[c] as f64;
+                for j in 0..dim {
+                    set(j, (sums[c * dim + j] * inv) as f32);
+                }
             }
-            let inv = 1.0 / counts[c] as f64;
-            for j in 0..dim {
-                centroids.set(c, j, (sums[c * dim + j] * inv) as f32);
+            if *flag {
+                movers.push(c);
             }
         }
 
@@ -139,25 +298,35 @@ pub(crate) fn lloyd(
             }
         }
         prev_inertia = inertia;
+
+        // Only the movers can take a sample from a centroid that stayed put.
+        mover_planes.clear();
+        for j in 0..dim {
+            for &c in &movers {
+                planes.set(j, c, centroids.get(c, j));
+            }
+            mover_planes.extend(movers.iter().map(|&c| centroids.get(c, j)));
+        }
     }
 
-    Ok(KMeansResult {
+    KMeansResult {
         centroids,
         assignments,
         inertia,
         iterations,
-    })
+    }
 }
 
-/// Centroids scanned together by [`nearest_in_planes`], one running minimum
-/// per lane: two 8-lane registers under AVX2, four 4-lane ones under SSE2.
+/// Centroids scanned together by [`nearest`], one running minimum per lane:
+/// one 16-lane register under AVX-512F, two 8-lane ones under AVX2, four
+/// 4-lane ones under SSE2.
 const LANES: usize = 16;
 
 /// Finds the nearest centroid (index, squared distance) of `sample` among
 /// `k` centroids stored channel-major: `planes[j * k + c]` is channel `j` of
 /// centroid `c`, so `planes.len() == sample.len() * k`.
 ///
-/// The one nearest-centroid scan of the crate — PQ encoding runs it once per
+/// The one nearest-centroid scan of the crate: PQ encoding runs it once per
 /// subspace, k-means once per sample and iteration. Each distance
 /// accumulates from `0.0` in channel order, as
 /// [`million_tensor::ops::squared_distance`] does, and the winner is the
@@ -167,24 +336,12 @@ const LANES: usize = 16;
 /// chunk follows with one running `(min, chunk)` pair per lane instead of
 /// one chain of `k` dependent compares.
 ///
-/// On an x86-64 CPU with AVX2 the scan runs as an AVX2 build of the same
-/// source, with the same bits (see `docs/PERF.md`, "ISA dispatch").
+/// Every instruction-set build of [`kmeans`] and of
+/// [`crate::pq::PqCodebook::encode_into`] inlines this body.
 ///
 /// # Panics
 ///
 /// Panics if `planes.len() != sample.len() * k`.
-pub fn nearest_in_planes(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, checked on the line above.
-        return unsafe { nearest_avx2(sample, planes, k) };
-    }
-    nearest(sample, planes, k)
-}
-
-/// The body of [`nearest_in_planes`] that every instruction-set build
-/// compiles; [`crate::pq::PqCodebook::encode_into`] inlines it into its own
-/// per-vector builds.
 #[inline(always)]
 pub(crate) fn nearest(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
     assert_eq!(planes.len(), sample.len() * k, "centroid plane shape");
@@ -197,13 +354,6 @@ pub(crate) fn nearest(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) 
         8 => scan_planes(&sample[..8], planes, k),
         _ => scan_planes(sample, planes, k),
     }
-}
-
-/// [`nearest`] compiled for AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn nearest_avx2(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
-    nearest(sample, planes, k)
 }
 
 #[inline(always)]
@@ -255,72 +405,6 @@ fn scan_planes(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
     (best, best_dist)
 }
 
-/// The scalar scan over row-major centroids that [`nearest_in_planes`]
-/// replaced, kept as its bit-identity reference.
-#[cfg(test)]
-pub(crate) fn nearest_centroid(sample: &[f32], centroids: &Matrix) -> (usize, f32) {
-    let mut best = 0usize;
-    let mut best_dist = f32::INFINITY;
-    for c in 0..centroids.rows() {
-        let d = squared_distance(sample, centroids.row(c));
-        if d < best_dist {
-            best_dist = d;
-            best = c;
-        }
-    }
-    (best, best_dist)
-}
-
-/// [`nearest_centroid`] behind the plane-scan signature, for driving
-/// [`lloyd`] with the reference scan.
-#[cfg(test)]
-pub(crate) fn reference_scan(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
-    let planes = Matrix::from_vec(sample.len(), k, planes.to_vec()).expect("plane shape");
-    nearest_centroid(sample, &planes.transpose())
-}
-
-/// k-means++ seeding: the first centroid is sampled uniformly, subsequent
-/// centroids proportionally to their squared distance from the closest
-/// already-chosen centroid.
-fn init_plus_plus(samples: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
-    let n = samples.rows();
-    let dim = samples.cols();
-    let mut centroids = Matrix::zeros(k, dim);
-
-    let first = rng.gen_range(0..n);
-    centroids.row_mut(0).copy_from_slice(samples.row(first));
-
-    let mut min_dist: Vec<f32> = (0..n)
-        .map(|i| squared_distance(samples.row(i), centroids.row(0)))
-        .collect();
-
-    for c in 1..k {
-        let total: f64 = min_dist.iter().map(|&d| d as f64).sum();
-        let pick = if total <= 0.0 {
-            rng.gen_range(0..n)
-        } else {
-            let mut target = rng.gen_range(0.0..total);
-            let mut chosen = n - 1;
-            for (i, &d) in min_dist.iter().enumerate() {
-                target -= d as f64;
-                if target <= 0.0 {
-                    chosen = i;
-                    break;
-                }
-            }
-            chosen
-        };
-        centroids.row_mut(c).copy_from_slice(samples.row(pick));
-        for (i, slot) in min_dist.iter_mut().enumerate() {
-            let d = squared_distance(samples.row(i), centroids.row(c));
-            if d < *slot {
-                *slot = d;
-            }
-        }
-    }
-    centroids
-}
-
 /// Specialised 1-D k-means over a flat slice of values, returning `k` sorted
 /// centroid levels. Used by the NUQ quantizer.
 ///
@@ -341,10 +425,205 @@ pub fn kmeans_1d(
     Ok(levels)
 }
 
+/// The k-means this module replaced, kept as its bit-identity reference:
+/// seeding with one `squared_distance` per sample and chosen centroid, and
+/// Lloyd with a full scan of every sample in every iteration.
+#[cfg(test)]
+pub(crate) mod reference {
+    use million_tensor::ops::squared_distance;
+    use million_tensor::Matrix;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    use rayon::prelude::*;
+
+    use super::{KMeansOptions, KMeansResult};
+    use crate::QuantError;
+
+    /// The scalar scan over row-major centroids that [`super::nearest`]
+    /// replaced, kept as its bit-identity reference.
+    pub(crate) fn nearest_centroid(sample: &[f32], centroids: &Matrix) -> (usize, f32) {
+        let mut best = 0usize;
+        let mut best_dist = f32::INFINITY;
+        for c in 0..centroids.rows() {
+            let d = squared_distance(sample, centroids.row(c));
+            if d < best_dist {
+                best_dist = d;
+                best = c;
+            }
+        }
+        (best, best_dist)
+    }
+
+    /// [`nearest_centroid`] behind the plane-scan signature, for driving
+    /// [`lloyd`] with the reference scan.
+    pub(crate) fn reference_scan(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
+        let planes = Matrix::from_vec(sample.len(), k, planes.to_vec()).expect("plane shape");
+        nearest_centroid(sample, &planes.transpose())
+    }
+
+    /// k-means++-seeded Lloyd with the assignment-step scan as a parameter
+    /// (`scan(sample, planes, k)` over the `[dim][k]` centroid planes).
+    pub(crate) fn lloyd(
+        samples: &Matrix,
+        k: usize,
+        options: &KMeansOptions,
+        rng: &mut StdRng,
+        scan: impl Fn(&[f32], &[f32], usize) -> (usize, f32) + Sync,
+    ) -> Result<KMeansResult, QuantError> {
+        if k == 0 || k > (u16::MAX as usize + 1) {
+            return Err(QuantError::InvalidConfig(format!(
+                "cluster count {k} not in 1..=65536"
+            )));
+        }
+        let n = samples.rows();
+        let dim = samples.cols();
+        if n == 0 || dim == 0 {
+            return Err(QuantError::InsufficientData(
+                "k-means requires at least one sample with nonzero dimension".into(),
+            ));
+        }
+
+        let mut centroids = init_plus_plus(samples, k, rng);
+        let mut assignments = vec![0u16; n];
+        let mut prev_inertia = f64::INFINITY;
+        let mut inertia = f64::INFINITY;
+        let mut iterations = 0;
+
+        for iter in 0..options.max_iters {
+            iterations = iter + 1;
+            // Assignment step (parallel over samples), scanning the
+            // centroids channel-major so the distances of 16 centroids
+            // advance together.
+            let planes = centroids.transpose();
+            let results: Vec<(u16, f64)> = (0..n)
+                .into_par_iter()
+                .map(|i| {
+                    let (best, dist) = scan(samples.row(i), planes.as_slice(), k);
+                    (best as u16, dist as f64)
+                })
+                .collect();
+            inertia = 0.0;
+            for (i, (a, d)) in results.into_iter().enumerate() {
+                assignments[i] = a;
+                inertia += d;
+            }
+
+            // Update step.
+            let mut sums = vec![0.0f64; k * dim];
+            let mut counts = vec![0usize; k];
+            for (i, &a) in assignments.iter().enumerate() {
+                let row = samples.row(i);
+                counts[a as usize] += 1;
+                let base = a as usize * dim;
+                for (j, &v) in row.iter().enumerate() {
+                    sums[base + j] += v as f64;
+                }
+            }
+            for c in 0..k {
+                if counts[c] == 0 {
+                    // Re-seed empty clusters with a random sample to keep
+                    // all 2^nbits codebook entries useful.
+                    let pick = rng.gen_range(0..n);
+                    let row = samples.row(pick);
+                    for (j, &v) in row.iter().enumerate() {
+                        centroids.set(c, j, v);
+                    }
+                    continue;
+                }
+                let inv = 1.0 / counts[c] as f64;
+                for j in 0..dim {
+                    centroids.set(c, j, (sums[c * dim + j] * inv) as f32);
+                }
+            }
+
+            if prev_inertia.is_finite() {
+                let denom = prev_inertia.abs().max(f64::MIN_POSITIVE);
+                if ((prev_inertia - inertia) / denom).abs() < options.tolerance {
+                    break;
+                }
+            }
+            prev_inertia = inertia;
+        }
+
+        Ok(KMeansResult {
+            centroids,
+            assignments,
+            inertia,
+            iterations,
+        })
+    }
+
+    /// k-means++ seeding: the first centroid is sampled uniformly,
+    /// subsequent centroids proportionally to their squared distance from
+    /// the closest already-chosen centroid.
+    pub(crate) fn init_plus_plus(samples: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
+        let n = samples.rows();
+        let dim = samples.cols();
+        let mut centroids = Matrix::zeros(k, dim);
+
+        let first = rng.gen_range(0..n);
+        centroids.row_mut(0).copy_from_slice(samples.row(first));
+
+        let mut min_dist: Vec<f32> = (0..n)
+            .map(|i| squared_distance(samples.row(i), centroids.row(0)))
+            .collect();
+
+        for c in 1..k {
+            let total: f64 = min_dist.iter().map(|&d| d as f64).sum();
+            let pick = if total <= 0.0 {
+                rng.gen_range(0..n)
+            } else {
+                let mut target = rng.gen_range(0.0..total);
+                let mut chosen = n - 1;
+                for (i, &d) in min_dist.iter().enumerate() {
+                    target -= d as f64;
+                    if target <= 0.0 {
+                        chosen = i;
+                        break;
+                    }
+                }
+                chosen
+            };
+            centroids.row_mut(c).copy_from_slice(samples.row(pick));
+            for (i, slot) in min_dist.iter_mut().enumerate() {
+                let d = squared_distance(samples.row(i), centroids.row(c));
+                if d < *slot {
+                    *slot = d;
+                }
+            }
+        }
+        centroids
+    }
+
+    /// What a run must reproduce: the bits of its centroids, its
+    /// assignments, its iteration count and the bits of its inertia. Rust
+    /// leaves the payload of a NaN produced by arithmetic unspecified, so
+    /// every NaN centroid coordinate reads as one pattern.
+    pub(crate) type Fingerprint = (Vec<u32>, Vec<u16>, usize, u64);
+
+    /// The [`Fingerprint`] of a run.
+    pub(crate) fn fingerprint(result: &KMeansResult) -> Fingerprint {
+        let bits = |v: &f32| {
+            if v.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        };
+        (
+            result.centroids.as_slice().iter().map(bits).collect(),
+            result.assignments.clone(),
+            result.iterations,
+            result.inertia.to_bits(),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{fingerprint, lloyd, nearest_centroid, reference_scan};
     use super::*;
-    use million_tensor::init::seeded_rng;
+    use million_tensor::init::{normal_matrix, seeded_rng};
     use proptest::prelude::*;
 
     fn two_blob_data(n_per: usize) -> Matrix {
@@ -430,7 +709,7 @@ mod tests {
     fn assert_scans_agree(sample: &[f32], centroids: &Matrix) {
         let (want, want_dist) = nearest_centroid(sample, centroids);
         let planes = centroids.transpose();
-        let (got, got_dist) = nearest_in_planes(sample, planes.as_slice(), centroids.rows());
+        let (got, got_dist) = nearest(sample, planes.as_slice(), centroids.rows());
         assert_eq!(
             (got, got_dist.to_bits()),
             (want, want_dist.to_bits()),
@@ -457,7 +736,7 @@ mod tests {
                 }
                 // Off-grid samples: distinct distances, rounding in play.
                 let mut rng = seeded_rng((k * 31 + dim) as u64);
-                let samples = million_tensor::init::normal_matrix(&mut rng, 40, dim, 0.0, 1.3);
+                let samples = normal_matrix(&mut rng, 40, dim, 0.0, 1.3);
                 for r in 0..samples.rows() {
                     assert_scans_agree(samples.row(r), &centroids);
                 }
@@ -484,6 +763,21 @@ mod tests {
 
     type Scan = fn(&[f32], &[f32], usize) -> (usize, f32);
 
+    /// [`nearest`] compiled for AVX2, as [`run_avx2`] and
+    /// `PqCodebook::encode_into` inline it.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn nearest_avx2(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
+        nearest(sample, planes, k)
+    }
+
+    /// [`nearest`] compiled for AVX-512F, as [`run_avx512f`] inlines it.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn nearest_avx512f(sample: &[f32], planes: &[f32], k: usize) -> (usize, f32) {
+        nearest(sample, planes, k)
+    }
+
     /// Every instruction-set build of the scan by name, `None` where this
     /// CPU lacks the instruction set.
     fn isa_builds() -> Vec<(&'static str, Option<Scan>)> {
@@ -495,7 +789,16 @@ mod tests {
                 // AVX2.
                 unsafe { nearest_avx2(sample, planes, k) }
             };
+            let avx512f: Scan = |sample, planes, k| {
+                // SAFETY: `isa_builds` lists this only when the CPU supports
+                // AVX-512F.
+                unsafe { nearest_avx512f(sample, planes, k) }
+            };
             builds.push(("avx2", is_x86_feature_detected!("avx2").then_some(avx2)));
+            builds.push((
+                "avx512f",
+                is_x86_feature_detected!("avx512f").then_some(avx512f),
+            ));
         }
         builds
     }
@@ -532,7 +835,7 @@ mod tests {
                     check(&sample, &grid);
                 }
                 let mut rng = seeded_rng((k * 31 + dim) as u64);
-                let samples = million_tensor::init::normal_matrix(&mut rng, 40, dim, 0.0, 1.3);
+                let samples = normal_matrix(&mut rng, 40, dim, 0.0, 1.3);
                 for r in 0..samples.rows() {
                     check(samples.row(r), &grid);
                 }
@@ -560,35 +863,157 @@ mod tests {
     }
 
     #[test]
+    fn kmeans_plus_plus_total_is_summed_in_index_order() {
+        // 1.5 is under half an ulp of 2^54 (ulp 4), so in index order each
+        // one rounds away and the sum stays 2^54. Any regrouping that adds
+        // two of them first (lane sums, pairs, reversal) comes out larger.
+        // The k-means comparisons cannot see this: a sum of f32 distances is
+        // exact in any order unless they span a range of about 2^29.
+        let mut weights = vec![1.5f32; 4097];
+        weights[0] = 2f32.powi(54);
+        assert_eq!(total_weight(&weights), 2f64.powi(54));
+    }
+
+    #[test]
     fn lloyd_is_bit_identical_under_the_reference_scan() {
         let data = Matrix::from_fn(300, 2, |r, c| ((r * 13 + c * 7) % 23) as f32 * 0.37 - 4.0);
         let opts = KMeansOptions::default();
         for k in [5usize, 16, 64] {
             let fast = kmeans(&data, k, &opts, &mut seeded_rng(6)).unwrap();
             let slow = lloyd(&data, k, &opts, &mut seeded_rng(6), reference_scan).unwrap();
-            assert_eq!(fast.assignments, slow.assignments);
-            assert_eq!(fast.iterations, slow.iterations);
-            assert_eq!(fast.inertia.to_bits(), slow.inertia.to_bits());
-            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&fast.centroids), bits(&slow.centroids));
+            assert_eq!(fingerprint(&fast), fingerprint(&slow), "k={k}");
         }
+    }
+
+    type Run = fn(&Matrix, usize, &KMeansOptions, &mut StdRng) -> KMeansResult;
+
+    /// Every instruction-set build of a k-means run by name, `None` where
+    /// this CPU lacks the instruction set.
+    fn run_builds() -> Vec<(&'static str, Option<Run>)> {
+        let mut builds: Vec<(&'static str, Option<Run>)> = vec![("portable", Some(run))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2: Run = |samples, k, options, rng| {
+                // SAFETY: `run_builds` lists this only when the CPU supports
+                // AVX2.
+                unsafe { run_avx2(samples, k, options, rng) }
+            };
+            let avx512f: Run = |samples, k, options, rng| {
+                // SAFETY: `run_builds` lists this only when the CPU supports
+                // AVX-512F.
+                unsafe { run_avx512f(samples, k, options, rng) }
+            };
+            builds.push(("avx2", is_x86_feature_detected!("avx2").then_some(avx2)));
+            builds.push((
+                "avx512f",
+                is_x86_feature_detected!("avx512f").then_some(avx512f),
+            ));
+        }
+        builds
+    }
+
+    /// Runs every build this CPU has on `samples` and compares each with the
+    /// reference k-means, fingerprint for fingerprint. Returns how many
+    /// builds it compared.
+    fn assert_builds_match_reference(samples: &Matrix, k: usize, seed: u64) -> usize {
+        let options = KMeansOptions::default();
+        let want = lloyd(samples, k, &options, &mut seeded_rng(seed), nearest).unwrap();
+        let want = fingerprint(&want);
+        let mut compared = 0;
+        for (name, build) in run_builds() {
+            if let Some(run) = build {
+                let got = run(samples, k, &options, &mut seeded_rng(seed));
+                assert!(
+                    fingerprint(&got) == want,
+                    "{name}: k={k} n={} dim={} seed={seed}",
+                    samples.rows(),
+                    samples.cols()
+                );
+                compared += 1;
+            }
+        }
+        compared
+    }
+
+    /// Coordinates on a coarse grid: exact distance ties, duplicate samples.
+    fn grid(n: usize, dim: usize) -> Matrix {
+        Matrix::from_fn(n, dim, |r, j| {
+            ((r * 7 + j * 5 + r / 3) % 9) as f32 * 0.5 - 2.0
+        })
+    }
+
+    fn print_builds(test: &str, runs: usize) {
+        let builds: Vec<String> = run_builds()
+            .into_iter()
+            .map(|(name, build)| match build {
+                Some(_) => name.to_string(),
+                None => format!("{name} (skipped, this CPU lacks it)"),
+            })
+            .collect();
+        println!("{test}: {runs} runs bit-compared with the reference; builds: {builds:?}");
+    }
+
+    #[test]
+    fn kmeans_bit_compared_at_16_and_256_centroids() {
+        let mut runs = 0;
+        for (k, n) in [(16usize, 200usize), (256, 512)] {
+            for dim in [1usize, 2, 3, 4, 8] {
+                runs += assert_builds_match_reference(&grid(n, dim), k, 1);
+                for seed in [2u64, 3] {
+                    let gaussian =
+                        normal_matrix(&mut seeded_rng(seed * 7 + dim as u64), n, dim, 0.0, 1.0);
+                    runs += assert_builds_match_reference(&gaussian, k, seed);
+                }
+            }
+            // More centroids than samples re-seeds every iteration, and an
+            // all-equal input makes every k-means++ total 0.
+            runs += assert_builds_match_reference(&grid(k / 4, 2), k, 4);
+            runs += assert_builds_match_reference(&Matrix::from_fn(60, 3, |_, _| 1.5), k, 5);
+            // Infinite samples among finite ones, and a NaN sample. A NaN
+            // makes every k-means++ total NaN, an empty draw range for any
+            // second centroid, so it runs at k = 1.
+            for seed in [6u64, 7, 8] {
+                let mut poisoned = normal_matrix(&mut seeded_rng(seed), n, 2, 0.0, 1.0);
+                poisoned.set(3, 0, f32::INFINITY);
+                poisoned.set(n / 2, 1, f32::NEG_INFINITY);
+                runs += assert_builds_match_reference(&poisoned, k, seed);
+                poisoned.set(n - 1, 0, f32::NAN);
+                runs += assert_builds_match_reference(&poisoned, 1, seed);
+            }
+        }
+        print_builds("kmeans_bit_compared_at_16_and_256_centroids", runs);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "k = 4,096 is slow unoptimised; CI runs it in release"
+    )]
+    fn kmeans_bit_compared_at_4096_centroids() {
+        let k = 4096;
+        let mut runs = 0;
+        for dim in [1usize, 2, 3, 4, 8] {
+            runs += assert_builds_match_reference(&grid(6000, dim), k, 1);
+            let gaussian = normal_matrix(&mut seeded_rng(40 + dim as u64), 6000, dim, 0.0, 1.0);
+            runs += assert_builds_match_reference(&gaussian, k, 2);
+        }
+        runs += assert_builds_match_reference(&grid(1000, 2), k, 3);
+        print_builds("kmeans_bit_compared_at_4096_centroids", runs);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
-        fn assignments_match_nearest_centroid(seed in 0u64..50, k in 1usize..6) {
-            let data = Matrix::from_fn(40, 3, |r, c| ((r * 13 + c * 7 + seed as usize) % 17) as f32 - 8.0);
-            let result = kmeans(&data, k, &KMeansOptions::default(), &mut seeded_rng(seed)).unwrap();
-            for i in 0..data.rows() {
-                let (best, _) = nearest_centroid(data.row(i), &result.centroids);
-                let assigned = result.assignments[i] as usize;
-                let d_best = squared_distance(data.row(i), result.centroids.row(best));
-                let d_assigned = squared_distance(data.row(i), result.centroids.row(assigned));
-                // The recorded assignment can differ from the final centroids by
-                // at most the last update step's movement; allow slack.
-                prop_assert!(d_assigned <= d_best + 1.0);
-            }
+        fn kmeans_is_bit_identical_to_the_reference(
+            seed in 0u64..50,
+            k in 1usize..48,
+            dim in 1usize..5,
+        ) {
+            let data = Matrix::from_fn(40, dim, |r, c| ((r * 13 + c * 7 + seed as usize) % 17) as f32 - 8.0);
+            let options = KMeansOptions::default();
+            let got = kmeans(&data, k, &options, &mut seeded_rng(seed)).unwrap();
+            let want = lloyd(&data, k, &options, &mut seeded_rng(seed), reference_scan).unwrap();
+            prop_assert_eq!(fingerprint(&got), fingerprint(&want));
         }
     }
 }

@@ -276,8 +276,8 @@ impl PqCodebook {
     /// Encodes one vector into a caller-provided buffer of `m` codes.
     ///
     /// The CPU is checked once per vector: on x86-64 with AVX2 every
-    /// subspace's scan runs as the AVX2 build of
-    /// [`crate::kmeans::nearest_in_planes`], with the same bits.
+    /// subspace's scan runs as an AVX2 build of the nearest-centroid scan
+    /// that [`crate::kmeans::kmeans`] runs too, with the same bits.
     ///
     /// # Panics
     ///
@@ -1238,7 +1238,7 @@ const DENSE_MIX_MAX_K: usize = 256;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmeans::{lloyd, nearest_centroid, reference_scan};
+    use crate::kmeans::reference::{fingerprint, lloyd, nearest_centroid, reference_scan};
     use million_tensor::init::{normal_matrix, seeded_rng};
     use million_tensor::ops::{axpy, dot, softmax_in_place};
     use proptest::prelude::*;
@@ -2089,6 +2089,92 @@ mod tests {
                 assert_eq!(bits(cb.centroid(sub, c)), bits(want.centroids.row(c)));
             }
         }
+    }
+
+    /// The key and value head vectors of every layer that a full-precision
+    /// prefill of `tokens` random tokens captures, as the engine's
+    /// calibration does.
+    fn model_captures(config: million_model::ModelConfig, tokens: usize) -> Vec<Matrix> {
+        use million_model::{build_caches, CacheSpec, KvCapture, Transformer};
+        use rand::Rng;
+        let model = Transformer::new(config.clone(), 42);
+        let mut rng = seeded_rng(20_250_011);
+        let stream: Vec<u32> = (0..tokens)
+            .map(|_| rng.gen_range(0..config.vocab_size as u32))
+            .collect();
+        let mut caches = build_caches(&config, &CacheSpec::Full);
+        let mut capture = KvCapture::new(config.n_layers, config.head_dim(), tokens);
+        let _ = model.prefill(&stream, &mut caches, Some(&mut capture));
+        (0..config.n_layers)
+            .flat_map(|l| [capture.key_head_vectors(l), capture.value_head_vectors(l)])
+            .collect()
+    }
+
+    /// Trains a codebook on each capture and compares every subspace with
+    /// the reference k-means: the codebook's centroids, and the centroids,
+    /// assignments, iterations and inertia of the subspace's `kmeans` run.
+    /// Returns how many k-means runs it compared.
+    fn assert_train_matches_reference(captures: &[Matrix], m: usize, nbits: u8) -> usize {
+        let config = PqConfig::new(m, nbits).unwrap();
+        let options = PqTrainOptions::default();
+        let k = config.codebook_size();
+        let mut runs = 0;
+        for (i, samples) in captures.iter().enumerate() {
+            assert!(samples.rows() <= options.max_samples, "no subsampling");
+            let seed = 42 ^ i as u64;
+            let cb = PqCodebook::train(&config, samples, &options, seed).unwrap();
+            let dsub = cb.dsub();
+            for sub in 0..m {
+                let sub_samples =
+                    Matrix::from_fn(samples.rows(), dsub, |r, j| samples.get(r, sub * dsub + j));
+                let sub_seed = seed ^ (sub as u64).wrapping_mul(0x9E37_79B9);
+                let want = lloyd(
+                    &sub_samples,
+                    k,
+                    &options.kmeans,
+                    &mut StdRng::seed_from_u64(sub_seed),
+                    nearest,
+                )
+                .unwrap();
+                let mut rng = StdRng::seed_from_u64(sub_seed);
+                let got = kmeans(&sub_samples, k, &options.kmeans, &mut rng).unwrap();
+                let context = format!("capture {i} m={m} nbits={nbits} subspace {sub}");
+                assert!(fingerprint(&got) == fingerprint(&want), "{context}");
+                for c in 0..k {
+                    assert_eq!(
+                        bits(cb.centroid(sub, c)),
+                        bits(want.centroids.row(c)),
+                        "{context}"
+                    );
+                }
+                runs += 1;
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn kmeans_bit_compared_on_tiny_test_four_bit_captures() {
+        let captures = model_captures(million_model::ModelConfig::tiny_for_tests(), 255);
+        let runs = assert_train_matches_reference(&captures, 8, 8);
+        println!("tiny-test four_bit: {runs} k-means runs (dispatched build) bit-compared with the reference");
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "k = 4,096 and 7b-sim prefill are slow unoptimised; CI runs it in release"
+    )]
+    fn kmeans_bit_compared_on_three_bit_and_llama2_7b_sim_captures() {
+        use million_model::ModelConfig;
+        let tiny = model_captures(ModelConfig::tiny_for_tests(), 255);
+        let runs = assert_train_matches_reference(&tiny, 4, 12);
+        println!("tiny-test three_bit: {runs} k-means runs (dispatched build) bit-compared with the reference");
+        let llama = model_captures(ModelConfig::llama2_7b_sim(), 512);
+        let runs = assert_train_matches_reference(&llama, 16, 8);
+        println!("llama2-7b-sim four_bit: {runs} k-means runs (dispatched build) bit-compared with the reference");
+        let runs = assert_train_matches_reference(&llama, 8, 12);
+        println!("llama2-7b-sim three_bit: {runs} k-means runs (dispatched build) bit-compared with the reference");
     }
 
     proptest! {
