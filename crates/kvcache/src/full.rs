@@ -2,10 +2,10 @@
 
 use million_tensor::alibi::alibi_bias;
 use million_tensor::ops::dot;
-use million_tensor::Matrix;
+use million_tensor::{Matrix, StridedRows};
 
 use crate::scratch::AttendScratch;
-use crate::traits::{append_head_strided, AttendParams, CacheLayout, KvCache};
+use crate::traits::{append_head_strided, head_rows, AttendParams, CacheLayout, KvCache};
 
 /// Uncompressed per-head key/value storage.
 ///
@@ -136,6 +136,14 @@ impl KvCache for FullPrecisionCache {
                 .push(dot(params.query, cur_key) * params.scale, cur_value);
         }
         scratch.softmax.finish_into(out);
+    }
+
+    fn dense_history(&self, head: usize) -> Option<[StridedRows<'_>; 2]> {
+        Some(head_rows(
+            &self.keys[head],
+            &self.values[head],
+            self.layout.head_dim,
+        ))
     }
 
     fn memory_bytes(&self) -> usize {

@@ -25,10 +25,28 @@ use million_quant::pq::{FusedAlibi, FusedState, PqCodebook, PqCodes};
 use million_store::Block;
 use million_tensor::alibi::alibi_bias;
 use million_tensor::ops::dot;
-use million_tensor::Matrix;
+use million_tensor::{Matrix, StridedRows};
 
 use crate::scratch::{grown, AttendScratch};
-use crate::traits::{append_head_strided, head_slice, AttendParams, CacheLayout, KvCache};
+use crate::traits::{
+    append_head_strided, head_rows, head_slice, AttendParams, CacheLayout, KvCache,
+};
+
+/// Rows of dense capacity a cache keeps per head once its window drains.
+const KEEP_DENSE_ROWS: usize = 64;
+
+/// Drops the first `n` floats of one head's dense rows and hands back the
+/// capacity a long prompt left behind: the store keeps at most twice what it
+/// still holds, or [`KEEP_DENSE_ROWS`] rows. A prompt encoded at admission
+/// then does not pin its f32 copy for the rest of the session, and
+/// decode-time appends into a short window never reallocate.
+fn drain_front(dense: &mut Vec<f32>, n: usize, head_dim: usize) {
+    dense.drain(..n);
+    let keep = dense.len().max(KEEP_DENSE_ROWS * head_dim);
+    if dense.capacity() > 2 * keep {
+        dense.shrink_to(keep);
+    }
+}
 
 /// Configuration of a [`PqKvCache`].
 #[derive(Debug, Clone)]
@@ -122,6 +140,9 @@ pub struct PqKvCache {
     recent_len: usize,
     /// Codes of the row being encoded by [`PqKvCache::encode_overflow`].
     code_row: Vec<u16>,
+    /// Set by [`PqKvCache::hold_encode`]: appends stay dense even with
+    /// `auto_encode` on.
+    encode_held: bool,
 }
 
 impl std::fmt::Debug for PqKvCache {
@@ -132,6 +153,7 @@ impl std::fmt::Debug for PqKvCache {
             .field("shared_tokens", &self.shared_tokens)
             .field("quantized_len", &self.quantized_len)
             .field("recent_len", &self.recent_len)
+            .field("encode_held", &self.encode_held)
             .finish()
     }
 }
@@ -176,6 +198,32 @@ impl PqKvCache {
             quantized_len: 0,
             recent_len: 0,
             code_row: vec![0; code_row_len],
+            encode_held: false,
+        }
+    }
+
+    /// Holds (`true`) or releases (`false`) the encode of an `auto_encode`
+    /// cache: while held, [`KvCache::append`] keeps every token dense, as a
+    /// cache without `auto_encode` does, so a prompt admitted in chunks
+    /// stays readable through [`KvCache::dense_history`] until its last
+    /// chunk. Releasing encodes nothing by itself; the holder calls
+    /// [`PqKvCache::encode_overflow`]. [`KvCache::reset`] releases.
+    pub fn hold_encode(&mut self, hold: bool) {
+        self.encode_held = hold;
+    }
+
+    /// Reserves dense room for exactly `tokens` more tokens per head, so a
+    /// prompt appended in chunks grows its rows in place, without
+    /// reallocating (and copying) them at each chunk. Pages are touched
+    /// only as rows land.
+    pub fn reserve_dense(&mut self, tokens: usize) {
+        let d = self.layout.head_dim;
+        for rows in self
+            .recent_keys
+            .iter_mut()
+            .chain(self.recent_values.iter_mut())
+        {
+            rows.reserve_exact(tokens * d);
         }
     }
 
@@ -419,8 +467,8 @@ impl PqKvCache {
         for h in 0..self.layout.n_kv_heads {
             self.key_codes[h].append(&encoded.key_codes[h]);
             self.value_codes[h].append(&encoded.value_codes[h]);
-            self.recent_keys[h].drain(0..n * d);
-            self.recent_values[h].drain(0..n * d);
+            drain_front(&mut self.recent_keys[h], n * d, d);
+            drain_front(&mut self.recent_values[h], n * d, d);
         }
         self.quantized_len += n;
         self.recent_len -= n;
@@ -486,7 +534,7 @@ impl PqKvCache {
                     codebook.encode_into(vector, row);
                     codes.push(row);
                 }
-                dense.drain(..n * d);
+                drain_front(dense, n * d, d);
             }
         }
         self.quantized_len += n;
@@ -632,7 +680,7 @@ impl KvCache for PqKvCache {
                 .zip(self.recent_values.iter_mut()),
         );
         self.recent_len += keys.rows();
-        if self.config.auto_encode {
+        if self.config.auto_encode && !self.encode_held {
             self.encode_overflow();
         }
     }
@@ -725,6 +773,16 @@ impl KvCache for PqKvCache {
         self.attend_dense_tail(params, scratch, out);
     }
 
+    fn dense_history(&self, head: usize) -> Option<[StridedRows<'_>; 2]> {
+        (self.quantized_len == 0).then(|| {
+            head_rows(
+                &self.recent_keys[head],
+                &self.recent_values[head],
+                self.layout.head_dim,
+            )
+        })
+    }
+
     fn memory_bytes(&self) -> usize {
         // Shared blocks are counted in full (this layer's slice), as if the
         // cache owned them — so the figure is comparable with an unshared
@@ -765,6 +823,7 @@ impl KvCache for PqKvCache {
         }
         self.quantized_len = 0;
         self.recent_len = 0;
+        self.encode_held = false;
     }
 
     fn kind(&self) -> &'static str {
@@ -891,6 +950,87 @@ mod tests {
                 assert!((x - y).abs() < 1e-5);
             }
         }
+    }
+
+    #[test]
+    fn a_held_encode_keeps_the_history_dense_until_released() {
+        let (kc, vc) = trained_codebooks(19);
+        let mut auto = PqKvCache::new(layout(), PqCacheConfig::new(kc.clone(), vc.clone(), 2));
+        let mut held = PqKvCache::new(layout(), PqCacheConfig::new(kc, vc, 2));
+        let (k, v) = random_kv(20, 24);
+        auto.append(&k, &v);
+        held.hold_encode(true);
+        held.append(&k.slice_rows(0..10), &v.slice_rows(0..10));
+        held.append(&k.slice_rows(10..24), &v.slice_rows(10..24));
+        assert_eq!(held.recent_len(), 24);
+        assert!(auto.dense_history(0).is_none(), "codes are not dense");
+        for head in 0..HEADS {
+            let [keys, values] = held.dense_history(head).expect("all dense");
+            assert_eq!(keys.rows(), 24);
+            for t in 0..24 {
+                assert_eq!(
+                    keys.row(t),
+                    &k.row(t)[head * HEAD_DIM..(head + 1) * HEAD_DIM]
+                );
+                assert_eq!(
+                    values.row(t),
+                    &v.row(t)[head * HEAD_DIM..(head + 1) * HEAD_DIM]
+                );
+            }
+        }
+        held.hold_encode(false);
+        held.encode_overflow();
+        assert_eq!(held.recent_len(), 2);
+        for head in 0..HEADS {
+            assert_eq!(
+                held.private_key_codes()[head].packed_bytes(),
+                auto.private_key_codes()[head].packed_bytes()
+            );
+            assert_eq!(
+                held.private_value_codes()[head].packed_bytes(),
+                auto.private_value_codes()[head].packed_bytes()
+            );
+        }
+        assert_eq!(held.recent_key_rows(), auto.recent_key_rows());
+    }
+
+    #[test]
+    fn an_encoded_prompt_gives_its_dense_capacity_back() {
+        let (kc, vc) = trained_codebooks(21);
+        let mut cache = PqKvCache::new(layout(), PqCacheConfig::new(kc, vc, 4));
+        let (k, v) = random_kv(22, 300);
+        cache.reserve_dense(300);
+        let reserved = cache.recent_key_rows()[0].capacity();
+        assert_eq!(reserved, 300 * HEAD_DIM);
+        cache.hold_encode(true);
+        cache.append(&k.slice_rows(0..150), &v.slice_rows(0..150));
+        cache.append(&k.slice_rows(150..300), &v.slice_rows(150..300));
+        assert_eq!(
+            cache.recent_key_rows()[0].capacity(),
+            reserved,
+            "grown in place"
+        );
+        cache.hold_encode(false);
+        cache.encode_overflow();
+        for rows in cache
+            .recent_key_rows()
+            .iter()
+            .chain(cache.recent_value_rows())
+        {
+            assert_eq!(rows.len(), 4 * HEAD_DIM);
+            assert!(
+                rows.capacity() <= KEEP_DENSE_ROWS * HEAD_DIM,
+                "{}",
+                rows.capacity()
+            );
+        }
+        // A short window keeps its capacity: one-token appends never
+        // reallocate.
+        let kept = cache.recent_key_rows()[0].as_ptr();
+        for t in 0..40 {
+            cache.append(&k.slice_rows(t..t + 1), &v.slice_rows(t..t + 1));
+        }
+        assert_eq!(cache.recent_key_rows()[0].as_ptr(), kept);
     }
 
     #[test]

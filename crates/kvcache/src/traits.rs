@@ -1,6 +1,6 @@
 //! The backend-agnostic KV-cache interface used by the transformer layers.
 
-use million_tensor::Matrix;
+use million_tensor::{Matrix, StridedRows};
 
 /// Static geometry of one layer's KV cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,6 +139,20 @@ pub trait KvCache: Send + Sync {
         out: &mut [f32],
     );
 
+    /// The keys and values of every cached token of one KV head, `[len,
+    /// head_dim]` each at full precision, when the cache holds its whole
+    /// history that way — `None` (the default) as soon as any token is
+    /// compressed. A prompt chunk behind earlier chunks reads the prompt
+    /// back through this to attend with the tiled kernel.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if `head >= n_kv_heads`.
+    fn dense_history(&self, head: usize) -> Option<[StridedRows<'_>; 2]> {
+        let _ = head;
+        None
+    }
+
     /// Bytes of storage attributable to the cached tokens (excluding any
     /// shared, token-count-independent state such as codebooks).
     fn memory_bytes(&self) -> usize;
@@ -175,6 +189,10 @@ impl<T: KvCache + ?Sized> KvCache for Box<T> {
         (**self).attend(params, scratch, out)
     }
 
+    fn dense_history(&self, head: usize) -> Option<[StridedRows<'_>; 2]> {
+        (**self).dense_history(head)
+    }
+
     fn memory_bytes(&self) -> usize {
         (**self).memory_bytes()
     }
@@ -186,6 +204,18 @@ impl<T: KvCache + ?Sized> KvCache for Box<T> {
     fn kind(&self) -> &'static str {
         (**self).kind()
     }
+}
+
+/// One head's contiguous `[tokens, head_dim]` key and value rows as views.
+pub(crate) fn head_rows<'a>(
+    keys: &'a [f32],
+    values: &'a [f32],
+    head_dim: usize,
+) -> [StridedRows<'a>; 2] {
+    [
+        StridedRows::new(keys, head_dim, 0, head_dim),
+        StridedRows::new(values, head_dim, 0, head_dim),
+    ]
 }
 
 /// Splits one row of a flattened `[tokens, n_kv_heads * head_dim]` matrix

@@ -26,8 +26,10 @@
 //!    arrival *interleaves* with the batch's decode rounds instead of
 //!    freezing them, never stalling resident decodes for more than one
 //!    chunk's worth of work. The request decodes its first token in the
-//!    same round its final chunk lands, which makes chunking invisible for
-//!    prompts no longer than one chunk.
+//!    same round its final chunk lands. Chunking is invisible in the token
+//!    stream: a cold prompt's chunks attend over the prompt so far at full
+//!    precision and its last chunk encodes it, which is one prefill bit for
+//!    bit ([`InferenceSession::prefill_begin`]).
 //!
 //! **Fairness.** Each resident request accumulates `weight(class)` deficit
 //! per round and spends `quantum = min(weight over active residents)` per
@@ -630,9 +632,10 @@ struct Resident<'e> {
     /// accrual).
     deficit: u32,
     /// Round in which the slot's most recent prefill chunk executed. The
-    /// first chunk runs inside `admit` — sealing its blocks so later
-    /// admissions in the same pass can attach them — and `prefill_round`
-    /// must not charge the slot a second chunk in that same round.
+    /// first chunk runs inside `admit` — sealing a one-chunk prompt's blocks
+    /// so later admissions in the same pass can attach them — and
+    /// `prefill_round` must not charge the slot a second chunk in that same
+    /// round.
     chunked_round: u64,
     shared: Arc<HandleShared>,
     tx: Sender<StepResult>,
@@ -1421,10 +1424,13 @@ impl<'e> ServingEngine<'e> {
     /// Admits one pending request into a resident slot in the *Prefilling*
     /// state. Whatever prefix another session already sealed in the store
     /// attaches for free and only the unmatched remainder is chunked. The
-    /// first chunk runs here, inside the admission turn, so its full blocks
-    /// seal immediately — a request admitted later in this same pass can
-    /// attach them; the rest is teacher-forced one chunk per round by
-    /// [`ServingEngine::prefill_round`].
+    /// first chunk runs here, inside the admission turn; the rest is
+    /// teacher-forced one chunk per round by
+    /// [`ServingEngine::prefill_round`]. A prompt that fits one chunk seals
+    /// its full blocks right here, so a request admitted later in this same
+    /// pass can attach them; a longer cold prompt seals at its last chunk
+    /// (its KV stays dense until then), and an identical prompt admitted
+    /// meanwhile converges on its blocks when it publishes its own.
     fn admit(&mut self, mut pending: Pending) {
         let queue_wait_ns = pending.queue_wait_ns();
         self.telemetry.record_queue_wait(queue_wait_ns);
@@ -1490,8 +1496,9 @@ impl<'e> ServingEngine<'e> {
 
     /// Feeds the prefilling slot `idx` its next chunk of prompt, counts and
     /// journals it, and ships whatever encode batches the chunk staged (a
-    /// warm admission's unmatched suffix rides the decode path) through the
-    /// shared worker. Returns whether the chunk exhausted the prompt (the
+    /// warm admission's unmatched suffix rides the decode path; a cold one
+    /// ships nothing, its last chunk encodes the prompt) through the shared
+    /// worker. Returns whether the chunk exhausted the prompt (the
     /// slot decodes from here on).
     fn feed_chunk(&mut self, idx: usize) -> bool {
         let slot = &mut self.resident[idx];

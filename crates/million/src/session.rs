@@ -23,7 +23,7 @@
 //! [`crate::ServingEngine`].
 
 use million_kvcache::{KvCache, PqCacheConfig, PqKvCache};
-use million_model::{PrefillScratch, Sampler, StepScratch};
+use million_model::{ChunkArm, PrefillScratch, Sampler, StepScratch};
 use million_store::{Block, ChainHandle};
 
 use crate::async_quant::{EncodeRequest, EncodeResult, QuantWorker};
@@ -172,6 +172,12 @@ pub struct InferenceSession<'e> {
     /// Prompt tokens satisfied from resident shared blocks at admission
     /// instead of being prefilled.
     pub(crate) prefix_reused: usize,
+    /// Prompt tokens a cold admission opened by [`Self::prefill_begin`] has
+    /// still to feed. While `Some`, the caches hold the prompt's KV dense
+    /// (their encode held), every chunk takes the model's prompt arm, and
+    /// nothing is encoded, shipped or sealed; the chunk that brings it to
+    /// zero encodes and seals the whole prompt, as one prefill does.
+    open_prompt: Option<usize>,
     /// Wall-clock nanoseconds spent in [`InferenceSession::prefill`]
     /// admissions (tiled prefill attention, synchronous prompt encoding and
     /// — on warm admissions — the unmatched-suffix decode).
@@ -227,6 +233,7 @@ impl<'e> InferenceSession<'e> {
             chain,
             history: Vec::new(),
             prefix_reused: 0,
+            open_prompt: None,
             prefill_ns: 0,
             prefill_admitted: 0,
             prefill_chunks: 0,
@@ -399,8 +406,17 @@ impl<'e> InferenceSession<'e> {
     /// attaches any whole-block prompt prefix another session already sealed.
     /// Returns the number of prompt tokens satisfied from the store; the
     /// caller then feeds `prompt[reused..]` through one or more
-    /// [`Self::prefill_chunk`] calls. `prefill_begin` + a single chunk over
-    /// the whole remainder is exactly [`Self::prefill`].
+    /// [`Self::prefill_chunk`] calls, in any sizes.
+    ///
+    /// A **cold** admission (nothing attached) stays open until its last
+    /// chunk: the prompt's KV stays dense in the caches, every chunk attends
+    /// over the prompt so far at full precision through the tiled kernel,
+    /// and the last chunk encodes and seals the whole prompt. The chunks
+    /// therefore yield [`Self::prefill`]'s logits, codes and tokens bit for
+    /// bit, whatever their sizes. A **warm** admission feeds its unmatched
+    /// suffix behind the attached codes token by token through the caches,
+    /// as [`Self::append_prompt`] does; a single chunk over the whole
+    /// remainder is exactly [`Self::prefill`] there.
     ///
     /// # Panics
     ///
@@ -438,18 +454,35 @@ impl<'e> InferenceSession<'e> {
                 self.prefix_reused = reused;
             }
         }
+        if reused == 0 {
+            self.open_admission(prompt.len());
+        }
         self.prompt_tokens += reused;
         self.prefill_admitted += reused;
         self.prefill_ns += admission_start.elapsed().as_nanos() as u64;
         reused
     }
 
+    /// Opens a cold admission with `left` prompt tokens still to feed (also
+    /// how a checkpoint taken mid-admission resumes it). The caches reserve
+    /// the rows up front: regrowing them chunk by chunk would leave the
+    /// copies they outgrew resident.
+    pub(crate) fn open_admission(&mut self, left: usize) {
+        self.open_prompt = Some(left);
+        for cache in &mut self.caches {
+            cache.hold_encode(true);
+            cache.reserve_dense(left);
+        }
+    }
+
     /// Feeds one chunk of the opening prompt after [`Self::prefill_begin`].
     /// Every chunk runs the model's one forward (dense stages as whole-chunk
-    /// GEMMs); only attention differs. The first chunk of a cold admission
-    /// attends to itself through the tiled prefill kernel and its KV is
-    /// encoded synchronously; every later chunk (and the unmatched suffix of
-    /// a warm admission) attends token by token through the caches, exactly
+    /// GEMMs); only attention differs. Every chunk of a cold admission
+    /// attends at full precision through the tiled prefill kernel — the
+    /// first to itself, each later one over the prompt so far, read back
+    /// from the caches — and the last encodes and seals the prompt, so the
+    /// chunks are one [`Self::prefill`] bit for bit. The unmatched suffix of
+    /// a warm admission attends token by token through the caches, exactly
     /// as [`Self::append_prompt`] and [`Self::step`] do, which is pinned
     /// bit-identical to feeding the tokens one at a time. Chunk boundaries
     /// are therefore scheduling artefacts only — the token stream a session
@@ -457,12 +490,24 @@ impl<'e> InferenceSession<'e> {
     ///
     /// # Panics
     ///
-    /// Panics if `tokens` is empty.
+    /// Panics if `tokens` is empty, if no [`Self::prefill_begin`] came
+    /// first, or if the chunk runs past the prompt a cold admission opened.
     pub fn prefill_chunk(&mut self, tokens: &[u32]) {
         assert!(
             !tokens.is_empty(),
             "prefill_chunk requires at least one token"
         );
+        match self.open_prompt {
+            Some(left) => assert!(
+                tokens.len() <= left,
+                "chunk of {} tokens runs past the {left} the admission has left",
+                tokens.len()
+            ),
+            None => assert!(
+                self.cached_tokens() > 0,
+                "prefill_chunk requires prefill_begin first"
+            ),
+        }
         let chunk_start = std::time::Instant::now();
         self.feed(tokens);
         self.prompt_tokens += tokens.len();
@@ -490,6 +535,7 @@ impl<'e> InferenceSession<'e> {
             self.prefill(tokens);
             return;
         }
+        self.assert_admitted();
         // The previously sampled token is part of the history the new turn
         // attends to; its KV enters the cache here.
         if let Some(tok) = self.pending.take() {
@@ -531,6 +577,7 @@ impl<'e> InferenceSession<'e> {
     /// Panics if the session has not been prefilled, or if feeding the
     /// previously sampled token would run past the model's context window.
     pub fn step_with(&mut self, sampler: &mut Sampler) -> StepResult {
+        self.assert_admitted();
         let step_start = std::time::Instant::now();
         if let Some(tok) = self.pending.take() {
             self.feed(&[tok]);
@@ -554,6 +601,13 @@ impl<'e> InferenceSession<'e> {
         };
         self.decode_ns += step_start.elapsed().as_nanos() as u64;
         result
+    }
+
+    /// Decoding and later turns follow a finished admission.
+    fn assert_admitted(&self) {
+        if let Some(left) = self.open_prompt {
+            panic!("the admission still has {left} prompt tokens to feed through prefill_chunk");
+        }
     }
 
     /// Runs a whole generation call and returns the seed-compatible
@@ -608,7 +662,8 @@ impl<'e> InferenceSession<'e> {
 
     /// Synchronisation point: blocks until the quantization stream has
     /// caught up, then encodes any tokens that were never shipped, so the
-    /// cache reflects the steady state. The session remains usable.
+    /// cache reflects the steady state. The session remains usable. An open
+    /// cold admission keeps its prompt dense: its last chunk encodes it.
     ///
     /// Standalone sessions call this from [`Self::generate`]; scheduler-run
     /// sessions are flushed by the scheduler, which owns the shared worker.
@@ -620,8 +675,10 @@ impl<'e> InferenceSession<'e> {
         for result in results {
             self.absorb(result);
         }
-        self.encode_dense_now();
-        self.maybe_seal();
+        if self.open_prompt.is_none() {
+            self.encode_dense_now();
+            self.maybe_seal();
+        }
     }
 
     /// Routes one finished encode block into this session's caches.
@@ -663,12 +720,12 @@ impl<'e> InferenceSession<'e> {
     /// chunks — per session — while re-growing them costs under 1 % of a
     /// 100 ms-scale chunk (measured in `docs/PERF.md`).
     ///
-    /// The opening chunk of a cold admission differs in one step: prompt
-    /// encoding is part of prefill in the paper (only *decode-time* encoding
-    /// is off the critical path), so its KV is encoded here, on the spot,
-    /// instead of being shipped.
+    /// The chunks of an open cold admission differ: they take the model's
+    /// prompt arm and leave their KV dense, and the last one encodes the
+    /// whole prompt on the spot instead of shipping it — prompt encoding is
+    /// part of prefill in the paper (only *decode-time* encoding is off the
+    /// critical path).
     fn feed(&mut self, tokens: &[u32]) {
-        let cold = self.cached_tokens() == 0;
         let results = match &mut self.stream {
             QuantStream::Owned(worker) => worker.try_drain(),
             _ => Vec::new(),
@@ -676,6 +733,10 @@ impl<'e> InferenceSession<'e> {
         for result in results {
             self.absorb(result);
         }
+        let arm = match self.open_prompt {
+            Some(_) => ChunkArm::Prompt,
+            None => ChunkArm::Cached,
+        };
         {
             // A chunk's own scratch is gone before the encode below allocates.
             let mut own = (tokens.len() > 1).then(PrefillScratch::new);
@@ -683,13 +744,23 @@ impl<'e> InferenceSession<'e> {
             let logits = self.cur_logits.get_or_insert_with(Vec::new);
             self.engine
                 .model()
-                .prefill_chunk(tokens, &mut self.caches, scratch, logits);
+                .prefill_chunk(tokens, &mut self.caches, arm, scratch, logits);
         }
         self.history.extend_from_slice(tokens);
-        if cold {
-            self.encode_dense_now();
-        } else {
-            self.ship_staged();
+        match &mut self.open_prompt {
+            Some(left) if *left > tokens.len() => {
+                *left -= tokens.len();
+                return;
+            }
+            Some(_) => {
+                // The prompt's last chunk: encode it whole, as one prefill.
+                self.open_prompt = None;
+                for cache in &mut self.caches {
+                    cache.hold_encode(false);
+                }
+                self.encode_dense_now();
+            }
+            None => self.ship_staged(),
         }
         self.maybe_seal();
     }
@@ -817,6 +888,7 @@ impl<'e> InferenceSession<'e> {
         }
         self.history.clear();
         self.prefix_reused = 0;
+        self.open_prompt = None;
         self.prefill_ns = 0;
         self.prefill_admitted = 0;
         self.prefill_chunks = 0;
@@ -877,7 +949,7 @@ impl Iterator for SessionStream<'_, '_> {
 mod tests {
     use super::*;
 
-    use crate::test_fixtures::{engine, prompt};
+    use crate::test_fixtures::{engine, engine_for, prompt};
 
     #[test]
     fn step_produces_positions_and_telemetry() {
@@ -1008,6 +1080,180 @@ mod tests {
         session.prefill(&prompt());
         let step = session.step();
         assert_eq!(step.position, prompt().len());
+    }
+
+    /// Everything an admission leaves behind, as bits: the last logits,
+    /// every layer's codes (sealed blocks, then the private tail) and dense
+    /// rows, the sealed frontier, and the tokens streamed after it.
+    #[derive(Debug, PartialEq)]
+    struct Admitted {
+        logits: Vec<u32>,
+        codes: Vec<Vec<u8>>,
+        dense: Vec<Vec<u32>>,
+        sealed: usize,
+        tokens: Vec<u32>,
+    }
+
+    /// Admits `prompt` on a fresh session in chunks of `chunk` tokens (one
+    /// [`InferenceSession::prefill`] when `None`) and streams 8 tokens.
+    fn admit(engine: &MillionEngine, prompt: &[u32], chunk: Option<usize>) -> Admitted {
+        let mut session = engine.session();
+        match chunk {
+            None => session.prefill(prompt),
+            Some(size) => {
+                assert_eq!(session.prefill_begin(prompt), 0, "a cold admission");
+                for tokens in prompt.chunks(size) {
+                    session.prefill_chunk(tokens);
+                }
+            }
+        }
+        let logits = session.cur_logits.as_deref().expect("admitted");
+        let mut codes = Vec::new();
+        let mut dense = Vec::new();
+        for (layer, cache) in session.caches.iter().enumerate() {
+            for h in 0..cache.layout().n_kv_heads {
+                for block in cache.shared_blocks() {
+                    codes.push(block.key_codes(layer, h).packed_bytes().to_vec());
+                    codes.push(block.value_codes(layer, h).packed_bytes().to_vec());
+                }
+                codes.push(cache.private_key_codes()[h].packed_bytes().to_vec());
+                codes.push(cache.private_value_codes()[h].packed_bytes().to_vec());
+                for rows in [&cache.recent_key_rows()[h], &cache.recent_value_rows()[h]] {
+                    dense.push(rows.iter().map(|x| x.to_bits()).collect());
+                }
+            }
+        }
+        let mut admitted = Admitted {
+            logits: logits.iter().map(|x| x.to_bits()).collect(),
+            codes,
+            dense,
+            sealed: session.sealed_tokens(),
+            tokens: Vec::new(),
+        };
+        admitted.tokens = session
+            .stream(GenerationOptions::max_tokens(8))
+            .map(|s| s.token)
+            .collect();
+        admitted
+    }
+
+    /// The engine of [`engine_for`] with a dense residual window.
+    fn engine_with_residual(
+        config: million_model::ModelConfig,
+        async_quant: bool,
+        residual_len: usize,
+    ) -> MillionEngine {
+        let calibration: Vec<u32> = (0..96)
+            .map(|i| ((i * 13 + 5) % config.vocab_size) as u32)
+            .collect();
+        let mut engine_cfg = crate::MillionConfig::four_bit(config.head_dim());
+        engine_cfg.async_quant = async_quant;
+        engine_cfg.residual_len = residual_len;
+        let model = million_model::Transformer::new(config, 31);
+        MillionEngine::new(model, engine_cfg, &calibration).expect("engine builds")
+    }
+
+    #[test]
+    fn chunked_cold_admission_is_one_shot_prefill() {
+        use million_model::{ModelConfig, NormKind, Positional};
+        const LEN: usize = 200;
+        let positionals = [
+            (
+                Positional::Rope {
+                    theta: 10_000.0,
+                    position_scale: 4.0,
+                },
+                NormKind::RmsNorm,
+            ),
+            (Positional::Alibi, NormKind::LayerNorm),
+            (Positional::Absolute, NormKind::LayerNorm),
+        ];
+        let mut cases = 0;
+        for base in [
+            ModelConfig::tiny_for_tests(),
+            ModelConfig::tiny_gqa_for_tests(),
+        ] {
+            for (positional, norm) in positionals {
+                let mut config = base.clone();
+                config.positional = positional;
+                config.norm = norm;
+                let prompt: Vec<u32> = (0..LEN)
+                    .map(|i| ((i * 37 + 11) % config.vocab_size) as u32)
+                    .collect();
+                for async_quant in [false, true] {
+                    // A residual window of 8 keeps the prompt's tail dense
+                    // after the last chunk too.
+                    for residual_len in [0, 8] {
+                        let engine =
+                            engine_with_residual(config.clone(), async_quant, residual_len);
+                        let expected = admit(&engine, &prompt, None);
+                        for size in [1, 7, 31, 32, 33, 64, 65, 512, LEN + 1] {
+                            assert_eq!(
+                                admit(&engine, &prompt, Some(size)),
+                                expected,
+                                "{positional:?} {} kv heads, async {async_quant}, \
+                                 residual {residual_len}, chunks of {size}",
+                                config.n_kv_heads
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        println!("chunked cold admission: {cases} chunkings of a {LEN}-token prompt bit-compared with one prefill");
+    }
+
+    /// The serving shape: a 1,024-token prompt on llama2-7b-sim in chunks
+    /// of 512 (the serving default) and 100, sync and async, against one
+    /// prefill. Too slow for a debug build.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release-only: 1k-token llama2-7b-sim admissions"
+    )]
+    fn chunked_cold_admission_is_one_shot_prefill_on_llama2_7b_sim() {
+        let config = million_model::ModelConfig::llama2_7b_sim();
+        let prompt: Vec<u32> = (0..1024)
+            .map(|i| ((i * 7919 + 13) % config.vocab_size) as u32)
+            .collect();
+        for async_quant in [false, true] {
+            let engine = engine_for(config.clone(), async_quant, 7);
+            let expected = admit(&engine, &prompt, None);
+            for size in [512, 100] {
+                assert_eq!(
+                    admit(&engine, &prompt, Some(size)),
+                    expected,
+                    "async {async_quant}, chunks of {size}"
+                );
+                println!(
+                    "chunked cold admission: llama2-7b-sim, 1024-token prompt, chunks of {size}, \
+                     async {async_quant}: logits, codes of {} layers and 8 streamed tokens \
+                     bit-identical to one prefill",
+                    config.n_layers
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past")]
+    fn a_chunk_past_the_opened_prompt_panics() {
+        let engine = engine(false, 10);
+        let mut session = engine.session();
+        session.prefill_begin(&prompt());
+        session.prefill_chunk(&prompt()[..8]);
+        session.prefill_chunk(&prompt()[..8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "prompt tokens to feed")]
+    fn stepping_an_open_admission_panics() {
+        let engine = engine(true, 11);
+        let mut session = engine.session();
+        session.prefill_begin(&prompt());
+        session.prefill_chunk(&prompt()[..5]);
+        let _ = session.step();
     }
 
     #[test]

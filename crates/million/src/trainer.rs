@@ -169,6 +169,25 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_capture_is_an_error_not_a_panic() {
+        // A NaN embedding row makes every key and value of that token NaN.
+        let config = ModelConfig::tiny_for_tests();
+        let mut weights = million_model::ModelWeights::initialize(&config, 5);
+        let poisoned = 7;
+        for c in 0..config.d_model {
+            weights.embedding.set(poisoned, c, f32::NAN);
+        }
+        let model = Transformer::from_weights(config.clone(), weights);
+        let mut tokens = calibration(config.vocab_size, 40);
+        tokens[3] = poisoned as u32;
+        let engine_cfg = MillionConfig::four_bit(config.head_dim());
+        assert!(matches!(
+            train_codebooks(&model, &tokens, &engine_cfg),
+            Err(QuantError::NonFinite(_))
+        ));
+    }
+
+    #[test]
     fn to_pq_spec_propagates_options() {
         let config = ModelConfig::tiny_for_tests();
         let model = Transformer::new(config.clone(), 4);

@@ -41,7 +41,7 @@ pub use config::{ModelConfig, NormKind, Positional};
 pub use hooks::KvCapture;
 pub use sampler::{Sampler, SamplerState};
 pub use transformer::{
-    prefill_attention_tiled, ForwardScratch, PrefillScratch, StepScratch, Transformer,
+    prefill_attention_tiled, ChunkArm, ForwardScratch, PrefillScratch, StepScratch, Transformer,
     PREFILL_K_TILE, PREFILL_Q_TILE,
 };
 pub use weights::{LayerWeights, ModelWeights};

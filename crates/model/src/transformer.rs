@@ -10,15 +10,20 @@
 //! the product is the row kernel, which at one row is
 //! [`million_tensor::ops::vec_matmul_into`] line for line.
 //!
-//! Only attention differs by where the chunk sits — **two arms**:
+//! Only attention differs — **two arms**, named by the caller
+//! ([`ChunkArm`]), never inferred from what the caches hold:
 //!
-//! * **prompt** — on empty caches, causal self-attention at full precision:
-//!   the flash-style tiled kernel ([`prefill_attention_tiled`]: per (head,
-//!   query-tile) work unit it walks key/value tiles with an online softmax,
-//!   fusing scale, ALiBi and the causal mask into the tile loop, so no
-//!   `n x n` score matrix is ever materialised). The (possibly lossy) cache
-//!   backends see the chunk's KV in one bulk append *afterwards*, step ③/④
-//!   of Fig. 4;
+//! * **prompt** — causal self-attention at full precision: the flash-style
+//!   tiled kernel ([`prefill_attention_tiled`]: per (head, query-tile) work
+//!   unit it walks key/value tiles with an online softmax, fusing scale,
+//!   ALiBi and the causal mask into the tile loop, so no `n x n` score
+//!   matrix is ever materialised). On empty caches the chunk attends to its
+//!   own KV and the (possibly lossy) backends see it in one bulk append
+//!   *afterwards*, step ③/④ of Fig. 4. A later chunk of the same prompt
+//!   appends first and reads the whole prompt back from the caches, which
+//!   must still hold it dense ([`million_kvcache::KvCache::dense_history`]);
+//!   a row's result depends on its position only, so a prompt fed in any
+//!   chunk sizes is one prefill bit for bit;
 //! * **cached** — behind any cache state, token by token in order: every
 //!   query head attends over the cached history through the backend
 //!   ([`million_kvcache::KvCache::attend`]) merged with the token's own
@@ -26,7 +31,7 @@
 //!   sees the same call sequence whatever the chunk boundaries, so a chunk
 //!   is bit-identical to feeding its tokens one at a time.
 //!
-//! The entry points differ in the arm they pick and in the **three shapes**
+//! The entry points differ in the arm they take and in the **three shapes**
 //! the final hidden states leave in: logits of every position
 //! ([`Transformer::prefill`] and its variants on the prompt arm,
 //! [`Transformer::extend_into`] on the cached arm), the last position's
@@ -203,11 +208,32 @@ impl Default for ForwardScratch {
     }
 }
 
+/// The attention arm of a chunk fed through [`Transformer::prefill_chunk`].
+/// The caller names it: the model never infers it from what the caches hold
+/// (a finished prompt no longer than a PQ cache's residual window is all
+/// dense too, yet its continuation must take the cached arm).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkArm {
+    /// A chunk of a prompt whose KV the caches still hold at full precision
+    /// — none yet for the first chunk. Every query row attends at its
+    /// position over the prompt's keys so far through the tiled kernel: the
+    /// chunk's own on empty caches, otherwise the chunk's KV is appended
+    /// first and every key is read back through
+    /// [`KvCache::dense_history`]. Any chunking of a prompt is therefore
+    /// [`Transformer::prefill`] bit for bit.
+    Prompt,
+    /// Behind any cache state, token by token: every query head attends over
+    /// the cached — possibly quantized — history through the backend merged
+    /// with the token's own pair, then the pair is appended.
+    Cached,
+}
+
 /// How a chunk forward attends (everything else is shared).
 enum ChunkAttention<'a> {
-    /// Empty caches: causal self-attention over the chunk's own
-    /// full-precision `(q, k, v)` through the tiled kernel on the lent tile
-    /// states, then one bulk append.
+    /// Causal self-attention at full precision through the tiled kernel on
+    /// the lent tile states ([`ChunkArm::Prompt`]): on empty caches over the
+    /// chunk's own `(k, v)`, then one bulk append; behind earlier prompt
+    /// chunks, one bulk append, then over the caches' dense history.
     Prompt(&'a mut TileScratch),
     /// Any cache state: per token, in order, every head attends over the
     /// cached history merged with the token's own pair (through the lent
@@ -254,10 +280,17 @@ pub fn prefill_attention_tiled(
     scratch: &mut PrefillScratch,
     attn: &mut Matrix,
 ) {
+    let n = q.rows();
+    assert!(n_heads > 0, "query heads must be a multiple of KV heads");
+    let hd = q.cols() / n_heads;
+    assert_eq!(k.rows(), n, "key rows mismatch");
+    assert_eq!(v.rows(), n, "value rows mismatch");
+    assert_eq!(k.cols(), n_kv_heads * hd, "key width mismatch");
+    assert_eq!(v.cols(), n_kv_heads * hd, "value width mismatch");
     tiled_attention(
         q,
-        k,
-        v,
+        chunk_kv(k, v, hd),
+        0,
         n_heads,
         n_kv_heads,
         scale,
@@ -268,12 +301,18 @@ pub fn prefill_attention_tiled(
 }
 
 /// [`prefill_attention_tiled`] on the tile part of a [`ForwardScratch`], so
-/// the chunk forward can lend its activation buffers alongside.
+/// the chunk forward can lend its activation buffers alongside — for a
+/// chunk at any position. `q` holds the query rows of positions `start..start
+/// + q.rows()`; `kv(h)` gives KV head `h`'s keys and values of positions
+/// `0..start + q.rows()` at least (the chunk's own rows at `start == 0`, the
+/// prompt so far read back from a cache otherwise). Query tiles are counted
+/// from the chunk's first row; which rows share a unit never changes a
+/// row's bits (see [`attend_unit`]).
 #[allow(clippy::too_many_arguments)]
-fn tiled_attention(
+fn tiled_attention<'a>(
     q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
+    kv: impl Fn(usize) -> [StridedRows<'a>; 2] + Sync,
+    start: usize,
     n_heads: usize,
     n_kv_heads: usize,
     scale: f32,
@@ -292,10 +331,6 @@ fn tiled_attention(
         "query width must be a multiple of n_heads"
     );
     let hd = q.cols() / n_heads;
-    assert_eq!(k.rows(), n, "key rows mismatch");
-    assert_eq!(v.rows(), n, "value rows mismatch");
-    assert_eq!(k.cols(), n_kv_heads * hd, "key width mismatch");
-    assert_eq!(v.cols(), n_kv_heads * hd, "value width mismatch");
     if let Some(slopes) = alibi {
         assert_eq!(slopes.len(), n_heads, "one ALiBi slope per head required");
     }
@@ -308,7 +343,9 @@ fn tiled_attention(
         scratch.head_out.resize(staged, 0.0);
     }
     let units = n_heads * tiles;
-    let parallel = units > 1 && PREFILL_Q_TILE * (n / 2).max(1) * hd >= PARALLEL_PREFILL_MIN_WORK;
+    // A unit walks `start` keys plus, on average, half the chunk's.
+    let parallel =
+        units > 1 && PREFILL_Q_TILE * (start + n / 2).max(1) * hd >= PARALLEL_PREFILL_MIN_WORK;
     let pool_len = if parallel { scratch.pool.len() } else { 1 };
 
     let TileScratch { pool, head_out } = scratch;
@@ -321,12 +358,12 @@ fn tiled_attention(
             let tile = balanced_tile(unit % tiles, tiles);
             let q0 = tile * PREFILL_Q_TILE;
             let q1 = (q0 + PREFILL_Q_TILE).min(n);
-            let kvh = qh / group;
+            let [k, v] = kv(qh / group);
             attend_unit(
-                StridedRows::from_matrix(q, qh * hd, hd),
-                StridedRows::from_matrix(k, kvh * hd, hd),
-                StridedRows::from_matrix(v, kvh * hd, hd),
-                q0..q1,
+                StridedRows::from_matrix(q, qh * hd, hd).starting_at(start),
+                k,
+                v,
+                start + q0..start + q1,
                 scale,
                 alibi.map(|s| s[qh]),
                 unit_scratch,
@@ -346,6 +383,20 @@ fn tiled_attention(
         for (i, t) in (q0..q1).enumerate() {
             attn.row_mut(t)[qh * hd..(qh + 1) * hd].copy_from_slice(&chunk[i * hd..(i + 1) * hd]);
         }
+    }
+}
+
+/// KV head `h`'s band of a chunk's packed keys and values.
+fn chunk_kv<'a>(
+    k: &'a Matrix,
+    v: &'a Matrix,
+    hd: usize,
+) -> impl Fn(usize) -> [StridedRows<'a>; 2] + Sync {
+    move |h| {
+        [
+            StridedRows::from_matrix(k, h * hd, hd),
+            StridedRows::from_matrix(v, h * hd, hd),
+        ]
     }
 }
 
@@ -535,41 +586,50 @@ impl Transformer {
         capture: Option<&mut KvCapture>,
         scratch: &mut PrefillScratch,
     ) -> Matrix {
+        assert!(
+            caches.iter().all(|c| c.is_empty()),
+            "prefill requires empty caches"
+        );
         self.assert_within_window(tokens.len(), caches);
         self.prompt_hidden(tokens, caches, capture, scratch)
             .matmul_transposed(&self.weights.embedding)
     }
 
-    /// Feeds one chunk of known tokens at the caches' current length and
-    /// writes the logits of its **last** position into `logits` (resized in
-    /// place) — what an admission needs, without the `[chunk, vocab]` logits
-    /// of [`Self::prefill`] / [`Self::extend_into`].
+    /// Feeds one chunk of known tokens at the caches' current length through
+    /// the arm the caller names and writes the logits of its **last**
+    /// position into `logits` (resized in place) — what an admission needs,
+    /// without the `[chunk, vocab]` logits of [`Self::prefill`] /
+    /// [`Self::extend_into`].
     ///
-    /// On empty caches the chunk takes the prompt arm — it attends to itself
-    /// through the tiled kernel and its KV reaches the caches in one bulk
-    /// append, exactly as [`Self::prefill`]; behind cached history it takes
-    /// the cached arm, exactly as [`Self::extend_into`]. That is the one seam
-    /// between this and [`Self::decode_step_into`], which takes the cached
-    /// arm on empty caches too: a *single* token fed to empty caches attends
-    /// to nothing but itself either way, and the two agree bit for bit
-    /// (pinned in `crates/model/tests/extend_equivalence.rs`).
+    /// [`ChunkArm::Prompt`] is [`Self::prefill`]'s arm at any position: the
+    /// chunks of a prompt fed in any sizes leave the caches and the last
+    /// logits exactly as one prefill of the whole prompt does — every GEMM
+    /// row equals the GEMV, and [`attend_unit`]'s work for a row depends on
+    /// that row's position only. Behind earlier chunks it needs every
+    /// cache's history dense ([`KvCache::dense_history`]): a PQ cache must
+    /// hold its encode until the last chunk. [`ChunkArm::Cached`] is
+    /// [`Self::extend_into`]'s arm. A *single* token fed to empty caches
+    /// attends to nothing but itself either way, and the two arms agree bit
+    /// for bit there (both pinned in
+    /// `crates/model/tests/extend_equivalence.rs`).
     ///
     /// # Panics
     ///
-    /// Panics if `tokens` is empty, if `caches.len() != n_layers`, or if the
-    /// extended sequence would exceed `max_seq_len`.
+    /// Panics if `tokens` is empty, if `caches.len() != n_layers`, if the
+    /// extended sequence would exceed `max_seq_len`, or if the prompt arm
+    /// finds a cache whose history is not dense.
     pub fn prefill_chunk<C: KvCache>(
         &self,
         tokens: &[u32],
         caches: &mut [C],
+        arm: ChunkArm,
         scratch: &mut PrefillScratch,
         logits: &mut Vec<f32>,
     ) {
         self.assert_within_window(tokens.len(), caches);
-        let hidden = if caches.iter().all(|c| c.is_empty()) {
-            self.prompt_hidden(tokens, caches, None, scratch)
-        } else {
-            self.cached_hidden(tokens, caches, scratch)
+        let hidden = match arm {
+            ChunkArm::Prompt => self.prompt_hidden(tokens, caches, None, scratch),
+            ChunkArm::Cached => self.cached_hidden(tokens, caches, scratch),
         };
         self.logits_into(hidden.row(tokens.len() - 1), logits);
     }
@@ -592,8 +652,8 @@ impl Transformer {
         vec_matmul_transposed_into(hidden, &self.weights.embedding, logits);
     }
 
-    /// The chunk forward over empty caches through the tiled prompt
-    /// attention. Returns the final-normed hidden states, borrowed from the
+    /// The chunk forward through the tiled prompt attention, on empty caches
+    /// or behind a dense prompt. Returns the final-normed hidden states, borrowed from the
     /// scratch.
     fn prompt_hidden<'s, C: KvCache>(
         &self,
@@ -643,8 +703,11 @@ impl Transformer {
     /// order whatever the chunk boundaries — so a chunk through that arm is
     /// bit-identical to its tokens fed one at a time, for every cache
     /// backend (pinned against a public-API oracle in
-    /// `crates/model/tests/extend_equivalence.rs`). It does not check the
-    /// context window; the multi-token entry points do.
+    /// `crates/model/tests/extend_equivalence.rs`); the
+    /// [`ChunkAttention::Prompt`] arm gives each row what one prefill of the
+    /// whole prompt gives it, whatever the chunk boundaries (pinned there
+    /// too). It does not check the context window; the multi-token entry
+    /// points do.
     fn forward_chunk<C: KvCache>(
         &self,
         tokens: &[u32],
@@ -660,16 +723,19 @@ impl Transformer {
         );
         assert!(!tokens.is_empty(), "a chunk requires at least one token");
         let start_pos = caches[0].len();
-        if matches!(attention, ChunkAttention::Prompt(_)) {
+        if matches!(attention, ChunkAttention::Prompt(_)) && start_pos > 0 {
             assert!(
-                caches.iter().all(|c| c.is_empty()),
-                "prefill requires empty caches"
+                caches
+                    .iter()
+                    .all(|c| c.len() == start_pos && c.dense_history(0).is_some()),
+                "a prompt chunk at position {start_pos} needs every cache's history dense"
             );
         }
         let n = tokens.len();
         let n_heads = self.config.n_heads;
         let n_kv_heads = self.config.n_kv_heads;
         let kv_width = self.config.kv_width();
+        let hd = self.config.head_dim();
 
         let ChunkScratch {
             gemm,
@@ -703,11 +769,11 @@ impl Transformer {
             }
 
             match &mut attention {
-                ChunkAttention::Prompt(tiles) => {
+                ChunkAttention::Prompt(tiles) if start_pos == 0 => {
                     tiled_attention(
                         q,
-                        k,
-                        v,
+                        chunk_kv(k, v, hd),
+                        0,
                         n_heads,
                         n_kv_heads,
                         self.attention_scale(),
@@ -718,6 +784,27 @@ impl Transformer {
                     // Hand the full-precision KV to the (possibly lossy)
                     // cache only after the attention output is produced.
                     caches[l].append(k, v);
+                }
+                ChunkAttention::Prompt(tiles) => {
+                    // The earlier chunks' KV waits dense in the cache: this
+                    // chunk's joins it, and every row reads the prompt back.
+                    caches[l].append(k, v);
+                    let cache = &caches[l];
+                    tiled_attention(
+                        q,
+                        |h| {
+                            cache
+                                .dense_history(h)
+                                .expect("checked dense at the chunk's entry")
+                        },
+                        start_pos,
+                        n_heads,
+                        n_kv_heads,
+                        self.attention_scale(),
+                        self.alibi.as_deref(),
+                        tiles,
+                        attn,
+                    );
                 }
                 ChunkAttention::Cached(attend) => {
                     attn.resize_zeroed(n, q.cols());

@@ -1,13 +1,19 @@
-//! Pins the chunk forward behind cached history to its serial twin.
+//! Pins both arms of the chunk forward to their twins.
 //!
-//! A chunk fed at `start_pos > 0` (a later prefill chunk, a warm-prefix
-//! suffix, a later conversation turn) must be **bit-identical** — logits and
-//! cache contents — to feeding the same tokens one at a time, for every cache
-//! backend: the dense stages run as whole-chunk GEMMs whose rows equal the
-//! one-token GEMV, and each cache sees the same attend/append calls in the
-//! same order. The cold arm (empty caches, tiled attention, bulk append) is
-//! pinned against the oracle over empty full-precision caches, within the
-//! tiled kernel's tolerance.
+//! **Cached arm.** A chunk fed at `start_pos > 0` through
+//! [`ChunkArm::Cached`] (a warm-prefix suffix, a later conversation turn)
+//! must be **bit-identical** — logits and cache contents — to feeding the
+//! same tokens one at a time, for every cache backend: the dense stages run
+//! as whole-chunk GEMMs whose rows equal the one-token GEMV, and each cache
+//! sees the same attend/append calls in the same order.
+//!
+//! **Prompt arm.** A prompt fed in chunks through [`ChunkArm::Prompt`] — the
+//! first on empty caches, every later one reading the prompt back from the
+//! caches' dense history — must be bit-identical to one
+//! [`Transformer::prefill`] of the whole prompt, logits and caches, on full
+//! caches and on PQ caches holding their encode until the prompt ends. The
+//! tiled arm itself is pinned against the oracle over empty full-precision
+//! caches, within the tiled kernel's tolerance.
 //!
 //! The serial twin is [`oracle_step`]: one token, one layer at a time,
 //! written here on the crates' public API only (weights, `embed_into`, the
@@ -23,8 +29,8 @@ use million_kvcache::{
     AttendParams, AttendScratch, KiviConfig, KvCache, KvQuantConfig, PqCacheConfig, PqKvCache,
 };
 use million_model::{
-    build_caches, CacheSpec, KvCapture, ModelConfig, NormKind, Positional, PqSpec, PrefillScratch,
-    StepScratch, Transformer,
+    build_caches, CacheSpec, ChunkArm, KvCapture, ModelConfig, NormKind, Positional, PqSpec,
+    PrefillScratch, StepScratch, Transformer,
 };
 use million_quant::pq::{PqCodebook, PqConfig, PqTrainOptions};
 use million_tensor::alibi::alibi_slopes;
@@ -323,12 +329,17 @@ fn check_backend<C: KvCache>(
         assert_eq!(&fingerprint(&caches), twin_print, "{label}: cache contents");
 
         // The last-position entry point sessions use (same forward, so one
-        // row-kernel and one tiled length suffice). On empty caches it takes
-        // the tiled arm instead, which is pinned separately.
+        // row-kernel and one tiled length suffice).
         let mut caches = make();
-        if !caches[0].is_empty() && [7, 130].contains(&len) {
+        if [7, 130].contains(&len) {
             let mut last = vec![f32::NAN; 3];
-            model.prefill_chunk(&chunk[..len], &mut caches, &mut scratch, &mut last);
+            model.prefill_chunk(
+                &chunk[..len],
+                &mut caches,
+                ChunkArm::Cached,
+                &mut scratch,
+                &mut last,
+            );
             assert_eq!(bits(&last), twin_logits[len - 1], "{label}: last logits");
             assert_eq!(&fingerprint(&caches), twin_print, "{label}: cache (last)");
         }
@@ -396,7 +407,13 @@ fn cold_chunk_forward_matches_the_reference_within_tolerance() {
             let prompt = tokens(len, config.vocab_size, 13);
             let mut caches = build_caches(&config, &CacheSpec::Full);
             let mut last = Vec::new();
-            model.prefill_chunk(&prompt, &mut caches, &mut scratch, &mut last);
+            model.prefill_chunk(
+                &prompt,
+                &mut caches,
+                ChunkArm::Prompt,
+                &mut scratch,
+                &mut last,
+            );
             let mut caches_ref = build_caches(&config, &CacheSpec::Full);
             let mut reference = Vec::new();
             for &token in &prompt {
@@ -426,9 +443,9 @@ fn cold_chunk_forward_matches_the_reference_within_tolerance() {
 
 #[test]
 fn a_single_token_on_empty_caches_is_the_same_through_either_arm() {
-    // The one seam between the entry points: on empty caches
-    // `prefill_chunk` takes the prompt arm (tiled kernel, bulk append) while
-    // `decode_step_into` takes the cached arm (per-head `attend` over an
+    // The one seam between the arms: on empty caches the prompt arm runs the
+    // tiled kernel and a bulk append, while `decode_step_into` takes the
+    // cached arm (per-head `attend` over an
     // empty history, one-row append). A lone token attends to nothing but
     // itself — softmax weight exactly 1 — so the two must agree to the bit,
     // logits and cache contents, for every positional scheme and backend.
@@ -443,6 +460,7 @@ fn a_single_token_on_empty_caches_is_the_same_through_either_arm() {
                 model.prefill_chunk(
                     &[token],
                     &mut prompt_arm,
+                    ChunkArm::Prompt,
                     &mut PrefillScratch::new(),
                     &mut last,
                 );
@@ -457,6 +475,143 @@ fn a_single_token_on_empty_caches_is_the_same_through_either_arm() {
             }
         }
     }
+}
+
+/// PQ caches holding their encode for a prompt admitted in chunks, as a
+/// session does; `auto_encode` on and off.
+fn held_pq_caches(model: &Transformer, spec: &PqSpec, auto_encode: bool) -> Vec<PqKvCache> {
+    (0..model.config().n_layers)
+        .map(|l| {
+            let mut cfg = PqCacheConfig::new(
+                spec.key_codebooks[l].clone(),
+                spec.value_codebooks[l].clone(),
+                spec.residual_len,
+            )
+            .with_layer(l);
+            cfg.auto_encode = auto_encode;
+            let mut cache = PqKvCache::new(model.cache_layout(), cfg);
+            cache.hold_encode(true);
+            cache
+        })
+        .collect()
+}
+
+/// Every layer's codes and dense rows, as bits.
+fn pq_contents(caches: &[PqKvCache]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for cache in caches {
+        for codes in cache
+            .private_key_codes()
+            .iter()
+            .chain(cache.private_value_codes())
+        {
+            out.push(codes.packed_bytes().to_vec());
+        }
+        for rows in cache
+            .recent_key_rows()
+            .iter()
+            .chain(cache.recent_value_rows())
+        {
+            out.push(rows.iter().flat_map(|x| x.to_le_bytes()).collect());
+        }
+    }
+    out
+}
+
+#[test]
+fn a_prompt_fed_in_chunks_through_the_prompt_arm_is_one_prefill() {
+    // Chunk sizes around the GEMM's row-kernel threshold and the attention
+    // tiles (32 query rows, 64 keys), on full caches and on PQ caches whose
+    // encode is held until the prompt ends (the session's cold admission),
+    // with and without `auto_encode`.
+    const LEN: usize = 150;
+    for config in configs() {
+        let model = Transformer::new(config.clone(), 43);
+        let prompt = tokens(LEN, config.vocab_size, 17);
+        let pq = pq_spec(&model, 4, 64);
+        let mut scratch = PrefillScratch::new();
+
+        let mut one_shot = build_caches(&config, &CacheSpec::Full);
+        let all = model.prefill(&prompt, &mut one_shot, None);
+        let expected = bits(all.row(LEN - 1));
+        let mut pq_one_shot = held_pq_caches(&model, &pq, true);
+        let mut one_shot_last = Vec::new();
+        model.prefill_chunk(
+            &prompt,
+            &mut pq_one_shot,
+            ChunkArm::Prompt,
+            &mut scratch,
+            &mut one_shot_last,
+        );
+        assert_eq!(bits(&one_shot_last), expected, "{}", config.name);
+        for cache in &mut pq_one_shot {
+            cache.hold_encode(false);
+            cache.encode_overflow();
+        }
+
+        for size in [1, 7, 15, 16, 31, 32, 33, 64, 65, 149] {
+            let label = format!("{} chunks of {size}", config.name);
+            let mut full = build_caches(&config, &CacheSpec::Full);
+            let mut held = [
+                held_pq_caches(&model, &pq, true),
+                held_pq_caches(&model, &pq, false),
+            ];
+            let mut last = Vec::new();
+            for chunk in prompt.chunks(size) {
+                model.prefill_chunk(chunk, &mut full, ChunkArm::Prompt, &mut scratch, &mut last);
+                for caches in &mut held {
+                    let mut pq_last = Vec::new();
+                    model.prefill_chunk(
+                        chunk,
+                        caches,
+                        ChunkArm::Prompt,
+                        &mut scratch,
+                        &mut pq_last,
+                    );
+                    assert_eq!(bits(&pq_last), bits(&last), "{label}: PQ logits");
+                }
+            }
+            assert_eq!(bits(&last), expected, "{label}: last logits");
+            assert_eq!(fingerprint(&full), fingerprint(&one_shot), "{label}: full");
+            for caches in &mut held {
+                for cache in caches.iter_mut() {
+                    cache.hold_encode(false);
+                    cache.encode_overflow();
+                }
+                assert_eq!(
+                    pq_contents(caches),
+                    pq_contents(&pq_one_shot),
+                    "{label}: codes"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "needs every cache's history dense")]
+fn the_prompt_arm_behind_coded_history_panics() {
+    let config = ModelConfig::tiny_for_tests();
+    let model = Transformer::new(config.clone(), 47);
+    let pq = pq_spec(&model, 4, 64);
+    let mut caches = build_caches(&config, &CacheSpec::Pq(pq));
+    let prompt = tokens(20, config.vocab_size, 5);
+    let mut last = Vec::new();
+    let mut scratch = PrefillScratch::new();
+    model.prefill_chunk(
+        &prompt[..10],
+        &mut caches,
+        ChunkArm::Prompt,
+        &mut scratch,
+        &mut last,
+    );
+    model.prefill_chunk(
+        &prompt[10..],
+        &mut caches,
+        ChunkArm::Prompt,
+        &mut scratch,
+        &mut last,
+    );
 }
 
 /// Release-only (`cargo test --release -- --ignored`): a 512-token chunk

@@ -24,7 +24,7 @@ use std::cell::Cell;
 use million_kvcache::KvCache;
 use million_kvcache::{CacheLayout, FullPrecisionCache};
 use million_model::{
-    prefill_attention_tiled, ModelConfig, PrefillScratch, StepScratch, Transformer,
+    prefill_attention_tiled, ChunkArm, ModelConfig, PrefillScratch, StepScratch, Transformer,
 };
 use million_tensor::init::{normal_matrix, seeded_rng};
 use million_tensor::{GemmScratch, Matrix};
@@ -182,7 +182,7 @@ fn chunk_forward_is_allocation_free_when_scratch_is_warm() {
     let mut caches: Vec<FullPrecisionCache> = (0..config.n_layers)
         .map(|_| {
             let mut cache = FullPrecisionCache::new(layout);
-            cache.reserve_tokens(128);
+            cache.reserve_tokens(160);
             cache
         })
         .collect();
@@ -193,12 +193,24 @@ fn chunk_forward_is_allocation_free_when_scratch_is_warm() {
 
     // Tiled arm over empty caches: the first pass sizes every chunk buffer,
     // the pack buffer, the tile arenas and the logits row.
-    model.prefill_chunk(&chunk, &mut caches, &mut scratch, &mut logits);
+    model.prefill_chunk(
+        &chunk,
+        &mut caches,
+        ChunkArm::Prompt,
+        &mut scratch,
+        &mut logits,
+    );
     for cache in &mut caches {
         cache.reset();
     }
     let before = thread_allocations();
-    model.prefill_chunk(&chunk, &mut caches, &mut scratch, &mut logits);
+    model.prefill_chunk(
+        &chunk,
+        &mut caches,
+        ChunkArm::Prompt,
+        &mut scratch,
+        &mut logits,
+    );
     assert_eq!(
         thread_allocations() - before,
         0,
@@ -207,9 +219,21 @@ fn chunk_forward_is_allocation_free_when_scratch_is_warm() {
 
     // Per-token arm behind the 40 cached tokens: one warm-up for the
     // attention pool and the one-row append staging, then the same shape.
-    model.prefill_chunk(&chunk, &mut caches, &mut scratch, &mut logits);
+    model.prefill_chunk(
+        &chunk,
+        &mut caches,
+        ChunkArm::Cached,
+        &mut scratch,
+        &mut logits,
+    );
     let before = thread_allocations();
-    model.prefill_chunk(&chunk, &mut caches, &mut scratch, &mut logits);
+    model.prefill_chunk(
+        &chunk,
+        &mut caches,
+        ChunkArm::Cached,
+        &mut scratch,
+        &mut logits,
+    );
     assert_eq!(
         thread_allocations() - before,
         0,
@@ -217,4 +241,38 @@ fn chunk_forward_is_allocation_free_when_scratch_is_warm() {
     );
     assert_eq!(caches[0].len(), 120);
     assert_eq!(logits.len(), config.vocab_size);
+
+    // A later chunk of a prompt: the tiled arm over the caches' dense
+    // history, at a shape the scratch has seen.
+    for cache in &mut caches {
+        cache.reset();
+    }
+    model.prefill_chunk(
+        &chunk,
+        &mut caches,
+        ChunkArm::Prompt,
+        &mut scratch,
+        &mut logits,
+    );
+    model.prefill_chunk(
+        &chunk,
+        &mut caches,
+        ChunkArm::Prompt,
+        &mut scratch,
+        &mut logits,
+    );
+    let before = thread_allocations();
+    model.prefill_chunk(
+        &chunk,
+        &mut caches,
+        ChunkArm::Prompt,
+        &mut scratch,
+        &mut logits,
+    );
+    assert_eq!(
+        thread_allocations() - before,
+        0,
+        "a later prompt chunk forward allocated"
+    );
+    assert_eq!(caches[0].len(), 120);
 }

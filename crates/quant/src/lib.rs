@@ -53,6 +53,8 @@ pub enum QuantError {
     ShapeMismatch(String),
     /// Training data was insufficient (e.g. fewer samples than clusters).
     InsufficientData(String),
+    /// Training data held a NaN or an infinity.
+    NonFinite(String),
 }
 
 impl std::fmt::Display for QuantError {
@@ -61,6 +63,7 @@ impl std::fmt::Display for QuantError {
             QuantError::InvalidConfig(msg) => write!(f, "invalid quantizer configuration: {msg}"),
             QuantError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
             QuantError::InsufficientData(msg) => write!(f, "insufficient training data: {msg}"),
+            QuantError::NonFinite(msg) => write!(f, "non-finite training data: {msg}"),
         }
     }
 }

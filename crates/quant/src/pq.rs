@@ -128,8 +128,12 @@ impl PqCodebook {
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::ShapeMismatch`] if `dim % m != 0`, and
-    /// [`QuantError::InsufficientData`] if `samples` is empty.
+    /// Returns [`QuantError::ShapeMismatch`] if `dim % m != 0`,
+    /// [`QuantError::InsufficientData`] if `samples` is empty, and
+    /// [`QuantError::NonFinite`], naming the first such row, if a row
+    /// training would read holds a NaN or an infinity (k-means cannot seed
+    /// from one: a NaN distance poisons every draw, an infinite one takes
+    /// every draw after it).
     pub fn train(
         config: &PqConfig,
         samples: &Matrix,
@@ -154,6 +158,14 @@ impl PqCodebook {
         // Evenly subsample the training set if it is larger than max_samples.
         let stride = n.div_ceil(options.max_samples.max(1));
         let selected: Vec<usize> = (0..n).step_by(stride).collect();
+        if let Some(&row) = selected
+            .iter()
+            .find(|&&row| samples.row(row).iter().any(|x| !x.is_finite()))
+        {
+            return Err(QuantError::NonFinite(format!(
+                "sample row {row} holds a NaN or an infinity"
+            )));
+        }
 
         let centroids = (0..config.m)
             .into_par_iter()
@@ -1292,6 +1304,36 @@ mod tests {
         let data = Matrix::zeros(0, 32);
         let config = PqConfig::new(8, 4).unwrap();
         assert!(PqCodebook::train(&config, &data, &PqTrainOptions::default(), 0).is_err());
+    }
+
+    #[test]
+    fn train_names_a_non_finite_sample_row_instead_of_panicking() {
+        // A NaN sample used to panic k-means++ at k >= 2 and an infinite one
+        // to seed every later centroid at the last sample.
+        for (nbits, row, value) in [(4, 37, f32::NAN), (6, 300, f32::INFINITY)] {
+            let mut data = training_data(9, 512, 32);
+            data.set(row, 5, value);
+            let config = PqConfig::new(8, nbits).unwrap();
+            let result = std::panic::catch_unwind(|| {
+                PqCodebook::train(&config, &data, &PqTrainOptions::default(), 3)
+            })
+            .expect("training must not panic");
+            match result {
+                Err(QuantError::NonFinite(msg)) => {
+                    assert!(msg.contains(&format!("row {row}")), "{msg}")
+                }
+                other => panic!("k = {}: expected NonFinite, got {other:?}", 1 << nbits),
+            }
+        }
+        // A row the subsampling skips is never read.
+        let mut data = training_data(9, 512, 32);
+        data.set(1, 0, f32::NAN);
+        let options = PqTrainOptions {
+            max_samples: 256,
+            ..PqTrainOptions::default()
+        };
+        let config = PqConfig::new(8, 4).unwrap();
+        assert!(PqCodebook::train(&config, &data, &options, 3).is_ok());
     }
 
     #[test]

@@ -103,8 +103,13 @@ fn arena_len(head_dim: usize) -> usize {
 /// Causal attention of the query rows `rows` of one head over keys
 /// `0..rows.end`: `out` (`rows.len() x head_dim`, row-major) receives
 /// `softmax(q·kᵀ·scale − slope·(i − j)) · v` for each query row `i`, keys
-/// `j ≤ i`. `q`, `k` and `v` are the head's views (all `head_dim` wide);
-/// `slope` is the head's ALiBi slope, if any.
+/// `j ≤ i`. `q`, `k` and `v` are the head's views (all `head_dim` wide),
+/// indexed by position: a chunk of a longer prompt passes its own query
+/// rows re-indexed to their positions ([`StridedRows::starting_at`]) and
+/// the keys of the whole prompt so far. Key tiles are aligned at 0 and the
+/// causal bound is per row, so row `i`'s output depends on `i` and the rows
+/// it reads only — never on which rows share its unit. `slope` is the
+/// head's ALiBi slope, if any.
 ///
 /// Runs the AVX2 build when the CPU has it, with the same bits (see the
 /// module docs).
@@ -630,6 +635,46 @@ mod tests {
                     println!("prompt attention: {name} build bit-compared on {compared} outputs")
                 }
                 None => println!("prompt attention: {name} build skipped, this CPU lacks it"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_unit_of_a_later_chunk_reads_its_rows_at_their_positions() {
+        // Query rows handed over as a chunk re-indexed to their positions
+        // give the bits those rows get inside one whole-prompt unit, at
+        // every chunk start around the key-tile edges.
+        let prompt = Prompt::new(150, 2, 1, 16, false);
+        let hd = prompt.hd;
+        let mut scratch = UnitScratch::default();
+        for (qh, [q, k, v], _) in prompt.units() {
+            for start in [1, 31, 63, 64, 65, 100] {
+                let rows = start..(start + 37).min(150);
+                let mut whole = vec![0.0f32; rows.len() * hd];
+                attend_unit(
+                    q,
+                    k,
+                    v,
+                    rows.clone(),
+                    0.25,
+                    Some(0.1),
+                    &mut scratch,
+                    &mut whole,
+                );
+                let chunk = prompt.q.slice_rows(rows.clone());
+                let at = StridedRows::from_matrix(&chunk, qh * hd, hd).starting_at(start);
+                let mut split = vec![0.0f32; rows.len() * hd];
+                attend_unit(
+                    at,
+                    k,
+                    v,
+                    rows.clone(),
+                    0.25,
+                    Some(0.1),
+                    &mut scratch,
+                    &mut split,
+                );
+                assert_eq!(bits(&split), bits(&whole), "head {qh} rows {rows:?}");
             }
         }
     }

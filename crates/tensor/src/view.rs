@@ -10,7 +10,8 @@ use crate::Matrix;
 
 /// A borrowed view of one column band of a row-major `[rows, stride]` buffer:
 /// row `t` of the view is `data[t * stride + offset .. t * stride + offset +
-/// width]`.
+/// width]` — or, once [`StridedRows::starting_at`] re-indexed it to begin at
+/// row `first`, row `t` is the buffer's row `t - first`.
 ///
 /// # Example
 ///
@@ -30,6 +31,8 @@ pub struct StridedRows<'a> {
     offset: usize,
     width: usize,
     rows: usize,
+    /// Index of the buffer's first row.
+    first: usize,
 }
 
 impl<'a> StridedRows<'a> {
@@ -58,6 +61,7 @@ impl<'a> StridedRows<'a> {
             offset,
             width,
             rows: data.len() / stride,
+            first: 0,
         }
     }
 
@@ -70,9 +74,30 @@ impl<'a> StridedRows<'a> {
         Self::new(m.as_slice(), m.cols().max(1), offset, width)
     }
 
-    /// Number of rows in the view.
+    /// The same rows re-indexed so the buffer's first row is row `first`:
+    /// how a chunk's activations are addressed by their absolute positions
+    /// in a sequence whose earlier rows live elsewhere. Rows below `first`
+    /// do not exist.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use million_tensor::{Matrix, StridedRows};
+    ///
+    /// let chunk = Matrix::from_vec(2, 2, vec![0.0, 1.0, 2.0, 3.0]).unwrap();
+    /// let at_40 = StridedRows::from_matrix(&chunk, 0, 2).starting_at(40);
+    /// assert_eq!(at_40.rows(), 42);
+    /// assert_eq!(at_40.row(41), &[2.0, 3.0]);
+    /// ```
+    #[must_use]
+    pub fn starting_at(self, first: usize) -> Self {
+        Self { first, ..self }
+    }
+
+    /// One past the index of the view's last row (its row count, unless it
+    /// was re-indexed by [`Self::starting_at`]).
     pub fn rows(&self) -> usize {
-        self.rows
+        self.first + self.rows
     }
 
     /// Width of the column band.
@@ -84,9 +109,12 @@ impl<'a> StridedRows<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `t >= rows`.
+    /// Panics if `t` is below the first row or not below [`Self::rows`].
     #[inline]
     pub fn row(&self, t: usize) -> &'a [f32] {
+        let t = t
+            .checked_sub(self.first)
+            .expect("row below the view's first row");
         let base = t * self.stride + self.offset;
         &self.data[base..base + self.width]
     }
@@ -114,6 +142,23 @@ mod tests {
         for t in 0..3 {
             assert_eq!(all.row(t), m.row(t));
         }
+    }
+
+    #[test]
+    fn a_view_starting_at_a_row_reads_the_buffer_from_there() {
+        let m = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32);
+        let band = StridedRows::from_matrix(&m, 1, 2).starting_at(5);
+        assert_eq!(band.rows(), 8);
+        for t in 5..8 {
+            assert_eq!(band.row(t), &m.row(t - 5)[1..3]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "below the view's first row")]
+    fn a_row_below_the_first_panics() {
+        let m = Matrix::zeros(2, 4);
+        let _ = StridedRows::from_matrix(&m, 0, 4).starting_at(3).row(2);
     }
 
     #[test]

@@ -287,13 +287,12 @@ fn staggered_arrivals_reuse_the_resident_prefix_inside_the_loop() {
 /// on, so both cold and warm (store-attached) admissions ride the chunk
 /// path — every request stays bit-identical to a serial one-shot run.
 ///
-/// For chunk sizes covering the whole prompt (512, 4096 here) this is
-/// structural: admission *is* the one-shot path. For sub-prompt chunks the
-/// suffix rides the extend path, whose agreement with one-shot prefill is
-/// the PR 3 session contract (decode-path attention over quantized codes);
-/// this fixed-seed run pins the streams as exactly equal. The structural
-/// sub-prompt guarantee — scheduling never changes what attention sees — is
-/// pinned against split serial twins in the two tests below.
+/// This is structural for every chunk size: a cold admission's chunks
+/// attend over the prompt so far at full precision and its last chunk
+/// encodes it, which is one prefill bit for bit (pinned for every chunking
+/// in `million`'s `chunked_cold_admission_is_one_shot_prefill`), and a warm
+/// admission's suffix rides the extend path in both (pinned against a warm
+/// serial twin below).
 #[test]
 fn chunked_prefill_is_bit_identical_across_chunk_sizes_and_warm_admissions() {
     let config = ModelConfig::tiny_for_tests();
@@ -308,8 +307,11 @@ fn chunked_prefill_is_bit_identical_across_chunk_sizes_and_warm_admissions() {
     }
 
     for chunk_tokens in [1usize, 7, 512, 4096] {
+        // The retention budget keeps the system blocks resident after
+        // their first session retires.
         let shared_cfg = sync_config(config.head_dim())
             .with_block_tokens(16)
+            .with_store_byte_budget(8 << 20)
             .with_prefix_sharing();
         let engine = build_engine(&config, shared_cfg, 29);
         let mut serving = ServingEngine::new(
@@ -320,14 +322,19 @@ fn chunked_prefill_is_bit_identical_across_chunk_sizes_and_warm_admissions() {
                 ..ServingConfig::default()
             },
         );
-        let handles: Vec<_> = prompts
+        let submit = |serving: &mut ServingEngine<'_>, p: &Vec<u32>| {
+            serving
+                .submit(Request::new(p.clone(), GenerationOptions::max_tokens(8)))
+                .expect("queued")
+        };
+        let mut handles: Vec<_> = prompts[..3]
             .iter()
-            .map(|p| {
-                serving
-                    .submit(Request::new(p.clone(), GenerationOptions::max_tokens(8)))
-                    .expect("queued")
-            })
+            .map(|p| submit(&mut serving, p))
             .collect();
+        // A cold prompt longer than a chunk seals at its last chunk, so the
+        // fourth request arrives once its prefix twin is done.
+        serving.run_until_idle();
+        handles.push(submit(&mut serving, &prompts[3]));
         serving.run_until_idle();
         for (p, handle) in prompts.iter().zip(&handles) {
             let report = handle.report().expect("finished");
@@ -341,8 +348,8 @@ fn chunked_prefill_is_bit_identical_across_chunk_sizes_and_warm_admissions() {
                 p.len()
             );
         }
-        // The fourth request admits after its prefix twin finished, so it
-        // attaches the sealed system blocks — on the chunked path too.
+        // The fourth request admits after its prefix twin sealed, so it
+        // attaches the system blocks — on the chunked path too.
         let warm = handles[3].report().expect("finished");
         assert_eq!(
             warm.prefix_tokens_reused, 32,
@@ -352,19 +359,20 @@ fn chunked_prefill_is_bit_identical_across_chunk_sizes_and_warm_admissions() {
 }
 
 /// The structural half of the chunking contract, cold path: a served
-/// request's stream depends only on its session's cache-construction
-/// sequence — first chunk through the tiled prefill, the rest through the
-/// extend path — never on how the scheduler interleaved the chunks with
-/// other residents' work. The serial twin replays that exact construction
-/// (chunk call granularity is bitwise-invisible on the extend path), so
-/// equality here is guaranteed by design, not by a lucky seed.
+/// request's stream is that of one prefill of its whole prompt, however the
+/// scheduler chunked it and interleaved the chunks with other residents'
+/// work — its chunks attend over the prompt so far at full precision and
+/// its last chunk encodes it. The twin is one `prefill(prompt)`, sync and
+/// async, so equality here is guaranteed by design, not by a lucky seed.
 #[test]
-fn cold_chunked_admission_matches_the_split_serial_twin() {
+fn cold_chunked_admission_matches_the_one_shot_serial_twin() {
     let config = ModelConfig::tiny_for_tests();
-    for chunk_tokens in [1usize, 7, 512] {
+    for (chunk_tokens, async_quant) in [(1usize, false), (7, false), (512, false), (7, true)] {
         // No store: every admission is cold and nothing is shared, so the
         // twin reconstructs the served state exactly.
-        let engine = build_engine(&config, sync_config(config.head_dim()), 43);
+        let mut engine_cfg = sync_config(config.head_dim());
+        engine_cfg.async_quant = async_quant;
+        let engine = build_engine(&config, engine_cfg, 43);
         let mut serving = ServingEngine::new(
             &engine,
             ServingConfig {
@@ -384,17 +392,13 @@ fn cold_chunked_admission_matches_the_split_serial_twin() {
             .collect();
         serving.run_until_idle();
         for (p, handle) in prompts.iter().zip(&handles) {
-            let first = chunk_tokens.min(p.len());
             let mut twin = engine.session();
-            twin.prefill(&p[..first]);
-            if first < p.len() {
-                twin.append_prompt(&p[first..]);
-            }
+            twin.prefill(p);
             let expected = twin.generate(&GenerationOptions::max_tokens(8));
             assert_eq!(
                 handle.report().expect("finished").tokens,
                 expected.tokens,
-                "chunk_tokens={chunk_tokens} prompt_len={}",
+                "chunk_tokens={chunk_tokens} async={async_quant} prompt_len={}",
                 p.len()
             );
         }
@@ -499,8 +503,9 @@ fn deadline_expiry_mid_prefill_retires_at_the_chunk_boundary() {
 /// Draining in persist mode mid-prefill checkpoints the partially-fed
 /// session together with the rest of its prompt. Recovering it resumes
 /// chunked admission where the drain stopped and completes bit-identically
-/// with a serial run — the chunked prefix state is exactly the serial
-/// prefix state, and nothing of the prompt has to be supplied again.
+/// with the uninterrupted run — the open admission's dense prompt is
+/// exactly what the checkpoint holds, and nothing of the prompt has to be
+/// supplied again.
 #[test]
 fn drain_persist_mid_prefill_restores_and_completes_identically() {
     let config = ModelConfig::tiny_for_tests();
@@ -540,13 +545,11 @@ fn drain_persist_mid_prefill_restores_and_completes_identically() {
     restarted.run_until_idle();
     let resumed = recovered.restored[0].report().expect("finished");
     assert_eq!(resumed.prompt_tokens, 56);
-    // The serial twin mirrors the chunked construction — first chunk through
-    // the tiled prefill, the rest through the extend path (PR 3's resume
-    // primitive); chunk call granularity is bitwise-invisible, so one
-    // append_prompt of the whole remainder is the same state.
+    // The checkpoint kept the 16 fed tokens dense and the recovered slot
+    // resumes the open admission, so the uninterrupted run — one prefill of
+    // the whole prompt — is the twin.
     let mut serial = engine.session();
-    serial.prefill(&p[..8]);
-    serial.append_prompt(&p[8..]);
+    serial.prefill(&p);
     let expected = serial.generate(&GenerationOptions::max_tokens(10));
     assert_eq!(
         resumed.tokens, expected.tokens,
