@@ -1,9 +1,8 @@
 //! The paper's quality evidence from one row loop: Table II (KL and
 //! perplexity against the fp16 cache for KIVI, KVQuant, MILLION and scalar
 //! codebooks at MILLION's bytes), the
-//! footnote-2 `(M, nbits)` sweep, Table III(b) (key reconstruction error with
-//! and without 1 % outlier extraction) and Fig. 6 (LongBench-style
-//! fidelity of 4-bit MILLION with no residual window).
+//! footnote-2 `(M, nbits)` sweep and Table III(b) (key reconstruction error
+//! with and without 1 % outlier extraction).
 //!
 //! Every model is built with one seed and calibrated once; each PQ
 //! geometry's codebooks are trained once per model and reused by every
@@ -18,16 +17,13 @@
 //! baselines fit their levels on the tokens they cache, so their labels say
 //! so; KVQuant's also say how many cached tokens it still holds dense.
 //!
-//! Run with `cargo run --release -p million_bench --bin quality`. It runs its
-//! fork-join loops on one thread: the output is the same at two, and the
-//! vendored pool's per-call thread spawns only add system time.
+//! Run with `cargo run --release -p million_bench --bin quality`.
 
 use million::MillionConfig;
 use million_bench::{
-    model_methods, print_table, ptb_stream, quality_rows, sweep_methods, trained_million_spec,
-    wikitext_stream, write_json, ModelMethods, QualityRow, KVQUANT_SEED,
+    model_methods, print_table, ptb_stream, quality_rows, sweep_methods, wikitext_stream,
+    write_json, ModelMethods, QualityRow, KVQUANT_SEED,
 };
-use million_eval::longbench::{default_suite, run_longbench};
 use million_model::{build_caches, CacheSpec, KvCapture, ModelConfig, Transformer};
 use million_quant::nuq::{NuqGranularity, NuqMatrix};
 use million_quant::outlier::extract_outliers;
@@ -38,11 +34,6 @@ use serde::Serialize;
 const MODEL_SEED: u64 = 21;
 const CALIBRATION_TOKENS: usize = 256;
 const SCORED_TOKENS: usize = 160;
-/// Scaled-down LongBench context so the harness completes on a laptop CPU;
-/// the relative 16b-vs-4b comparison is what Fig. 6 is about.
-const LONGBENCH_CONTEXT: usize = 256;
-const LONGBENCH_GEN_TOKENS: usize = 24;
-const LONGBENCH_SEED: u64 = 90;
 
 #[derive(Serialize)]
 struct KeyErrorRow {
@@ -53,19 +44,9 @@ struct KeyErrorRow {
 }
 
 #[derive(Serialize)]
-struct LongBenchRow {
-    model: String,
-    task: String,
-    score_16b: f64,
-    score_4b: f64,
-    loss: f64,
-}
-
-#[derive(Serialize)]
 struct Report {
     rows: Vec<QualityRow>,
     key_error: Vec<KeyErrorRow>,
-    longbench: Vec<LongBenchRow>,
 }
 
 /// Layer-0 key vectors (one row per token and KV head) of a full-precision
@@ -149,30 +130,11 @@ fn key_error_rows(
         .collect()
 }
 
-/// Fig. 6: every LongBench-style task, scored against the fp16 generation.
-fn longbench_rows(model: &Transformer, spec: &CacheSpec) -> Vec<LongBenchRow> {
-    let tasks = default_suite(LONGBENCH_CONTEXT, LONGBENCH_SEED);
-    run_longbench(model, spec, &tasks, LONGBENCH_GEN_TOKENS)
-        .results
-        .into_iter()
-        .map(|result| LongBenchRow {
-            model: model.config().name.clone(),
-            task: result.task,
-            score_16b: 100.0,
-            score_4b: result.score,
-            loss: 100.0 - result.score,
-        })
-        .collect()
-}
-
 fn main() {
-    // The vendored rayon reads this once, on first use.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     let llama = ModelConfig::llama2_7b_sim();
     let mut report = Report {
         rows: Vec::new(),
         key_error: Vec::new(),
-        longbench: Vec::new(),
     };
 
     for config in [
@@ -188,8 +150,6 @@ fn main() {
         if config.name == llama.name {
             wikitext_methods.extend(sweep_methods(&model, calibration));
             report.key_error = key_error_rows(&model, &set, calibration, scored);
-            let spec = CacheSpec::Pq(set.million4.to_pq_spec(0, true));
-            report.longbench.extend(longbench_rows(&model, &spec));
         }
         report.rows.extend(quality_rows(
             &model,
@@ -201,17 +161,6 @@ fn main() {
         report
             .rows
             .extend(quality_rows(&model, "ptb", &ptb, &set.methods));
-    }
-
-    for config in [
-        ModelConfig::longchat_7b_sim(),
-        ModelConfig::yarn_llama2_sim(),
-    ] {
-        let model = Transformer::new(config.clone(), MODEL_SEED);
-        let calibration = wikitext_stream(&config, CALIBRATION_TOKENS);
-        let engine_cfg = MillionConfig::four_bit(config.head_dim()).with_residual_len(0);
-        let (_, spec) = trained_million_spec(&model, &engine_cfg, &calibration);
-        report.longbench.extend(longbench_rows(&model, &spec));
     }
 
     print_table(
@@ -251,37 +200,12 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-    let mut longbench = Vec::new();
-    for chunk in report.longbench.chunk_by(|a, b| a.model == b.model) {
-        for r in chunk {
-            longbench.push(vec![
-                r.model.clone(),
-                r.task.clone(),
-                "100.0".into(),
-                format!("{:.1}", r.score_4b),
-                format!("{:.1}", r.loss),
-            ]);
-        }
-        let n = chunk.len() as f64;
-        longbench.push(vec![
-            chunk[0].model.clone(),
-            "AVERAGE".into(),
-            "100.0".into(),
-            format!("{:.1}", chunk.iter().map(|r| r.score_4b).sum::<f64>() / n),
-            format!("{:.1}", chunk.iter().map(|r| r.loss).sum::<f64>() / n),
-        ]);
-    }
-    print_table(
-        "Fig. 6 — LongBench-style scores, fp16 (16b) vs MILLION 4-bit KV cache, no residual",
-        &["model", "task", "16b score", "4b score", "loss"],
-        &longbench,
-    );
     write_json("quality", &report);
     println!(
         "\nExpected shape (paper): MILLION stays within a fraction of a percent of the fp16\n\
          baseline at 3 and 4 bits, and its key error barely moves when 1% of entries are\n\
          isolated, while KVQuant's drops by 26-53%; accuracy improves with bits per\n\
-         channel; the 4-bit LongBench scores track the 16-bit ones within about a point.\n\
+         channel.\n\
          Held out, with 256 calibration tokens, the PQ rows of these sims fall short of\n\
          that (ROADMAP item 1)."
     );

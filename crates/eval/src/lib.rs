@@ -1,14 +1,12 @@
 //! Evaluation harnesses for the MILLION reproduction.
 //!
-//! Four pieces, one per accuracy-side experiment family of the paper:
+//! Three pieces, one per accuracy-side experiment family of the paper:
 //!
 //! * [`corpus`] — seeded synthetic token streams standing in for Wikitext-2
 //!   and PTB (Table II uses perplexity *relative to the fp16 baseline of the
 //!   same model on the same stream*, so only the degradation matters).
 //! * [`perplexity`] — teacher-forced perplexity where every next-token
 //!   prediction attends through the (possibly quantized) KV cache.
-//! * [`longbench`] — synthetic long-context task suite and the
-//!   fidelity-based 0–100 score used for Fig. 6.
 //! * [`analysis`] — KV distribution statistics (per-channel magnitude and
 //!   standard deviation) behind Fig. 2 and Fig. 3.
 
@@ -17,10 +15,8 @@
 
 pub mod analysis;
 pub mod corpus;
-pub mod longbench;
 pub mod perplexity;
 
 pub use analysis::{ChannelStats, KvDistributionReport};
 pub use corpus::{CorpusConfig, SyntheticCorpus};
-pub use longbench::{LongBenchReport, LongBenchTask, TaskKind};
 pub use perplexity::{evaluate_perplexity, PerplexityReport};

@@ -5,8 +5,8 @@
 //! segment; the integer/NUQ baselines per-token de-quantization buffers; all
 //! of them an online-softmax merger. Allocating those per (layer × head ×
 //! token) call dominated the decode hot path, so they live in an
-//! [`AttendScratch`] the caller owns — one per worker thread — and every
-//! buffer is reused across calls. Once warmed to the largest shapes in
+//! [`AttendScratch`] the caller owns — one per forward, shared by its heads
+//! and layers — and every buffer is reused across calls. Once warmed to the largest shapes in
 //! flight, steady-state attention performs zero heap allocations.
 
 use million_quant::pq::{ScoreLut, ValueAccumulator};
@@ -18,8 +18,7 @@ use million_tensor::OnlineSoftmax;
 /// scratch at any time (buffers are reset or fully overwritten before use),
 /// so interleaving heads, layers, backends, and sessions over one scratch is
 /// token-for-token identical to using a fresh scratch per call. The only
-/// contract is exclusivity: one scratch serves one attend call at a time,
-/// which is why parallel decode keeps one per worker.
+/// contract is exclusivity: one scratch serves one attend call at a time.
 #[derive(Debug, Clone)]
 pub struct AttendScratch {
     /// Per-query score lookup table (PQ backend).

@@ -99,9 +99,8 @@ impl<'a> AttendParams<'a> {
 ///   [`crate::AttendScratch`] so the steady-state decode loop allocates
 ///   nothing.
 ///
-/// `attend` takes `&self`, so one layer's cache can serve many heads in
-/// parallel (the trait requires `Sync`) as long as each worker brings its
-/// own scratch.
+/// `attend` takes `&self`: reading a cache never changes it, so the heads of
+/// a token attend in any order over one scratch.
 pub trait KvCache: Send + Sync {
     /// Geometry of this cache.
     fn layout(&self) -> CacheLayout;

@@ -164,7 +164,8 @@ impl MillionEngine {
     }
 
     /// Cache specification equivalent to this engine's decode pipeline, for
-    /// use with the evaluation harnesses (perplexity, LongBench).
+    /// use with the evaluation harnesses (teacher-forced perplexity and KL
+    /// against the fp16 cache).
     pub fn cache_spec(&self) -> CacheSpec {
         CacheSpec::Pq(self.codebooks.to_pq_spec(self.config.residual_len, true))
     }
@@ -189,8 +190,8 @@ impl MillionEngine {
         session.generate_with(&GenerationOptions::max_tokens(max_new_tokens), sampler)
     }
 
-    /// Generates with a full-precision cache — the fp16 reference used by the
-    /// fidelity metrics of Fig. 6.
+    /// Generates with a full-precision cache — the fp16 reference a
+    /// quantized generation is compared against token for token.
     ///
     /// It is not [`Self::generate`] over another cache: a session always
     /// decodes through the engine's PQ caches, so the full-precision

@@ -39,6 +39,10 @@
 //! arm — what an admission needs), and the one fed position's logits
 //! borrowed from the scratch ([`Transformer::decode_step_into`], cached arm
 //! — the decode loop, which performs no steady-state allocations).
+//!
+//! Every entry point runs on the calling thread — GEMM row blocks, prompt
+//! attention units and decode heads in order. A server's parallelism is
+//! one shard per core (`docs/SERVING.md`).
 
 use million_kvcache::{AttendParams, AttendScratch, CacheLayout, KvCache};
 use million_tensor::alibi::alibi_slopes;
@@ -47,7 +51,6 @@ use million_tensor::ops::{
 };
 use million_tensor::prompt_attention::{attend_unit, UnitScratch, KEY_TILE};
 use million_tensor::{GemmScratch, Matrix, Rope, StridedRows};
-use rayon::prelude::*;
 
 use crate::config::{ModelConfig, NormKind, Positional};
 use crate::hooks::KvCapture;
@@ -60,45 +63,13 @@ pub const PREFILL_Q_TILE: usize = 32;
 /// ([`million_tensor::prompt_attention`]).
 pub const PREFILL_K_TILE: usize = KEY_TILE;
 
-/// Analytical work threshold for fanning prefill (head x query-tile) units
-/// across rayon workers. Mirrors the decode-side gate: the vendored shim
-/// spawns scoped threads per call (~tens of µs each), which only pays for
-/// itself once a unit's tile walk (≈ `Q_TILE · n/2 · head_dim` mul-adds)
-/// reaches the tens-of-µs range.
-const PARALLEL_PREFILL_MIN_WORK: usize = 1 << 18;
-
-/// Balancing permutation of a head's query tiles for the prefill fan-out.
-///
-/// Causal attention skews the tile costs: tile `t` walks `(t + 1) ·
-/// PREFILL_Q_TILE` keys, so enumerating tiles in natural order and splitting
-/// them contiguously across workers (all the vendored shim does) hands the
-/// worker holding a head's late tiles ~2x the work of the one holding its
-/// early tiles. Pairing the tiles from both ends — `0, T-1, 1, T-2, …` —
-/// makes every adjacent pair cost ≈ `T + 1` key-tiles, so *any* contiguous
-/// split of the permuted order is within one tile of even. The mapping is a
-/// bijection that depends only on the slot index, never on the worker count,
-/// so results stay bit-identical across thread counts (pinned by the
-/// determinism suite).
-#[inline]
-fn balanced_tile(slot: usize, tiles: usize) -> usize {
-    if slot.is_multiple_of(2) {
-        slot / 2
-    } else {
-        tiles - 1 - slot / 2
-    }
-}
-
-/// Working memory of the tiled prefill kernel: one [`UnitScratch`] per rayon
-/// worker plus the head-major staging buffer the (head, query-tile) units
-/// write into.
-#[derive(Debug)]
+/// Working memory of the tiled prefill kernel: the one [`UnitScratch`]
+/// every (head, query-tile) unit runs on, and the `PREFILL_Q_TILE x
+/// head_dim` tile a unit writes before it is copied into the packed output.
+#[derive(Debug, Default)]
 struct TileScratch {
-    pool: Vec<UnitScratch>,
-    /// Unit-major staging `[n_heads * tiles, PREFILL_Q_TILE, head_dim]`;
-    /// each (head, query-tile) work unit owns one contiguous chunk, with the
-    /// tiles of a head in [`balanced_tile`] order so contiguous worker
-    /// partitions see even causal work.
-    head_out: Vec<f32>,
+    unit: UnitScratch,
+    tile: Vec<f32>,
 }
 
 /// The chunk forward's own buffers: the residual stream, the per-layer
@@ -128,23 +99,23 @@ struct ChunkScratch {
 
 /// Working memory of the forward, whichever entry point drives it: the
 /// chunk's activation buffers and GEMM pack buffer, the tiled prompt
-/// kernel's per-worker tile states and staging, one [`AttendScratch`] per
-/// parallel attention worker for tokens that attend through the caches, and
-/// the logits row of [`Transformer::decode_step_into`].
+/// kernel's unit state and output tile, the [`AttendScratch`] tokens that
+/// attend through the caches share across heads, and the logits row of
+/// [`Transformer::decode_step_into`].
 ///
 /// Every part grows lazily to the largest geometry it has seen and is then
 /// reused across layers and calls, so a second forward of a shape already
 /// seen performs **zero** heap allocations
 /// (`crates/model/tests/zero_alloc_step.rs` proves it with a counting
 /// allocator) — and a decode loop's copy stays one row tall and never
-/// touches the tile pool or the pack buffer. It carries no results between
+/// touches the tile state or the pack buffer. It carries no results between
 /// calls. Whoever drives a loop owns one: an inference session keeps one
 /// alive for its decode steps, an admission builds one per chunk.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ForwardScratch {
     tiles: TileScratch,
     chunk: ChunkScratch,
-    attend: Vec<AttendScratch>,
+    attend: AttendScratch,
     logits: Vec<f32>,
 }
 
@@ -155,56 +126,14 @@ pub type StepScratch = ForwardScratch;
 pub type PrefillScratch = ForwardScratch;
 
 impl ForwardScratch {
-    /// Creates a scratch with one tile state and one attention state per
-    /// rayon worker.
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "sizes the per-worker pools only; neither tile partitioning nor the per-head fan-out changes float accumulation order (pinned across worker counts by the equivalence suites)"
-    )]
+    /// Creates an empty scratch; every buffer grows on first use.
     pub fn new() -> Self {
-        Self::with_workers(rayon::current_num_threads())
-    }
-
-    /// Creates a scratch with an explicit worker count. A single-worker
-    /// scratch forces the tile loop, the GEMM row blocks and the per-token
-    /// head loop down their serial (thread- and allocation-free) paths
-    /// regardless of chunk or context length — the reference when testing
-    /// the parallel paths, or a cap on a session's parallelism.
-    pub fn with_workers(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let gemm = if workers == 1 {
-            GemmScratch::serial()
-        } else {
-            GemmScratch::new()
-        };
-        Self {
-            tiles: TileScratch {
-                pool: (0..workers).map(|_| UnitScratch::default()).collect(),
-                head_out: Vec::new(),
-            },
-            chunk: ChunkScratch {
-                gemm,
-                ..ChunkScratch::default()
-            },
-            attend: (0..workers).map(|_| AttendScratch::new()).collect(),
-            logits: Vec::new(),
-        }
-    }
-
-    /// Number of per-worker tile (and attention) states.
-    pub fn workers(&self) -> usize {
-        self.tiles.pool.len()
+        Self::default()
     }
 
     /// Logits written by the most recent [`Transformer::decode_step_into`].
     pub fn logits(&self) -> &[f32] {
         &self.logits
-    }
-}
-
-impl Default for ForwardScratch {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -231,14 +160,14 @@ pub enum ChunkArm {
 /// How a chunk forward attends (everything else is shared).
 enum ChunkAttention<'a> {
     /// Causal self-attention at full precision through the tiled kernel on
-    /// the lent tile states ([`ChunkArm::Prompt`]): on empty caches over the
+    /// the lent tile state ([`ChunkArm::Prompt`]): on empty caches over the
     /// chunk's own `(k, v)`, then one bulk append; behind earlier prompt
     /// chunks, one bulk append, then over the caches' dense history.
     Prompt(&'a mut TileScratch),
     /// Any cache state: per token, in order, every head attends over the
     /// cached history merged with the token's own pair (through the lent
-    /// attention pool), then a one-row append.
-    Cached(&'a mut [AttendScratch]),
+    /// attention scratch), then a one-row append.
+    Cached(&'a mut AttendScratch),
 }
 
 /// Flash-style tiled causal self-attention over packed activations.
@@ -254,13 +183,12 @@ enum ChunkAttention<'a> {
 /// each tile of scores is produced, and the causal mask is fused into the
 /// loop bounds (future keys are never scored at all). Heads read the packed
 /// activations through [`StridedRows`] views — no `n x n` score matrix, no
-/// mask pass and no per-head copy exists. Units fan out across the rayon shim, one
-/// [`PrefillScratch`] pool slot per worker, once the per-unit tile walk
-/// crosses an analytical work threshold; below it the loop runs serially on
-/// `pool[0]`, which is thread- and allocation-free.
+/// mask pass and no per-head copy exists. Units run in order on the calling
+/// thread, each into one reused output tile that is then copied into
+/// `attn`, so a warm [`PrefillScratch`] makes the call allocation-free.
 ///
-/// Results are bit-identical across worker counts and repeated runs (each
-/// unit's arithmetic depends only on its own index), and match a naive
+/// Results are bit-identical across repeated runs and scratch reuse (a
+/// row's arithmetic depends only on its position), and match a naive
 /// per-head softmax up to the floating-point reassociation of the online
 /// softmax (pinned in `crates/model/tests/prefill_equivalence.rs`).
 ///
@@ -311,7 +239,7 @@ pub fn prefill_attention_tiled(
 #[allow(clippy::too_many_arguments)]
 fn tiled_attention<'a>(
     q: &Matrix,
-    kv: impl Fn(usize) -> [StridedRows<'a>; 2] + Sync,
+    kv: impl Fn(usize) -> [StridedRows<'a>; 2],
     start: usize,
     n_heads: usize,
     n_kv_heads: usize,
@@ -337,61 +265,33 @@ fn tiled_attention<'a>(
     let group = n_heads / n_kv_heads;
 
     attn.resize_zeroed(n, n_heads * hd);
-    let tiles = n.div_ceil(PREFILL_Q_TILE);
-    let staged = n_heads * tiles * PREFILL_Q_TILE * hd;
-    if scratch.head_out.len() < staged {
-        scratch.head_out.resize(staged, 0.0);
-    }
-    let units = n_heads * tiles;
-    // A unit walks `start` keys plus, on average, half the chunk's.
-    let parallel =
-        units > 1 && PREFILL_Q_TILE * (start + n / 2).max(1) * hd >= PARALLEL_PREFILL_MIN_WORK;
-    let pool_len = if parallel { scratch.pool.len() } else { 1 };
-
-    let TileScratch { pool, head_out } = scratch;
-    let stage = &mut head_out[..staged];
-    stage
-        .par_chunks_mut(PREFILL_Q_TILE * hd)
-        .enumerate()
-        .for_each_with_scratch(&mut pool[..pool_len], |unit_scratch, (unit, chunk)| {
-            let qh = unit / tiles;
-            let tile = balanced_tile(unit % tiles, tiles);
-            let q0 = tile * PREFILL_Q_TILE;
+    let TileScratch { unit, tile } = scratch;
+    tile.resize(PREFILL_Q_TILE * hd, 0.0);
+    for qh in 0..n_heads {
+        let queries = StridedRows::from_matrix(q, qh * hd, hd).starting_at(start);
+        let [k, v] = kv(qh / group);
+        for q0 in (0..n).step_by(PREFILL_Q_TILE) {
             let q1 = (q0 + PREFILL_Q_TILE).min(n);
-            let [k, v] = kv(qh / group);
+            let out = &mut tile[..(q1 - q0) * hd];
             attend_unit(
-                StridedRows::from_matrix(q, qh * hd, hd).starting_at(start),
+                queries,
                 k,
                 v,
                 start + q0..start + q1,
                 scale,
                 alibi.map(|s| s[qh]),
-                unit_scratch,
-                &mut chunk[..(q1 - q0) * hd],
+                unit,
+                out,
             );
-        });
-
-    // Fold the staging into the packed [n, n_heads*hd] output. Each unit's
-    // chunk holds the query rows of one (head, balanced-permuted tile); the
-    // permutation is undone here by recomputing each chunk's tile.
-    for unit in 0..units {
-        let qh = unit / tiles;
-        let tile = balanced_tile(unit % tiles, tiles);
-        let q0 = tile * PREFILL_Q_TILE;
-        let q1 = (q0 + PREFILL_Q_TILE).min(n);
-        let chunk = &stage[unit * PREFILL_Q_TILE * hd..];
-        for (i, t) in (q0..q1).enumerate() {
-            attn.row_mut(t)[qh * hd..(qh + 1) * hd].copy_from_slice(&chunk[i * hd..(i + 1) * hd]);
+            for (t, row) in (q0..q1).zip(out.chunks_exact(hd)) {
+                attn.row_mut(t)[qh * hd..(qh + 1) * hd].copy_from_slice(row);
+            }
         }
     }
 }
 
 /// KV head `h`'s band of a chunk's packed keys and values.
-fn chunk_kv<'a>(
-    k: &'a Matrix,
-    v: &'a Matrix,
-    hd: usize,
-) -> impl Fn(usize) -> [StridedRows<'a>; 2] + Sync {
+fn chunk_kv<'a>(k: &'a Matrix, v: &'a Matrix, hd: usize) -> impl Fn(usize) -> [StridedRows<'a>; 2] {
     move |h| {
         [
             StridedRows::from_matrix(k, h * hd, hd),
@@ -855,17 +755,8 @@ impl Transformer {
     /// attends over the cached history merged with the token's own
     /// full-precision `(k, v)` pair (Eq. 7), writing its slice of `out`.
     ///
-    /// Heads are independent readers of the cache (`attend` takes `&self`),
-    /// so they fan out across rayon workers, one scratch per worker — but
-    /// only when each head has enough cached tokens to amortise the
-    /// scoped-thread spawns of the vendored rayon shim (~tens of µs each,
-    /// paid per layer per token); short contexts run serially on pool[0],
-    /// which the shim guarantees is thread- and allocation-free. Either path
-    /// computes the identical result. The threshold is analytical, not
-    /// measured (per-head attend work ≈ pos·M table adds plus the LUT build,
-    /// so pos·hd ≈ 2^18 puts each head in the tens-of-µs range where a spawn
-    /// pays for itself); revisit when the shim grows a persistent worker
-    /// pool (ROADMAP).
+    /// Heads run in order on one [`AttendScratch`]: a scratch carries no
+    /// results between calls, so sharing it changes no bits.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn attend_token<C: KvCache>(
@@ -875,28 +766,22 @@ impl Transformer {
         k: &[f32],
         v: &[f32],
         pos: usize,
-        attend: &mut [AttendScratch],
+        attend: &mut AttendScratch,
         out: &mut [f32],
     ) {
-        const PARALLEL_HEADS_MIN_WORK: usize = 1 << 18;
         let hd = self.config.head_dim();
         let group = self.config.group_size();
         let scale = self.attention_scale();
         let alibi = self.alibi.as_deref();
-        let parallel_heads = self.config.n_heads > 1 && pos * hd >= PARALLEL_HEADS_MIN_WORK;
-        let pool_len = if parallel_heads { attend.len() } else { 1 };
-        out.par_chunks_mut(hd).enumerate().for_each_with_scratch(
-            &mut attend[..pool_len],
-            |attend_scratch, (qh, out)| {
-                let kvh = qh / group;
-                let mut params = AttendParams::new(kvh, &q[qh * hd..(qh + 1) * hd], scale, pos)
-                    .with_current(&k[kvh * hd..(kvh + 1) * hd], &v[kvh * hd..(kvh + 1) * hd]);
-                if let Some(slopes) = alibi {
-                    params = params.with_alibi(slopes[qh]);
-                }
-                cache.attend(&params, attend_scratch, out);
-            },
-        );
+        for (qh, out) in out.chunks_exact_mut(hd).enumerate() {
+            let kvh = qh / group;
+            let mut params = AttendParams::new(kvh, &q[qh * hd..(qh + 1) * hd], scale, pos)
+                .with_current(&k[kvh * hd..(kvh + 1) * hd], &v[kvh * hd..(kvh + 1) * hd]);
+            if let Some(slopes) = alibi {
+                params = params.with_alibi(slopes[qh]);
+            }
+            cache.attend(&params, attend, out);
+        }
     }
 
     /// Generates the logits for one new token, reading history through the
@@ -915,10 +800,9 @@ impl Transformer {
     }
 
     /// The decode step: the chunk forward over the one token through the
-    /// cached arm — embedding, norms, projections, per-head attention
-    /// (parallel over rayon workers above the work threshold), cache append,
-    /// feed-forward — plus the logits product, every buffer borrowed from
-    /// `scratch`. Once the scratch is warm the whole step performs **zero**
+    /// cached arm — embedding, norms, projections, per-head attention,
+    /// cache append, feed-forward — plus the logits product, every buffer
+    /// borrowed from `scratch`. Once the scratch is warm the whole step performs **zero**
     /// heap allocations (up to cache-append growth, which callers can
     /// pre-reserve).
     ///
@@ -990,40 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_tile_is_a_balanced_bijection() {
-        for tiles in 1..=33 {
-            let mut seen = vec![false; tiles];
-            for slot in 0..tiles {
-                let t = balanced_tile(slot, tiles);
-                assert!(t < tiles, "tiles={tiles} slot={slot}");
-                assert!(!seen[t], "tiles={tiles}: tile {t} mapped twice");
-                seen[t] = true;
-            }
-            // Causal cost of tile t is proportional to t + 1 key tiles. Any
-            // contiguous split of the permuted order must be within one
-            // maximal tile cost of the even share — the property the
-            // permutation exists to provide under static partitioning.
-            let total: usize = (0..tiles).map(|t| t + 1).sum();
-            for workers in 1..=8 {
-                let per = tiles.div_ceil(workers);
-                for w in 0..workers {
-                    let lo = w * per;
-                    let hi = ((w + 1) * per).min(tiles);
-                    if lo >= hi {
-                        continue;
-                    }
-                    let cost: usize = (lo..hi).map(|s| balanced_tile(s, tiles) + 1).sum();
-                    let share = total * (hi - lo) / tiles;
-                    assert!(
-                        cost.abs_diff(share) <= tiles + 1,
-                        "tiles={tiles} workers={workers}: worker {w} cost {cost} vs share {share}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn prefill_produces_finite_logits_for_all_presets() {
         for config in [
             ModelConfig::tiny_for_tests(),
@@ -1088,8 +938,8 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_steps_matches_fresh_scratch() {
-        // GQA config so the parallel head loop maps several query heads onto
-        // one kv head while sharing worker scratch.
+        // GQA config so the head loop maps several query heads onto one kv
+        // head while sharing one attention scratch.
         let config = ModelConfig::tiny_gqa_for_tests();
         let model = Transformer::new(config.clone(), 9);
         let tokens = prompt();
@@ -1099,7 +949,6 @@ mod tests {
         let _ = model.prefill(&tokens, &mut caches_fresh, None);
 
         let mut scratch = StepScratch::new();
-        assert!(scratch.workers() >= 1);
         for step in 0..6u32 {
             let with_reuse = model.decode_step_into(step + 3, &mut caches_reused, &mut scratch);
             let with_fresh = model.decode_step(step + 3, &mut caches_fresh);

@@ -1,8 +1,7 @@
 //! Proof of the scratch lifecycle claims at the model layer:
 //!
 //! 1. the tiled prefill attention kernel performs **zero** heap allocations
-//!    once its [`PrefillScratch`] is warm (serial path — the parallel branch
-//!    necessarily allocates thread stacks when it spawns workers);
+//!    once its [`PrefillScratch`] is warm;
 //! 2. the *full* decode step — embedding, norms, q/k/v projections,
 //!    attention, cache append, feed-forward and logits — performs zero
 //!    allocations through a warm [`StepScratch`], extending the PR 2
@@ -12,7 +11,12 @@
 //!    token by token behind cached history — performs zero allocations the
 //!    second time it sees a shape through a warm [`PrefillScratch`], as does
 //!    the GEMM under it ([`Matrix::matmul_into`] through a warm
-//!    [`GemmScratch`]).
+//!    [`GemmScratch`]) — also for a prompt chunk late enough that every
+//!    (head, query-tile) unit walks hundreds of keys.
+//!
+//! Every scratch is built with `new()`, the constructor sessions and
+//! admissions use: the forward runs on the calling thread, and a spawned
+//! thread would allocate on it.
 //!
 //! Same counting-allocator technique as `kvcache/tests/zero_alloc.rs`: a
 //! per-thread counter (const-initialised TLS, so reading it never allocates)
@@ -83,9 +87,7 @@ fn tiled_prefill_attention_is_allocation_free_when_scratch_is_warm() {
     let scale = 1.0 / (hd as f32).sqrt();
     let slopes = [0.3f32, 0.6];
 
-    // Single-state pool: the serial tile loop, which must be thread- and
-    // allocation-free once the buffers have grown.
-    let mut scratch = PrefillScratch::with_workers(1);
+    let mut scratch = PrefillScratch::new();
     let mut attn = Matrix::default();
     let run = |scratch: &mut PrefillScratch, attn: &mut Matrix| {
         prefill_attention_tiled(
@@ -101,7 +103,7 @@ fn tiled_prefill_attention_is_allocation_free_when_scratch_is_warm() {
         );
     };
 
-    // Warm-up sizes the staging buffer, per-row accumulators and the output.
+    // Warm-up sizes the output tile, per-row accumulators and the output.
     run(&mut scratch, &mut attn);
 
     let before = thread_allocations();
@@ -133,7 +135,7 @@ fn full_decode_step_is_allocation_free_when_scratch_is_warm() {
         cache.reserve_tokens(128);
     }
 
-    let mut scratch = StepScratch::with_workers(1);
+    let mut scratch = StepScratch::new();
     // Warm-up sizes every step buffer (x, h, q/k/v, attn, proj, inner,
     // append staging, logits) and the attend scratch.
     let _ = model.decode_step_into(9, &mut caches, &mut scratch);
@@ -159,7 +161,7 @@ fn warm_matmul_into_is_allocation_free() {
     // Ragged against the 4x8 tile on both axes, several row blocks deep.
     let a = normal_matrix(&mut rng, 150, 48, 0.0, 1.0);
     let b = normal_matrix(&mut rng, 48, 37, 0.0, 1.0);
-    let mut scratch = GemmScratch::serial();
+    let mut scratch = GemmScratch::new();
     let mut out = Matrix::default();
     a.matmul_into(&b, &mut scratch, &mut out);
 
@@ -188,11 +190,11 @@ fn chunk_forward_is_allocation_free_when_scratch_is_warm() {
         .collect();
     // 40 tokens: past the GEMM's pack threshold and one attention tile.
     let chunk: Vec<u32> = (0..40u32).map(|i| (i * 7 + 3) % 100).collect();
-    let mut scratch = PrefillScratch::with_workers(1);
+    let mut scratch = PrefillScratch::new();
     let mut logits = Vec::new();
 
     // Tiled arm over empty caches: the first pass sizes every chunk buffer,
-    // the pack buffer, the tile arenas and the logits row.
+    // the pack buffer, the tile state and the logits row.
     model.prefill_chunk(
         &chunk,
         &mut caches,
@@ -218,7 +220,7 @@ fn chunk_forward_is_allocation_free_when_scratch_is_warm() {
     );
 
     // Per-token arm behind the 40 cached tokens: one warm-up for the
-    // attention pool and the one-row append staging, then the same shape.
+    // attention scratch and the one-row append staging, then the same shape.
     model.prefill_chunk(
         &chunk,
         &mut caches,
@@ -275,4 +277,47 @@ fn chunk_forward_is_allocation_free_when_scratch_is_warm() {
         "a later prompt chunk forward allocated"
     );
     assert_eq!(caches[0].len(), 120);
+}
+
+#[test]
+fn a_long_prompt_chunk_is_allocation_free_when_scratch_is_warm() {
+    // A 64-token prompt chunk behind 512 dense prompt tokens: each of its
+    // (head, query-tile) units walks 512-576 keys, and each projection is
+    // 64K multiply-adds — work big enough that the forward once split it
+    // across threads. It runs on this one.
+    let config = ModelConfig {
+        max_seq_len: 1024,
+        ..ModelConfig::tiny_for_tests()
+    };
+    let model = Transformer::new(config.clone(), 6);
+    let layout = CacheLayout::new(config.n_kv_heads, config.head_dim());
+    let mut caches: Vec<FullPrecisionCache> = (0..config.n_layers)
+        .map(|_| {
+            let mut cache = FullPrecisionCache::new(layout);
+            cache.reserve_tokens(576);
+            cache
+        })
+        .collect();
+    let head: Vec<u32> = (0..512u32).map(|i| (i * 7 + 3) % 100).collect();
+    let tail: Vec<u32> = (0..64u32).map(|i| (i * 11 + 5) % 100).collect();
+    let mut scratch = PrefillScratch::new();
+    let mut logits = Vec::new();
+    let mut feed = |caches: &mut Vec<FullPrecisionCache>, scratch: &mut PrefillScratch| {
+        for cache in caches.iter_mut() {
+            cache.reset();
+        }
+        model.prefill_chunk(&head, caches, ChunkArm::Prompt, scratch, &mut logits);
+        let before = thread_allocations();
+        model.prefill_chunk(&tail, caches, ChunkArm::Prompt, scratch, &mut logits);
+        thread_allocations() - before
+    };
+
+    // The first pass sizes every buffer for both shapes.
+    feed(&mut caches, &mut scratch);
+    let allocations = feed(&mut caches, &mut scratch);
+    assert_eq!(
+        allocations, 0,
+        "a warm 64-token prompt chunk at position 512 allocated {allocations} times"
+    );
+    assert_eq!(caches[0].len(), 576);
 }

@@ -621,9 +621,8 @@ pub struct ScoreLut {
 
 impl ScoreLut {
     /// Creates an empty table, to be (re)filled with
-    /// [`ScoreLut::fill_from`]. Decode scratch buffers hold one of these per
-    /// worker and refill it for every `(layer, head)` query without
-    /// reallocating.
+    /// [`ScoreLut::fill_from`]. A decode scratch holds one and refills it
+    /// for every `(layer, head)` query without reallocating.
     pub fn empty() -> Self {
         Self {
             m: 0,

@@ -43,8 +43,6 @@
 //! pack pass reports whether `b` is finite and such calls fall back to the
 //! row kernel.
 
-use rayon::prelude::*;
-
 use crate::Matrix;
 
 /// Rows of the register tile.
@@ -64,9 +62,8 @@ pub const NR_AVX2: usize = 16;
 /// per row, 8 of the 32 `zmm` registers (64 columns measured no faster).
 pub const NR_AVX512: usize = 32;
 
-/// Output rows per block: the unit row blocks are fanned out in, sized so a
-/// block of `a` (`MC x k` floats) stays cache-resident while the panels
-/// stream past it.
+/// Output rows per block, sized so a block of `a` (`MC x k` floats) stays
+/// cache-resident while the panels stream past it.
 const MC: usize = 64;
 
 /// Fewest rows the tiled kernel is used for. Packing `b` costs about what the
@@ -74,43 +71,18 @@ const MC: usize = 64;
 /// shapes, see `docs/PERF.md`); below that the row kernel is the faster one.
 const PACK_MIN_ROWS: usize = 16;
 
-/// Multiply-adds below which a product stays single-threaded.
-const PAR_MIN_WORK: usize = 64 * 64 * 8;
-
 /// Caller-owned working memory of [`Matrix::matmul_into`]: the packed
 /// right-hand panels. Grows to the largest `k x n` seen and is reused, so a
 /// warm scratch makes the product allocation-free.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GemmScratch {
     panels: Vec<f32>,
-    /// Whether row blocks may fan out across rayon workers (which spawns
-    /// threads, and so allocates).
-    parallel: bool,
 }
 
 impl GemmScratch {
-    /// A scratch whose products fan row blocks out across the rayon workers
-    /// once they are large enough.
+    /// An empty scratch; the panels grow on first use.
     pub fn new() -> Self {
-        Self {
-            panels: Vec::new(),
-            parallel: true,
-        }
-    }
-
-    /// A scratch whose products always run on the calling thread — the
-    /// thread- and allocation-free path.
-    pub fn serial() -> Self {
-        Self {
-            panels: Vec::new(),
-            parallel: false,
-        }
-    }
-}
-
-impl Default for GemmScratch {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -234,19 +206,12 @@ fn tiled_block<const W: usize>(
     rows_block(&a[full * k..], b, k, &mut out[full * n..], n);
 }
 
-/// `out = a · b` through the tiled kernel at panel width `W`, running
-/// `block` (a [`tiled_block`] at the same width) over each block of output
-/// rows: the one body every instruction-set build compiles. Empty products
-/// and a `b` with a non-finite entry take the row kernel (see the module
-/// docs).
+/// `out = a · b` through the tiled kernel at panel width `W`, one
+/// [`tiled_block`] per block of [`MC`] output rows: the one body every
+/// instruction-set build compiles. Empty products and a `b` with a
+/// non-finite entry take the row kernel (see the module docs).
 #[inline(always)]
-fn tiled<const W: usize>(
-    a: &Matrix,
-    b: &Matrix,
-    scratch: &mut GemmScratch,
-    out: &mut Matrix,
-    block: impl Fn(&[f32], &[f32], usize, &[f32], &mut [f32], usize) + Sync,
-) {
+fn tiled<const W: usize>(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
     let m = a.rows();
     let (k, n) = b.shape();
     if k == 0 || n == 0 || !pack_panels::<W>(b, &mut scratch.panels) {
@@ -254,47 +219,29 @@ fn tiled<const W: usize>(
         return;
     }
     out.resize_zeroed(m, n);
-    let panels = scratch.panels.as_slice();
     let (a, b) = (a.as_slice(), b.as_slice());
-    let run = |(blk, out_rows): (usize, &mut [f32])| {
-        let r0 = blk * MC;
-        let rows = out_rows.len() / n;
-        block(&a[r0 * k..(r0 + rows) * k], b, k, panels, out_rows, n);
-    };
-    let blocks = out.as_mut_slice();
-    if scratch.parallel && m * n * k >= PAR_MIN_WORK {
-        blocks.par_chunks_mut(MC * n).enumerate().for_each(run);
-    } else {
-        blocks.chunks_mut(MC * n).enumerate().for_each(run);
+    for (a_rows, out_rows) in a.chunks(MC * k).zip(out.as_mut_slice().chunks_mut(MC * n)) {
+        tiled_block::<W>(a_rows, b, k, &scratch.panels, out_rows, n);
     }
 }
 
 /// [`tiled`] for the baseline target at [`NR`] columns.
 fn tiled_portable(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
-    tiled::<NR>(a, b, scratch, out, tiled_block::<NR>);
+    tiled::<NR>(a, b, scratch, out);
 }
-
-// A closure inherits the target features of the function it is written in,
-// not of one it is inlined into. So the AVX builds write their row-block
-// closure here: one written in `tiled` would run as the baseline build
-// wherever rayon calls it.
 
 /// [`tiled`] compiled for AVX2 at [`NR_AVX2`] columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn tiled_avx2(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
-    tiled::<NR_AVX2>(a, b, scratch, out, |a, b, k, panels, out, n| {
-        tiled_block::<NR_AVX2>(a, b, k, panels, out, n);
-    });
+    tiled::<NR_AVX2>(a, b, scratch, out);
 }
 
 /// [`tiled`] compiled for AVX-512F at [`NR_AVX512`] columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn tiled_avx512(a: &Matrix, b: &Matrix, scratch: &mut GemmScratch, out: &mut Matrix) {
-    tiled::<NR_AVX512>(a, b, scratch, out, |a, b, k, panels, out, n| {
-        tiled_block::<NR_AVX512>(a, b, k, panels, out, n);
-    });
+    tiled::<NR_AVX512>(a, b, scratch, out);
 }
 
 /// `out = a · b` — the body of [`Matrix::matmul_into`]: the row kernel below
@@ -406,14 +353,14 @@ mod tests {
     /// for bit (so signed zeros count).
     fn assert_all_kernels_agree(a: &Matrix, b: &Matrix) -> Matrix {
         let mut tiled = Matrix::default();
-        a.matmul_into(b, &mut GemmScratch::serial(), &mut tiled);
+        a.matmul_into(b, &mut GemmScratch::new(), &mut tiled);
         let mut rows = Matrix::default();
         matmul_rows_into(a, b, &mut rows);
         assert_eq!(bits(&tiled), bits(&rows), "tiled vs row kernel");
         for (name, build) in isa_builds() {
             if let Some(product) = build {
                 let mut out = Matrix::default();
-                product(a, b, &mut GemmScratch::serial(), &mut out);
+                product(a, b, &mut GemmScratch::new(), &mut out);
                 assert_eq!(bits(&out), bits(&rows), "{name} build vs row kernel");
             }
         }
@@ -461,11 +408,11 @@ mod tests {
                 ] {
                     let (a, b) = edge_operands(m, k, n);
                     let mut portable = Matrix::default();
-                    tiled_portable(&a, &b, &mut GemmScratch::serial(), &mut portable);
+                    tiled_portable(&a, &b, &mut GemmScratch::new(), &mut portable);
                     for (name, build) in &builds {
                         if let Some(product) = build {
                             let mut out = Matrix::default();
-                            product(&a, &b, &mut GemmScratch::serial(), &mut out);
+                            product(&a, &b, &mut GemmScratch::new(), &mut out);
                             assert_eq!(bits(&out), bits(&portable), "{name} at {m}x{k}x{n}");
                         }
                     }
@@ -499,7 +446,7 @@ mod tests {
         let a = Matrix::from_fn(40, 9, |r, c| (r * 9 + c) as f32 * 0.1 - 2.0);
         let wide = Matrix::from_fn(9, 21, |r, c| (r + 2 * c) as f32 * 0.3 - 1.0);
         let narrow = Matrix::from_fn(9, 5, |r, c| (3 * r + c) as f32 * 0.2 - 1.5);
-        let mut scratch = GemmScratch::serial();
+        let mut scratch = GemmScratch::new();
         let mut out = Matrix::default();
         for b in [&wide, &narrow, &wide] {
             // Stale panel contents from the previous shape must not leak.

@@ -2,7 +2,7 @@
 //!
 //! This crate provides the small set of numerical building blocks that the
 //! transformer substrate (`million-model`) and the quantization crates are
-//! built on: a row-major [`Matrix`] type with (optionally parallel) GEMM,
+//! built on: a row-major [`Matrix`] type with a single-threaded GEMM,
 //! attention-related primitives (softmax, [`OnlineSoftmax`]), normalisation
 //! layers, and the three positional-embedding schemes used by the models in
 //! Table I of the paper (RoPE, ALiBi, absolute).

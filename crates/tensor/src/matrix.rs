@@ -1,7 +1,6 @@
 //! Row-major `f32` matrix with the handful of BLAS-like operations the
 //! transformer substrate needs.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::gemm::{self, GemmScratch};
@@ -11,8 +10,7 @@ use crate::TensorError;
 ///
 /// The matrix is deliberately simple: it owns a flat `Vec<f32>` and exposes
 /// only the operations used by the inference engine (GEMM, transposed GEMM,
-/// row views, element-wise helpers). Parallelism is applied across rows via
-/// rayon once the problem size crosses a small threshold.
+/// row views, element-wise helpers).
 ///
 /// # Example
 ///
@@ -30,9 +28,6 @@ pub struct Matrix {
     cols: usize,
     data: Vec<f32>,
 }
-
-/// Problem sizes (rows * cols) below this stay single-threaded.
-const PAR_THRESHOLD: usize = 64 * 64;
 
 impl Matrix {
     /// Creates a matrix filled with zeros.
@@ -335,17 +330,12 @@ impl Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows);
         let k = self.cols;
         let n = other.rows;
-        let compute_row = |(r, out_row): (usize, &mut [f32])| {
+        for (r, out_row) in out.data.chunks_mut(n).enumerate() {
             let a_row = &self.data[r * k..(r + 1) * k];
             for (c, o) in out_row.iter_mut().enumerate() {
                 let b_row = &other.data[c * k..(c + 1) * k];
                 *o = crate::ops::dot(a_row, b_row);
             }
-        };
-        if self.rows * n * k >= PAR_THRESHOLD * 8 {
-            out.data.par_chunks_mut(n).enumerate().for_each(compute_row);
-        } else {
-            out.data.chunks_mut(n).enumerate().for_each(compute_row);
         }
         out
     }
@@ -604,7 +594,7 @@ mod tests {
 
         #[test]
         fn parallel_and_serial_matmul_agree(n in 1usize..5) {
-            // Exercise both code paths by scaling problem size.
+            // 70 rows take the tiled kernel, 4 rows the row kernel.
             let big = 70;
             let a = Matrix::from_fn(big, big, |r, c| ((r + c * n) % 7) as f32 * 0.5 - 1.0);
             let b = Matrix::from_fn(big, big, |r, c| ((r * 3 + c) % 5) as f32 * 0.25);

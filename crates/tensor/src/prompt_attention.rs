@@ -1,13 +1,13 @@
 //! The blocked prompt-attention kernel: one (head × query-tile) work unit of
 //! causal self-attention over full-precision activations — the body the
-//! tiled prefill of `million_model` fans out per unit.
+//! tiled prefill of `million_model` runs per unit.
 //!
 //! [`attend_unit`] walks the unit's keys in tiles of [`KEY_TILE`]. Per tile
 //! it
 //!
 //! 1. **stages the key tile transposed**, `[head_dim][KEY_TILE]`, zero
-//!    padded, and the value tile row-major, both contiguous in a per-worker
-//!    arena;
+//!    padded, and the value tile row-major, both contiguous in the
+//!    scratch's arena;
 //! 2. **scores one query row against the whole tile, keys across SIMD
 //!    lanes**: lane `l` of key `j` sums `q[8i + l] · kᵀ[8i + l][j]` over `i`
 //!    from `0.0`, the lanes combine in `ops::dot_wide`'s tree
@@ -68,7 +68,7 @@ const SCORE_KEYS_AVX2: usize = 8;
 #[cfg(target_arch = "x86_64")]
 const FOLD_CHANNELS_AVX2: usize = 16;
 
-/// Per-worker working memory of [`attend_unit`]: one staging arena and one
+/// Working memory of [`attend_unit`]: one staging arena and one
 /// online-softmax state per query row. Grows to the largest unit seen and
 /// is then reused, so a warm scratch makes the unit allocation-free.
 #[derive(Debug, Default)]

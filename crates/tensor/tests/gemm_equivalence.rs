@@ -1,9 +1,6 @@
 //! Pins the tiled GEMM behind `Matrix::matmul` / `Matrix::matmul_into` to
 //! the row kernel and to row-wise `vec_matmul_into`, **bit for bit**, over
-//! ragged shapes — and to itself across rayon worker counts: row blocks may
-//! be fanned out, but a row's arithmetic may not depend on the split.
-
-use std::process::Command;
+//! ragged shapes, including products several 64-row blocks deep.
 
 use million_tensor::gemm::{matmul_rows_into, MR, NR};
 use million_tensor::ops::vec_matmul_into;
@@ -45,7 +42,7 @@ fn assert_kernels_agree(m: usize, k: usize, n: usize, seed: u64) {
     assert_eq!(bits(&allocating), bits(&rows), "{label}: matmul");
 
     // One scratch and one output across both calls: the second runs warm.
-    let mut scratch = GemmScratch::serial();
+    let mut scratch = GemmScratch::new();
     let mut into = Matrix::from_fn(3, 3, |_, _| f32::NAN);
     for pass in 0..2 {
         a.matmul_into(&b, &mut scratch, &mut into);
@@ -91,66 +88,20 @@ proptest! {
     }
 }
 
-/// Shapes large enough to fan out (several 64-row blocks, ragged last one).
-const FANNED_SHAPES: [(usize, usize, usize); 3] = [(200, 64, 72), (131, 33, 19), (257, 16, 40)];
-
-/// FNV-1a over the result bits of every fanned shape under `product`.
-fn fanned_digest(mut product: impl FnMut(&Matrix, &Matrix, &mut Matrix)) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let mut out = Matrix::default();
-    for (i, &(m, k, n)) in FANNED_SHAPES.iter().enumerate() {
-        product(
-            &matrix(m, k, 77 + i as u64),
-            &matrix(k, n, 91 + i as u64),
-            &mut out,
-        );
-        for word in bits(&out) {
-            digest = (digest ^ u64::from(word)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    digest
-}
-
-/// Through a scratch that is allowed to go parallel, against the row kernel;
-/// prints this process's digest, which
-/// [`results_do_not_depend_on_the_rayon_thread_count`] re-runs under different
-/// `RAYON_NUM_THREADS` (the shim reads the variable once per process, so a
-/// thread count needs its own process).
+/// Through one warm scratch, against the row kernel, on shapes several
+/// 64-row blocks deep with the last block ragged.
 #[test]
 fn fanned_out_products_match_the_row_kernel() {
     let mut scratch = GemmScratch::new();
-    let fanned = fanned_digest(|a, b, out| a.matmul_into(b, &mut scratch, out));
-    assert_eq!(fanned, fanned_digest(matmul_rows_into));
-    println!("gemm-digest={fanned:016x}");
-}
-
-#[test]
-fn results_do_not_depend_on_the_rayon_thread_count() {
-    let exe = std::env::current_exe().expect("test binary path");
-    let digests: Vec<String> = ["1", "2", "4"]
-        .iter()
-        .map(|threads| {
-            let output = Command::new(&exe)
-                .args([
-                    "--exact",
-                    "fanned_out_products_match_the_row_kernel",
-                    "--nocapture",
-                ])
-                .env("RAYON_NUM_THREADS", threads)
-                .output()
-                .expect("re-run the test binary");
-            assert!(
-                output.status.success(),
-                "RAYON_NUM_THREADS={threads} run failed"
-            );
-            let stdout = String::from_utf8_lossy(&output.stdout);
-            let digest = stdout
-                .split_whitespace()
-                .find_map(|word| word.strip_prefix("gemm-digest="))
-                .unwrap_or_else(|| panic!("no digest in output: {stdout}"));
-            digest.to_string()
-        })
-        .collect();
-    assert_eq!(digests[0], digests[1], "1 vs 2 threads");
-    assert_eq!(digests[0], digests[2], "1 vs 4 threads");
+    let (mut out, mut rows) = (Matrix::default(), Matrix::default());
+    for (seed, (m, k, n)) in [(200, 64, 72), (131, 33, 19), (257, 16, 40)]
+        .into_iter()
+        .enumerate()
+    {
+        let a = matrix(m, k, 77 + seed as u64);
+        let b = matrix(k, n, 91 + seed as u64);
+        a.matmul_into(&b, &mut scratch, &mut out);
+        matmul_rows_into(&a, &b, &mut rows);
+        assert_eq!(bits(&out), bits(&rows), "{m}x{k}x{n}");
+    }
 }

@@ -3,7 +3,6 @@
 
 use million::{train_codebooks, MillionConfig, MillionEngine};
 use million_eval::corpus::{CorpusConfig, SyntheticCorpus};
-use million_eval::longbench::{default_suite, run_longbench};
 use million_eval::perplexity::{evaluate_perplexity_against, teacher_log_probs};
 use million_kvcache::{KvCache, KvQuantConfig};
 use million_model::{build_caches, CacheSpec, ModelConfig, Transformer};
@@ -50,31 +49,6 @@ fn table2_pipeline_orders_methods_as_the_paper_does() {
     assert!(million.ppl >= baseline.ppl - 1e-9);
     assert!(million.degradation_vs(&baseline) < 15.0);
     assert!(million.kl_vs_fp16 < kvquant_2b.kl_vs_fp16);
-}
-
-#[test]
-fn fig6_pipeline_scores_million_near_the_fp16_reference() {
-    let (model, calibration, _) = model_and_streams();
-    let config = model.config().clone();
-    let codebooks = train_codebooks(
-        &model,
-        &calibration,
-        &MillionConfig::four_bit(config.head_dim()),
-    )
-    .expect("codebooks train");
-    let tasks = default_suite(64, 3);
-    let report = run_longbench(
-        &model,
-        &CacheSpec::Pq(codebooks.to_pq_spec(0, true)),
-        &tasks[..2],
-        12,
-    );
-    assert_eq!(report.results.len(), 2);
-    assert!(
-        report.average() > 60.0,
-        "average fidelity {} unexpectedly low",
-        report.average()
-    );
 }
 
 #[test]
