@@ -138,7 +138,11 @@ impl KvCache for FullPrecisionCache {
         scratch.softmax.finish_into(out);
     }
 
-    fn dense_history(&self, head: usize) -> Option<[StridedRows<'_>; 2]> {
+    fn dense_history<'a>(
+        &'a self,
+        head: usize,
+        _buf: &'a mut Vec<f32>,
+    ) -> Option<[StridedRows<'a>; 2]> {
         Some(head_rows(
             &self.keys[head],
             &self.values[head],

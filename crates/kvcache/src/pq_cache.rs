@@ -48,6 +48,23 @@ fn drain_front(dense: &mut Vec<f32>, n: usize, head_dim: usize) {
     }
 }
 
+/// One head's history into `out`: every code block in order, decoded, then
+/// the dense rows.
+fn read_history<'c>(
+    codebook: &PqCodebook,
+    blocks: impl Iterator<Item = &'c PqCodes>,
+    dense: &[f32],
+    out: &mut [f32],
+) {
+    let mut at = 0;
+    for codes in blocks {
+        let end = at + codes.len() * codebook.dim();
+        codebook.decode_rows_into(codes, &mut out[at..end]);
+        at = end;
+    }
+    out[at..].copy_from_slice(dense);
+}
+
 /// Configuration of a [`PqKvCache`].
 #[derive(Debug, Clone)]
 pub struct PqCacheConfig {
@@ -773,14 +790,47 @@ impl KvCache for PqKvCache {
         self.attend_dense_tail(params, scratch, out);
     }
 
-    fn dense_history(&self, head: usize) -> Option<[StridedRows<'_>; 2]> {
-        (self.quantized_len == 0).then(|| {
-            head_rows(
+    /// With nothing coded, the dense rows themselves. Otherwise the history
+    /// read into `buf`: the coded tokens decoded in position order — the
+    /// shared chain, then the private tail — as exact centroid copies, then
+    /// the dense rows.
+    fn dense_history<'a>(
+        &'a self,
+        head: usize,
+        buf: &'a mut Vec<f32>,
+    ) -> Option<[StridedRows<'a>; 2]> {
+        let d = self.layout.head_dim;
+        if self.quantized_len == 0 {
+            return Some(head_rows(
                 &self.recent_keys[head],
                 &self.recent_values[head],
-                self.layout.head_dim,
-            )
-        })
+                d,
+            ));
+        }
+        let n = self.len() * d;
+        buf.resize(2 * n, 0.0);
+        let (keys, values) = buf.split_at_mut(n);
+        let layer = self.config.layer;
+        read_history(
+            &self.config.key_codebook,
+            self.shared
+                .iter()
+                .map(|b| b.key_codes(layer, head))
+                .chain([&self.key_codes[head]]),
+            &self.recent_keys[head],
+            keys,
+        );
+        read_history(
+            &self.config.value_codebook,
+            self.shared
+                .iter()
+                .map(|b| b.value_codes(layer, head))
+                .chain([&self.value_codes[head]]),
+            &self.recent_values[head],
+            values,
+        );
+        let buf = &*buf;
+        Some(head_rows(&buf[..n], &buf[n..], d))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -963,10 +1013,14 @@ mod tests {
         held.append(&k.slice_rows(0..10), &v.slice_rows(0..10));
         held.append(&k.slice_rows(10..24), &v.slice_rows(10..24));
         assert_eq!(held.recent_len(), 24);
-        assert!(auto.dense_history(0).is_none(), "codes are not dense");
+        let mut buf = Vec::new();
         for head in 0..HEADS {
-            let [keys, values] = held.dense_history(head).expect("all dense");
+            let [keys, values] = held.dense_history(head, &mut buf).expect("all dense");
             assert_eq!(keys.rows(), 24);
+            assert!(
+                std::ptr::eq(keys.row(0), &held.recent_key_rows()[head][..HEAD_DIM]),
+                "a dense history is lent, not copied"
+            );
             for t in 0..24 {
                 assert_eq!(
                     keys.row(t),
@@ -978,6 +1032,7 @@ mod tests {
                 );
             }
         }
+        assert!(buf.is_empty(), "the buffer is untouched");
         held.hold_encode(false);
         held.encode_overflow();
         assert_eq!(held.recent_len(), 2);
@@ -1132,6 +1187,53 @@ mod tests {
             let (keys, values) = cache.take_private_front(block_tokens);
             let block = Arc::new(Block::new(1, HEADS, keys, values));
             cache.attach_shared_block(block);
+        }
+    }
+
+    #[test]
+    fn a_coded_history_reads_back_as_its_centroids_then_its_dense_rows() {
+        // 64 shared + 9 private + 4 dense tokens, read back against the same
+        // tokens held as one private tail, at 6 bits (rows walked) and 8
+        // bits (packed bytes read directly).
+        let eight_bit = {
+            let mut rng = seeded_rng(33);
+            let config = PqConfig::new(8, 8).unwrap();
+            let mut train = |seed| {
+                let samples = normal_matrix(&mut rng, 600, HEAD_DIM, 0.0, 1.0);
+                Arc::new(
+                    PqCodebook::train(&config, &samples, &PqTrainOptions::default(), seed).unwrap(),
+                )
+            };
+            (train(1), train(2))
+        };
+        for (kc, vc) in [trained_codebooks(32), eight_bit] {
+            let mut private =
+                PqKvCache::new(layout(), PqCacheConfig::new(kc.clone(), vc.clone(), 4));
+            let mut paged = PqKvCache::new(layout(), PqCacheConfig::new(kc.clone(), vc.clone(), 4));
+            let (k, v) = random_kv(34, 77);
+            private.append(&k, &v);
+            paged.append(&k, &v);
+            seal_blocks(&mut paged, 16, 4);
+            let mut buf = vec![f32::NAN; 3];
+            let mut codes = vec![0u16; kc.config().m];
+            for head in 0..HEADS {
+                let [keys, values] = paged.dense_history(head, &mut buf).expect("decodable");
+                assert_eq!((keys.rows(), values.rows()), (77, 77));
+                for t in 0..77 {
+                    let band = head * HEAD_DIM..(head + 1) * HEAD_DIM;
+                    let (want_k, want_v) = if t < 73 {
+                        private.private_key_codes()[head].read_into(t, &mut codes);
+                        let key = kc.decode(&codes);
+                        private.private_value_codes()[head].read_into(t, &mut codes);
+                        (key, vc.decode(&codes))
+                    } else {
+                        (k.row(t)[band.clone()].to_vec(), v.row(t)[band].to_vec())
+                    };
+                    assert_eq!(keys.row(t), want_k.as_slice(), "head {head} key {t}");
+                    assert_eq!(values.row(t), want_v.as_slice(), "head {head} value {t}");
+                }
+            }
+            assert_eq!(buf.len(), 2 * 77 * HEAD_DIM);
         }
     }
 

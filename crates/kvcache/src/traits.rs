@@ -139,16 +139,22 @@ pub trait KvCache: Send + Sync {
     );
 
     /// The keys and values of every cached token of one KV head, `[len,
-    /// head_dim]` each at full precision, when the cache holds its whole
-    /// history that way — `None` (the default) as soon as any token is
-    /// compressed. A prompt chunk behind earlier chunks reads the prompt
-    /// back through this to attend with the tiled kernel.
+    /// head_dim]` each, in position order — what a prompt chunk behind a
+    /// history attends over with the tiled kernel. A cache that holds its
+    /// whole history dense lends its own rows and leaves `buf` alone; one
+    /// that can reconstruct coded tokens writes the history into `buf`
+    /// (resized in place, so a reused buffer stops allocating). `None` (the
+    /// default) when the cache cannot give its history back.
     ///
     /// # Panics
     ///
     /// Implementations panic if `head >= n_kv_heads`.
-    fn dense_history(&self, head: usize) -> Option<[StridedRows<'_>; 2]> {
-        let _ = head;
+    fn dense_history<'a>(
+        &'a self,
+        head: usize,
+        buf: &'a mut Vec<f32>,
+    ) -> Option<[StridedRows<'a>; 2]> {
+        let _ = (head, buf);
         None
     }
 
@@ -188,8 +194,12 @@ impl<T: KvCache + ?Sized> KvCache for Box<T> {
         (**self).attend(params, scratch, out)
     }
 
-    fn dense_history(&self, head: usize) -> Option<[StridedRows<'_>; 2]> {
-        (**self).dense_history(head)
+    fn dense_history<'a>(
+        &'a self,
+        head: usize,
+        buf: &'a mut Vec<f32>,
+    ) -> Option<[StridedRows<'a>; 2]> {
+        (**self).dense_history(head, buf)
     }
 
     fn memory_bytes(&self) -> usize {

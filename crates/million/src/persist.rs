@@ -125,11 +125,11 @@ impl InferenceSession<'_> {
     ///
     /// The sampler is *not* persisted — a restored session starts with the
     /// default greedy sampler; re-set a custom one with
-    /// [`InferenceSession::set_sampler`]. Nor is an open cold admission's
-    /// unfed prompt: a session persisted between the chunks of one keeps
-    /// its prompt so far dense, and once restored feeds the rest token by
-    /// token through the caches (a serving checkpoint, which records the
-    /// unfed prompt, resumes the admission itself).
+    /// [`InferenceSession::set_sampler`]. Nor is an open admission's unfed
+    /// prompt: a session persisted between the chunks of one keeps its fed
+    /// tokens dense, and once restored takes each further chunk as a turn
+    /// of its own, encoded at its end (a serving checkpoint, which records
+    /// the unfed prompt, resumes the admission itself).
     ///
     /// # Errors
     ///
@@ -398,15 +398,11 @@ impl MillionEngine {
         if let Some(reason) = unservable {
             return Err(corrupt(format!("unservable checkpoint: {reason}")));
         }
-        // A cold admission checkpointed between chunks resumes open: its
-        // prompt so far is still dense in the caches, so the rest attends
-        // over it through the tiled kernel and the last chunk encodes it.
-        // (A checkpoint whose first chunk was already encoded continues
-        // through the cached arm.)
-        if session.prefix_reused == 0
-            && !unfed.is_empty()
-            && session.caches.iter().all(|c| c.quantized_len() == 0)
-        {
+        // An admission checkpointed between chunks resumes open: its fed
+        // tokens are still dense in the caches behind whatever is coded, so
+        // the rest attends over that history through the tiled kernel and
+        // the last chunk encodes the new tokens.
+        if !unfed.is_empty() {
             session.open_admission(unfed.len());
         }
         session.id = id.as_u64() as usize;

@@ -27,9 +27,10 @@
 //!    freezing them, never stalling resident decodes for more than one
 //!    chunk's worth of work. The request decodes its first token in the
 //!    same round its final chunk lands. Chunking is invisible in the token
-//!    stream: a cold prompt's chunks attend over the prompt so far at full
-//!    precision and its last chunk encodes it, which is one prefill bit for
-//!    bit ([`InferenceSession::prefill_begin`]).
+//!    stream: a prompt's chunks attend over the history so far — an
+//!    attached prefix decoded to its centroids, then the prompt's own
+//!    tokens at full precision — and its last chunk encodes it, which is
+//!    one prefill bit for bit ([`InferenceSession::prefill_begin`]).
 //!
 //! **Fairness.** Each resident request accumulates `weight(class)` deficit
 //! per round and spends `quantum = min(weight over active residents)` per
@@ -1428,7 +1429,7 @@ impl<'e> ServingEngine<'e> {
     /// teacher-forced one chunk per round by
     /// [`ServingEngine::prefill_round`]. A prompt that fits one chunk seals
     /// its full blocks right here, so a request admitted later in this same
-    /// pass can attach them; a longer cold prompt seals at its last chunk
+    /// pass can attach them; a longer prompt seals at its last chunk
     /// (its KV stays dense until then), and an identical prompt admitted
     /// meanwhile converges on its blocks when it publishes its own.
     fn admit(&mut self, mut pending: Pending) {
@@ -1495,11 +1496,10 @@ impl<'e> ServingEngine<'e> {
     }
 
     /// Feeds the prefilling slot `idx` its next chunk of prompt, counts and
-    /// journals it, and ships whatever encode batches the chunk staged (a
-    /// warm admission's unmatched suffix rides the decode path; a cold one
-    /// ships nothing, its last chunk encodes the prompt) through the shared
-    /// worker. Returns whether the chunk exhausted the prompt (the
-    /// slot decodes from here on).
+    /// journals it, and ships whatever encode batches the session staged
+    /// through the shared worker (an admission ships nothing: its last
+    /// chunk encodes the prompt). Returns whether the chunk exhausted the
+    /// prompt (the slot decodes from here on).
     fn feed_chunk(&mut self, idx: usize) -> bool {
         let slot = &mut self.resident[idx];
         let prompt = &mut slot.request.prompt;
@@ -2558,13 +2558,10 @@ mod tests {
         assert_eq!(long.drain_tokens().len(), 1);
 
         serving.run_until_idle();
-        // Serial twins replay each session's exact construction: the long
-        // prompt's first chunk through the tiled prefill and the remainder
-        // through the extend path; the short prompt fit one chunk, so its
-        // twin is the plain one-shot run.
+        // A chunked admission is one prefill of its prompt, so both serial
+        // twins are the plain one-shot run.
         let mut serial = engine.session();
-        serial.prefill(&long_prompt[..8]);
-        serial.append_prompt(&long_prompt[8..]);
+        serial.prefill(&long_prompt);
         let expected = serial.generate(&GenerationOptions::max_tokens(4));
         assert_eq!(long.report().expect("finished").tokens, expected.tokens);
         let mut serial = engine.session();
@@ -2618,11 +2615,10 @@ mod tests {
         assert_eq!(report.prompt_tokens, 12, "stopped at the chunk boundary");
         assert_eq!(report.prefill_chunks, 3);
         assert_eq!(serving.prefilling_sessions(), 0);
-        // The freed slot serves the queued request bit-identically (its
-        // 5-token prompt chunks as 4 + 1, which the twin replays).
+        // The freed slot serves the queued request bit-identically: its
+        // 5-token prompt chunks as 4 + 1, which is one prefill.
         let mut serial = engine.session();
-        serial.prefill(&next_prompt[..4]);
-        serial.append_prompt(&next_prompt[4..]);
+        serial.prefill(&next_prompt);
         let expected = serial.generate(&GenerationOptions::max_tokens(5));
         assert_eq!(next.report().expect("done").tokens, expected.tokens);
         assert_eq!(serving.stats().cancelled, 1);

@@ -13,8 +13,9 @@
 //!   from the asynchronous quantization stream before attention and shipping
 //!   newly staged tokens after it, and reports per-step telemetry;
 //! * [`InferenceSession::append_prompt`] continues a conversation: the new
-//!   user turn is fed behind the cached history, attending to the
-//!   *already-quantized* tokens — nothing is re-prefetched or re-encoded;
+//!   user turn is one prefill behind the cached history, attending to the
+//!   *already-quantized* tokens decoded to their centroids — nothing is
+//!   re-prefetched or re-encoded;
 //! * [`InferenceSession::stream`] yields tokens lazily until a
 //!   [`StopCriteria`] fires.
 //!
@@ -172,15 +173,16 @@ pub struct InferenceSession<'e> {
     /// Prompt tokens satisfied from resident shared blocks at admission
     /// instead of being prefilled.
     pub(crate) prefix_reused: usize,
-    /// Prompt tokens a cold admission opened by [`Self::prefill_begin`] has
-    /// still to feed. While `Some`, the caches hold the prompt's KV dense
-    /// (their encode held), every chunk takes the model's prompt arm, and
-    /// nothing is encoded, shipped or sealed; the chunk that brings it to
-    /// zero encodes and seals the whole prompt, as one prefill does.
+    /// Tokens an admission opened by [`Self::prefill_begin`] (or a turn of
+    /// [`Self::append_prompt`]) has still to feed. While `Some`, the caches
+    /// hold the new tokens' KV dense (their encode held), every chunk takes
+    /// the model's prompt arm over the history so far, and nothing is
+    /// encoded, shipped or sealed; the chunk that brings it to zero encodes
+    /// and seals the tokens, as one prefill does.
     open_prompt: Option<usize>,
     /// Wall-clock nanoseconds spent in [`InferenceSession::prefill`]
-    /// admissions (tiled prefill attention, synchronous prompt encoding and
-    /// — on warm admissions — the unmatched-suffix decode).
+    /// admissions (prefix attach, tiled prefill attention and synchronous
+    /// prompt encoding).
     prefill_ns: u64,
     /// Prompt tokens admitted through [`InferenceSession::prefill`]
     /// (including prefix tokens satisfied from the store).
@@ -349,10 +351,9 @@ impl<'e> InferenceSession<'e> {
     }
 
     /// Wall-clock nanoseconds this session has spent admitting prompts
-    /// through [`Self::prefill`] (tiled prefill attention, synchronous
-    /// prompt encoding, and — on warm admissions — the unmatched-suffix
-    /// decode). Later [`Self::append_prompt`] turns ride the decode path and
-    /// are not counted.
+    /// through [`Self::prefill`] (prefix attach, tiled prefill attention and
+    /// synchronous prompt encoding). Later [`Self::append_prompt`] turns are
+    /// not counted.
     pub fn prefill_ns(&self) -> u64 {
         self.prefill_ns
     }
@@ -387,9 +388,9 @@ impl<'e> InferenceSession<'e> {
     /// first looked up in the engine's block store: any whole-block prefix
     /// another session already sealed is **attached** instead of prefilled —
     /// no prefill compute, no code memory, copy-on-write from the first
-    /// divergent token — and only the unmatched suffix is fed through the
-    /// decode path (exactly as a [`Self::append_prompt`] continuation
-    /// would be).
+    /// divergent token — and only the unmatched suffix is prefilled, over
+    /// the attached codes decoded (exactly as a [`Self::append_prompt`]
+    /// continuation would be).
     ///
     /// # Panics
     ///
@@ -408,15 +409,14 @@ impl<'e> InferenceSession<'e> {
     /// caller then feeds `prompt[reused..]` through one or more
     /// [`Self::prefill_chunk`] calls, in any sizes.
     ///
-    /// A **cold** admission (nothing attached) stays open until its last
-    /// chunk: the prompt's KV stays dense in the caches, every chunk attends
-    /// over the prompt so far at full precision through the tiled kernel,
-    /// and the last chunk encodes and seals the whole prompt. The chunks
-    /// therefore yield [`Self::prefill`]'s logits, codes and tokens bit for
-    /// bit, whatever their sizes. A **warm** admission feeds its unmatched
-    /// suffix behind the attached codes token by token through the caches,
-    /// as [`Self::append_prompt`] does; a single chunk over the whole
-    /// remainder is exactly [`Self::prefill`] there.
+    /// Every admission stays open until its last chunk: the new tokens' KV
+    /// stays dense in the caches, every chunk attends through the tiled
+    /// kernel over the history so far — for a **cold** admission (nothing
+    /// attached) the prompt at full precision, for a **warm** one the
+    /// attached codes decoded to their centroids followed by the suffix at
+    /// full precision — and the last chunk encodes and seals the new
+    /// tokens. The chunks therefore yield [`Self::prefill`]'s logits, codes
+    /// and tokens bit for bit, whatever their sizes.
     ///
     /// # Panics
     ///
@@ -454,19 +454,17 @@ impl<'e> InferenceSession<'e> {
                 self.prefix_reused = reused;
             }
         }
-        if reused == 0 {
-            self.open_admission(prompt.len());
-        }
+        self.open_admission(prompt.len() - reused);
         self.prompt_tokens += reused;
         self.prefill_admitted += reused;
         self.prefill_ns += admission_start.elapsed().as_nanos() as u64;
         reused
     }
 
-    /// Opens a cold admission with `left` prompt tokens still to feed (also
-    /// how a checkpoint taken mid-admission resumes it). The caches reserve
-    /// the rows up front: regrowing them chunk by chunk would leave the
-    /// copies they outgrew resident.
+    /// Opens an admission with `left` tokens still to feed (also how a turn
+    /// opens, and how a checkpoint taken mid-admission resumes it). The
+    /// caches reserve the rows up front: regrowing them chunk by chunk would
+    /// leave the copies they outgrew resident.
     pub(crate) fn open_admission(&mut self, left: usize) {
         self.open_prompt = Some(left);
         for cache in &mut self.caches {
@@ -477,21 +475,23 @@ impl<'e> InferenceSession<'e> {
 
     /// Feeds one chunk of the opening prompt after [`Self::prefill_begin`].
     /// Every chunk runs the model's one forward (dense stages as whole-chunk
-    /// GEMMs); only attention differs. Every chunk of a cold admission
-    /// attends at full precision through the tiled prefill kernel — the
-    /// first to itself, each later one over the prompt so far, read back
-    /// from the caches — and the last encodes and seals the prompt, so the
-    /// chunks are one [`Self::prefill`] bit for bit. The unmatched suffix of
-    /// a warm admission attends token by token through the caches, exactly
-    /// as [`Self::append_prompt`] and [`Self::step`] do, which is pinned
-    /// bit-identical to feeding the tokens one at a time. Chunk boundaries
-    /// are therefore scheduling artefacts only — the token stream a session
-    /// produces does not depend on them.
+    /// GEMMs) and attends through the tiled prefill kernel over the history
+    /// so far, read back from the caches: the prompt's earlier chunks at
+    /// full precision, and on a warm admission the attached prefix's codes
+    /// decoded to their centroids before them. The last chunk encodes and
+    /// seals the new tokens, so the chunks are one [`Self::prefill`] bit for
+    /// bit. Chunk boundaries are therefore scheduling artefacts only — the
+    /// token stream a session produces does not depend on them.
+    ///
+    /// A session restored closed between chunks (a standalone
+    /// [`Self::persist`] snapshot records no unfed prompt) takes each
+    /// further chunk as a turn of its own: one prefill over the history,
+    /// encoded at its end.
     ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty, if no [`Self::prefill_begin`] came
-    /// first, or if the chunk runs past the prompt a cold admission opened.
+    /// first, or if the chunk runs past the tokens the admission opened.
     pub fn prefill_chunk(&mut self, tokens: &[u32]) {
         assert!(
             !tokens.is_empty(),
@@ -503,10 +503,13 @@ impl<'e> InferenceSession<'e> {
                 "chunk of {} tokens runs past the {left} the admission has left",
                 tokens.len()
             ),
-            None => assert!(
-                self.cached_tokens() > 0,
-                "prefill_chunk requires prefill_begin first"
-            ),
+            None => {
+                assert!(
+                    self.cached_tokens() > 0,
+                    "prefill_chunk requires prefill_begin first"
+                );
+                self.open_admission(tokens.len());
+            }
         }
         let chunk_start = std::time::Instant::now();
         self.feed(tokens);
@@ -516,10 +519,13 @@ impl<'e> InferenceSession<'e> {
         self.prefill_ns += chunk_start.elapsed().as_nanos() as u64;
     }
 
-    /// Continues a multi-turn conversation: feeds `tokens` through the
-    /// decode path so they attend to the already-quantized history. The
-    /// session's cache is reused as-is — no token is re-prefetched and no
-    /// code is re-encoded.
+    /// Continues a multi-turn conversation. The previously sampled token, if
+    /// any, enters the caches as a decode step; the turn is then one prefill
+    /// chunk over the history — the already-quantized tokens decoded to
+    /// their centroids, the dense window as it is — through the tiled
+    /// kernel, and is encoded at its end as an admission's last chunk is.
+    /// The session's cache is reused as-is — no token is re-prefetched and
+    /// no code is re-encoded.
     ///
     /// On a fresh session this is equivalent to [`Self::prefill`].
     ///
@@ -541,16 +547,8 @@ impl<'e> InferenceSession<'e> {
         if let Some(tok) = self.pending.take() {
             self.feed(&[tok]);
         }
-        // With a quantization stream the turn goes in token by token, so
-        // worker traffic interleaves as it does while decoding; without one
-        // there is nothing to interleave and the turn is one chunk.
-        let stride = match self.stream {
-            QuantStream::Sync => tokens.len(),
-            _ => 1,
-        };
-        for chunk in tokens.chunks(stride) {
-            self.feed(chunk);
-        }
+        self.open_admission(tokens.len());
+        self.feed(tokens);
         self.prompt_tokens += tokens.len();
     }
 
@@ -663,7 +661,7 @@ impl<'e> InferenceSession<'e> {
     /// Synchronisation point: blocks until the quantization stream has
     /// caught up, then encodes any tokens that were never shipped, so the
     /// cache reflects the steady state. The session remains usable. An open
-    /// cold admission keeps its prompt dense: its last chunk encodes it.
+    /// admission keeps its new tokens dense: its last chunk encodes them.
     ///
     /// Standalone sessions call this from [`Self::generate`]; scheduler-run
     /// sessions are flushed by the scheduler, which owns the shared worker.
@@ -714,17 +712,18 @@ impl<'e> InferenceSession<'e> {
     /// quantization stream, seal any newly completed block into the store.
     ///
     /// A decode step is a chunk of one through the session's resident
-    /// scratch, so the steady state allocates nothing. A longer chunk builds
+    /// scratch, so the steady state allocates nothing. A prompt chunk builds
     /// and drops its own: its activation buffers (~6 MB at 512 tokens of a
-    /// `*-7b-sim` model) would otherwise sit in resident memory between
-    /// chunks — per session — while re-growing them costs under 1 % of a
-    /// 100 ms-scale chunk (measured in `docs/PERF.md`).
+    /// `*-7b-sim` model) and the KV head of history it decodes would
+    /// otherwise sit in resident memory between chunks — per session —
+    /// while re-growing them costs under 1 % of a 100 ms-scale chunk
+    /// (measured in `docs/PERF.md`).
     ///
-    /// The chunks of an open cold admission differ: they take the model's
-    /// prompt arm and leave their KV dense, and the last one encodes the
-    /// whole prompt on the spot instead of shipping it — prompt encoding is
-    /// part of prefill in the paper (only *decode-time* encoding is off the
-    /// critical path).
+    /// The chunks of an open admission differ from decode steps: they take
+    /// the model's prompt arm and leave their KV dense, and the last one
+    /// encodes the new tokens on the spot instead of shipping them — prompt
+    /// encoding is part of prefill in the paper (only *decode-time*
+    /// encoding is off the critical path).
     fn feed(&mut self, tokens: &[u32]) {
         let results = match &mut self.stream {
             QuantStream::Owned(worker) => worker.try_drain(),
@@ -739,7 +738,7 @@ impl<'e> InferenceSession<'e> {
         };
         {
             // A chunk's own scratch is gone before the encode below allocates.
-            let mut own = (tokens.len() > 1).then(PrefillScratch::new);
+            let mut own = (arm == ChunkArm::Prompt).then(PrefillScratch::new);
             let scratch = own.as_mut().unwrap_or(&mut self.scratch);
             let logits = self.cur_logits.get_or_insert_with(Vec::new);
             self.engine
@@ -753,7 +752,7 @@ impl<'e> InferenceSession<'e> {
                 return;
             }
             Some(_) => {
-                // The prompt's last chunk: encode it whole, as one prefill.
+                // The last chunk: encode the new tokens, as one prefill.
                 self.open_prompt = None;
                 for cache in &mut self.caches {
                     cache.hold_encode(false);
@@ -1107,6 +1106,12 @@ mod tests {
                 }
             }
         }
+        snapshot(session)
+    }
+
+    /// What `session` holds right after its admission, then 8 streamed
+    /// tokens.
+    fn snapshot(mut session: InferenceSession<'_>) -> Admitted {
         let logits = session.cur_logits.as_deref().expect("admitted");
         let mut codes = Vec::new();
         let mut dense = Vec::new();
@@ -1143,12 +1148,19 @@ mod tests {
         async_quant: bool,
         residual_len: usize,
     ) -> MillionEngine {
-        let calibration: Vec<u32> = (0..96)
-            .map(|i| ((i * 13 + 5) % config.vocab_size) as u32)
-            .collect();
         let mut engine_cfg = crate::MillionConfig::four_bit(config.head_dim());
         engine_cfg.async_quant = async_quant;
         engine_cfg.residual_len = residual_len;
+        engine_with(config, engine_cfg)
+    }
+
+    fn engine_with(
+        config: million_model::ModelConfig,
+        engine_cfg: crate::MillionConfig,
+    ) -> MillionEngine {
+        let calibration: Vec<u32> = (0..96)
+            .map(|i| ((i * 13 + 5) % config.vocab_size) as u32)
+            .collect();
         let model = million_model::Transformer::new(config, 31);
         MillionEngine::new(model, engine_cfg, &calibration).expect("engine builds")
     }
@@ -1230,6 +1242,143 @@ mod tests {
                     "chunked cold admission: llama2-7b-sim, 1024-token prompt, chunks of {size}, \
                      async {async_quant}: logits, codes of {} layers and 8 streamed tokens \
                      bit-identical to one prefill",
+                    config.n_layers
+                );
+            }
+        }
+    }
+
+    /// Admits `prefix ++ suffix` on a fresh session of an engine whose
+    /// store holds `prefix`'s whole blocks — the suffix in chunks of `chunk`
+    /// tokens, or one [`InferenceSession::prefill`] when `None` — and
+    /// streams 8 tokens. The session drops at the end, so the blocks its
+    /// suffix sealed leave the store and the next admission attaches the
+    /// prefix alone.
+    fn admit_warm(
+        engine: &MillionEngine,
+        prefix: &[u32],
+        suffix: &[u32],
+        chunk: Option<usize>,
+    ) -> Admitted {
+        let prompt: Vec<u32> = prefix.iter().chain(suffix).copied().collect();
+        let attached = prefix.len() / engine.config().block_tokens * engine.config().block_tokens;
+        let mut session = engine.session();
+        match chunk {
+            None => session.prefill(&prompt),
+            Some(size) => {
+                assert_eq!(session.prefill_begin(&prompt), attached, "a warm admission");
+                for tokens in prompt[attached..].chunks(size) {
+                    session.prefill_chunk(tokens);
+                }
+            }
+        }
+        assert_eq!(session.prefix_tokens_reused(), attached);
+        snapshot(session)
+    }
+
+    /// The engine of [`engine_with_residual`], sharing prefixes through its
+    /// store.
+    fn warm_engine(
+        config: million_model::ModelConfig,
+        async_quant: bool,
+        residual_len: usize,
+    ) -> MillionEngine {
+        let mut engine_cfg = crate::MillionConfig::four_bit(config.head_dim())
+            .with_residual_len(residual_len)
+            .with_prefix_sharing();
+        engine_cfg.async_quant = async_quant;
+        engine_with(config, engine_cfg)
+    }
+
+    #[test]
+    fn warm_chunked_admission_is_one_shot_prefill() {
+        // A 104-token prefix (3 whole blocks of 32 sealed and attached, 8
+        // spill) and a 96-token suffix: every chunking of the 104 unmatched
+        // tokens
+        // against one prefill, sync and async, across RoPE/ALiBi/absolute x
+        // MHA/GQA x residual {0, 8}.
+        use million_model::{ModelConfig, NormKind, Positional};
+        let positionals = [
+            (
+                Positional::Rope {
+                    theta: 10_000.0,
+                    position_scale: 4.0,
+                },
+                NormKind::RmsNorm,
+            ),
+            (Positional::Alibi, NormKind::LayerNorm),
+            (Positional::Absolute, NormKind::LayerNorm),
+        ];
+        let mut cases = 0;
+        for base in [
+            ModelConfig::tiny_for_tests(),
+            ModelConfig::tiny_gqa_for_tests(),
+        ] {
+            for (positional, norm) in positionals {
+                let mut config = base.clone();
+                config.positional = positional;
+                config.norm = norm;
+                let stream: Vec<u32> = (0..200)
+                    .map(|i| ((i * 37 + 11) % config.vocab_size) as u32)
+                    .collect();
+                let (prefix, suffix) = stream.split_at(104);
+                for async_quant in [false, true] {
+                    for residual_len in [0, 8] {
+                        let engine = warm_engine(config.clone(), async_quant, residual_len);
+                        let mut seeder = engine.session();
+                        seeder.prefill(prefix);
+                        assert_eq!(seeder.sealed_tokens(), 96);
+                        let expected = admit_warm(&engine, prefix, suffix, None);
+                        for size in [1, 7, 31, 32, 33, 64, 512] {
+                            assert_eq!(
+                                admit_warm(&engine, prefix, suffix, Some(size)),
+                                expected,
+                                "{positional:?} {} kv heads, async {async_quant}, \
+                                 residual {residual_len}, chunks of {size}",
+                                config.n_kv_heads
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        println!(
+            "warm chunked admission: {cases} chunkings of a 104-token suffix behind 96 \
+             attached tokens bit-compared with one prefill"
+        );
+    }
+
+    /// The serving shape: 512 tokens behind a 1,024-token prefix on
+    /// llama2-7b-sim in chunks of 512 (the serving default) and 100, sync
+    /// and async, against one prefill. Too slow for a debug build.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release-only: 512 tokens behind a 1k-token prefix on llama2-7b-sim"
+    )]
+    fn warm_chunked_admission_is_one_shot_prefill_on_llama2_7b_sim() {
+        let config = million_model::ModelConfig::llama2_7b_sim();
+        let stream: Vec<u32> = (0..1536)
+            .map(|i| ((i * 7919 + 13) % config.vocab_size) as u32)
+            .collect();
+        let (prefix, suffix) = stream.split_at(1024);
+        for async_quant in [false, true] {
+            let engine = warm_engine(config.clone(), async_quant, 0);
+            let mut seeder = engine.session();
+            seeder.prefill(prefix);
+            assert_eq!(seeder.sealed_tokens(), 1024);
+            let expected = admit_warm(&engine, prefix, suffix, None);
+            for size in [512, 100] {
+                assert_eq!(
+                    admit_warm(&engine, prefix, suffix, Some(size)),
+                    expected,
+                    "async {async_quant}, chunks of {size}"
+                );
+                println!(
+                    "warm chunked admission: llama2-7b-sim, 512 tokens behind a 1024-token \
+                     prefix, chunks of {size}, async {async_quant}: logits, codes of {} layers \
+                     and 8 streamed tokens bit-identical to one prefill",
                     config.n_layers
                 );
             }

@@ -13,23 +13,31 @@
 //! Only attention differs — **two arms**, named by the caller
 //! ([`ChunkArm`]), never inferred from what the caches hold:
 //!
-//! * **prompt** — causal self-attention at full precision: the flash-style
-//!   tiled kernel ([`prefill_attention_tiled`]: per (head, query-tile) work
-//!   unit it walks key/value tiles with an online softmax, fusing scale,
-//!   ALiBi and the causal mask into the tile loop, so no `n x n` score
-//!   matrix is ever materialised). On empty caches the chunk attends to its
-//!   own KV and the (possibly lossy) backends see it in one bulk append
-//!   *afterwards*, step ③/④ of Fig. 4. A later chunk of the same prompt
-//!   appends first and reads the whole prompt back from the caches, which
-//!   must still hold it dense ([`million_kvcache::KvCache::dense_history`]);
-//!   a row's result depends on its position only, so a prompt fed in any
-//!   chunk sizes is one prefill bit for bit;
-//! * **cached** — behind any cache state, token by token in order: every
+//! * **prompt** — every chunk of tokens fed behind nothing or behind a
+//!   history: causal self-attention through the flash-style tiled kernel
+//!   ([`prefill_attention_tiled`]: per (head, query-tile) work unit it walks
+//!   key/value tiles with an online softmax, fusing scale, ALiBi and the
+//!   causal mask into the tile loop, so no `n x n` score matrix is ever
+//!   materialised). On empty caches the chunk attends to its own KV and the
+//!   (possibly lossy) backends see it in one bulk append *afterwards*, step
+//!   ③/④ of Fig. 4. Behind a history — earlier chunks of the same prompt, a
+//!   prefix attached from the store, earlier turns — the chunk appends
+//!   first and reads the whole history back, one KV head at a time
+//!   ([`million_kvcache::KvCache::dense_history`]): dense rows as they are
+//!   (zero-copy), PQ codes decoded to their centroids into a reused buffer.
+//!   A row's result depends on its position and the history only, so any
+//!   chunking of the tokens is one prefill bit for bit, and behind codes it
+//!   equals the prompt arm over a full-precision cache holding the decoded
+//!   rows. The LUT walk pays off when one query scans many codes; a chunk's
+//!   queries share the decode instead;
+//! * **cached** — the single-token decode step and the teacher-forced
+//!   oracle [`Transformer::extend_into`], token by token in order: every
 //!   query head attends over the cached history through the backend
-//!   ([`million_kvcache::KvCache::attend`]) merged with the token's own
-//!   full-precision pair (Eq. 7), then the pair is appended. Every backend
-//!   sees the same call sequence whatever the chunk boundaries, so a chunk
-//!   is bit-identical to feeding its tokens one at a time.
+//!   ([`million_kvcache::KvCache::attend`], the LUT walk over PQ codes)
+//!   merged with the token's own full-precision pair (Eq. 7), then the pair
+//!   is appended. Every backend sees the same call sequence whatever the
+//!   chunk boundaries, so a chunk is bit-identical to feeding its tokens one
+//!   at a time.
 //!
 //! The entry points differ in the arm they take and in the **three shapes**
 //! the final hidden states leave in: logits of every position
@@ -64,12 +72,15 @@ pub const PREFILL_Q_TILE: usize = 32;
 pub const PREFILL_K_TILE: usize = KEY_TILE;
 
 /// Working memory of the tiled prefill kernel: the one [`UnitScratch`]
-/// every (head, query-tile) unit runs on, and the `PREFILL_Q_TILE x
-/// head_dim` tile a unit writes before it is copied into the packed output.
+/// every (head, query-tile) unit runs on, the `PREFILL_Q_TILE x head_dim`
+/// tile a unit writes before it is copied into the packed output, and the
+/// one KV head's history a chunk behind coded tokens reads back into
+/// ([`KvCache::dense_history`]), reused across heads and layers.
 #[derive(Debug, Default)]
 struct TileScratch {
     unit: UnitScratch,
     tile: Vec<f32>,
+    history: Vec<f32>,
 }
 
 /// The chunk forward's own buffers: the residual stream, the per-layer
@@ -139,30 +150,33 @@ impl ForwardScratch {
 
 /// The attention arm of a chunk fed through [`Transformer::prefill_chunk`].
 /// The caller names it: the model never infers it from what the caches hold
-/// (a finished prompt no longer than a PQ cache's residual window is all
-/// dense too, yet its continuation must take the cached arm).
+/// (the same single token is a decode step through one arm and the last
+/// chunk of a prompt through the other).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkArm {
-    /// A chunk of a prompt whose KV the caches still hold at full precision
-    /// — none yet for the first chunk. Every query row attends at its
-    /// position over the prompt's keys so far through the tiled kernel: the
-    /// chunk's own on empty caches, otherwise the chunk's KV is appended
-    /// first and every key is read back through
-    /// [`KvCache::dense_history`]. Any chunking of a prompt is therefore
-    /// [`Transformer::prefill`] bit for bit.
+    /// A chunk of known tokens, on empty caches or behind any history the
+    /// caches can read back ([`KvCache::dense_history`]: full-precision
+    /// rows, or PQ codes decoded to their centroids). Every query row
+    /// attends at its position over the history and the chunk's keys so far
+    /// through the tiled kernel: the chunk's own on empty caches, otherwise
+    /// the chunk's KV is appended first and every key is read back. Any
+    /// chunking of a prompt is therefore [`Transformer::prefill`] bit for
+    /// bit, and behind codes any chunking of the tokens is one prefill of
+    /// them over the decoded history.
     Prompt,
     /// Behind any cache state, token by token: every query head attends over
     /// the cached — possibly quantized — history through the backend merged
-    /// with the token's own pair, then the pair is appended.
+    /// with the token's own pair, then the pair is appended. The decode
+    /// step's arm.
     Cached,
 }
 
 /// How a chunk forward attends (everything else is shared).
 enum ChunkAttention<'a> {
-    /// Causal self-attention at full precision through the tiled kernel on
-    /// the lent tile state ([`ChunkArm::Prompt`]): on empty caches over the
-    /// chunk's own `(k, v)`, then one bulk append; behind earlier prompt
-    /// chunks, one bulk append, then over the caches' dense history.
+    /// Causal self-attention through the tiled kernel on the lent tile
+    /// state ([`ChunkArm::Prompt`]): on empty caches over the chunk's own
+    /// `(k, v)`, then one bulk append; behind a history, one bulk append,
+    /// then over the history each cache reads back.
     Prompt(&'a mut TileScratch),
     /// Any cache state: per token, in order, every head attends over the
     /// cached history merged with the token's own pair (through the lent
@@ -217,7 +231,7 @@ pub fn prefill_attention_tiled(
     assert_eq!(v.cols(), n_kv_heads * hd, "value width mismatch");
     tiled_attention(
         q,
-        chunk_kv(k, v, hd),
+        History::Chunk(k, v),
         0,
         n_heads,
         n_kv_heads,
@@ -228,18 +242,34 @@ pub fn prefill_attention_tiled(
     );
 }
 
+/// Where a prompt chunk's keys and values come from.
+#[derive(Clone, Copy)]
+enum History<'a> {
+    /// The chunk's own packed `[n, n_kv_heads * head_dim]` keys and values:
+    /// a chunk on empty caches.
+    Chunk(&'a Matrix, &'a Matrix),
+    /// Everything one layer's cache holds, the chunk's own rows last, read
+    /// back one KV head at a time through [`KvCache::dense_history`].
+    Cache(&'a dyn KvCache),
+}
+
 /// [`prefill_attention_tiled`] on the tile part of a [`ForwardScratch`], so
 /// the chunk forward can lend its activation buffers alongside — for a
 /// chunk at any position. `q` holds the query rows of positions `start..start
-/// + q.rows()`; `kv(h)` gives KV head `h`'s keys and values of positions
-/// `0..start + q.rows()` at least (the chunk's own rows at `start == 0`, the
-/// prompt so far read back from a cache otherwise). Query tiles are counted
+/// + q.rows()`; `history` gives every KV head's keys and values of positions
+/// `0..start + q.rows()`: the chunk's own rows at `start == 0`, the cache's
+/// history otherwise, read back one KV head at a time into the scratch and
+/// attended by that head's group of query heads. Query tiles are counted
 /// from the chunk's first row; which rows share a unit never changes a
 /// row's bits (see [`attend_unit`]).
+///
+/// # Panics
+///
+/// Panics if a cache cannot read its history back.
 #[allow(clippy::too_many_arguments)]
-fn tiled_attention<'a>(
+fn tiled_attention(
     q: &Matrix,
-    kv: impl Fn(usize) -> [StridedRows<'a>; 2],
+    history: History<'_>,
     start: usize,
     n_heads: usize,
     n_kv_heads: usize,
@@ -265,38 +295,46 @@ fn tiled_attention<'a>(
     let group = n_heads / n_kv_heads;
 
     attn.resize_zeroed(n, n_heads * hd);
-    let TileScratch { unit, tile } = scratch;
+    let TileScratch {
+        unit,
+        tile,
+        history: buf,
+    } = scratch;
     tile.resize(PREFILL_Q_TILE * hd, 0.0);
-    for qh in 0..n_heads {
-        let queries = StridedRows::from_matrix(q, qh * hd, hd).starting_at(start);
-        let [k, v] = kv(qh / group);
-        for q0 in (0..n).step_by(PREFILL_Q_TILE) {
-            let q1 = (q0 + PREFILL_Q_TILE).min(n);
-            let out = &mut tile[..(q1 - q0) * hd];
-            attend_unit(
-                queries,
-                k,
-                v,
-                start + q0..start + q1,
-                scale,
-                alibi.map(|s| s[qh]),
-                unit,
-                out,
-            );
-            for (t, row) in (q0..q1).zip(out.chunks_exact(hd)) {
-                attn.row_mut(t)[qh * hd..(qh + 1) * hd].copy_from_slice(row);
+    for kvh in 0..n_kv_heads {
+        let [k, v] = match history {
+            History::Chunk(k, v) => [
+                StridedRows::from_matrix(k, kvh * hd, hd),
+                StridedRows::from_matrix(v, kvh * hd, hd),
+            ],
+            History::Cache(cache) => cache.dense_history(kvh, buf).unwrap_or_else(|| {
+                panic!(
+                    "a prompt chunk at position {start} needs caches that read their \
+                     history back; a {} cache does not",
+                    cache.kind()
+                )
+            }),
+        };
+        for qh in kvh * group..(kvh + 1) * group {
+            let queries = StridedRows::from_matrix(q, qh * hd, hd).starting_at(start);
+            for q0 in (0..n).step_by(PREFILL_Q_TILE) {
+                let q1 = (q0 + PREFILL_Q_TILE).min(n);
+                let out = &mut tile[..(q1 - q0) * hd];
+                attend_unit(
+                    queries,
+                    k,
+                    v,
+                    start + q0..start + q1,
+                    scale,
+                    alibi.map(|s| s[qh]),
+                    unit,
+                    out,
+                );
+                for (t, row) in (q0..q1).zip(out.chunks_exact(hd)) {
+                    attn.row_mut(t)[qh * hd..(qh + 1) * hd].copy_from_slice(row);
+                }
             }
         }
-    }
-}
-
-/// KV head `h`'s band of a chunk's packed keys and values.
-fn chunk_kv<'a>(k: &'a Matrix, v: &'a Matrix, hd: usize) -> impl Fn(usize) -> [StridedRows<'a>; 2] {
-    move |h| {
-        [
-            StridedRows::from_matrix(k, h * hd, hd),
-            StridedRows::from_matrix(v, h * hd, hd),
-        ]
     }
 }
 
@@ -505,19 +543,24 @@ impl Transformer {
     /// chunks of a prompt fed in any sizes leave the caches and the last
     /// logits exactly as one prefill of the whole prompt does — every GEMM
     /// row equals the GEMV, and [`attend_unit`]'s work for a row depends on
-    /// that row's position only. Behind earlier chunks it needs every
-    /// cache's history dense ([`KvCache::dense_history`]): a PQ cache must
-    /// hold its encode until the last chunk. [`ChunkArm::Cached`] is
+    /// that row's position and the keys it reads only. The history behind a
+    /// chunk is read back through [`KvCache::dense_history`]: a PQ cache
+    /// lends its dense rows while nothing is coded, and otherwise decodes
+    /// its codes to their centroids, so behind codes the chunk equals the
+    /// prompt arm over a full-precision cache holding the decoded rows. A PQ
+    /// cache must hold its encode until the tokens' last chunk for their
+    /// chunks to be one prefill. [`ChunkArm::Cached`] is
     /// [`Self::extend_into`]'s arm. A *single* token fed to empty caches
     /// attends to nothing but itself either way, and the two arms agree bit
-    /// for bit there (both pinned in
+    /// for bit there (all pinned in
     /// `crates/model/tests/extend_equivalence.rs`).
     ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty, if `caches.len() != n_layers`, if the
     /// extended sequence would exceed `max_seq_len`, or if the prompt arm
-    /// finds a cache whose history is not dense.
+    /// finds a cache behind it that cannot read its history back (the KIVI
+    /// and KVQuant baselines).
     pub fn prefill_chunk<C: KvCache>(
         &self,
         tokens: &[u32],
@@ -553,8 +596,8 @@ impl Transformer {
     }
 
     /// The chunk forward through the tiled prompt attention, on empty caches
-    /// or behind a dense prompt. Returns the final-normed hidden states, borrowed from the
-    /// scratch.
+    /// or behind a history the caches read back. Returns the final-normed
+    /// hidden states, borrowed from the scratch.
     fn prompt_hidden<'s, C: KvCache>(
         &self,
         tokens: &[u32],
@@ -605,9 +648,9 @@ impl Transformer {
     /// backend (pinned against a public-API oracle in
     /// `crates/model/tests/extend_equivalence.rs`); the
     /// [`ChunkAttention::Prompt`] arm gives each row what one prefill of the
-    /// whole prompt gives it, whatever the chunk boundaries (pinned there
-    /// too). It does not check the context window; the multi-token entry
-    /// points do.
+    /// tokens over the same history gives it, whatever the chunk boundaries
+    /// (pinned there too). It does not check the context window; the
+    /// multi-token entry points do.
     fn forward_chunk<C: KvCache>(
         &self,
         tokens: &[u32],
@@ -623,19 +666,14 @@ impl Transformer {
         );
         assert!(!tokens.is_empty(), "a chunk requires at least one token");
         let start_pos = caches[0].len();
-        if matches!(attention, ChunkAttention::Prompt(_)) && start_pos > 0 {
-            assert!(
-                caches
-                    .iter()
-                    .all(|c| c.len() == start_pos && c.dense_history(0).is_some()),
-                "a prompt chunk at position {start_pos} needs every cache's history dense"
-            );
-        }
+        assert!(
+            caches.iter().all(|c| c.len() == start_pos),
+            "every cache must hold the same number of tokens"
+        );
         let n = tokens.len();
         let n_heads = self.config.n_heads;
         let n_kv_heads = self.config.n_kv_heads;
         let kv_width = self.config.kv_width();
-        let hd = self.config.head_dim();
 
         let ChunkScratch {
             gemm,
@@ -672,7 +710,7 @@ impl Transformer {
                 ChunkAttention::Prompt(tiles) if start_pos == 0 => {
                     tiled_attention(
                         q,
-                        chunk_kv(k, v, hd),
+                        History::Chunk(k, v),
                         0,
                         n_heads,
                         n_kv_heads,
@@ -686,17 +724,12 @@ impl Transformer {
                     caches[l].append(k, v);
                 }
                 ChunkAttention::Prompt(tiles) => {
-                    // The earlier chunks' KV waits dense in the cache: this
-                    // chunk's joins it, and every row reads the prompt back.
+                    // The chunk's KV joins the history in the cache, and
+                    // every row reads the whole history back.
                     caches[l].append(k, v);
-                    let cache = &caches[l];
                     tiled_attention(
                         q,
-                        |h| {
-                            cache
-                                .dense_history(h)
-                                .expect("checked dense at the chunk's entry")
-                        },
+                        History::Cache(&caches[l]),
                         start_pos,
                         n_heads,
                         n_kv_heads,

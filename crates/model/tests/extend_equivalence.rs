@@ -11,9 +11,12 @@
 //! first on empty caches, every later one reading the prompt back from the
 //! caches' dense history — must be bit-identical to one
 //! [`Transformer::prefill`] of the whole prompt, logits and caches, on full
-//! caches and on PQ caches holding their encode until the prompt ends. The
-//! tiled arm itself is pinned against the oracle over empty full-precision
-//! caches, within the tiled kernel's tolerance.
+//! caches and on PQ caches holding their encode until the prompt ends.
+//! Behind PQ-coded history (shared blocks, a private code tail, dense
+//! residual rows) the arm must equal, by bits and in any chunking, the
+//! prompt arm over full-precision caches holding that history decoded to
+//! its centroids. The tiled arm itself is pinned against the oracle over
+//! empty full-precision caches, within the tiled kernel's tolerance.
 //!
 //! The serial twin is [`oracle_step`]: one token, one layer at a time,
 //! written here on the crates' public API only (weights, `embed_into`, the
@@ -26,13 +29,15 @@
 use std::sync::Arc;
 
 use million_kvcache::{
-    AttendParams, AttendScratch, KiviConfig, KvCache, KvQuantConfig, PqCacheConfig, PqKvCache,
+    AttendParams, AttendScratch, FullPrecisionCache, KiviConfig, KvCache, KvQuantConfig,
+    PqCacheConfig, PqKvCache,
 };
 use million_model::{
     build_caches, CacheSpec, ChunkArm, KvCapture, ModelConfig, NormKind, Positional, PqSpec,
     PrefillScratch, StepScratch, Transformer,
 };
 use million_quant::pq::{PqCodebook, PqConfig, PqTrainOptions};
+use million_store::Block;
 use million_tensor::alibi::alibi_slopes;
 use million_tensor::ops::{
     gelu_in_place, layer_norm, rms_norm, silu_in_place, vec_matmul_into, vec_matmul_transposed_into,
@@ -588,30 +593,176 @@ fn a_prompt_fed_in_chunks_through_the_prompt_arm_is_one_prefill() {
     }
 }
 
+/// A full-precision cache holding what a PQ cache's history decodes to,
+/// decoded here through the codebooks' public one-vector `decode`: the
+/// shared blocks' codes, then the private tail's, then the dense rows.
+fn decoded_full_cache(cache: &PqKvCache, spec: &PqSpec, layer: usize) -> FullPrecisionCache {
+    let layout = cache.layout();
+    let d = layout.head_dim;
+    let mut keys = Matrix::zeros(cache.len(), layout.width());
+    let mut values = Matrix::zeros(cache.len(), layout.width());
+    for h in 0..layout.n_kv_heads {
+        let shared = cache.shared_blocks();
+        let sides = [
+            (
+                &spec.key_codebooks[layer],
+                shared
+                    .iter()
+                    .map(|b| b.key_codes(layer, h))
+                    .collect::<Vec<_>>(),
+                &cache.private_key_codes()[h],
+                &cache.recent_key_rows()[h],
+                &mut keys,
+            ),
+            (
+                &spec.value_codebooks[layer],
+                shared.iter().map(|b| b.value_codes(layer, h)).collect(),
+                &cache.private_value_codes()[h],
+                &cache.recent_value_rows()[h],
+                &mut values,
+            ),
+        ];
+        for (codebook, blocks, private, dense, out) in sides {
+            let mut code_row = vec![0u16; codebook.config().m];
+            let mut t = 0;
+            for codes in blocks.into_iter().chain([private]) {
+                for i in 0..codes.len() {
+                    codes.read_into(i, &mut code_row);
+                    out.row_mut(t)[h * d..(h + 1) * d].copy_from_slice(&codebook.decode(&code_row));
+                    t += 1;
+                }
+            }
+            for row in dense.chunks_exact(d) {
+                out.row_mut(t)[h * d..(h + 1) * d].copy_from_slice(row);
+                t += 1;
+            }
+            assert_eq!(t, cache.len());
+        }
+    }
+    let mut full = FullPrecisionCache::new(layout);
+    full.append(&keys, &values);
+    full
+}
+
+/// Every head's history as bits.
+fn history_bits<C: KvCache>(caches: &[C]) -> Vec<Vec<u32>> {
+    let mut out = Vec::new();
+    let mut buf = Vec::new();
+    for cache in caches {
+        for h in 0..cache.layout().n_kv_heads {
+            let [k, v] = cache.dense_history(h, &mut buf).expect("readable");
+            for rows in [k, v] {
+                out.push((0..rows.rows()).flat_map(|t| bits(rows.row(t))).collect());
+            }
+        }
+    }
+    out
+}
+
 #[test]
-#[should_panic(expected = "needs every cache's history dense")]
-fn the_prompt_arm_behind_coded_history_panics() {
+fn the_prompt_arm_behind_coded_history_is_the_prompt_arm_over_its_decoded_rows() {
+    // PQ history of every kind — a sealed shared block, a private code
+    // tail, the residual window's dense rows — then a 40-token suffix held
+    // dense through the prompt arm, one-shot and in chunks, against the
+    // prompt arm over full-precision caches that hold the decoded rows.
+    const PREFIX_LEN: usize = 70;
+    const BLOCK: usize = 32;
+    const SUFFIX: usize = 40;
+    for config in configs() {
+        let model = Transformer::new(config.clone(), 53);
+        let stream = tokens(PREFIX_LEN + SUFFIX, config.vocab_size, 23);
+        let (prefix, suffix) = stream.split_at(PREFIX_LEN);
+        for residual_len in [0, RESIDUAL_LEN] {
+            let spec = PqSpec {
+                residual_len,
+                ..pq_spec(&model, 4, 64)
+            };
+            let coded = || {
+                let mut caches = held_pq_caches(&model, &spec, true);
+                for cache in &mut caches {
+                    cache.hold_encode(false);
+                }
+                let _ = model.prefill(prefix, &mut caches, None);
+                let heads = config.n_kv_heads;
+                let (mut keys, mut values) = (Vec::new(), Vec::new());
+                for cache in &mut caches {
+                    let (k, v) = cache.take_private_front(BLOCK);
+                    keys.extend(k);
+                    values.extend(v);
+                }
+                let block = Arc::new(Block::new(config.n_layers, heads, keys, values));
+                for cache in &mut caches {
+                    cache.attach_shared_block(block.clone());
+                    cache.hold_encode(true);
+                }
+                caches
+            };
+            let label = format!("{} residual {residual_len}", config.name);
+            let template = coded();
+            assert_eq!(template[0].shared_tokens(), BLOCK, "{label}");
+            assert_eq!(
+                template[0].private_quantized_len(),
+                PREFIX_LEN - BLOCK - residual_len,
+                "{label}"
+            );
+            let mut full: Vec<FullPrecisionCache> = template
+                .iter()
+                .enumerate()
+                .map(|(layer, cache)| decoded_full_cache(cache, &spec, layer))
+                .collect();
+            let mut scratch = PrefillScratch::new();
+            let mut expected = Vec::new();
+            model.prefill_chunk(
+                suffix,
+                &mut full,
+                ChunkArm::Prompt,
+                &mut scratch,
+                &mut expected,
+            );
+
+            for size in [SUFFIX, 7, 1] {
+                let mut caches = coded();
+                let mut last = Vec::new();
+                for chunk in suffix.chunks(size) {
+                    model.prefill_chunk(
+                        chunk,
+                        &mut caches,
+                        ChunkArm::Prompt,
+                        &mut scratch,
+                        &mut last,
+                    );
+                }
+                let label = format!("{label}, chunks of {size}");
+                assert_eq!(bits(&last), bits(&expected), "{label}: last logits");
+                assert_eq!(caches[0].recent_len(), residual_len + SUFFIX, "{label}");
+                assert_eq!(
+                    history_bits(&caches),
+                    history_bits(&full),
+                    "{label}: history"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "a kivi cache does not")]
+fn the_prompt_arm_behind_a_baseline_cache_panics() {
     let config = ModelConfig::tiny_for_tests();
     let model = Transformer::new(config.clone(), 47);
-    let pq = pq_spec(&model, 4, 64);
-    let mut caches = build_caches(&config, &CacheSpec::Pq(pq));
+    let mut caches = build_caches(&config, &CacheSpec::Kivi(KiviConfig::default()));
     let prompt = tokens(20, config.vocab_size, 5);
     let mut last = Vec::new();
     let mut scratch = PrefillScratch::new();
-    model.prefill_chunk(
-        &prompt[..10],
-        &mut caches,
-        ChunkArm::Prompt,
-        &mut scratch,
-        &mut last,
-    );
-    model.prefill_chunk(
-        &prompt[10..],
-        &mut caches,
-        ChunkArm::Prompt,
-        &mut scratch,
-        &mut last,
-    );
+    for chunk in prompt.chunks(10) {
+        model.prefill_chunk(
+            chunk,
+            &mut caches,
+            ChunkArm::Prompt,
+            &mut scratch,
+            &mut last,
+        );
+    }
 }
 
 /// Release-only (`cargo test --release -- --ignored`): a 512-token chunk

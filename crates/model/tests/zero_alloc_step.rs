@@ -12,7 +12,8 @@
 //!    second time it sees a shape through a warm [`PrefillScratch`], as does
 //!    the GEMM under it ([`Matrix::matmul_into`] through a warm
 //!    [`GemmScratch`]) — also for a prompt chunk late enough that every
-//!    (head, query-tile) unit walks hundreds of keys.
+//!    (head, query-tile) unit walks hundreds of keys, and for a prompt
+//!    chunk behind PQ-coded history, decoded into the scratch head by head.
 //!
 //! Every scratch is built with `new()`, the constructor sessions and
 //! admissions use: the forward runs on the calling thread, and a spawned
@@ -24,12 +25,15 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use million_kvcache::KvCache;
-use million_kvcache::{CacheLayout, FullPrecisionCache};
+use million_kvcache::{CacheLayout, FullPrecisionCache, PqCacheConfig, PqKvCache};
 use million_model::{
     prefill_attention_tiled, ChunkArm, ModelConfig, PrefillScratch, StepScratch, Transformer,
 };
+use million_quant::pq::{PqCodebook, PqConfig, PqTrainOptions};
+use million_store::Block;
 use million_tensor::init::{normal_matrix, seeded_rng};
 use million_tensor::{GemmScratch, Matrix};
 
@@ -320,4 +324,68 @@ fn a_long_prompt_chunk_is_allocation_free_when_scratch_is_warm() {
         "a warm 64-token prompt chunk at position 512 allocated {allocations} times"
     );
     assert_eq!(caches[0].len(), 576);
+}
+
+#[test]
+fn a_warm_prompt_chunk_behind_pq_codes_is_allocation_free_when_scratch_is_warm() {
+    // A 40-token chunk held dense behind 96 PQ-coded tokens — a sealed
+    // shared block of 32, a private code tail and an 8-token residual
+    // window: every KV head's history is decoded into the tile scratch's
+    // buffer, which a warm scratch already holds at this length.
+    let config = ModelConfig::tiny_for_tests();
+    let model = Transformer::new(config.clone(), 6);
+    let hd = config.head_dim();
+    let pq = PqConfig::new(hd / 2, 8).unwrap();
+    let codebook = |seed| {
+        let samples = normal_matrix(&mut seeded_rng(seed), 600, hd, 0.0, 1.0);
+        Arc::new(PqCodebook::train(&pq, &samples, &PqTrainOptions::default(), seed).unwrap())
+    };
+    let (keys, values) = (codebook(1), codebook(2));
+    let mut caches: Vec<PqKvCache> = (0..config.n_layers)
+        .map(|l| {
+            let cfg = PqCacheConfig::new(keys.clone(), values.clone(), 8).with_layer(l);
+            PqKvCache::new(model.cache_layout(), cfg)
+        })
+        .collect();
+    let prefix: Vec<u32> = (0..96u32).map(|i| (i * 7 + 3) % 100).collect();
+    let chunk: Vec<u32> = (0..40u32).map(|i| (i * 11 + 5) % 100).collect();
+    let mut scratch = PrefillScratch::new();
+    let mut logits = Vec::new();
+    let mut feed = |caches: &mut Vec<PqKvCache>, scratch: &mut PrefillScratch| {
+        for cache in caches.iter_mut() {
+            cache.reset();
+        }
+        let _ = model.prefill(&prefix, caches, None);
+        let (mut block_keys, mut block_values) = (Vec::new(), Vec::new());
+        for cache in caches.iter_mut() {
+            let (k, v) = cache.take_private_front(32);
+            block_keys.extend(k);
+            block_values.extend(v);
+        }
+        let block = Arc::new(Block::new(
+            config.n_layers,
+            config.n_kv_heads,
+            block_keys,
+            block_values,
+        ));
+        for cache in caches.iter_mut() {
+            cache.attach_shared_block(block.clone());
+            cache.hold_encode(true);
+            cache.reserve_dense(chunk.len());
+        }
+        let before = thread_allocations();
+        model.prefill_chunk(&chunk, caches, ChunkArm::Prompt, scratch, &mut logits);
+        thread_allocations() - before
+    };
+
+    // The first pass sizes every buffer, the decoded history included.
+    feed(&mut caches, &mut scratch);
+    let allocations = feed(&mut caches, &mut scratch);
+    assert_eq!(
+        allocations, 0,
+        "a warm 40-token prompt chunk behind PQ codes allocated {allocations} times"
+    );
+    assert_eq!(caches[0].shared_tokens(), 32);
+    assert_eq!(caches[0].private_quantized_len(), 56);
+    assert_eq!(caches[0].recent_len(), 48);
 }

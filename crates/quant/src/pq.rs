@@ -367,14 +367,48 @@ impl PqCodebook {
         }
     }
 
+    /// Decodes every vector of a code block into consecutive `dim`-wide rows
+    /// of `out` (`codes.len() * dim` floats), each an exact copy of its
+    /// centroids — the rows [`Self::decode_into`] writes. 8-bit codes are
+    /// read straight from the packed bytes, one byte per subspace; other
+    /// widths go through [`PqCodes::walk_row`]. Neither unpacks to `u16`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block's configuration differs from this codebook's or
+    /// `out` is not `codes.len() * dim` long.
+    pub fn decode_rows_into(&self, codes: &PqCodes, out: &mut [f32]) {
+        assert_eq!(codes.config(), self.config, "decode config mismatch");
+        assert_eq!(
+            out.len(),
+            codes.len() * self.dim,
+            "decode buffer length mismatch"
+        );
+        let (dim, dsub) = (self.dim, self.dsub);
+        if self.config.nbits == 8 {
+            let packed = &codes.packed_bytes()[..codes.len() * self.config.m];
+            for (row, slot) in packed
+                .chunks_exact(self.config.m)
+                .zip(out.chunks_exact_mut(dim))
+            {
+                for (sub, (&code, dst)) in row.iter().zip(slot.chunks_exact_mut(dsub)).enumerate() {
+                    dst.copy_from_slice(&self.rows[code as usize * dim + sub * dsub..][..dsub]);
+                }
+            }
+        } else {
+            for (i, slot) in out.chunks_exact_mut(dim).enumerate() {
+                codes.walk_row(i, |sub, code| {
+                    slot[sub * dsub..(sub + 1) * dsub]
+                        .copy_from_slice(&self.rows[code * dim + sub * dsub..][..dsub]);
+                });
+            }
+        }
+    }
+
     /// Decodes every vector in a code block back into a `[n, dim]` matrix.
     pub fn decode_matrix(&self, codes: &PqCodes) -> Matrix {
         let mut out = Matrix::zeros(codes.len(), self.dim);
-        let mut buf = vec![0u16; self.config.m];
-        for i in 0..codes.len() {
-            codes.read_into(i, &mut buf);
-            self.decode_into(&buf, out.row_mut(i));
-        }
+        self.decode_rows_into(codes, out.as_mut_slice());
         out
     }
 
@@ -1345,6 +1379,27 @@ mod tests {
         // Quantization error should be well below the data variance.
         let mse = decoded.mse(&data);
         assert!(mse < 0.5, "unexpectedly poor reconstruction: {mse}");
+    }
+
+    #[test]
+    fn decoded_rows_are_the_centroids_decode_into_writes() {
+        // 8 bits reads the packed bytes; 3, 4, 5 and 6 walk the rows.
+        let data = training_data(4, 300, 32);
+        for nbits in [3, 4, 5, 6, 8] {
+            let config = PqConfig::new(8, nbits).unwrap();
+            let cb = PqCodebook::train(&config, &data, &PqTrainOptions::default(), 5).unwrap();
+            let codes = cb.encode_matrix(&data);
+            let mut rows = vec![f32::NAN; codes.len() * 32];
+            cb.decode_rows_into(&codes, &mut rows);
+            let mut row_codes = vec![0u16; config.m];
+            let mut expected = vec![0.0f32; 32];
+            for (i, row) in rows.chunks_exact(32).enumerate() {
+                codes.read_into(i, &mut row_codes);
+                cb.decode_into(&row_codes, &mut expected);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(row), bits(&expected), "nbits {nbits}, row {i}");
+            }
+        }
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! The sharing equivalence class: an attached session is bit-identical to an
 //! **unshared** session admitted the same way — `prefill(matched_prefix)`
 //! followed by `append_prompt(rest)` — because attached codes are the
-//! deterministic encoder's output for the same token prefix and the paged
-//! fused kernel performs the identical arithmetic sequence as the monolithic
-//! one. (A session that cold-prefills the *whole* prompt sees the unmatched
-//! tail in full precision during prefill, which is a different — equally
-//! valid — numeric path; that asymmetry is inherent to the paper's design
-//! and is why prefix sharing is opt-in.)
+//! deterministic encoder's output for the same token prefix, both prefill
+//! the rest in one pass over those codes decoded to their centroids, and
+//! the paged fused kernel performs the identical arithmetic sequence as the
+//! monolithic one when they decode. (A session that cold-prefills the
+//! *whole* prompt sees the prefix in full precision during prefill, which
+//! is a different — equally valid — numeric path; that asymmetry is
+//! inherent to the paper's design and is why prefix sharing is opt-in.)
 
 use million::{
     GenerationOptions, MillionConfig, MillionEngine, Request, ServingConfig, ServingEngine,

@@ -287,12 +287,13 @@ fn staggered_arrivals_reuse_the_resident_prefix_inside_the_loop() {
 /// on, so both cold and warm (store-attached) admissions ride the chunk
 /// path — every request stays bit-identical to a serial one-shot run.
 ///
-/// This is structural for every chunk size: a cold admission's chunks
-/// attend over the prompt so far at full precision and its last chunk
-/// encodes it, which is one prefill bit for bit (pinned for every chunking
-/// in `million`'s `chunked_cold_admission_is_one_shot_prefill`), and a warm
-/// admission's suffix rides the extend path in both (pinned against a warm
-/// serial twin below).
+/// This is structural for every chunk size: an admission's chunks attend
+/// over the history so far — a warm one's attached prefix decoded to its
+/// centroids, then the prompt's own tokens at full precision — and its last
+/// chunk encodes them, which is one prefill bit for bit (pinned for every
+/// chunking in `million`'s `chunked_cold_admission_is_one_shot_prefill` and
+/// `warm_chunked_admission_is_one_shot_prefill`, and against a warm serial
+/// twin below).
 #[test]
 fn chunked_prefill_is_bit_identical_across_chunk_sizes_and_warm_admissions() {
     let config = ModelConfig::tiny_for_tests();
@@ -406,12 +407,13 @@ fn cold_chunked_admission_matches_the_one_shot_serial_twin() {
 }
 
 /// The structural half of the chunking contract, warm path: a warm chunked
-/// admission (store prefix attached, remainder chunked through the extend
-/// path) is bit-identical to a warm serial one-shot admission — attach is
-/// code adoption and the unmatched suffix rides the extend path in both,
-/// so this identity holds for every chunk size, whole-prompt included. The
-/// budgeted store keeps the seeder's blocks resident after it retires,
-/// which is what lets the serial twin admit warm after the fact.
+/// admission (store prefix attached, remainder chunked) is bit-identical to
+/// a warm serial one-shot admission — attach is code adoption, and the
+/// unmatched suffix is one prefill over the attached codes decoded in both,
+/// held dense until its last chunk, so this identity holds for every chunk
+/// size, whole-prompt included. The budgeted store keeps the seeder's
+/// blocks resident after it retires, which is what lets the serial twin
+/// admit warm after the fact.
 #[test]
 fn warm_chunked_admission_is_bit_identical_to_a_warm_serial_twin() {
     let config = ModelConfig::tiny_for_tests();
@@ -556,6 +558,86 @@ fn drain_persist_mid_prefill_restores_and_completes_identically() {
         "recovered mid-prefill state splices into the serial stream"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The warm sibling of the test above: a request that attached a prefix
+/// from the store and was drained mid-suffix checkpoints its fed suffix
+/// dense behind the prefix codes, recovers with its admission open, and
+/// completes identically to the uninterrupted warm run — one prefill of the
+/// suffix over the decoded prefix — sync and async. Identically down to
+/// the codes: the uninterrupted twin, still alive, has sealed its blocks,
+/// and the recovered request adopts every one of them, which a request
+/// whose suffix was encoded chunk by chunk would not.
+#[test]
+fn drain_persist_mid_warm_prefill_restores_and_completes_identically() {
+    let config = ModelConfig::tiny_for_tests();
+    for async_quant in [false, true] {
+        let mut engine_cfg = sync_config(config.head_dim())
+            .with_block_tokens(16)
+            .with_prefix_sharing();
+        engine_cfg.async_quant = async_quant;
+        let engine = build_engine(&config, engine_cfg, 39);
+        let system = prompt(&config, 38); // 2 whole blocks of 16 + 6
+        let mut p = system.clone();
+        p.extend((0..40u32).map(|i| (i * 7 + 5) % config.vocab_size as u32));
+        // The seeder keeps the system prompt's blocks resident throughout.
+        let mut seeder = engine.session();
+        seeder.prefill(&system);
+        assert_eq!(seeder.sealed_tokens(), 32);
+
+        let dir = scratch_dir(&format!("drain_warm_prefill_{async_quant}"));
+        let serving_config = ServingConfig {
+            max_resident: 1,
+            prefill_chunk_tokens: 8,
+            ..ServingConfig::default()
+        };
+        let mut serving = ServingEngine::new(&engine, serving_config.clone());
+        let handle = serving
+            .submit(Request::new(p.clone(), GenerationOptions::max_tokens(10)))
+            .expect("queued");
+        // Admission chunk + one scheduled chunk: 16 of the 46 unmatched
+        // tokens fed behind the 32 attached ones.
+        serving.serve_round();
+        serving.serve_round();
+        assert_eq!(serving.prefill_tokens_remaining(), 30);
+        let report = serving.drain(Some(&dir)).expect("drain persists");
+        assert_eq!(report.persisted.len(), 1);
+        let partial = handle.report().expect("retired");
+        assert!(partial.cancelled && partial.tokens.is_empty());
+        assert_eq!(partial.prefix_tokens_reused, 32);
+        assert_eq!(
+            partial.prompt_tokens, 48,
+            "checkpoint taken at the boundary"
+        );
+
+        let mut serial = engine.session();
+        serial.prefill(&p);
+        assert_eq!(serial.prefix_tokens_reused(), 32, "the twin admits warm");
+        let expected = serial.generate(&GenerationOptions::max_tokens(10));
+
+        let mut restarted = ServingEngine::new(&engine, serving_config);
+        let recovered = restarted.recover(&dir);
+        assert!(recovered.failed.is_empty(), "{:?}", recovered.failed);
+        assert_eq!(restarted.prefilling_sessions(), 1, "resumes mid-prefill");
+        assert_eq!(restarted.prefill_tokens_remaining(), 30);
+        restarted.run_until_idle();
+        let resumed = recovered.restored[0].report().expect("finished");
+        assert_eq!(resumed.prompt_tokens, p.len());
+        assert_eq!(
+            resumed.tokens, expected.tokens,
+            "async {async_quant}: recovered mid-suffix state splices into the serial stream"
+        );
+        // The seeder co-references the two system blocks, the recovered
+        // request every block the twin sealed.
+        let block_bytes = seeder.kv_shared_bytes() / 2;
+        assert_eq!(serial.sealed_tokens(), 80);
+        assert_eq!(
+            resumed.kv_shared_bytes,
+            5 * block_bytes,
+            "async {async_quant}: the recovered request's codes are the twin's"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// `(arrival_round, prompt_tokens, max_new_tokens, class)`.
