@@ -666,10 +666,12 @@ impl Transformer {
         );
         assert!(!tokens.is_empty(), "a chunk requires at least one token");
         let start_pos = caches[0].len();
-        assert!(
-            caches.iter().all(|c| c.len() == start_pos),
-            "every cache must hold the same number of tokens"
-        );
+        if matches!(attention, ChunkAttention::Prompt(_)) && start_pos > 0 {
+            assert!(
+                caches.iter().all(|c| c.len() == start_pos),
+                "a prompt chunk at position {start_pos} needs every cache at that length"
+            );
+        }
         let n = tokens.len();
         let n_heads = self.config.n_heads;
         let n_kv_heads = self.config.n_kv_heads;
