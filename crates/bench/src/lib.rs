@@ -98,7 +98,7 @@ pub fn trained_million_spec(
 ) -> (TrainedCodebooks, CacheSpec) {
     let codebooks = million::train_codebooks(model, calibration, engine_config)
         .expect("codebook training with harness presets");
-    let spec = CacheSpec::Pq(codebooks.to_pq_spec(engine_config.residual_len, true));
+    let spec = CacheSpec::Pq(codebooks.to_pq_spec(engine_config.residual_len));
     (codebooks, spec)
 }
 

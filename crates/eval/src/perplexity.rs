@@ -265,7 +265,6 @@ mod tests {
             key_codebooks: key_cbs,
             value_codebooks: value_cbs,
             residual_len: 0,
-            auto_encode: true,
         }
     }
 

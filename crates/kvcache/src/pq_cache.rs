@@ -77,8 +77,10 @@ pub struct PqCacheConfig {
     /// as the staging buffer for not-yet-quantized tokens.
     pub residual_len: usize,
     /// When `true` (default), [`KvCache::append`] immediately encodes tokens
-    /// that fall out of the residual window. The asynchronous engine sets
-    /// this to `false` and feeds codes back via [`PqKvCache::absorb_encoded`].
+    /// that fall out of the residual window. Inference sessions set this to
+    /// `false` and schedule every encode themselves, through
+    /// [`PqKvCache::encode_overflow`] or a worker whose codes come back via
+    /// [`PqKvCache::absorb_encoded`].
     pub auto_encode: bool,
     /// Which model layer this cache serves — the slice of each multi-layer
     /// shared [`Block`] it reads. Irrelevant (0) when no blocks are attached.
@@ -157,9 +159,6 @@ pub struct PqKvCache {
     recent_len: usize,
     /// Codes of the row being encoded by [`PqKvCache::encode_overflow`].
     code_row: Vec<u16>,
-    /// Set by [`PqKvCache::hold_encode`]: appends stay dense even with
-    /// `auto_encode` on.
-    encode_held: bool,
 }
 
 impl std::fmt::Debug for PqKvCache {
@@ -170,7 +169,6 @@ impl std::fmt::Debug for PqKvCache {
             .field("shared_tokens", &self.shared_tokens)
             .field("quantized_len", &self.quantized_len)
             .field("recent_len", &self.recent_len)
-            .field("encode_held", &self.encode_held)
             .finish()
     }
 }
@@ -215,18 +213,7 @@ impl PqKvCache {
             quantized_len: 0,
             recent_len: 0,
             code_row: vec![0; code_row_len],
-            encode_held: false,
         }
-    }
-
-    /// Holds (`true`) or releases (`false`) the encode of an `auto_encode`
-    /// cache: while held, [`KvCache::append`] keeps every token dense, as a
-    /// cache without `auto_encode` does, so a prompt admitted in chunks
-    /// stays readable through [`KvCache::dense_history`] until its last
-    /// chunk. Releasing encodes nothing by itself; the holder calls
-    /// [`PqKvCache::encode_overflow`]. [`KvCache::reset`] releases.
-    pub fn hold_encode(&mut self, hold: bool) {
-        self.encode_held = hold;
     }
 
     /// Reserves dense room for exactly `tokens` more tokens per head, so a
@@ -525,8 +512,9 @@ impl PqKvCache {
     /// Encodes every dense token beyond the residual window on the spot,
     /// straight from the head-strided dense rows into the private tail —
     /// what [`KvCache::append`] does when `auto_encode` is set, and what a
-    /// caller that holds back encoding (prefill of an asynchronous session,
-    /// a flush) calls itself.
+    /// caller that schedules encoding itself (an inference session: at the
+    /// end of an admission, after a synchronous decode step, at a flush)
+    /// calls.
     pub fn encode_overflow(&mut self) {
         let n = self.recent_len.saturating_sub(self.config.residual_len);
         if n == 0 {
@@ -697,7 +685,7 @@ impl KvCache for PqKvCache {
                 .zip(self.recent_values.iter_mut()),
         );
         self.recent_len += keys.rows();
-        if self.config.auto_encode && !self.encode_held {
+        if self.config.auto_encode {
             self.encode_overflow();
         }
     }
@@ -873,7 +861,6 @@ impl KvCache for PqKvCache {
         }
         self.quantized_len = 0;
         self.recent_len = 0;
-        self.encode_held = false;
     }
 
     fn kind(&self) -> &'static str {
@@ -1006,10 +993,11 @@ mod tests {
     fn a_held_encode_keeps_the_history_dense_until_released() {
         let (kc, vc) = trained_codebooks(19);
         let mut auto = PqKvCache::new(layout(), PqCacheConfig::new(kc.clone(), vc.clone(), 2));
-        let mut held = PqKvCache::new(layout(), PqCacheConfig::new(kc, vc, 2));
+        let mut held_cfg = PqCacheConfig::new(kc, vc, 2);
+        held_cfg.auto_encode = false;
+        let mut held = PqKvCache::new(layout(), held_cfg);
         let (k, v) = random_kv(20, 24);
         auto.append(&k, &v);
-        held.hold_encode(true);
         held.append(&k.slice_rows(0..10), &v.slice_rows(0..10));
         held.append(&k.slice_rows(10..24), &v.slice_rows(10..24));
         assert_eq!(held.recent_len(), 24);
@@ -1033,7 +1021,6 @@ mod tests {
             }
         }
         assert!(buf.is_empty(), "the buffer is untouched");
-        held.hold_encode(false);
         held.encode_overflow();
         assert_eq!(held.recent_len(), 2);
         for head in 0..HEADS {
@@ -1052,12 +1039,13 @@ mod tests {
     #[test]
     fn an_encoded_prompt_gives_its_dense_capacity_back() {
         let (kc, vc) = trained_codebooks(21);
-        let mut cache = PqKvCache::new(layout(), PqCacheConfig::new(kc, vc, 4));
+        let mut cfg = PqCacheConfig::new(kc, vc, 4);
+        cfg.auto_encode = false;
+        let mut cache = PqKvCache::new(layout(), cfg);
         let (k, v) = random_kv(22, 300);
         cache.reserve_dense(300);
         let reserved = cache.recent_key_rows()[0].capacity();
         assert_eq!(reserved, 300 * HEAD_DIM);
-        cache.hold_encode(true);
         cache.append(&k.slice_rows(0..150), &v.slice_rows(0..150));
         cache.append(&k.slice_rows(150..300), &v.slice_rows(150..300));
         assert_eq!(
@@ -1065,7 +1053,6 @@ mod tests {
             reserved,
             "grown in place"
         );
-        cache.hold_encode(false);
         cache.encode_overflow();
         for rows in cache
             .recent_key_rows()
@@ -1079,11 +1066,13 @@ mod tests {
                 rows.capacity()
             );
         }
-        // A short window keeps its capacity: one-token appends never
+        // A short window keeps its capacity: one-token appends, each
+        // encoded as a synchronous decode step encodes it, never
         // reallocate.
         let kept = cache.recent_key_rows()[0].as_ptr();
         for t in 0..40 {
             cache.append(&k.slice_rows(t..t + 1), &v.slice_rows(t..t + 1));
+            cache.encode_overflow();
         }
         assert_eq!(cache.recent_key_rows()[0].as_ptr(), kept);
     }

@@ -167,7 +167,7 @@ impl MillionEngine {
     /// use with the evaluation harnesses (teacher-forced perplexity and KL
     /// against the fp16 cache).
     pub fn cache_spec(&self) -> CacheSpec {
-        CacheSpec::Pq(self.codebooks.to_pq_spec(self.config.residual_len, true))
+        CacheSpec::Pq(self.codebooks.to_pq_spec(self.config.residual_len))
     }
 
     /// Generates `max_new_tokens` tokens after `prompt`, using the configured

@@ -5,20 +5,24 @@
 //! compressed wire format — framed by the binary codec in
 //! [`million_store::persist`]. A snapshot carries the sealed block chain,
 //! each layer's private code tail, the dense residual window, and the decode
-//! front (pending token + current logits), so a restored session's next
-//! [`crate::InferenceSession::step`] performs the identical arithmetic the
-//! original session would have.
+//! front (pending token + current logits, or the prompt an open admission
+//! has still to feed), so a restored session's next
+//! [`crate::InferenceSession::step`] or
+//! [`crate::InferenceSession::prefill_chunk`] performs the identical
+//! arithmetic the original session would have.
 //!
-//! ## Format v2 (`MLNSES02`)
+//! ## Format v3 (`MLNSES03`)
 //!
 //! The 8-byte magic is followed by six CRC32-framed sections (each
 //! `[len u64][crc32 u32][payload]`, see `million_store::persist`):
 //! header (engine geometry + PQ configs), history, sealed blocks, private
-//! code tails, dense recent windows, and the decode front. Every write goes
-//! through `atomic_write` (temp file + fsync + rename), so a crash mid-write
-//! never leaves a torn snapshot at the destination path, and any flipped
-//! byte or truncation inside a section surfaces on restore as a typed
-//! [`MillionError::Persist`] — never a panic or a silent misread.
+//! code tails, dense recent windows, and the decode front, which ends with
+//! the open admission's unfed prompt (empty when none is open). Every
+//! write goes through `atomic_write` (temp file + fsync + rename), so a
+//! crash mid-write never leaves a torn snapshot at the destination path,
+//! and any flipped byte or truncation inside a section surfaces on restore
+//! as a typed [`MillionError::Persist`] — never a panic or a silent
+//! misread.
 //!
 //! Restoring into an engine whose store already holds blocks of the same
 //! token chain **re-attaches** them instead of duplicating codes (the
@@ -27,12 +31,15 @@
 //! block granularity — the sealed blocks are folded back into private code
 //! tails instead.
 //!
-//! ## Request checkpoints (`MLNCKPT2`)
+//! ## Request checkpoints (`MLNCKPT3`)
 //!
 //! `request-<id>.ckpt`, the only on-disk form of an in-flight serving
 //! request: the magic, a CRC-framed request section (id, class, budget, stop
-//! criteria, sampler state, streamed tokens, unfed prompt) and a CRC-framed
-//! `MLNSES02` snapshot. `MLNCKPT1` lacked the unfed prompt and is retired.
+//! criteria, sampler state, streamed tokens) and a CRC-framed `MLNSES03`
+//! snapshot, which holds the unfed prompt of a request checkpointed
+//! mid-admission. Earlier versions — `MLNSES01` (unframed), `MLNSES02` and `MLNCKPT1`
+//! (no unfed prompt), `MLNCKPT2` (an `MLNSES02` inside) — are retired: a
+//! restore names them in a typed error.
 
 // A panic on the snapshot path loses committed state; errors are typed.
 #![deny(
@@ -61,18 +68,35 @@ use crate::serving::{QosClass, Request, RequestId};
 use crate::session::{GenerationOptions, InferenceSession, StopCriteria};
 use crate::MillionError;
 
-const MAGIC: &[u8; 8] = b"MLNSES02";
-const MAGIC_V1: &[u8; 8] = b"MLNSES01";
-const CKPT_MAGIC: &[u8; 8] = b"MLNCKPT2";
-const CKPT_MAGIC_V1: &[u8; 8] = b"MLNCKPT1";
+const MAGIC: &[u8; 8] = b"MLNSES03";
+const CKPT_MAGIC: &[u8; 8] = b"MLNCKPT3";
+
+/// Accepts `expected`. An earlier version of the same format is named in
+/// the error as retired; any other magic is `bad`.
+fn check_magic(magic: &[u8; 8], expected: &[u8; 8], bad: &str) -> Result<(), PersistError> {
+    if magic == expected {
+        return Ok(());
+    }
+    let stem = expected.iter().take_while(|b| !b.is_ascii_digit()).count();
+    let ((name, version), (own_name, own_version)) =
+        (magic.split_at(stem), expected.split_at(stem));
+    Err(PersistError::Corrupt(
+        if name == own_name && version < own_version {
+            let magic = String::from_utf8_lossy(magic);
+            format!("{magic} is a retired format and is no longer readable")
+        } else {
+            bad.to_string()
+        },
+    ))
+}
 
 /// A serving request as its checkpoint records it — everything
 /// [`crate::ServingEngine::recover`] needs to seat it in a slot again.
 pub(crate) struct Checkpoint<'e> {
     pub(crate) id: RequestId,
-    /// Class, token budget, stop criteria and sampler state. `prompt` holds
-    /// only the tokens not yet fed (empty once the request decodes);
-    /// deadlines are not persisted.
+    /// Class, token budget, stop criteria and sampler state. `prompt` is
+    /// empty: a request checkpointed mid-admission carries its unfed
+    /// tokens in `session`. Deadlines are not persisted.
     pub(crate) request: Request,
     /// Tokens streamed before the checkpoint.
     pub(crate) tokens: Vec<u32>,
@@ -125,11 +149,11 @@ impl InferenceSession<'_> {
     ///
     /// The sampler is *not* persisted — a restored session starts with the
     /// default greedy sampler; re-set a custom one with
-    /// [`InferenceSession::set_sampler`]. Nor is an open admission's unfed
-    /// prompt: a session persisted between the chunks of one keeps its fed
-    /// tokens dense, and once restored takes each further chunk as a turn
-    /// of its own, encoded at its end (a serving checkpoint, which records
-    /// the unfed prompt, resumes the admission itself).
+    /// [`InferenceSession::set_sampler`]. An open admission is: a session
+    /// persisted between the chunks of one keeps its fed tokens dense and
+    /// records the unfed ones, so once restored its further
+    /// [`InferenceSession::prefill_chunk`] calls finish the same one
+    /// prefill, bit for bit.
     ///
     /// # Errors
     ///
@@ -149,11 +173,11 @@ impl InferenceSession<'_> {
         self.encode()
     }
 
-    /// Encodes the request checkpoint (`MLNCKPT2`) of the serving request
+    /// Encodes the request checkpoint (`MLNCKPT3`) of the serving request
     /// this session runs: `request` carries its class, budget, stop
-    /// criteria and sampler, with `prompt` holding only the tokens not yet
-    /// fed; `tokens` are the ones already streamed. The inverse is
-    /// [`MillionEngine::decode_checkpoint`].
+    /// criteria and sampler (its `prompt` is not written: the session holds
+    /// whatever is unfed); `tokens` are the ones already streamed. The
+    /// inverse is [`MillionEngine::decode_checkpoint`].
     pub(crate) fn checkpoint_bytes(
         &mut self,
         id: RequestId,
@@ -184,7 +208,6 @@ impl InferenceSession<'_> {
             }
         }
         put_u32_slice(&mut body, tokens);
-        put_u32_slice(&mut body, &request.prompt);
         put_section(&mut out, &body);
         put_section(&mut out, &self.snapshot_bytes());
         out
@@ -275,6 +298,7 @@ impl InferenceSession<'_> {
             None => body.push(0),
         }
         put_u64(&mut body, self.prefix_reused as u64);
+        put_u32_slice(&mut body, &self.unfed);
         put_section(&mut out, &body);
         out
     }
@@ -295,7 +319,8 @@ impl MillionEngine {
     /// Returns [`MillionError::Persist`] if the file cannot be read, is
     /// corrupt, disagrees with this engine's geometry, or holds a value the
     /// model cannot serve (a pending token outside the vocabulary, logits
-    /// of another width, a cache longer than the context window).
+    /// of another width, a cache longer than the context window, an unfed
+    /// prompt token outside the vocabulary or running past the window).
     pub fn restore_session<P: AsRef<Path>>(
         &self,
         path: P,
@@ -324,27 +349,17 @@ impl MillionEngine {
 
     /// Decodes a request checkpoint written by
     /// [`InferenceSession::checkpoint_bytes`]. Beyond the session snapshot's
-    /// own checks, unfed prompt tokens get [`crate::ServingEngine::submit`]'s
-    /// vocabulary and window rules and a decoding request must carry logits
-    /// to sample, so a recovered request can never panic its first serve
-    /// round.
+    /// own checks, the request must have a position left to generate into
+    /// ([`crate::ServingEngine::submit`]'s window rule) and a decoding
+    /// request must carry logits to sample, so a recovered request can
+    /// never panic its first serve round.
     pub(crate) fn decode_checkpoint(&self, bytes: &[u8]) -> Result<Checkpoint<'_>, PersistError> {
         let corrupt = PersistError::Corrupt;
         let (magic, rest) = bytes
             .split_first_chunk::<8>()
             .ok_or(PersistError::Truncated)?;
         let mut r = Reader::new(rest);
-        match magic {
-            CKPT_MAGIC => {}
-            CKPT_MAGIC_V1 => {
-                return Err(corrupt(
-                    "request checkpoint format v1 (MLNCKPT1) lacks the unfed prompt and is \
-                     no longer readable"
-                        .into(),
-                ))
-            }
-            _ => return Err(corrupt("bad checkpoint magic".into())),
-        }
+        check_magic(magic, CKPT_MAGIC, "bad checkpoint magic")?;
 
         let mut m = Reader::new(r.get_section()?);
         let id = RequestId::from_u64(m.get_len()? as u64);
@@ -378,19 +393,16 @@ impl MillionEngine {
             kind => return Err(corrupt(format!("unknown sampler kind tag {kind}"))),
         };
         let tokens = m.get_u32_slice()?;
-        let unfed = m.get_u32_slice()?;
         expect_exhausted(&m, "checkpoint request")?;
         let mut session = self.decode_session(r.get_section()?)?;
         expect_exhausted(&r, "checkpoint")?;
 
-        // The next serve round feeds the unfed prompt (held to `submit`'s
-        // rules) or samples the logits and feeds the pending token.
-        let config = self.model().config();
-        let unservable = if unfed.iter().any(|&t| t as usize >= config.vocab_size) {
-            Some("an unfed prompt token is outside the vocabulary")
-        } else if session.cached_tokens() + unfed.len() >= config.max_seq_len {
+        // The next serve round feeds the unfed prompt or samples the logits
+        // and feeds the pending token.
+        let unfed = session.unfed_prompt_tokens();
+        let unservable = if session.cached_tokens() + unfed >= self.model().config().max_seq_len {
             Some("no position is left in the context window")
-        } else if unfed.is_empty() && session.cur_logits.is_none() {
+        } else if unfed == 0 && session.cur_logits.is_none() {
             Some("a decoding request carries no logits")
         } else {
             None
@@ -398,18 +410,11 @@ impl MillionEngine {
         if let Some(reason) = unservable {
             return Err(corrupt(format!("unservable checkpoint: {reason}")));
         }
-        // An admission checkpointed between chunks resumes open: its fed
-        // tokens are still dense in the caches behind whatever is coded, so
-        // the rest attends over that history through the tiled kernel and
-        // the last chunk encodes the new tokens.
-        if !unfed.is_empty() {
-            session.open_admission(unfed.len());
-        }
         session.id = id.as_u64() as usize;
         Ok(Checkpoint {
             id,
             request: Request {
-                prompt: unfed,
+                prompt: Vec::new(),
                 options: GenerationOptions {
                     max_new_tokens,
                     stop: StopCriteria { eos_id, stop_ids },
@@ -429,14 +434,7 @@ impl MillionEngine {
             .split_first_chunk::<8>()
             .ok_or(PersistError::Truncated)?;
         let mut r = Reader::new(rest);
-        if magic == MAGIC_V1 {
-            return Err(corrupt(
-                "snapshot format v1 (MLNSES01) predates CRC framing and is no longer readable",
-            ));
-        }
-        if magic != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
+        check_magic(magic, MAGIC, "bad magic")?;
 
         let mut h = Reader::new(r.get_section()?);
         let snapshot_bt = h.get_u32()? as usize;
@@ -553,13 +551,15 @@ impl MillionEngine {
             None
         };
         let prefix_reused = s.get_len()?;
+        let unfed = s.get_u32_slice()?;
         expect_exhausted(&s, "decode front")?;
         if !r.is_exhausted() {
             return Err(corrupt("trailing bytes after snapshot"));
         }
         // Valid CRCs do not make values servable: the next step embeds the
         // pending token, samples the logits and extends the cache, whose
-        // length must match the history (checked below) and fit the window.
+        // length must match the history (checked below) and fit the window;
+        // the next chunk embeds the unfed tokens after it.
         let config = self.model().config();
         if pending.is_some_and(|t| t as usize >= config.vocab_size) {
             return Err(corrupt("pending token is outside the vocabulary"));
@@ -572,6 +572,12 @@ impl MillionEngine {
         }
         if history.len() > config.max_seq_len {
             return Err(corrupt("cache exceeds the context window"));
+        }
+        if unfed.iter().any(|&t| t as usize >= config.vocab_size) {
+            return Err(corrupt("an unfed prompt token is outside the vocabulary"));
+        }
+        if history.len() + unfed.len() > config.max_seq_len {
+            return Err(corrupt("the unfed prompt runs past the context window"));
         }
 
         let mut session = InferenceSession::new(self, 0, false);
@@ -655,6 +661,9 @@ impl MillionEngine {
         session.pending = pending;
         session.cur_logits = cur_logits;
         session.prefix_reused = prefix_reused;
+        // An admission snapshotted between chunks resumes open: its fed
+        // tokens are still dense in the caches behind whatever is coded.
+        session.unfed = unfed;
         Ok(session)
     }
 }
@@ -721,6 +730,7 @@ mod tests {
         body.push(0); // no pending
         body.push(0); // no logits
         put_u64(&mut body, 0);
+        put_u32_slice(&mut body, &[]); // no open admission
         put_section(&mut out, &body);
 
         let err = engine
@@ -735,6 +745,15 @@ mod tests {
         session.prefill(&prompt());
         let _ = session.generate(&GenerationOptions::max_tokens(6));
         session.encode()
+    }
+
+    /// A snapshot taken between the chunks of an admission: 5 prompt tokens
+    /// fed, the rest unfed.
+    fn mid_admission_snapshot(engine: &MillionEngine) -> Vec<u8> {
+        let mut session = engine.session();
+        session.prefill_begin(prompt());
+        session.prefill_chunk(5);
+        session.snapshot_bytes()
     }
 
     /// Re-frames section `index` of a snapshot through `edit`, with a fresh
@@ -756,10 +775,10 @@ mod tests {
         out
     }
 
-    /// Rewrites the decode front's pending token and logits.
+    /// Rewrites the decode front's pending token, logits and unfed prompt.
     fn patch_front(
         bytes: &[u8],
-        edit: impl FnOnce(&mut Option<u32>, &mut Option<Vec<f32>>),
+        edit: impl FnOnce(&mut Option<u32>, &mut Option<Vec<f32>>, &mut Vec<u32>),
     ) -> Vec<u8> {
         patch_section(bytes, 5, |payload| {
             let mut s = Reader::new(payload);
@@ -771,7 +790,8 @@ mod tests {
                 _ => None,
             };
             let prefix_reused = s.get_len().expect("prefix reused");
-            edit(&mut pending, &mut logits);
+            let mut unfed = s.get_u32_slice().expect("unfed prompt");
+            edit(&mut pending, &mut logits, &mut unfed);
             let mut body = Vec::new();
             put_u64(&mut body, prompt_tokens as u64);
             put_u32_slice(&mut body, &generated);
@@ -784,6 +804,7 @@ mod tests {
                 None => body.push(0),
             }
             put_u64(&mut body, prefix_reused as u64);
+            put_u32_slice(&mut body, &unfed);
             body
         })
     }
@@ -797,16 +818,20 @@ mod tests {
         let engine = engine(false, 44);
         let vocab = engine.model().config().vocab_size;
         let bytes = snapshot(&engine);
-        assert_eq!(patch_front(&bytes, |_, _| {}), bytes, "faithful re-framing");
+        assert_eq!(
+            patch_front(&bytes, |_, _, _| {}),
+            bytes,
+            "faithful re-framing"
+        );
 
-        let bad = patch_front(&bytes, |pending, _| *pending = Some(vocab as u32));
+        let bad = patch_front(&bytes, |pending, _, _| *pending = Some(vocab as u32));
         let err = engine
             .restore_session_bytes(&bad)
             .expect_err("pending token outside the vocabulary");
         assert!(matches!(err, MillionError::Persist(_)));
         assert!(err.to_string().contains("pending token"), "{err}");
 
-        let bad = patch_front(&bytes, |_, logits| {
+        let bad = patch_front(&bytes, |_, logits, _| {
             logits.as_mut().expect("logits").pop();
         });
         let err = engine
@@ -824,38 +849,87 @@ mod tests {
         assert!(err.to_string().contains("context window"), "{err}");
     }
 
-    /// A checkpoint's unfed prompt is held to `submit`'s vocabulary and
-    /// window rules, and a decoding one must have logits to sample.
+    /// A snapshot's unfed prompt is held to the vocabulary and the window
+    /// on every restore path, standalone included: the next chunk would
+    /// embed its tokens at positions after the cache.
+    #[test]
+    fn unfed_prompts_the_model_cannot_feed_are_typed_errors() {
+        let engine = engine(false, 45);
+        let config = engine.model().config();
+        let bytes = mid_admission_snapshot(&engine);
+        let restored = engine
+            .restore_session_bytes(&bytes)
+            .unwrap_or_else(|e| panic!("mid-admission snapshot: {e}"));
+        assert_eq!(restored.cached_tokens(), 5);
+        assert_eq!(restored.unfed_prompt_tokens(), prompt().len() - 5);
+        assert_eq!(
+            patch_front(&bytes, |_, _, _| {}),
+            bytes,
+            "faithful re-framing"
+        );
+
+        let bad = patch_front(&bytes, |_, _, unfed| unfed[2] = config.vocab_size as u32);
+        let err = engine
+            .restore_session_bytes(&bad)
+            .expect_err("unfed token outside the vocabulary");
+        assert!(matches!(err, MillionError::Persist(_)));
+        assert!(err.to_string().contains("vocabulary"), "{err}");
+
+        // 5 fed tokens and a window's worth unfed: the last runs past it.
+        let bad = patch_front(&bytes, |_, _, unfed| {
+            *unfed = vec![7; config.max_seq_len - 4];
+        });
+        let err = engine
+            .restore_session_bytes(&bad)
+            .expect_err("unfed prompt past the window");
+        assert!(err.to_string().contains("context window"), "{err}");
+        // Exactly to the end of the window is a prompt a session can hold.
+        let full = patch_front(&bytes, |_, _, unfed| {
+            *unfed = vec![7; config.max_seq_len - 5];
+        });
+        assert!(engine.restore_session_bytes(&full).is_ok());
+    }
+
+    /// A checkpoint's request needs a position left to generate into, and a
+    /// decoding one must have logits to sample; its session's unfed prompt
+    /// gets the snapshot's own vocabulary and window checks.
     #[test]
     fn checkpoints_the_engine_cannot_serve_are_typed_errors() {
         let engine = engine(false, 46);
         let config = engine.model().config();
         let id = RequestId::from_u64(3);
-        let checkpoint = |fed: &[u32], unfed: Vec<u32>| {
+        let checkpoint = |fed: &[u32], unfed: &[u32]| {
             let mut session = engine.session();
             if !fed.is_empty() {
-                session.prefill(fed);
+                session.prefill_begin([fed, unfed].concat());
+                session.prefill_chunk(fed.len());
             }
-            let request = Request::new(unfed, GenerationOptions::max_tokens(4));
+            let request = Request::new(Vec::new(), GenerationOptions::max_tokens(4));
             session.checkpoint_bytes(id, &request, &[])
         };
         let decoded = engine
-            .decode_checkpoint(&checkpoint(&prompt(), vec![5, 6]))
+            .decode_checkpoint(&checkpoint(&prompt(), &[5, 6]))
             .unwrap_or_else(|e| panic!("servable checkpoint: {e}"));
         assert_eq!(decoded.id, id);
-        assert_eq!(decoded.request.prompt, [5, 6]);
+        assert!(decoded.request.prompt.is_empty());
+        assert_eq!(decoded.session.unfed_prompt_tokens(), 2);
         assert_eq!(decoded.session.id(), 3);
 
+        let fills_the_window = vec![5; config.max_seq_len - prompt().len()];
         let cases = [
             (
-                checkpoint(&prompt(), vec![5, config.vocab_size as u32]),
+                checkpoint(&prompt(), &[5, config.vocab_size as u32]),
                 "vocabulary",
             ),
             (
-                checkpoint(&prompt(), vec![5; config.max_seq_len]),
+                checkpoint(&prompt(), &vec![5; config.max_seq_len]),
                 "context window",
             ),
-            (checkpoint(&[], Vec::new()), "logits"),
+            (
+                checkpoint(&prompt(), &fills_the_window),
+                "no position is left",
+            ),
+            (checkpoint(&[], &[]), "logits"),
         ];
         for (bytes, reason) in cases {
             let err = engine
@@ -868,13 +942,19 @@ mod tests {
 
     /// Kill-point sweep: a snapshot truncated at *any* byte — every section
     /// boundary plus a stride through each section's interior — must restore
-    /// as a typed error, never a panic or a silent partial read.
+    /// as a typed error, never a panic or a silent partial read. Swept over
+    /// a mid-generation and a mid-admission snapshot.
     #[test]
     fn truncation_at_any_point_is_a_typed_error() {
         let engine = engine(false, 41);
-        let bytes = snapshot(&engine);
+        for bytes in [snapshot(&engine), mid_admission_snapshot(&engine)] {
+            truncation_sweep(&engine, &bytes);
+        }
+    }
+
+    fn truncation_sweep(engine: &MillionEngine, bytes: &[u8]) {
         assert!(
-            engine.restore_session_bytes(&bytes).is_ok(),
+            engine.restore_session_bytes(bytes).is_ok(),
             "uncut snapshot restores"
         );
 
@@ -903,11 +983,17 @@ mod tests {
     }
 
     /// Any flipped byte inside a CRC-covered section payload is detected by
-    /// the section checksum.
+    /// the section checksum, in a mid-generation and a mid-admission
+    /// snapshot.
     #[test]
     fn flipped_bytes_in_every_section_are_detected() {
         let engine = engine(false, 42);
-        let bytes = snapshot(&engine);
+        for bytes in [snapshot(&engine), mid_admission_snapshot(&engine)] {
+            flip_sweep(&engine, &bytes);
+        }
+    }
+
+    fn flip_sweep(engine: &MillionEngine, bytes: &[u8]) {
         let mut pos = MAGIC.len();
         let mut section = 0;
         while pos < bytes.len() {
@@ -920,7 +1006,7 @@ mod tests {
                 .filter(|i| payload.contains(i))
                 .collect();
             for i in targets {
-                let mut bad = bytes.clone();
+                let mut bad = bytes.to_vec();
                 bad[i] ^= 0x10;
                 let err = engine.restore_session_bytes(&bad).expect_err(&format!(
                     "flip at byte {i} in section {section} went undetected"
@@ -937,7 +1023,8 @@ mod tests {
     }
 
     /// The malformed-input audit: zero-length files, a bare magic, the
-    /// retired v1 magic, and trailing garbage each get a distinct typed
+    /// retired v1 and v2 magics (a v2 snapshot records no unfed prompt),
+    /// a checkpoint magic, and trailing garbage each get a distinct typed
     /// error.
     #[test]
     fn malformed_snapshots_error_cleanly() {
@@ -956,6 +1043,14 @@ mod tests {
             .restore_session_bytes(b"MLNSES01rest-of-an-old-snapshot")
             .expect_err("v1 snapshot");
         assert!(err.to_string().contains("MLNSES01"), "{err}");
+        let mut v2 = snapshot(&engine);
+        v2[..8].copy_from_slice(b"MLNSES02");
+        let err = engine.restore_session_bytes(&v2).expect_err("v2 snapshot");
+        assert!(err.to_string().contains("MLNSES02"), "{err}");
+        let err = engine
+            .restore_session_bytes(b"MLNCKPT3")
+            .expect_err("a checkpoint is not a snapshot");
+        assert!(err.to_string().contains("bad magic"), "{err}");
         let err = engine
             .restore_session_bytes(b"NOTMAGIC")
             .expect_err("foreign bytes");

@@ -623,9 +623,9 @@ impl Pending {
 struct Resident<'e> {
     id: RequestId,
     session: InferenceSession<'e>,
-    /// What was asked for. `request.prompt` holds only the tokens not yet
-    /// fed: non-empty while the slot is still admitting its prompt in
-    /// chunks (the *Prefilling* state), empty once it decodes.
+    /// What was asked for. `request.prompt` is empty: the session holds
+    /// the tokens not yet fed while the slot is still admitting its prompt
+    /// in chunks (the *Prefilling* state).
     request: Request,
     tokens: Vec<u32>,
     /// DWRR ledger: grows by `weight(class)` per round, spends `quantum`
@@ -663,7 +663,7 @@ struct Resident<'e> {
 
 impl Resident<'_> {
     fn prefilling(&self) -> bool {
-        !self.request.prompt.is_empty()
+        self.session.unfed_prompt_tokens() > 0
     }
 }
 
@@ -781,7 +781,7 @@ impl<'e> ServingEngine<'e> {
                 id: slot.id.0,
                 class: slot.request.class,
                 state,
-                prompt_tokens: tokens_fed + slot.request.prompt.len(),
+                prompt_tokens: tokens_fed + slot.session.unfed_prompt_tokens(),
                 tokens_fed,
                 generated: slot.tokens.len(),
                 age_ms: now.duration_since(slot.submitted_at).as_millis() as u64,
@@ -815,7 +815,10 @@ impl<'e> ServingEngine<'e> {
     /// Prompt tokens still to be teacher-forced across every prefilling
     /// resident — the backlog the chunk scheduler is working through.
     pub fn prefill_tokens_remaining(&self) -> usize {
-        self.resident.iter().map(|s| s.request.prompt.len()).sum()
+        self.resident
+            .iter()
+            .map(|s| s.session.unfed_prompt_tokens())
+            .sum()
     }
 
     /// Whether every submitted request has been fully served: nothing
@@ -910,22 +913,23 @@ impl<'e> ServingEngine<'e> {
         }
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        let (handle, pending) = self.open(id, request, 0, 0);
+        let prompt_tokens = request.prompt.len();
+        let (handle, pending) = self.open(id, request, 0, prompt_tokens);
         self.pending.push_back(pending);
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.pending.len());
         Ok(handle)
     }
 
     /// The one way a request enters the engine — submitted, or recovered
-    /// from a checkpoint already `recovered_tokens` into its stream, with
-    /// `fed` prompt tokens in its session: builds its handle and the
-    /// engine's side of it, and counts and journals the submission.
+    /// from a checkpoint already `recovered_tokens` into its stream: builds
+    /// its handle and the engine's side of it, and counts and journals the
+    /// submission of its `prompt_tokens`.
     fn open(
         &mut self,
         id: RequestId,
         request: Request,
         recovered_tokens: usize,
-        fed: usize,
+        prompt_tokens: usize,
     ) -> (RequestHandle, Pending) {
         let shared = Arc::new(HandleShared {
             cancel: AtomicBool::new(false),
@@ -945,7 +949,7 @@ impl<'e> ServingEngine<'e> {
             self.round,
             EventKind::Submit {
                 class: request.class.name(),
-                prompt_tokens: (fed + request.prompt.len()) as u32,
+                prompt_tokens: prompt_tokens as u32,
             },
         );
         let pending = Pending {
@@ -1247,8 +1251,8 @@ impl<'e> ServingEngine<'e> {
             return Err(format!("request {} is already in flight", c.id.as_u64()));
         }
         self.next_id = self.next_id.max(c.id.as_u64() + 1);
-        let (handle, pending) =
-            self.open(c.id, c.request, c.tokens.len(), c.session.prompt_tokens());
+        let prompt_tokens = c.session.prompt_tokens() + c.session.unfed_prompt_tokens();
+        let (handle, pending) = self.open(c.id, c.request, c.tokens.len(), prompt_tokens);
         self.seat(pending, c.session, c.tokens, 0);
         Ok(handle)
     }
@@ -1423,10 +1427,11 @@ impl<'e> ServingEngine<'e> {
     }
 
     /// Admits one pending request into a resident slot in the *Prefilling*
-    /// state. Whatever prefix another session already sealed in the store
-    /// attaches for free and only the unmatched remainder is chunked. The
-    /// first chunk runs here, inside the admission turn; the rest is
-    /// teacher-forced one chunk per round by
+    /// state. The prompt moves into the request's session, which holds it
+    /// until its last token is fed. Whatever prefix another session already
+    /// sealed in the store attaches for free and only the unmatched
+    /// remainder is chunked. The first chunk runs here, inside the
+    /// admission turn; the rest is teacher-forced one chunk per round by
     /// [`ServingEngine::prefill_round`]. A prompt that fits one chunk seals
     /// its full blocks right here, so a request admitted later in this same
     /// pass can attach them; a longer prompt seals at its last chunk
@@ -1436,8 +1441,7 @@ impl<'e> ServingEngine<'e> {
         let queue_wait_ns = pending.queue_wait_ns();
         self.telemetry.record_queue_wait(queue_wait_ns);
         let mut session = InferenceSession::new(self.engine, pending.id.0 as usize, true);
-        let reused = session.prefill_begin(&pending.request.prompt);
-        pending.request.prompt.drain(..reused);
+        session.prefill_begin(std::mem::take(&mut pending.request.prompt));
         self.seat(pending, session, Vec::new(), queue_wait_ns);
         self.feed_chunk(self.resident.len() - 1);
     }
@@ -1445,8 +1449,8 @@ impl<'e> ServingEngine<'e> {
     /// The one way a request takes a slot — fresh from the queue
     /// ([`ServingEngine::admit`]) or back from a checkpoint
     /// ([`ServingEngine::recover`]) with `tokens` already streamed. A
-    /// request whose `prompt` still holds unfed tokens seats in the
-    /// *Prefilling* state; an empty one decodes from the next round.
+    /// request whose session still holds unfed prompt tokens seats in the
+    /// *Prefilling* state; any other decodes from the next round.
     fn seat(
         &mut self,
         pending: Pending,
@@ -1495,19 +1499,15 @@ impl<'e> ServingEngine<'e> {
             self.stats.max_resident_sessions.max(self.resident.len());
     }
 
-    /// Feeds the prefilling slot `idx` its next chunk of prompt, counts and
-    /// journals it, and ships whatever encode batches the session staged
-    /// through the shared worker (an admission ships nothing: its last
-    /// chunk encodes the prompt). Returns whether the chunk exhausted the
-    /// prompt (the slot decodes from here on).
+    /// Feeds the prefilling slot `idx` its next chunk of prompt, and counts
+    /// and journals it. An admission ships nothing to the shared worker:
+    /// its last chunk encodes the prompt. Returns whether the chunk
+    /// exhausted the prompt (the slot decodes from here on).
     fn feed_chunk(&mut self, idx: usize) -> bool {
         let slot = &mut self.resident[idx];
-        let prompt = &mut slot.request.prompt;
-        let take = self.config.prefill_chunk_tokens.min(prompt.len());
-        slot.session.prefill_chunk(&prompt[..take]);
-        prompt.drain(..take);
+        let take = slot.session.prefill_chunk(self.config.prefill_chunk_tokens);
         slot.chunked_round = self.round;
-        let remaining = prompt.len();
+        let remaining = slot.session.unfed_prompt_tokens();
         self.stats.prefill_chunks += 1;
         self.stats.prefill_tokens_by_class[slot.request.class.index()] += take as u64;
         self.telemetry.event(
@@ -1518,12 +1518,6 @@ impl<'e> ServingEngine<'e> {
                 remaining: remaining as u32,
             },
         );
-        let requests = slot.session.take_encode_requests();
-        if let Some(worker) = &mut self.worker {
-            for encode in requests {
-                worker.submit(encode);
-            }
-        }
         remaining == 0
     }
 
@@ -1651,8 +1645,8 @@ impl<'e> ServingEngine<'e> {
                 slot.deficit = 0;
                 continue;
             }
-            // Absorb-before-attend, exactly as the decode pass does.
-            Self::sync_worker_nonblocking(&mut self.worker, &mut self.resident);
+            // No prompt chunk waits on an encode: an admission has none in
+            // flight.
             if !self.feed_chunk(idx) {
                 self.resident[idx].deficit = 0;
             }
@@ -3042,10 +3036,9 @@ mod tests {
 
     /// A retired format is a typed, counted recovery failure that names
     /// its version — never a misread of the bytes that follow the magic.
-    #[test]
-    fn recover_rejects_a_v1_checkpoint_by_name() {
+    fn recover_rejects_a_retired_checkpoint_by_name(magic: &str) {
         let engine = engine(false, 26);
-        let dir = checkpoint_dir("v1");
+        let dir = checkpoint_dir(magic);
         let mut serving = ServingEngine::new(&engine, ServingConfig::default());
         serving
             .submit(Request::new(
@@ -3057,7 +3050,7 @@ mod tests {
         let report = serving.drain(Some(&dir)).expect("drain persists");
         let (_, path) = &report.persisted[0];
         let mut bytes = std::fs::read(path).expect("checkpoint exists");
-        bytes[..8].copy_from_slice(b"MLNCKPT1");
+        bytes[..8].copy_from_slice(magic.as_bytes());
         std::fs::write(path, &bytes).unwrap();
 
         let mut restarted = ServingEngine::new(&engine, ServingConfig::default());
@@ -3065,12 +3058,22 @@ mod tests {
         assert!(recovered.restored.is_empty());
         assert_eq!(recovered.failed.len(), 1);
         assert!(
-            recovered.failed[0].1.contains("MLNCKPT1"),
+            recovered.failed[0].1.contains(magic),
             "{:?}",
             recovered.failed
         );
         assert_eq!(restarted.stats().snapshot_crc_failures, 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recover_rejects_a_v1_checkpoint_by_name() {
+        recover_rejects_a_retired_checkpoint_by_name("MLNCKPT1");
+    }
+
+    #[test]
+    fn recover_rejects_a_v2_checkpoint_by_name() {
+        recover_rejects_a_retired_checkpoint_by_name("MLNCKPT2");
     }
 
     /// A scheduled short read corrupts checkpoint recovery exactly once —

@@ -118,10 +118,14 @@ pub struct StepResult {
     pub matched_stop: bool,
 }
 
-/// How a session talks to the asynchronous quantization stream.
+/// Where a session's decode-time encodes run. The session schedules every
+/// encode of its caches (none of them encodes on append): an admission's
+/// last chunk and [`InferenceSession::flush`] encode on the spot whatever
+/// the stream; after a decode step, the stream decides.
 #[derive(Debug)]
 enum QuantStream {
-    /// Synchronous engine configuration: caches auto-encode, no worker.
+    /// Synchronous engine configuration: a decode step encodes its overflow
+    /// in place, on the critical path. No worker.
     Sync,
     /// The session owns a private worker.
     Owned(Box<QuantWorker>),
@@ -173,13 +177,13 @@ pub struct InferenceSession<'e> {
     /// Prompt tokens satisfied from resident shared blocks at admission
     /// instead of being prefilled.
     pub(crate) prefix_reused: usize,
-    /// Tokens an admission opened by [`Self::prefill_begin`] (or a turn of
-    /// [`Self::append_prompt`]) has still to feed. While `Some`, the caches
-    /// hold the new tokens' KV dense (their encode held), every chunk takes
-    /// the model's prompt arm over the history so far, and nothing is
-    /// encoded, shipped or sealed; the chunk that brings it to zero encodes
-    /// and seals the tokens, as one prefill does.
-    open_prompt: Option<usize>,
+    /// The prompt tokens an admission opened by [`Self::prefill_begin`] (or
+    /// a turn of [`Self::append_prompt`]) has still to feed, in order. While
+    /// non-empty, the admission is open: the caches hold the new tokens' KV
+    /// dense, every chunk takes the model's prompt arm over the history so
+    /// far, and nothing is encoded, shipped or sealed; the chunk that feeds
+    /// the last of them encodes and seals the tokens, as one prefill does.
+    pub(crate) unfed: Vec<u32>,
     /// Wall-clock nanoseconds spent in [`InferenceSession::prefill`]
     /// admissions (prefix attach, tiled prefill attention and synchronous
     /// prompt encoding).
@@ -205,7 +209,7 @@ impl<'e> InferenceSession<'e> {
     pub(crate) fn new(engine: &'e MillionEngine, id: usize, shared_worker: bool) -> Self {
         let n_layers = engine.model().config().n_layers;
         let async_quant = engine.config().async_quant;
-        let caches = build_session_caches(engine, !async_quant);
+        let caches = build_session_caches(engine);
         let stream = if !async_quant {
             QuantStream::Sync
         } else if shared_worker {
@@ -235,7 +239,7 @@ impl<'e> InferenceSession<'e> {
             chain,
             history: Vec::new(),
             prefix_reused: 0,
-            open_prompt: None,
+            unfed: Vec::new(),
             prefill_ns: 0,
             prefill_admitted: 0,
             prefill_chunks: 0,
@@ -273,6 +277,12 @@ impl<'e> InferenceSession<'e> {
     /// Prompt tokens consumed so far (across all turns).
     pub fn prompt_tokens(&self) -> usize {
         self.prompt_tokens
+    }
+
+    /// Prompt tokens the open admission has still to feed through
+    /// [`Self::prefill_chunk`]; `0` when no admission is open.
+    pub fn unfed_prompt_tokens(&self) -> usize {
+        self.unfed.len()
     }
 
     /// All tokens generated by this session, across turns.
@@ -398,16 +408,17 @@ impl<'e> InferenceSession<'e> {
     /// [`Self::append_prompt`] for later turns), if the prompt is empty, or
     /// if it exceeds the model's context window.
     pub fn prefill(&mut self, prompt: &[u32]) {
-        let reused = self.prefill_begin(prompt);
-        self.prefill_chunk(&prompt[reused..]);
+        self.prefill_begin(prompt.to_vec());
+        self.prefill_chunk(usize::MAX);
     }
 
-    /// Opens a (possibly chunked) admission: validates the fresh-session
-    /// invariants and, with [`crate::MillionConfig::prefix_sharing`] enabled,
-    /// attaches any whole-block prompt prefix another session already sealed.
-    /// Returns the number of prompt tokens satisfied from the store; the
-    /// caller then feeds `prompt[reused..]` through one or more
-    /// [`Self::prefill_chunk`] calls, in any sizes.
+    /// Opens a (possibly chunked) admission of `prompt`: validates the
+    /// fresh-session invariants and, with
+    /// [`crate::MillionConfig::prefix_sharing`] enabled, attaches any
+    /// whole-block prompt prefix another session already sealed. The rest
+    /// of the prompt moves into the session, which feeds it through one or
+    /// more [`Self::prefill_chunk`] calls, in any sizes. Returns the number
+    /// of prompt tokens satisfied from the store.
     ///
     /// Every admission stays open until its last chunk: the new tokens' KV
     /// stays dense in the caches, every chunk attends through the tiled
@@ -416,13 +427,15 @@ impl<'e> InferenceSession<'e> {
     /// attached codes decoded to their centroids followed by the suffix at
     /// full precision — and the last chunk encodes and seals the new
     /// tokens. The chunks therefore yield [`Self::prefill`]'s logits, codes
-    /// and tokens bit for bit, whatever their sizes.
+    /// and tokens bit for bit, whatever their sizes. A [`Self::persist`]
+    /// snapshot taken between chunks records the unfed tokens, so the
+    /// restored session finishes the same admission.
     ///
     /// # Panics
     ///
     /// Panics if the session already holds tokens (use
     /// [`Self::append_prompt`] for later turns) or if the prompt is empty.
-    pub fn prefill_begin(&mut self, prompt: &[u32]) -> usize {
+    pub fn prefill_begin(&mut self, mut prompt: Vec<u32>) -> usize {
         assert_eq!(
             self.cached_tokens(),
             0,
@@ -450,73 +463,45 @@ impl<'e> InferenceSession<'e> {
                     .as_mut()
                     .expect("attached blocks imply a chain")
                     .adopt(attached);
-                self.history.extend_from_slice(&prompt[..reused]);
+                self.history.extend(prompt.drain(..reused));
                 self.prefix_reused = reused;
             }
         }
-        self.open_admission(prompt.len() - reused);
+        self.unfed = prompt;
         self.prompt_tokens += reused;
         self.prefill_admitted += reused;
         self.prefill_ns += admission_start.elapsed().as_nanos() as u64;
         reused
     }
 
-    /// Opens an admission with `left` tokens still to feed (also how a turn
-    /// opens, and how a checkpoint taken mid-admission resumes it). The
-    /// caches reserve the rows up front: regrowing them chunk by chunk would
-    /// leave the copies they outgrew resident.
-    pub(crate) fn open_admission(&mut self, left: usize) {
-        self.open_prompt = Some(left);
-        for cache in &mut self.caches {
-            cache.hold_encode(true);
-            cache.reserve_dense(left);
-        }
-    }
-
-    /// Feeds one chunk of the opening prompt after [`Self::prefill_begin`].
-    /// Every chunk runs the model's one forward (dense stages as whole-chunk
-    /// GEMMs) and attends through the tiled prefill kernel over the history
-    /// so far, read back from the caches: the prompt's earlier chunks at
-    /// full precision, and on a warm admission the attached prefix's codes
-    /// decoded to their centroids before them. The last chunk encodes and
-    /// seals the new tokens, so the chunks are one [`Self::prefill`] bit for
-    /// bit. Chunk boundaries are therefore scheduling artefacts only — the
-    /// token stream a session produces does not depend on them.
-    ///
-    /// A session restored closed between chunks (a standalone
-    /// [`Self::persist`] snapshot records no unfed prompt) takes each
-    /// further chunk as a turn of its own: one prefill over the history,
-    /// encoded at its end.
+    /// Feeds the next at most `max_tokens` tokens of the open admission
+    /// and returns how many it fed. Every chunk runs the model's one
+    /// forward (dense stages as whole-chunk GEMMs) and attends through the
+    /// tiled prefill kernel over the history so far, read back from the
+    /// caches: the prompt's earlier chunks at full precision, and on a warm
+    /// admission the attached prefix's codes decoded to their centroids
+    /// before them. The chunk that feeds the last token encodes and seals
+    /// the new tokens, so the chunks are one [`Self::prefill`] bit for bit.
+    /// Chunk boundaries are therefore scheduling artefacts only — the token
+    /// stream a session produces does not depend on them.
     ///
     /// # Panics
     ///
-    /// Panics if `tokens` is empty, if no [`Self::prefill_begin`] came
-    /// first, or if the chunk runs past the tokens the admission opened.
-    pub fn prefill_chunk(&mut self, tokens: &[u32]) {
+    /// Panics if `max_tokens` is `0` or if no admission is open (no
+    /// [`Self::prefill_begin`] came first, or its last token was fed).
+    pub fn prefill_chunk(&mut self, max_tokens: usize) -> usize {
+        assert!(max_tokens > 0, "prefill_chunk feeds at least one token");
         assert!(
-            !tokens.is_empty(),
-            "prefill_chunk requires at least one token"
+            !self.unfed.is_empty(),
+            "prefill_chunk needs an open admission: prefill_begin first"
         );
-        match self.open_prompt {
-            Some(left) => assert!(
-                tokens.len() <= left,
-                "chunk of {} tokens runs past the {left} the admission has left",
-                tokens.len()
-            ),
-            None => {
-                assert!(
-                    self.cached_tokens() > 0,
-                    "prefill_chunk requires prefill_begin first"
-                );
-                self.open_admission(tokens.len());
-            }
-        }
         let chunk_start = std::time::Instant::now();
-        self.feed(tokens);
-        self.prompt_tokens += tokens.len();
-        self.prefill_admitted += tokens.len();
+        let fed = self.feed_prompt(max_tokens);
+        self.prompt_tokens += fed;
+        self.prefill_admitted += fed;
         self.prefill_chunks += 1;
         self.prefill_ns += chunk_start.elapsed().as_nanos() as u64;
+        fed
     }
 
     /// Continues a multi-turn conversation. The previously sampled token, if
@@ -545,10 +530,10 @@ impl<'e> InferenceSession<'e> {
         // The previously sampled token is part of the history the new turn
         // attends to; its KV enters the cache here.
         if let Some(tok) = self.pending.take() {
-            self.feed(&[tok]);
+            self.feed_decoded(tok);
         }
-        self.open_admission(tokens.len());
-        self.feed(tokens);
+        self.unfed = tokens.to_vec();
+        self.feed_prompt(tokens.len());
         self.prompt_tokens += tokens.len();
     }
 
@@ -578,7 +563,7 @@ impl<'e> InferenceSession<'e> {
         self.assert_admitted();
         let step_start = std::time::Instant::now();
         if let Some(tok) = self.pending.take() {
-            self.feed(&[tok]);
+            self.feed_decoded(tok);
         }
         let logits = self
             .cur_logits
@@ -603,9 +588,11 @@ impl<'e> InferenceSession<'e> {
 
     /// Decoding and later turns follow a finished admission.
     fn assert_admitted(&self) {
-        if let Some(left) = self.open_prompt {
-            panic!("the admission still has {left} prompt tokens to feed through prefill_chunk");
-        }
+        let left = self.unfed.len();
+        assert!(
+            left == 0,
+            "the admission still has {left} prompt tokens to feed through prefill_chunk"
+        );
     }
 
     /// Runs a whole generation call and returns the seed-compatible
@@ -673,7 +660,7 @@ impl<'e> InferenceSession<'e> {
         for result in results {
             self.absorb(result);
         }
-        if self.open_prompt.is_none() {
+        if self.unfed.is_empty() {
             self.encode_dense_now();
             self.maybe_seal();
         }
@@ -707,9 +694,11 @@ impl<'e> InferenceSession<'e> {
 
     /// The one way tokens enter the caches: absorb finished encode blocks,
     /// run `tokens` through the model's forward at the caches' current
-    /// length — the logits of the last position land in `cur_logits`, whose
-    /// buffer is reused — extend `history`, hand the newly staged KV to the
-    /// quantization stream, seal any newly completed block into the store.
+    /// length along `arm` — the logits of the last position land in
+    /// `cur_logits`, whose buffer is reused — and extend `history`. What
+    /// is encoded, shipped and sealed afterwards is the caller's: a decode
+    /// step's ([`Self::feed_decoded`]) or an admission chunk's
+    /// ([`Self::feed_prompt`]).
     ///
     /// A decode step is a chunk of one through the session's resident
     /// scratch, so the steady state allocates nothing. A prompt chunk builds
@@ -718,13 +707,7 @@ impl<'e> InferenceSession<'e> {
     /// otherwise sit in resident memory between chunks — per session —
     /// while re-growing them costs under 1 % of a 100 ms-scale chunk
     /// (measured in `docs/PERF.md`).
-    ///
-    /// The chunks of an open admission differ from decode steps: they take
-    /// the model's prompt arm and leave their KV dense, and the last one
-    /// encodes the new tokens on the spot instead of shipping them — prompt
-    /// encoding is part of prefill in the paper (only *decode-time*
-    /// encoding is off the critical path).
-    fn feed(&mut self, tokens: &[u32]) {
+    fn feed(&mut self, tokens: &[u32], arm: ChunkArm) {
         let results = match &mut self.stream {
             QuantStream::Owned(worker) => worker.try_drain(),
             _ => Vec::new(),
@@ -732,36 +715,50 @@ impl<'e> InferenceSession<'e> {
         for result in results {
             self.absorb(result);
         }
-        let arm = match self.open_prompt {
-            Some(_) => ChunkArm::Prompt,
-            None => ChunkArm::Cached,
-        };
-        {
-            // A chunk's own scratch is gone before the encode below allocates.
-            let mut own = (arm == ChunkArm::Prompt).then(PrefillScratch::new);
-            let scratch = own.as_mut().unwrap_or(&mut self.scratch);
-            let logits = self.cur_logits.get_or_insert_with(Vec::new);
-            self.engine
-                .model()
-                .prefill_chunk(tokens, &mut self.caches, arm, scratch, logits);
-        }
+        // A chunk's own scratch is gone before its caller encodes.
+        let mut own = (arm == ChunkArm::Prompt).then(PrefillScratch::new);
+        let scratch = own.as_mut().unwrap_or(&mut self.scratch);
+        let logits = self.cur_logits.get_or_insert_with(Vec::new);
+        self.engine
+            .model()
+            .prefill_chunk(tokens, &mut self.caches, arm, scratch, logits);
         self.history.extend_from_slice(tokens);
-        match &mut self.open_prompt {
-            Some(left) if *left > tokens.len() => {
-                *left -= tokens.len();
-                return;
-            }
-            Some(_) => {
-                // The last chunk: encode the new tokens, as one prefill.
-                self.open_prompt = None;
-                for cache in &mut self.caches {
-                    cache.hold_encode(false);
-                }
-                self.encode_dense_now();
-            }
-            None => self.ship_staged(),
-        }
+    }
+
+    /// A decode step's feed: `token` through the model's cached arm, then
+    /// its KV to the quantization stream and any completed block to the
+    /// store.
+    fn feed_decoded(&mut self, token: u32) {
+        self.feed(&[token], ChunkArm::Cached);
+        self.ship_staged();
         self.maybe_seal();
+    }
+
+    /// Feeds the next at most `max_tokens` tokens of the open admission
+    /// through the model's prompt arm, leaving their KV dense, and returns
+    /// how many it fed. The caches reserve rows for the whole rest of the
+    /// admission first (a no-op after its first chunk): regrowing them
+    /// chunk by chunk would leave the copies they outgrew resident. The
+    /// chunk that feeds the last token closes the admission and encodes the
+    /// new tokens on the spot instead of shipping them — prompt encoding is
+    /// part of prefill in the paper (only *decode-time* encoding is off the
+    /// critical path).
+    fn feed_prompt(&mut self, max_tokens: usize) -> usize {
+        let mut unfed = std::mem::take(&mut self.unfed);
+        for cache in &mut self.caches {
+            cache.reserve_dense(unfed.len());
+        }
+        let n = max_tokens.min(unfed.len());
+        self.feed(&unfed[..n], ChunkArm::Prompt);
+        if n < unfed.len() {
+            unfed.drain(..n);
+            self.unfed = unfed;
+        } else {
+            // The last chunk: encode the new tokens, as one prefill.
+            self.encode_dense_now();
+            self.maybe_seal();
+        }
+        n
     }
 
     /// Seals every completed block of quantized history into the engine's
@@ -837,28 +834,15 @@ impl<'e> InferenceSession<'e> {
         }
     }
 
-    /// Ships every layer's encodable dense block to the quantization stream,
-    /// one batch in flight per layer.
+    /// Hands a decode step's overflow to the quantization stream: encoded
+    /// in place under [`QuantStream::Sync`], otherwise shipped to the
+    /// worker.
     fn ship_staged(&mut self) {
-        let n_layers = self.caches.len();
-        for layer in 0..n_layers {
-            if self.sent[layer] != 0 {
-                continue;
-            }
-            if let Some((keys, values)) = self.caches[layer].encodable_dense() {
-                self.sent[layer] = keys.rows();
-                let request = EncodeRequest {
-                    session: self.id,
-                    layer,
-                    keys,
-                    values,
-                };
-                match &mut self.stream {
-                    QuantStream::Owned(worker) => worker.submit(request),
-                    QuantStream::External { outbox } => outbox.push(request),
-                    QuantStream::Sync => unreachable!("sync caches auto-encode"),
-                }
-            }
+        let (caches, sent, session) = (&self.caches, &mut self.sent, self.id);
+        match &mut self.stream {
+            QuantStream::Sync => self.encode_dense_now(),
+            QuantStream::Owned(worker) => stage(caches, sent, session, |r| worker.submit(r)),
+            QuantStream::External { outbox } => stage(caches, sent, session, |r| outbox.push(r)),
         }
     }
 
@@ -887,7 +871,7 @@ impl<'e> InferenceSession<'e> {
         }
         self.history.clear();
         self.prefix_reused = 0;
-        self.open_prompt = None;
+        self.unfed = Vec::new();
         self.prefill_ns = 0;
         self.prefill_admitted = 0;
         self.prefill_chunks = 0;
@@ -903,7 +887,33 @@ impl<'e> InferenceSession<'e> {
     }
 }
 
-fn build_session_caches(engine: &MillionEngine, auto_encode: bool) -> Vec<PqKvCache> {
+/// Submits every layer's encodable dense block of `session`'s `caches`,
+/// one batch in flight per layer (`sent` counts the tokens in flight).
+fn stage(
+    caches: &[PqKvCache],
+    sent: &mut [usize],
+    session: usize,
+    mut submit: impl FnMut(EncodeRequest),
+) {
+    for (layer, (cache, sent)) in caches.iter().zip(sent).enumerate() {
+        if *sent != 0 {
+            continue;
+        }
+        if let Some((keys, values)) = cache.encodable_dense() {
+            *sent = keys.rows();
+            submit(EncodeRequest {
+                session,
+                layer,
+                keys,
+                values,
+            });
+        }
+    }
+}
+
+/// The session's per-layer caches. None of them encodes on append: the
+/// session schedules every encode ([`QuantStream`]).
+fn build_session_caches(engine: &MillionEngine) -> Vec<PqKvCache> {
     let layout = engine.model().cache_layout();
     (0..engine.model().config().n_layers)
         .map(|l| {
@@ -913,7 +923,7 @@ fn build_session_caches(engine: &MillionEngine, auto_encode: bool) -> Vec<PqKvCa
                 engine.config().residual_len,
             )
             .with_layer(l);
-            cfg.auto_encode = auto_encode;
+            cfg.auto_encode = false;
             PqKvCache::new(layout, cfg)
         })
         .collect()
@@ -1100,9 +1110,13 @@ mod tests {
         match chunk {
             None => session.prefill(prompt),
             Some(size) => {
-                assert_eq!(session.prefill_begin(prompt), 0, "a cold admission");
-                for tokens in prompt.chunks(size) {
-                    session.prefill_chunk(tokens);
+                assert_eq!(
+                    session.prefill_begin(prompt.to_vec()),
+                    0,
+                    "a cold admission"
+                );
+                while session.unfed_prompt_tokens() > 0 {
+                    session.prefill_chunk(size);
                 }
             }
         }
@@ -1266,9 +1280,9 @@ mod tests {
         match chunk {
             None => session.prefill(&prompt),
             Some(size) => {
-                assert_eq!(session.prefill_begin(&prompt), attached, "a warm admission");
-                for tokens in prompt[attached..].chunks(size) {
-                    session.prefill_chunk(tokens);
+                assert_eq!(session.prefill_begin(prompt), attached, "a warm admission");
+                while session.unfed_prompt_tokens() > 0 {
+                    session.prefill_chunk(size);
                 }
             }
         }
@@ -1385,14 +1399,96 @@ mod tests {
         }
     }
 
+    /// Admits `prompt` on a fresh session in chunks of `size`, with a
+    /// standalone [`InferenceSession::persist`] after the first chunk: the
+    /// session is dropped, restored from the file, and fed the rest in the
+    /// same chunk sizes.
+    fn admit_through_persist(
+        engine: &MillionEngine,
+        prompt: &[u32],
+        size: usize,
+        path: &std::path::Path,
+    ) -> Admitted {
+        let mut session = engine.session();
+        let reused = session.prefill_begin(prompt.to_vec());
+        assert_eq!(session.prefill_chunk(size), size);
+        session.persist(path).expect("snapshot written");
+        drop(session);
+        let mut restored = engine.restore_session(path).expect("snapshot restores");
+        std::fs::remove_file(path).expect("snapshot removed");
+        assert_eq!(restored.unfed_prompt_tokens(), prompt.len() - reused - size);
+        let mut chunks = 1;
+        while restored.unfed_prompt_tokens() > 0 {
+            restored.prefill_chunk(size);
+            chunks += 1;
+        }
+        assert!(chunks >= 3, "{chunks} chunks");
+        snapshot(restored)
+    }
+
     #[test]
-    #[should_panic(expected = "runs past")]
-    fn a_chunk_past_the_opened_prompt_panics() {
+    fn persist_mid_admission_restores_one_prefill() {
+        // A 200-token cold prompt, and a 104-token suffix behind 96 attached
+        // tokens, each persisted after its first chunk and restored, against
+        // one prefill: sync and async, residual {0, 8}.
+        let config = million_model::ModelConfig::tiny_for_tests();
+        let stream: Vec<u32> = (0..200)
+            .map(|i| ((i * 37 + 11) % config.vocab_size) as u32)
+            .collect();
+        let (prefix, suffix) = stream.split_at(104);
+        let path =
+            std::env::temp_dir().join(format!("million_mid_admission_{}.bin", std::process::id()));
+        let mut cases = 0;
+        for async_quant in [false, true] {
+            for residual_len in [0, 8] {
+                let label = format!("async {async_quant}, residual {residual_len}");
+                let cold = engine_with_residual(config.clone(), async_quant, residual_len);
+                let expected = admit(&cold, &stream, None);
+                let warm = warm_engine(config.clone(), async_quant, residual_len);
+                let mut seeder = warm.session();
+                seeder.prefill(prefix);
+                assert_eq!(seeder.sealed_tokens(), 96);
+                let expected_warm = admit_warm(&warm, prefix, suffix, None);
+                for size in [7, 33] {
+                    assert_eq!(
+                        admit_through_persist(&cold, &stream, size, &path),
+                        expected,
+                        "cold, {label}, chunks of {size}"
+                    );
+                    assert_eq!(
+                        admit_through_persist(&warm, &stream, size, &path),
+                        expected_warm,
+                        "warm, {label}, chunks of {size}"
+                    );
+                    cases += 2;
+                }
+            }
+        }
+        println!(
+            "persist mid-admission: {cases} admissions persisted after their first chunk, \
+             restored and finished, bit-identical to one prefill"
+        );
+    }
+
+    #[test]
+    fn a_chunk_feeds_at_most_what_the_admission_has_left() {
         let engine = engine(false, 10);
         let mut session = engine.session();
-        session.prefill_begin(&prompt());
-        session.prefill_chunk(&prompt()[..8]);
-        session.prefill_chunk(&prompt()[..8]);
+        session.prefill_begin(prompt());
+        assert_eq!(session.prefill_chunk(8), 8);
+        assert_eq!(session.unfed_prompt_tokens(), prompt().len() - 8);
+        assert_eq!(session.prefill_chunk(8), prompt().len() - 8);
+        assert_eq!(session.unfed_prompt_tokens(), 0);
+        assert_eq!(session.cached_tokens(), prompt().len());
+    }
+
+    #[test]
+    #[should_panic(expected = "needs an open admission")]
+    fn a_chunk_without_an_open_admission_panics() {
+        let engine = engine(false, 10);
+        let mut session = engine.session();
+        session.prefill(&prompt());
+        session.prefill_chunk(1);
     }
 
     #[test]
@@ -1400,8 +1496,8 @@ mod tests {
     fn stepping_an_open_admission_panics() {
         let engine = engine(true, 11);
         let mut session = engine.session();
-        session.prefill_begin(&prompt());
-        session.prefill_chunk(&prompt()[..5]);
+        session.prefill_begin(prompt());
+        session.prefill_chunk(5);
         let _ = session.step();
     }
 

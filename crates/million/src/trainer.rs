@@ -33,12 +33,11 @@ impl TrainedCodebooks {
     }
 
     /// Builds the cache specification used by the transformer substrate.
-    pub fn to_pq_spec(&self, residual_len: usize, auto_encode: bool) -> PqSpec {
+    pub fn to_pq_spec(&self, residual_len: usize) -> PqSpec {
         PqSpec {
             key_codebooks: self.key.clone(),
             value_codebooks: self.value.clone(),
             residual_len,
-            auto_encode,
         }
     }
 }
@@ -194,9 +193,8 @@ mod tests {
         let engine_cfg = MillionConfig::four_bit(config.head_dim());
         let cbs =
             train_codebooks(&model, &calibration(config.vocab_size, 60), &engine_cfg).unwrap();
-        let spec = cbs.to_pq_spec(7, false);
+        let spec = cbs.to_pq_spec(7);
         assert_eq!(spec.residual_len, 7);
-        assert!(!spec.auto_encode);
         assert_eq!(spec.key_codebooks.len(), config.n_layers);
     }
 }

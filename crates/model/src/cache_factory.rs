@@ -18,10 +18,8 @@ pub struct PqSpec {
     /// One value codebook per layer (dimension = `head_dim`).
     pub value_codebooks: Vec<Arc<PqCodebook>>,
     /// Number of most recent tokens kept dense (0 = the paper's stress mode).
+    /// Appends beyond it quantize eagerly.
     pub residual_len: usize,
-    /// Whether appends quantize eagerly (`true`) or wait for the asynchronous
-    /// quantization stream (`false`).
-    pub auto_encode: bool,
 }
 
 /// Which KV-cache backend to build for every layer of a model.
@@ -73,13 +71,12 @@ pub fn build_caches(config: &ModelConfig, spec: &CacheSpec) -> Vec<Box<dyn KvCac
                         config.n_layers,
                         "one value codebook per layer required"
                     );
-                    let mut cache_cfg = PqCacheConfig::new(
+                    let cache_cfg = PqCacheConfig::new(
                         pq.key_codebooks[l].clone(),
                         pq.value_codebooks[l].clone(),
                         pq.residual_len,
                     )
                     .with_layer(l);
-                    cache_cfg.auto_encode = pq.auto_encode;
                     Box::new(PqKvCache::new(layout, cache_cfg))
                 }
             }
@@ -109,7 +106,6 @@ mod tests {
             key_codebooks: vec![cb.clone(); config.n_layers],
             value_codebooks: vec![cb; config.n_layers],
             residual_len: 0,
-            auto_encode: true,
         }
     }
 

@@ -107,7 +107,6 @@ fn pq_spec(model: &Transformer, m: usize, calibration: usize) -> PqSpec {
             .map(|l| train(capture.value_head_vectors(l), 2))
             .collect(),
         residual_len: RESIDUAL_LEN,
-        auto_encode: true,
     }
 }
 
@@ -482,9 +481,9 @@ fn a_single_token_on_empty_caches_is_the_same_through_either_arm() {
     }
 }
 
-/// PQ caches holding their encode for a prompt admitted in chunks, as a
-/// session does; `auto_encode` on and off.
-fn held_pq_caches(model: &Transformer, spec: &PqSpec, auto_encode: bool) -> Vec<PqKvCache> {
+/// PQ caches as a session builds them: appends never encode, so a prompt
+/// admitted in chunks stays dense until its caller encodes it.
+fn held_pq_caches(model: &Transformer, spec: &PqSpec) -> Vec<PqKvCache> {
     (0..model.config().n_layers)
         .map(|l| {
             let mut cfg = PqCacheConfig::new(
@@ -493,10 +492,8 @@ fn held_pq_caches(model: &Transformer, spec: &PqSpec, auto_encode: bool) -> Vec<
                 spec.residual_len,
             )
             .with_layer(l);
-            cfg.auto_encode = auto_encode;
-            let mut cache = PqKvCache::new(model.cache_layout(), cfg);
-            cache.hold_encode(true);
-            cache
+            cfg.auto_encode = false;
+            PqKvCache::new(model.cache_layout(), cfg)
         })
         .collect()
 }
@@ -526,9 +523,8 @@ fn pq_contents(caches: &[PqKvCache]) -> Vec<Vec<u8>> {
 #[test]
 fn a_prompt_fed_in_chunks_through_the_prompt_arm_is_one_prefill() {
     // Chunk sizes around the GEMM's row-kernel threshold and the attention
-    // tiles (32 query rows, 64 keys), on full caches and on PQ caches whose
-    // encode is held until the prompt ends (the session's cold admission),
-    // with and without `auto_encode`.
+    // tiles (32 query rows, 64 keys), on full caches and on PQ caches that
+    // stay dense until the prompt ends (the session's cold admission).
     const LEN: usize = 150;
     for config in configs() {
         let model = Transformer::new(config.clone(), 43);
@@ -539,7 +535,7 @@ fn a_prompt_fed_in_chunks_through_the_prompt_arm_is_one_prefill() {
         let mut one_shot = build_caches(&config, &CacheSpec::Full);
         let all = model.prefill(&prompt, &mut one_shot, None);
         let expected = bits(all.row(LEN - 1));
-        let mut pq_one_shot = held_pq_caches(&model, &pq, true);
+        let mut pq_one_shot = held_pq_caches(&model, &pq);
         let mut one_shot_last = Vec::new();
         model.prefill_chunk(
             &prompt,
@@ -550,45 +546,36 @@ fn a_prompt_fed_in_chunks_through_the_prompt_arm_is_one_prefill() {
         );
         assert_eq!(bits(&one_shot_last), expected, "{}", config.name);
         for cache in &mut pq_one_shot {
-            cache.hold_encode(false);
             cache.encode_overflow();
         }
 
         for size in [1, 7, 15, 16, 31, 32, 33, 64, 65, 149] {
             let label = format!("{} chunks of {size}", config.name);
             let mut full = build_caches(&config, &CacheSpec::Full);
-            let mut held = [
-                held_pq_caches(&model, &pq, true),
-                held_pq_caches(&model, &pq, false),
-            ];
+            let mut held = held_pq_caches(&model, &pq);
             let mut last = Vec::new();
             for chunk in prompt.chunks(size) {
                 model.prefill_chunk(chunk, &mut full, ChunkArm::Prompt, &mut scratch, &mut last);
-                for caches in &mut held {
-                    let mut pq_last = Vec::new();
-                    model.prefill_chunk(
-                        chunk,
-                        caches,
-                        ChunkArm::Prompt,
-                        &mut scratch,
-                        &mut pq_last,
-                    );
-                    assert_eq!(bits(&pq_last), bits(&last), "{label}: PQ logits");
-                }
+                let mut pq_last = Vec::new();
+                model.prefill_chunk(
+                    chunk,
+                    &mut held,
+                    ChunkArm::Prompt,
+                    &mut scratch,
+                    &mut pq_last,
+                );
+                assert_eq!(bits(&pq_last), bits(&last), "{label}: PQ logits");
             }
             assert_eq!(bits(&last), expected, "{label}: last logits");
             assert_eq!(fingerprint(&full), fingerprint(&one_shot), "{label}: full");
-            for caches in &mut held {
-                for cache in caches.iter_mut() {
-                    cache.hold_encode(false);
-                    cache.encode_overflow();
-                }
-                assert_eq!(
-                    pq_contents(caches),
-                    pq_contents(&pq_one_shot),
-                    "{label}: codes"
-                );
+            for cache in &mut held {
+                cache.encode_overflow();
             }
+            assert_eq!(
+                pq_contents(&held),
+                pq_contents(&pq_one_shot),
+                "{label}: codes"
+            );
         }
     }
 }
@@ -678,11 +665,11 @@ fn the_prompt_arm_behind_coded_history_is_the_prompt_arm_over_its_decoded_rows()
                 ..pq_spec(&model, 4, 64)
             };
             let coded = || {
-                let mut caches = held_pq_caches(&model, &spec, true);
-                for cache in &mut caches {
-                    cache.hold_encode(false);
-                }
+                let mut caches = held_pq_caches(&model, &spec);
                 let _ = model.prefill(prefix, &mut caches, None);
+                for cache in &mut caches {
+                    cache.encode_overflow();
+                }
                 let heads = config.n_kv_heads;
                 let (mut keys, mut values) = (Vec::new(), Vec::new());
                 for cache in &mut caches {
@@ -693,7 +680,6 @@ fn the_prompt_arm_behind_coded_history_is_the_prompt_arm_over_its_decoded_rows()
                 let block = Arc::new(Block::new(config.n_layers, heads, keys, values));
                 for cache in &mut caches {
                     cache.attach_shared_block(block.clone());
-                    cache.hold_encode(true);
                 }
                 caches
             };

@@ -343,7 +343,10 @@ fn a_warm_prompt_chunk_behind_pq_codes_is_allocation_free_when_scratch_is_warm()
     let (keys, values) = (codebook(1), codebook(2));
     let mut caches: Vec<PqKvCache> = (0..config.n_layers)
         .map(|l| {
-            let cfg = PqCacheConfig::new(keys.clone(), values.clone(), 8).with_layer(l);
+            // As a session builds them: appends stay dense until the
+            // caller encodes.
+            let mut cfg = PqCacheConfig::new(keys.clone(), values.clone(), 8).with_layer(l);
+            cfg.auto_encode = false;
             PqKvCache::new(model.cache_layout(), cfg)
         })
         .collect();
@@ -358,6 +361,7 @@ fn a_warm_prompt_chunk_behind_pq_codes_is_allocation_free_when_scratch_is_warm()
         let _ = model.prefill(&prefix, caches, None);
         let (mut block_keys, mut block_values) = (Vec::new(), Vec::new());
         for cache in caches.iter_mut() {
+            cache.encode_overflow();
             let (k, v) = cache.take_private_front(32);
             block_keys.extend(k);
             block_values.extend(v);
@@ -370,7 +374,6 @@ fn a_warm_prompt_chunk_behind_pq_codes_is_allocation_free_when_scratch_is_warm()
         ));
         for cache in caches.iter_mut() {
             cache.attach_shared_block(block.clone());
-            cache.hold_encode(true);
             cache.reserve_dense(chunk.len());
         }
         let before = thread_allocations();

@@ -29,7 +29,7 @@ fn table2_pipeline_orders_methods_as_the_paper_does() {
     let baseline = evaluate_perplexity_against(&model, &CacheSpec::Full, &stream, 8, &teacher);
     let million = evaluate_perplexity_against(
         &model,
-        &CacheSpec::Pq(codebooks.to_pq_spec(0, true)),
+        &CacheSpec::Pq(codebooks.to_pq_spec(0)),
         &stream,
         8,
         &teacher,
@@ -93,7 +93,7 @@ fn cache_memory_accounting_is_consistent_across_backends() {
     for spec in [
         CacheSpec::Full,
         CacheSpec::KvQuant(KvQuantConfig::default()),
-        CacheSpec::Pq(codebooks.to_pq_spec(0, true)),
+        CacheSpec::Pq(codebooks.to_pq_spec(0)),
     ] {
         let mut caches = build_caches(&config, &spec);
         caches[0].append(&keys, &keys);
