@@ -37,9 +37,9 @@
 //! request: the magic, a CRC-framed request section (id, class, budget, stop
 //! criteria, sampler state, streamed tokens) and a CRC-framed `MLNSES03`
 //! snapshot, which holds the unfed prompt of a request checkpointed
-//! mid-admission. Earlier versions — `MLNSES01` (unframed), `MLNSES02` and `MLNCKPT1`
-//! (no unfed prompt), `MLNCKPT2` (an `MLNSES02` inside) — are retired: a
-//! restore names them in a typed error.
+//! mid-admission. Earlier versions — `MLNSES01` (unframed), `MLNSES02` and
+//! `MLNCKPT1` (no unfed prompt), `MLNCKPT2` (an `MLNSES02` inside) — are
+//! retired: a restore names them in a typed error.
 
 // A panic on the snapshot path loses committed state; errors are typed.
 #![deny(

@@ -434,8 +434,10 @@ impl<'e> InferenceSession<'e> {
     /// # Panics
     ///
     /// Panics if the session already holds tokens (use
-    /// [`Self::append_prompt`] for later turns) or if the prompt is empty.
+    /// [`Self::append_prompt`] for later turns), if an admission is still
+    /// open, or if the prompt is empty.
     pub fn prefill_begin(&mut self, mut prompt: Vec<u32>) -> usize {
+        self.assert_admitted();
         assert_eq!(
             self.cached_tokens(),
             0,
@@ -1499,6 +1501,15 @@ mod tests {
         session.prefill_begin(prompt());
         session.prefill_chunk(5);
         let _ = session.step();
+    }
+
+    #[test]
+    #[should_panic(expected = "prompt tokens to feed")]
+    fn opening_an_admission_over_an_unfed_one_panics() {
+        let engine = engine(false, 12);
+        let mut session = engine.session();
+        session.prefill_begin(prompt());
+        session.prefill_begin(prompt());
     }
 
     #[test]
